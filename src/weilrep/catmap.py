@@ -36,6 +36,10 @@ CAT4_DEFAULT = (
 #: the classical two-dimensional cat map
 CAT2_DEFAULT = ((2, 1), (1, 1))
 
+#: largest representation dimension HeckeContext accepts: its Wigner table
+#: holds dim^3 complex numbers (0.75 GB at dim 361)
+MAX_WIGNER_DIM = 343
+
 
 def primes_up_to(n: int) -> list[int]:
     if n < 2:
@@ -142,7 +146,8 @@ def factor_over_Q(f):
     if roots:
         r = roots[0]
         q, rem = _qpoly_divmod(f, [-r, 1])
-        assert not rem
+        if rem:
+            raise RuntimeError(f"integer root {r} leaves a remainder")
         return sorted([[-r, 1]] + factor_over_Q([int(c) for c in q]))
     if deg == 2 or deg == 3:
         return [f]
@@ -282,6 +287,11 @@ class HeckeContext:
     and the admissibility and support masks over the exponent window."""
 
     def __init__(self, A: LatticeAutomorphism, p: int, xi_max: int | None = None):
+        if p**A.N > MAX_WIGNER_DIM:
+            raise ValueError(
+                f"dimension {p**A.N} exceeds the supported bound {MAX_WIGNER_DIM} "
+                "of the Wigner table"
+            )
         self.A = A
         self.p = p
         self.N = A.N

@@ -8,7 +8,8 @@ carry the configuration and a timestamp (the timestamp line is the only
 non-reproducible content).
 
 Exit codes: 0 all checks passed, 1 a bound or invariant was violated
-(witness printed), 2 invalid configuration.
+(witness printed) or a prime's experiment raised (its error row lists the
+exception), 2 invalid configuration.
 """
 
 from __future__ import annotations
@@ -21,6 +22,7 @@ import math
 import os
 import random
 import sys
+import traceback
 
 from . import fqlin as la
 from .catmap import (
@@ -215,11 +217,22 @@ def cmd_self_reducibility(args) -> int:
 
 
 def _que_worker(task):
+    """One prime's experiment; an exception becomes an error row with its
+    type, message and raising frame, so one bad prime does not abort the
+    sweep."""
     mat, p, xi_max, statistical = task
     A = LatticeAutomorphism(mat)
-    if statistical:
-        return statistical_state_experiment(A, p, xi_max)
-    return hecke_que_experiment(A, p, xi_max)
+    experiment = statistical_state_experiment if statistical else hecke_que_experiment
+    try:
+        return experiment(A, p, xi_max)
+    except Exception as exc:
+        frame = traceback.extract_tb(exc.__traceback__)[-1]
+        return {
+            "p": p,
+            "error": type(exc).__name__,
+            "message": str(exc),
+            "where": f"{os.path.basename(frame.filename)}:{frame.lineno} in {frame.name}",
+        }
 
 
 def _resolve_matrix(args):
@@ -247,7 +260,12 @@ def _run_prime_sweep(args, statistical: bool) -> int:
     rows.sort(key=lambda r: r["p"])
     violations = 0
     csv_rows = []
+    errors = [row for row in rows if "error" in row]
     for row in rows:
+        if "error" in row:
+            csv_rows.append((row["p"], "", "", "", "", f"error: {row['error']}"))
+            print(f"ERROR p={row['p']}: {row['error']}: {row['message']} ({row['where']})")
+            continue
         if row.get("skipped"):
             csv_rows.append((row["p"], "", "", "", "", row["skipped"]))
             print(f"SKIP p={row['p']}: {row['skipped']}")
@@ -277,9 +295,14 @@ def _run_prime_sweep(args, statistical: bool) -> int:
     )
     _write_json(
         os.path.join(args.out, f"{name}_summary.json"),
-        {"config": config, "rows": rows, "violations": violations},
+        {
+            "config": config,
+            "rows": [row for row in rows if "error" not in row],
+            "errors": errors,
+            "violations": violations,
+        },
     )
-    return 1 if violations else 0
+    return 1 if violations or errors else 0
 
 
 def cmd_que(args) -> int:

@@ -55,18 +55,6 @@ def mat_add(ctx, A, B):
     return [[ctx.add(a, b) for a, b in zip(ra, rb)] for ra, rb in zip(A, B)]
 
 
-def mat_sub(ctx, A, B):
-    return [[ctx.sub(a, b) for a, b in zip(ra, rb)] for ra, rb in zip(A, B)]
-
-
-def mat_neg(ctx, A):
-    return [[ctx.neg(a) for a in row] for row in A]
-
-
-def mat_scale(ctx, c, A):
-    return [[ctx.mul(c, a) for a in row] for row in A]
-
-
 def transpose(A):
     return [list(col) for col in zip(*A)]
 

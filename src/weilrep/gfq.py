@@ -273,7 +273,8 @@ class FieldCtx:
         for _ in range(self.m - 1):
             cur = self.frobenius(cur)
             acc = self.add(acc, cur)
-        assert all(c == 0 for c in acc[1:]), "trace landed outside GF(p)"
+        if any(c != 0 for c in acc[1:]):
+            raise RuntimeError("trace landed outside GF(p)")
         return acc[0]
 
     @property
@@ -303,7 +304,8 @@ class FieldCtx:
         s = self.pow(a, (self.q - 1) // 2)
         if s == self.one:
             return 1
-        assert s == self.neg(self.one)
+        if s != self.neg(self.one):
+            raise RuntimeError("Euler criterion gave neither +1 nor -1")
         return -1
 
     def psi_index(self, a) -> int:
@@ -777,7 +779,8 @@ def factor_poly(ctx, f):
         for h, d in distinct_degree_decomposition(ctx, g):
             for irr in _equal_degree_split(ctx, h, d, rng):
                 irr = poly_monic(ctx, irr)
-                assert is_irreducible(ctx, irr), "factorization produced a reducible factor"
+                if not is_irreducible(ctx, irr):
+                    raise RuntimeError("factorization produced a reducible factor")
                 factors.append((irr, mult))
     factors.sort(key=lambda fm: (poly_to_key(ctx, fm[0]), fm[1]))
     # merge repeats that arose from distinct squarefree layers
@@ -813,7 +816,8 @@ def norm_one_elements(big: FieldCtx, degree: int = 2):
     for _ in range(order - 1):
         out.append(cur)
         cur = big.mul(cur, c)
-    assert cur == big.one
+    if cur != big.one:
+        raise RuntimeError("norm-one generator has the wrong order")
     return out
 
 

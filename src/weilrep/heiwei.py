@@ -121,9 +121,6 @@ class WeilRep:
 
     # -- vectors and indices ---------------------------------------------------
 
-    def l_index(self, x) -> int:
-        return self._Lindex[tuple(x)]
-
     def split_v(self, v):
         return tuple(v[: self.N]), tuple(v[self.N :])
 
@@ -282,7 +279,8 @@ class WeilRep:
         a_idx * q^N + b_idx."""
         states = np.asarray(states, dtype=np.complex128)
         dim, nstates = states.shape
-        assert dim == self.dim
+        if dim != self.dim:
+            raise ValueError(f"states have length {dim}, expected {self.dim}")
         out = np.empty((nstates, dim * dim), dtype=np.complex128)
         conj = states.conj()
         for ai in range(dim):
@@ -372,7 +370,8 @@ def restrict_to_extension(rep: WeilRep, ms, n_samples: int = 50, seed: int = 0):
     dim_bar = 1
     for _, ctxK, _, _, _ in bar_data:
         dim_bar *= ctxK.q
-    assert dim_bar == rep.dim
+    if dim_bar != rep.dim:
+        raise RuntimeError(f"block model has dimension {dim_bar}, expected {rep.dim}")
     U = _intertwiner(rep, bar_pi_of_v, dim_bar)
 
     # exact trace-level identities over the torus

@@ -4,8 +4,10 @@ space, multiplicities, projectors, and Wigner matrix coefficients.
 A character of a torus with cyclic factor orders (n_1, ..., n_r) is stored
 as one exponent per factor; its value on the element with exponent tuple
 (j_1, ..., j_r) is the root of unity with phase sum e_k j_k / n_k.
-Projectors are built by averaging Weil operators against the conjugate
-character; multiplicities are the (integer) traces of the projectors.
+A character is fixed by its values on the r generators, so the eigenspaces
+are the joint eigenspaces of the r generator Weil operators, found by
+simultaneous diagonalization; multiplicities are their dimensions, and
+projectors are formed from their orthonormal bases on demand.
 """
 
 from __future__ import annotations
@@ -41,9 +43,6 @@ class TorusCharacter:
             acc = acc + e * js / n
         return np.exp(2j * np.pi * acc)
 
-    def is_trivial(self) -> bool:
-        return all(e == 0 for e in self.exponents)
-
     def is_quadratic(self) -> bool:
         """All values in {+1, -1} but not all +1."""
         vals = self.values()
@@ -65,9 +64,7 @@ def sigma_character(torus: Torus) -> TorusCharacter | None:
     """The unique quadratic character of a cyclic torus of even order,
     identified by its values."""
     if len(torus.orders) == 1 and torus.orders[0] % 2 == 0:
-        chi = TorusCharacter(torus, (torus.orders[0] // 2,))
-        assert chi.is_quadratic()
-        return chi
+        return _checked_quadratic(TorusCharacter(torus, (torus.orders[0] // 2,)))
     return None
 
 
@@ -78,8 +75,12 @@ def sigma_block_character(torus: Torus, alpha: int) -> TorusCharacter | None:
     if n % 2:
         return None
     exps = tuple(n // 2 if k == alpha else 0 for k in range(len(torus.orders)))
-    chi = TorusCharacter(torus, exps)
-    assert chi.is_quadratic()
+    return _checked_quadratic(TorusCharacter(torus, exps))
+
+
+def _checked_quadratic(chi: TorusCharacter) -> TorusCharacter:
+    if not chi.is_quadratic():
+        raise RuntimeError(f"character {chi.exponents} is not quadratic")
     return chi
 
 
@@ -89,11 +90,15 @@ class EigenDecomposition:
     torus: Torus
     characters: list[TorusCharacter]
     multiplicities: dict = field(default_factory=dict)
-    projectors: dict = field(default_factory=dict)
     bases: dict = field(default_factory=dict)
 
     def multiplicity(self, chi: TorusCharacter) -> int:
         return self.multiplicities[chi.exponents]
+
+    def projector(self, chi: TorusCharacter) -> np.ndarray:
+        """The orthogonal projector B B* onto the chi-eigenspace."""
+        B = self.bases[chi.exponents]
+        return B @ B.conj().T
 
     def eigenstates(self):
         """(character, unit eigenvector) pairs over all nonzero spaces."""
@@ -104,42 +109,64 @@ class EigenDecomposition:
 
 
 def decompose(rep: WeilRep, torus: Torus) -> EigenDecomposition:
-    """Projectors P_chi = |T|^-1 sum over g of conj(chi(g)) rho(g), their
-    integer traces as multiplicities, and orthonormal eigenbases from the
-    projector columns.  The averaging loops are independent per character
-    (here batched through one matrix product)."""
-    if rep.dim > 343:
-        raise ValueError(f"dimension {rep.dim} exceeds the supported bound 343")
+    """Joint eigenspaces of the Weil operators of the torus generators.
+
+    Only the r generator operators U_k = rho(g_k) are built.  The space is
+    split one generator at a time: inside every joint eigenspace found so
+    far, U_k acts as a unitary M whose eigenvalues are n_k-th roots of unity,
+    and the Hermitian part of exp(-i phi) M with phi = pi / (2 n_k) has the
+    eigenvalue cos(2 pi e / n_k - phi) on the exponent-e eigenspace.  These
+    cosines are distinct for distinct e mod n_k, so one ``eigh`` separates
+    every exponent, with fixed weights and hence deterministically.  The
+    exponent of each eigenvector is read from its eigenvalue of U_k.
+
+    Every eigenspace gets the orthonormal basis that Gram-Schmidt makes of
+    the columns of its projector B B*, and every basis vector v is checked
+    to satisfy |U_k v - chi(g_k) v| <= rep.tol for every generator."""
+    ops = [rep.weil_op(g) for g in torus.generators]
+    spaces = {(): np.eye(rep.dim, dtype=np.complex128)}
+    for U, n in zip(ops, torus.orders):
+        rot = np.exp(-1j * np.pi / (2 * n))
+        refined = {}
+        for exps, Q in spaces.items():
+            M = rot * (Q.conj().T @ (U @ Q))
+            W = Q @ np.linalg.eigh((M + M.conj().T) / 2)[1]
+            lam = np.einsum("ij,ij->j", W.conj(), U @ W)
+            es = np.rint(np.angle(lam) * n / (2 * np.pi)).astype(np.int64) % n
+            for e in np.unique(es):
+                refined[exps + (int(e),)] = W[:, es == e]
+        spaces = refined
     chars = torus_characters(torus)
-    ops = np.stack([rep.weil_op(g) for g in torus.elements])
-    X = np.stack([chi.values() for chi in chars])
-    P_all = np.einsum("ct,txy->cxy", X.conj(), ops) / torus.order
     dec = EigenDecomposition(rep, torus, chars)
-    total = 0
-    for chi, P in zip(chars, P_all):
-        tr = P.trace()
-        mult = int(round(tr.real))
-        if abs(tr - mult) > 0.01:
+    empty = np.zeros((rep.dim, 0), dtype=np.complex128)
+    for chi in chars:
+        B = spaces.get(chi.exponents, empty)
+        dec.multiplicities[chi.exponents] = B.shape[1]
+        dec.bases[chi.exponents] = _orthonormal_range(B @ B.conj().T, B.shape[1])
+    state_chars, states = zip(*dec.eigenstates())
+    S = np.stack(states, axis=1)
+    for U, gkey in zip(ops, torus.generators):
+        values = np.array([chi(gkey) for chi in state_chars])
+        resid = np.linalg.norm(U @ S - S * values, axis=0)
+        worst = int(np.argmax(resid))
+        if resid[worst] > rep.tol:
             raise RuntimeError(
-                f"projector trace {tr} is not an integer: internal inconsistency"
+                f"eigenvector residual {resid[worst]:.3e} exceeds {rep.tol:.3e} "
+                f"at character {state_chars[worst].exponents}"
             )
-        dec.multiplicities[chi.exponents] = mult
-        dec.projectors[chi.exponents] = P
-        dec.bases[chi.exponents] = _orthonormal_range(P, mult)
-        total += mult
-    if total != rep.dim:
-        raise RuntimeError(
-            f"multiplicities sum to {total}, expected {rep.dim}"
-        )
     return dec
 
 
 def _orthonormal_range(P: np.ndarray, mult: int) -> np.ndarray:
-    """Modified Gram-Schmidt on the ``mult`` largest projector columns."""
+    """Modified Gram-Schmidt on the ``mult`` largest projector columns.
+    Columns whose norms agree to 1e-9 are taken in index order, so rounding
+    noise in P cannot change which columns span the basis."""
     if mult == 0:
         return np.zeros((P.shape[0], 0), dtype=np.complex128)
     norms = np.linalg.norm(P, axis=0)
-    order = np.argsort(-norms)
+    order = np.argsort(-norms, kind="stable")
+    ties = np.concatenate(([0], np.cumsum(np.diff(norms[order]) < -1e-9)))
+    order = order[np.lexsort((order, ties))]
     basis = []
     for idx in order:
         v = P[:, idx].copy()
@@ -151,7 +178,7 @@ def _orthonormal_range(P: np.ndarray, mult: int) -> np.ndarray:
         if len(basis) == mult:
             break
     if len(basis) != mult:  # pragma: no cover - projector rank equals trace
-        raise RuntimeError("projector rank deficient against its trace")
+        raise RuntimeError("projector rank deficient against its multiplicity")
     return np.stack(basis, axis=1)
 
 

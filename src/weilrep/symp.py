@@ -52,9 +52,6 @@ class SympSpace:
     def omega(self, u, v):
         return la.vec_dot(self.ctx, u, la.mat_vec(self.ctx, self.gram, v))
 
-    def zero_vector(self):
-        return [self.ctx.zero] * self.dim
-
     def __repr__(self):
         return f"SympSpace(N={self.N}, {self.ctx!r})"
 
@@ -171,7 +168,8 @@ class Torus:
             self.index[key] = e
             self.elements.append(key)
             self.exponents.append(e)
-        assert len(self.elements) == size
+        if len(self.elements) != size:
+            raise RuntimeError("torus enumeration missed elements")
 
     @property
     def order(self) -> int:
@@ -343,7 +341,8 @@ def _norm_one_block_generator(space: SympSpace, d: int):
     for _ in range(2 * d):
         h = gfq.poly_mul(big, h, [big.neg(conj), big.one])
         conj = big.pow(conj, ctx.q)
-    assert conj == c
+    if conj != c:
+        raise RuntimeError("Frobenius orbit of the norm-one generator does not close")
     h_small = [emb.down(coeff) for coeff in h]
     C = _companion(ctx, h_small)
     G = _invariant_symplectic_form(ctx, C)
@@ -437,19 +436,6 @@ def _poly_inverse_mod(ctx, u, mod):
     return gfq.poly_mod(ctx, a, mod)
 
 
-def _crt_lift(ctx, charpoly, targets):
-    """Polynomial congruent to targets[f] mod f for each factor f, and to 1
-    mod every other factor of charpoly."""
-    acc = []
-    for f, val in targets.items():
-        f = list(f)
-        M = gfq.poly_divmod(ctx, charpoly, f)[0]
-        Minv = _poly_inverse_mod(ctx, gfq.poly_mod(ctx, M, f), f)
-        term = gfq.poly_mul(ctx, gfq.poly_mul(ctx, M, Minv), val)
-        acc = gfq.poly_add(ctx, acc, term)
-    return gfq.poly_mod(ctx, acc, charpoly)
-
-
 def _order_test(ctx, c, order, mod):
     one = [ctx.one]
     if gfq.poly_sub(ctx, gfq.poly_pow_mod(ctx, c, order, mod), one):
@@ -519,7 +505,7 @@ def centralizer_torus(space: SympSpace, A) -> Torus:
                     break
             if c is None:  # pragma: no cover
                 raise RuntimeError("no norm-one generator found")
-            lift = _crt_lift(ctx, cp, {tuple(f): c})
+            residues = {tuple(f): c}
             order = Q + 1
             name = "inert" if d == 1 else "irreducible"
         else:
@@ -537,21 +523,18 @@ def centralizer_torus(space: SympSpace, A) -> Torus:
             xinv = _poly_inverse_mod(ctx, x, partner)
             theta_gamma = _poly_compose_mod(ctx, gamma, xinv, partner)
             w = _poly_inverse_mod(ctx, theta_gamma, partner)
-            lift = _crt_lift(ctx, cp, {tuple(f): gamma, tuple(partner): w})
+            residues = {tuple(f): gamma, tuple(partner): w}
             name = "split"
+        # the generator is the identity off its block; the idempotent cuts
+        # out the block subspace
+        keys = [tuple(other) for other, _ in factors]
+        lift = _crt_lift_general(ctx, cp, {k: residues.get(k, [ctx.one]) for k in keys})
         g = la.mat_eval_poly(ctx, lift, A)
         assert_symplectic(space, g, "centralizer generator")
         _assert_order(ctx, g, order)
-        # idempotent cutting out the block subspace
-        idem_targets = {tuple(f): [ctx.one]}
-        zero_elsewhere = {}
-        for other, _ in factors:
-            key = tuple(other)
-            if key == tuple(f) or (partner is not None and key == tuple(partner)):
-                idem_targets[key] = [ctx.one]
-            else:
-                zero_elsewhere[key] = [ctx.zero]
-        idem_poly = _crt_lift_general(ctx, cp, {**idem_targets, **zero_elsewhere})
+        idem_poly = _crt_lift_general(
+            ctx, cp, {k: [ctx.one] if k in residues else [ctx.zero] for k in keys}
+        )
         e = la.mat_eval_poly(ctx, idem_poly, A)
         generators.append(la.freeze(g))
         orders.append(order)
@@ -624,7 +607,8 @@ class BlockField:
             basis_mats = [unit] + [b for b in basis_mats if la.freeze(b) != la.freeze(unit)]
             basis_mats = self._independent(basis_mats)
         self.basis = basis_mats
-        assert len(self.basis) == self.d
+        if len(self.basis) != self.d:
+            raise ValueError("block field basis is not independent over the unit")
         n = space.dim
         self._bvec = la.transpose([[m[i][j] for i in range(n) for j in range(n)] for m in self.basis])
         self.unit_coords = tuple([ctx.one] + [ctx.zero] * (self.d - 1))
@@ -747,7 +731,8 @@ class BlockField:
         s = self.pow(u, (self.size - 1) // 2)
         if s == self.unit_coords:
             return 1
-        assert s == self.neg(self.unit_coords)
+        if s != self.neg(self.unit_coords):
+            raise RuntimeError("Euler criterion gave neither +1 nor -1")
         return -1
 
     def psi_bar(self, u):
@@ -847,7 +832,8 @@ class ModBlock:
             raise ValueError("no symplectic partner in block")
         self.E = E
         self.F = F
-        assert self.omega_bar(self.E, self.F) == bf.one
+        if self.omega_bar(self.E, self.F) != bf.one:
+            raise RuntimeError("symplectic partner is not normalized")
 
     def _apply(self, coords, v):
         return la.mat_vec(self.space.ctx, self.bf.mat(coords), v)
@@ -897,9 +883,6 @@ class SympModuleStructure:
     @property
     def rank(self) -> int:
         return len(self.blocks)
-
-    def components(self, v):
-        return [blk.project(v) for blk in self.blocks]
 
     def embed_sl2(self, g_blocks):
         """Global matrix of a tuple of 2 x 2 matrices over the block fields
@@ -1020,7 +1003,8 @@ def _primitive_idempotents(ctx, unit, basis, n):
                     decided = True
                     break
                 continue
-            assert all(mult == 1 for _, mult in factors), "algebra not semisimple"
+            if any(mult != 1 for _, mult in factors):
+                raise ValueError("algebra not semisimple")
             for f, _ in factors:
                 idem_poly = _crt_lift_general(
                     ctx,
@@ -1028,7 +1012,8 @@ def _primitive_idempotents(ctx, unit, basis, n):
                     {tuple(g): ([ctx.one] if g == f else [ctx.zero]) for g, _ in factors},
                 )
                 ei = _mat_eval_poly_with_unit(ctx, idem_poly, kappa, e)
-                assert la.mat_mul(ctx, ei, ei) == ei, "idempotent failed"
+                if la.mat_mul(ctx, ei, ei) != ei:
+                    raise RuntimeError("idempotent failed")
                 sub = _restrict_basis(ctx, ei, bas, n)
                 work.append((ei, sub))
             decided = True

@@ -107,6 +107,25 @@ def test_que_experiment_p7():
     assert row["max_scaled_wigner"] <= bound * math.sqrt(7) * 8 / 8 + 1
 
 
+def test_que_experiment_cat4_p11_two_blocks():
+    """p = 11 is a rank-2 prime of cat4: the centralizer torus has a split
+    and an inert block, and every check completes and passes."""
+    A = LatticeAutomorphism(CAT4_DEFAULT)
+    row = hecke_que_experiment(A, 11)
+    assert row["skipped"] is None
+    assert row["torus"] == "split+inert"
+    assert row["r_p"] == 2
+    assert row["n_eigenstates"] == 121
+    assert row["n_xi"] - row["n_xi_excluded"] == 12_000
+    assert row["violations"] == 0
+    assert row["max_ratio"] <= 1 + 1e-9
+
+
+def test_hecke_context_refuses_dimensions_beyond_the_wigner_bound():
+    with pytest.raises(ValueError, match="Wigner table"):
+        HeckeContext(LatticeAutomorphism(CAT4_DEFAULT), 19)
+
+
 def test_que_zero_exponent_excluded():
     A = LatticeAutomorphism(CAT2_DEFAULT)
     hc = HeckeContext(A, 7)

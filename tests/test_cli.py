@@ -42,6 +42,14 @@ def test_multiplicities_cmd(tmp_path):
     assert len(lines) == 1 + (4 + 6) + (6 + 8)
 
 
+def test_multiplicities_cmd_above_dimension_343(tmp_path):
+    rc = main(["multiplicities", "--p", "347", "--N", "1", "--torus", "split",
+               "--out", str(tmp_path)])
+    assert rc == 0
+    lines = body_of(tmp_path / "multiplicities.csv").splitlines()
+    assert len(lines) == 1 + 346
+
+
 def test_self_reducibility_cmd(tmp_path):
     rc = main(["self-reducibility", "--p", "3", "--samples", "4", "--out", str(tmp_path)])
     assert rc == 0
@@ -59,6 +67,31 @@ def test_que_cmd_with_matrix_file(tmp_path):
     assert lines[0] == "p,r_p,torus_order,max_wigner_ratio,n_eigenstates,skipped_reason"
     skipped = [l for l in lines[1:] if l.endswith("disc(charpoly)")]
     assert len(skipped) == 1 and skipped[0].startswith("5,")
+
+
+def test_que_error_at_one_prime_becomes_an_error_row(tmp_path, monkeypatch):
+    from weilrep import catmap
+
+    real = catmap.centralizer_torus
+
+    def fails_at_11(space, A):
+        if space.ctx.p == 11:
+            raise RuntimeError("injected failure")
+        return real(space, A)
+
+    monkeypatch.setattr(catmap, "centralizer_torus", fails_at_11)
+    rc = main(["que", "--A", "cat2", "--max-prime", "13", "--jobs", "1",
+               "--out", str(tmp_path)])
+    assert rc == 1
+    lines = body_of(tmp_path / "que.csv").splitlines()
+    assert [l.split(",")[0] for l in lines[1:]] == ["5", "7", "11", "13"]
+    assert lines[3] == "11,,,,,error: RuntimeError"
+    data = json.loads((tmp_path / "que_summary.json").read_text())
+    [err] = data["errors"]
+    assert (err["p"], err["error"], err["message"]) == (11, "RuntimeError", "injected failure")
+    assert err["where"].endswith("in fails_at_11")
+    assert [r["p"] for r in data["rows"]] == [5, 7, 13]
+    assert data["violations"] == 0
 
 
 def test_statistical_cmd(tmp_path):

@@ -1,10 +1,13 @@
 """Torus characters, eigenspace decompositions, multiplicities."""
 
 import numpy as np
+import pytest
 
+from weilrep.catmap import CAT4_DEFAULT, LatticeAutomorphism
 from weilrep.gfq import FieldCtx
 from weilrep.heiwei import WeilRep, max_abs
 from weilrep.spectra import (
+    _orthonormal_range,
     decompose,
     expected_multiplicity,
     multiplicity_table_rows,
@@ -12,11 +15,11 @@ from weilrep.spectra import (
     sigma_character,
     torus_characters,
 )
-from weilrep.symp import SympSpace, build_maximal_torus
+from weilrep.symp import SympSpace, build_maximal_torus, centralizer_torus
 
 
-def setup_rep(p, N, kind):
-    sp = SympSpace(FieldCtx(p), N)
+def setup_rep(p, N, kind, m=1):
+    sp = SympSpace(FieldCtx(p, m), N)
     torus = build_maximal_torus(sp, kind)
     return WeilRep(sp), torus
 
@@ -107,7 +110,7 @@ def test_projector_axioms_and_equivariance():
     dim = rep.dim
     total = np.zeros((dim, dim), dtype=np.complex128)
     for chi in dec.characters:
-        P = dec.projectors[chi.exponents]
+        P = dec.projector(chi)
         assert max_abs(P @ P - P) < rep.tol
         assert max_abs(P - P.conj().T) < rep.tol
         total += P
@@ -120,8 +123,8 @@ def test_projector_axioms_and_equivariance():
     chars = dec.characters
     for i in range(len(chars)):
         for j in range(i + 1, len(chars)):
-            Pi = dec.projectors[chars[i].exponents]
-            Pj = dec.projectors[chars[j].exponents]
+            Pi = dec.projector(chars[i])
+            Pj = dec.projector(chars[j])
             assert max_abs(Pi @ Pj) < rep.tol
 
 
@@ -211,3 +214,83 @@ def test_multiplicities_over_f9_base():
         assert sum(dec.multiplicities.values()) == 9
         for chi in dec.characters:
             assert dec.multiplicity(chi) == expected_multiplicity(torus9, chi)
+
+
+def _decompose_by_averaging(rep, torus):
+    """Reference decomposition over every torus element: the projectors
+    P_chi = |T|^-1 sum over g of conj(chi(g)) rho(g), their integer traces as
+    multiplicities, and Gram-Schmidt bases on the projector columns.
+    Returns {exponents: (multiplicity, projector, basis)}."""
+    chars = torus_characters(torus)
+    ops = np.stack([rep.weil_op(g) for g in torus.elements])
+    X = np.stack([chi.values() for chi in chars])
+    P_all = np.einsum("ct,txy->cxy", X.conj(), ops) / torus.order
+    out = {}
+    for chi, P in zip(chars, P_all):
+        tr = P.trace()
+        mult = int(round(tr.real))
+        assert abs(tr - mult) < 0.01
+        out[chi.exponents] = (mult, P, _orthonormal_range(P, mult))
+    return out
+
+
+def _cat4_torus(p):
+    sp = SympSpace(FieldCtx(p), 2)
+    return WeilRep(sp), centralizer_torus(sp, LatticeAutomorphism(CAT4_DEFAULT).mod_p(sp))
+
+
+ORACLE_CASES = [
+    ("sl2-f5-split", lambda: setup_rep(5, 1, ["split"])),
+    ("sl2-f5-inert", lambda: setup_rep(5, 1, ["inert"])),
+    ("sl2-f7-split", lambda: setup_rep(7, 1, ["split"])),
+    ("sl2-f7-inert", lambda: setup_rep(7, 1, ["inert"])),
+    ("sp4-f3-inert-inert", lambda: setup_rep(3, 2, ["inert", "inert"])),
+    ("cat4-p7", lambda: _cat4_torus(7)),
+    ("cat4-p11", lambda: _cat4_torus(11)),
+    ("cat4-p13", lambda: _cat4_torus(13)),
+    ("sp6-f3-irreducible3", lambda: setup_rep(3, 3, ["irreducible3"])),
+    ("sp6-f3-split-irreducible2", lambda: setup_rep(3, 3, ["split", "irreducible2"])),
+    ("sl2-f9-split", lambda: setup_rep(3, 1, ["split"], m=2)),
+    ("sl2-f9-inert", lambda: setup_rep(3, 1, ["inert"], m=2)),
+]
+
+
+@pytest.mark.parametrize("make", [c[1] for c in ORACLE_CASES], ids=[c[0] for c in ORACLE_CASES])
+def test_decompose_matches_averaging_oracle(make):
+    """The generator-wise diagonalization reproduces the averaging path:
+    equal multiplicities, projectors to 1e-12, and every basis column up to
+    a unit phase to 1e-12."""
+    rep, torus = make()
+    dec = decompose(rep, torus)
+    ref = _decompose_by_averaging(rep, torus)
+    assert set(ref) == {chi.exponents for chi in dec.characters}
+    for chi in dec.characters:
+        mult, P, B_ref = ref[chi.exponents]
+        assert dec.multiplicity(chi) == mult, chi.exponents
+        assert max_abs(dec.projector(chi) - P) < 1e-12, chi.exponents
+        B = dec.bases[chi.exponents]
+        assert B.shape == B_ref.shape
+        for k in range(mult):
+            phase = np.vdot(B[:, k], B_ref[:, k])
+            assert abs(abs(phase) - 1) < 1e-12
+            assert max_abs(B[:, k] * phase / abs(phase) - B_ref[:, k]) < 1e-12
+
+
+def test_decompose_rejects_an_operator_off_the_character_values():
+    """A generator operator whose eigenvalues are not n-th roots of unity
+    fails the residual check instead of yielding a decomposition."""
+    rep, torus = setup_rep(5, 1, ["inert"])
+    phases = np.random.default_rng(0).uniform(0, 2 * np.pi, rep.dim)
+    rep._cache[torus.generators[0]] = np.diag(np.exp(1j * phases))
+    with pytest.raises(RuntimeError, match="residual"):
+        decompose(rep, torus)
+
+
+def test_decompose_builds_only_generator_operators():
+    rep, torus = setup_rep(5, 2, ["inert", "inert"])
+    decompose(rep, torus)
+    built = set(rep._cache)
+    assert set(torus.generators) <= built
+    # each generator is trivial on the other block, so it goes through the
+    # two-factor path: at most three operators per generator
+    assert len(built) <= 3 * len(torus.generators) < torus.order

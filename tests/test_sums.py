@@ -137,7 +137,7 @@ def test_reduced_handles_product_torus():
         tuple([ctx.zero, ctx.one, ctx.zero, ctx.el(2)]),
     ]
     for chi in dec.characters:
-        P = dec.projectors[chi.exponents]
+        P = dec.projector(chi)
         for v in vs:
             lhs = c_chi_reduced(ms, torus, chi, v)
             rhs = torus.order * np.trace(rep.pi_op((v, ctx.zero)) @ P)

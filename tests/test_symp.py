@@ -3,9 +3,13 @@
 import random
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from weilrep import fqlin as la
-from weilrep.gfq import FieldCtx, poly_from_ints
+from weilrep import gfq
+from weilrep.catmap import CAT4_DEFAULT, LatticeAutomorphism, is_integer_symplectic
+from weilrep.gfq import FieldCtx, factorize, poly_from_ints
 from weilrep.symp import (
     SympSpace,
     build_maximal_torus,
@@ -184,6 +188,81 @@ def test_centralizer_torus_split_case():
     assert torus.order == 6
     assert torus.blocks[0].name == "split"
     assert torus.contains(A)
+
+
+def assert_centralizer_invariants(sp, A, torus):
+    """Generators symplectic, of exact order, and the identity off their
+    block; block idempotents orthogonal and summing to I; A in T."""
+    ctx = sp.ctx
+    ident = la.identity(ctx, sp.dim)
+    zero = la.zeros(ctx, sp.dim, sp.dim)
+    idems = [la.thaw(blk.idempotent) for blk in torus.blocks]
+    for gkey, order, e in zip(torus.generators, torus.orders, idems):
+        g = la.thaw(gkey)
+        assert is_symplectic(sp, g)
+        assert la.mat_pow(ctx, g, order) == ident
+        for r, _ in factorize(order):
+            assert la.mat_pow(ctx, g, order // r) != ident
+        off_block = [[ctx.sub(a, b) for a, b in zip(ra, rb)] for ra, rb in zip(ident, e)]
+        assert la.mat_mul(ctx, g, off_block) == off_block
+    total = zero
+    for i, ei in enumerate(idems):
+        for j, ej in enumerate(idems):
+            assert la.mat_mul(ctx, ei, ej) == (ei if i == j else zero)
+        total = la.mat_add(ctx, total, ei)
+    assert total == ident
+    assert torus.contains(A)
+
+
+@pytest.mark.parametrize("p", [11, 19, 29])
+def test_cat4_centralizer_torus_with_two_blocks(p):
+    """At rank-2 primes every generator must act as the identity on the
+    other block, or it is not symplectic."""
+    sp = SympSpace(FieldCtx(p), 2)
+    A = LatticeAutomorphism(CAT4_DEFAULT).mod_p(sp)
+    torus = centralizer_torus(sp, A)
+    assert len(torus.blocks) == 2
+    assert torus.order == torus.orders[0] * torus.orders[1]
+    assert_centralizer_invariants(sp, A, torus)
+
+
+def _int_transvection(N, u, lam):
+    """x -> x + lam * omega(x, u) * u over Z, with omega(x, u) = w . x."""
+    w = [u[N + i] for i in range(N)] + [-u[i] for i in range(N)]
+    return [
+        [(1 if i == j else 0) + lam * u[i] * w[j] for j in range(2 * N)]
+        for i in range(2 * N)
+    ]
+
+
+@st.composite
+def integer_symplectic(draw):
+    N = draw(st.sampled_from([1, 2]))
+    vec = st.lists(st.integers(-2, 2), min_size=2 * N, max_size=2 * N).filter(any)
+    lam = st.integers(-2, 2).filter(bool)
+    A = la.identity(la.INT_RING, 2 * N)
+    for _ in range(draw(st.integers(1, 6))):
+        A = la.mat_mul(la.INT_RING, A, _int_transvection(N, draw(vec), draw(lam)))
+    return N, A
+
+
+@settings(max_examples=30, deadline=None, derandomize=True, database=None)
+@given(integer_symplectic())
+def test_centralizer_torus_invariants_property(drawn):
+    N, A_int = drawn
+    assert is_integer_symplectic(A_int)
+    cp_int = la.charpoly(la.INT_RING, A_int)
+    usable = 0
+    for p in (3, 5, 7, 11, 13):
+        ctx = FieldCtx(p)
+        cp = gfq.poly_trim(ctx, [ctx.el(c) for c in cp_int])
+        if gfq.poly_deg(gfq.poly_gcd(ctx, cp, gfq.poly_deriv(ctx, cp))) != 0:
+            continue
+        sp = SympSpace(ctx, N)
+        A = [[ctx.el(x) for x in row] for row in A_int]
+        assert_centralizer_invariants(sp, A, centralizer_torus(sp, A))
+        usable += 1
+    assume(usable)
 
 
 def test_centralizer_rejects_non_regular():
