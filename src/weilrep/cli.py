@@ -35,7 +35,7 @@ from .catmap import (
     rank_density_sweep,
     statistical_state_experiment,
 )
-from .gfq import FieldCtx, factor_poly, norm_one_elements, poly_from_ints, poly_mul
+from .gfq import FieldCtx, claim_rest_failures, factor_poly, poly_from_ints, poly_mul
 from .heiwei import WeilRep, max_abs, restrict_to_extension
 from .spectra import decompose, expected_multiplicity, multiplicity_table_rows
 from .sums import bound_report
@@ -92,7 +92,7 @@ def _apply_config_file(args):
         args.A_matrix = tuple(tuple(int(x) for x in row) for row in cfg["A"])
     if "primes" in cfg and "max" in cfg["primes"]:
         args.max_prime = int(cfg["primes"]["max"])
-    if "xi_window" in cfg and cfg["xi_window"].get("max_coeff") is not None:
+    if "xi_max" in vars(args) and cfg.get("xi_window", {}).get("max_coeff") is not None:
         args.xi_max = int(cfg["xi_window"]["max_coeff"])
     if "seed" in cfg:
         args.seed = int(cfg["seed"])
@@ -333,25 +333,6 @@ def _check(name, ok, witness=""):
     return 0 if ok else 1
 
 
-def claim_rest_failures(p: int, m: int) -> tuple[int, int]:
-    """Exact identity ((c-1)^2 / c)^((q-1)/2) = -c^((q+1)/2) over all c != 1
-    in the norm-one subgroup of GF(q^2); returns (checked, failures)."""
-    ctx = FieldCtx(p, m)
-    big = FieldCtx(p, 2 * m)
-    q = ctx.q
-    checked = failures = 0
-    for c in norm_one_elements(big, 2):
-        if c == big.one:
-            continue
-        cm1 = big.sub(c, big.one)
-        lhs = big.pow(big.div(big.mul(cm1, cm1), c), (q - 1) // 2)
-        rhs = big.neg(big.pow(c, (q + 1) // 2))
-        checked += 1
-        if lhs != rhs:
-            failures += 1
-    return checked, failures
-
-
 def cmd_selftest(args) -> int:
     failures = 0
     rng = random.Random(args.seed)
@@ -503,7 +484,6 @@ def build_parser() -> argparse.ArgumentParser:
     def common(sp_parser, needs_field=False):
         sp_parser.add_argument("--seed", type=int, default=0)
         sp_parser.add_argument("--out", default="reports")
-        sp_parser.add_argument("--jobs", type=int, default=os.cpu_count() or 1)
         if needs_field:
             sp_parser.add_argument("--p", default="5,7")
             sp_parser.add_argument("--m", type=int, default=1)
@@ -539,6 +519,7 @@ def build_parser() -> argparse.ArgumentParser:
         p4.add_argument("--min-prime", type=int, default=5)
         p4.add_argument("--max-prime", type=int, default=97)
         p4.add_argument("--xi-max", type=int, default=None)
+        p4.add_argument("--jobs", type=int, default=os.cpu_count() or 1)
         p4.set_defaults(func=fn)
 
     p5 = sub.add_parser("rank-density", help="symplectic rank frequencies over primes")
@@ -547,7 +528,6 @@ def build_parser() -> argparse.ArgumentParser:
     p5.add_argument("--config", default=None,
                     help="JSON run configuration {A, primes.max, seed}")
     p5.add_argument("--max-prime", type=int, default=100000)
-    p5.add_argument("--xi-max", type=int, default=None)
     p5.set_defaults(func=cmd_rank_density)
 
     p6 = sub.add_parser("selftest", help="run the invariant suite")

@@ -821,6 +821,25 @@ def norm_one_elements(big: FieldCtx, degree: int = 2):
     return out
 
 
+def claim_rest_failures(p: int, m: int) -> tuple[int, int]:
+    """Exact identity ((c-1)^2 / c)^((q-1)/2) = -c^((q+1)/2) over all c != 1
+    in the norm-one subgroup of GF(q^2); returns (checked, failures)."""
+    ctx = FieldCtx(p, m)
+    big = FieldCtx(p, 2 * m)
+    q = ctx.q
+    checked = failures = 0
+    for c in norm_one_elements(big, 2):
+        if c == big.one:
+            continue
+        cm1 = big.sub(c, big.one)
+        lhs = big.pow(big.div(big.mul(cm1, cm1), c), (q - 1) // 2)
+        rhs = big.neg(big.pow(c, (q + 1) // 2))
+        checked += 1
+        if lhs != rhs:
+            failures += 1
+    return checked, failures
+
+
 def reciprocal_dual(ctx, f):
     """The monic polynomial whose roots are the inverses of the roots of f.
 

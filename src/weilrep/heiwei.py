@@ -15,14 +15,22 @@ det(g - I) != 0 is recovered by expanding in the orthogonal operator basis
 
 where ch(g, v) = sigma((-1)^N det(g-I)) psi((1/2) omega((g-I)^(-1) v, v)) is
 the Heisenberg-Weil character.  Non-generic elements are handled by writing
-g as a product of two generic factors.  All phases are integer indices into
-a table of p-th roots of unity; only the final accumulation is floating
-point.
+g as a product of two generic factors.
+
+Every phase goes through one kernel, by restriction of scalars: a vector
+over GF(p^m) is read as its F_p coordinates (component i, power-basis
+coefficient k at position i*m + k), and Tr(u^T A v) is the F_p-bilinear
+form c(u)^T B c(v) with the integer Gram matrix B of ``trace_form_gram``.
+The character phase is the quadratic form of A = (1/2) (g-I)^(-T) J, the
+dot products of the Schroedinger model use A = I.  Phases are integer
+indices into a table of p-th roots of unity; only the final accumulation
+is floating point.
 """
 
 from __future__ import annotations
 
 import random
+from functools import lru_cache
 
 import numpy as np
 
@@ -41,6 +49,61 @@ def op_dist(A, B) -> float:
 def is_unitary(U, tol) -> bool:
     U = np.asarray(U)
     return op_dist(U @ U.conj().T, np.eye(U.shape[0])) <= tol
+
+
+# -- the phase kernel ----------------------------------------------------------
+
+
+def prime_coords(vs) -> np.ndarray:
+    """F_p coordinates of vectors over GF(p^m), one row per vector; the
+    power-basis coefficient k of component i sits in column i*m + k."""
+    return np.asarray(vs, dtype=np.int64).reshape(len(vs), -1)
+
+
+@lru_cache(maxsize=64)
+def _trace_tensor(ctx) -> np.ndarray:
+    """Tr(x^k x^l x^r) over the power basis, indexed [k, l, r]."""
+    basis = [ctx.from_int(ctx.p**k) for k in range(ctx.m)]
+    tr = np.array(
+        [[[ctx.trace_to_prime(ctx.mul(ctx.mul(x, y), z)) for z in basis] for y in basis]
+         for x in basis],
+        dtype=np.int64,
+    )
+    tr.setflags(write=False)
+    return tr
+
+
+def trace_form_gram(ctx, A) -> np.ndarray:
+    """Integer Gram matrix B of the F_p-bilinear form (u, v) -> Tr(u^T A v)
+    for an n x n matrix A over GF(p^m), so that the form is
+    prime_coords(u) . B . prime_coords(v) mod p.  Entry (i*m + k, j*m + l)
+    is Tr(x^k A_ij x^l)."""
+    n = len(A)
+    coeffs = np.asarray(A, dtype=np.int64).reshape(n, n, ctx.m)
+    B = np.einsum("ijr,klr->ikjl", coeffs, _trace_tensor(ctx))
+    return B.reshape(n * ctx.m, n * ctx.m) % ctx.p
+
+
+def character_form(space: SympSpace, g):
+    """(sign, M, B) with sign = sigma((-1)^N det(g - I)), M = (g - I)^(-1)
+    and B the Gram matrix of v -> Tr((1/2) omega(M v, v)), so that the
+    Heisenberg-Weil character is ch(g, v) = sign * psi_p(c B c) for
+    c = prime_coords(v).  (None, None, None) when det(g - I) = 0."""
+    ctx = space.ctx
+    g = la.thaw(g)
+    n = space.dim
+    gmI = [
+        [ctx.sub(g[i][j], ctx.one if i == j else ctx.zero) for j in range(n)]
+        for i in range(n)
+    ]
+    d = la.det(ctx, gmI)
+    if d == ctx.zero:
+        return None, None, None
+    sign = ctx.legendre(ctx.mul(ctx.el((-1) ** space.N), d))
+    M = la.inv(ctx, gmI)
+    MtJ = la.mat_mul(ctx, la.transpose(M), space.gram)
+    # 1/2 lies in F_p, so it comes out of the trace as the integer (p+1)/2
+    return sign, M, trace_form_gram(ctx, MtJ) * ((ctx.p + 1) // 2) % ctx.p
 
 
 # -- Heisenberg group ----------------------------------------------------------
@@ -99,22 +162,14 @@ class WeilRep:
             for n in range(self.dim)
         ]
         self._Lindex = {x: i for i, x in enumerate(self._L)}
-        self.shift_table = np.empty((self.dim, self.dim), dtype=np.int64)
-        for ai, a in enumerate(self._L):
-            for xi, x in enumerate(self._L):
-                s = tuple(ctx.add(u, v) for u, v in zip(a, x))
-                self.shift_table[ai, xi] = self._Lindex[s]
-        dot_idx = np.empty((self.dim, self.dim), dtype=np.int64)
-        half_idx = np.empty((self.dim, self.dim), dtype=np.int64)
-        for bi, b in enumerate(self._L):
-            for xi, x in enumerate(self._L):
-                d = ctx.zero
-                for u, v in zip(b, x):
-                    d = ctx.add(d, ctx.mul(u, v))
-                dot_idx[bi, xi] = ctx.psi_index(d)
-                half_idx[bi, xi] = ctx.psi_index(self.mul_half(d))
+        # the F_p coordinates of L[n] are the base-p digits of n
+        self._Lc = prime_coords(self._L)
+        digit_sums = (self._Lc[:, None, :] + self._Lc[None, :, :]) % p
+        self.shift_table = digit_sums @ (p ** np.arange(self._Lc.shape[1]))
+        dot = trace_form_gram(ctx, la.identity(ctx, space.N))
+        dot_idx = (self._Lc @ dot % p) @ self._Lc.T % p
         self.psi_mat = self.psi_pow[dot_idx]
-        self.half_ab_idx = half_idx.T.copy()  # [a_idx, b_idx]
+        self.half_ab_idx = (p + 1) // 2 * dot_idx % p  # [a_idx, b_idx]
 
     def mul_half(self, a):
         return self.ctx.mul(self._half, a)
@@ -152,76 +207,36 @@ class WeilRep:
 
     # -- character formulas ------------------------------------------------------
 
-    def _g_minus_I_inverse(self, g):
-        ctx = self.ctx
-        g = la.thaw(g)
-        n = self.space.dim
-        gmI = [
-            [ctx.sub(g[i][j], ctx.one if i == j else ctx.zero) for j in range(n)]
-            for i in range(n)
-        ]
-        d = la.det(ctx, gmI)
-        if d == ctx.zero:
-            return None, None
-        return la.inv(ctx, gmI), d
-
     def ch_rho(self, g) -> int:
         """sigma((-1)^N det(g - I)); errors when g - I is singular."""
-        ctx = self.ctx
-        _, d = self._g_minus_I_inverse(g)
-        if d is None:
+        sign, _, _ = character_form(self.space, g)
+        if sign is None:
             raise ValueError("character formula undefined: det(g - I) = 0")
-        sign_arg = ctx.mul(ctx.el((-1) ** self.N), d)
-        return ctx.legendre(sign_arg)
+        return sign
 
     def ch_tau(self, g, h) -> complex:
         """Character of the joint representation at (g, (v, z))."""
-        ctx = self.ctx
-        M, d = self._g_minus_I_inverse(g)
-        if d is None:
+        sign, _, B = character_form(self.space, g)
+        if sign is None:
             raise ValueError("character formula undefined: det(g - I) = 0")
         v, z = h
-        w = la.mat_vec(ctx, M, list(v))
-        phase = ctx.add(self.mul_half(self.space.omega(w, list(v))), z)
-        sign_arg = ctx.mul(ctx.el((-1) ** self.N), d)
-        return ctx.legendre(sign_arg) * ctx.psi(phase)
+        c = prime_coords([v])[0]
+        p = self.ctx.p
+        return sign * self.psi_pow[((c @ B % p) @ c + self.ctx.psi_index(z)) % p]
 
     def char_phase_table(self, g):
         """(sign, idx) of the character over all of V: the character at
         v is sign * psi_pow[idx[a_idx, b_idx]].  Requires det(g-I) != 0."""
-        ctx = self.ctx
-        M, d = self._g_minus_I_inverse(g)
-        if d is None:
+        sign, _, B = character_form(self.space, g)
+        if sign is None:
             raise ValueError("character formula undefined: det(g - I) = 0")
-        sign = ctx.legendre(ctx.mul(ctx.el((-1) ** self.N), d))
-        n = self.space.dim
-        if ctx.m == 1:
-            p = ctx.p
-            Mnp = np.array(M, dtype=np.int64)
-            J = np.array(self.space.gram, dtype=np.int64)
-            Q = (Mnp.T @ J) % p
-            V = self._vmat_np()
-            phase = ((V @ Q.T % p) * V).sum(axis=1) % p
-            half = (self._half * phase) % p
-            return sign, half.reshape(self.dim, self.dim)
-        idx = np.empty(self.dim * self.dim, dtype=np.int64)
-        for ai, a in enumerate(self._L):
-            for bi, b in enumerate(self._L):
-                v = list(a + b)
-                w = la.mat_vec(ctx, M, v)
-                ph = self.mul_half(self.space.omega(w, v))
-                idx[ai * self.dim + bi] = ctx.psi_index(ph)
-        return sign, idx.reshape(self.dim, self.dim)
-
-    def _vmat_np(self):
-        if not hasattr(self, "_vmat"):
-            n = self.space.dim
-            V = np.empty((self.dim * self.dim, n), dtype=np.int64)
-            for ai, a in enumerate(self._L):
-                for bi, b in enumerate(self._L):
-                    V[ai * self.dim + bi] = a + b
-            self._vmat = V
-        return self._vmat
+        p = self.ctx.p
+        Lc = self._Lc
+        k = Lc.shape[1]
+        qa = ((Lc @ B[:k, :k] % p) * Lc).sum(axis=1)
+        qb = ((Lc @ B[k:, k:] % p) * Lc).sum(axis=1)
+        cross = (Lc @ ((B[:k, k:] + B[k:, :k].T) % p) % p) @ Lc.T
+        return sign, (qa[:, None] + qb[None, :] + cross) % p
 
     # -- Weil operators -----------------------------------------------------------
 
@@ -261,12 +276,10 @@ class WeilRep:
         g = la.thaw(g)
         for _ in range(64):
             r = random_symplectic(self.space, rng)
-            _, dr = self._g_minus_I_inverse(r)
-            if dr is None:
+            if character_form(self.space, r)[0] is None:
                 continue
             g1 = la.mat_mul(ctx, g, la.inv(ctx, r))
-            _, d1 = self._g_minus_I_inverse(g1)
-            if d1 is None:
+            if character_form(self.space, g1)[0] is None:
                 continue
             return self.weil_op(g1) @ self.weil_op(r)
         raise RuntimeError("no generic factorization found after 64 draws")
@@ -403,16 +416,16 @@ def restrict_to_extension(rep: WeilRep, ms, n_samples: int = 50, seed: int = 0):
         rhs = 1
         for blk, det in dets:
             rhs *= blk.bf.legendre(blk.bf.neg(det))
-        lhs = rep.ch_rho(g)
+        sign, M, B = character_form(space, g)
         sigma_checked += 1
-        if lhs != rhs:
+        if sign != rhs:
             sigma_failures += 1
-        # psi-level identity on the standard basis vectors, as exact indices
-        M, _ = rep._g_minus_I_inverse(g)
+        # psi-level identity on the standard basis vectors, as exact indices:
+        # the F_p trace form at e_col against the sum of the block forms
         for col in range(n):
             v = [ctx.one if i == col else ctx.zero for i in range(n)]
             w = la.mat_vec(ctx, M, v)
-            lhs_idx = ctx.psi_index(rep.mul_half(space.omega(w, v)))
+            lhs_idx = B[col * ctx.m, col * ctx.m]
             rhs_idx = 0
             for blk in blocks:
                 ob = blk.omega_bar(blk.project(w), blk.project(v))

@@ -6,8 +6,9 @@
 their one-dimensional reductions over the block fields, and sweep reports
 against the square-root cancellation bounds 2^r sqrt(q)^N.
 
-Phases are exact integers (indices of p-th roots of unity); sums are
-accumulated in complex doubles.
+Phases are exact integers (indices of p-th roots of unity), the quadratic
+form of ``heiwei.character_form`` on the F_p coordinates of the vectors;
+sums are accumulated in complex doubles.
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import fqlin as la
+from .heiwei import character_form, prime_coords
 from .spectra import TorusCharacter, torus_characters
 from .symp import SympSpace, Torus
 
@@ -29,37 +31,6 @@ class SingularTermError(ValueError):
     def __init__(self, g):
         self.g = g
         super().__init__(f"det(g - I) = 0 for torus element {g}")
-
-
-def _char_sign_and_phases(space: SympSpace, g, v_array):
-    """sign = sigma((-1)^N det(g-I)) and the psi indices of
-    (1/2) omega((g-I)^(-1) v, v) over the rows of v_array."""
-    ctx = space.ctx
-    n = space.dim
-    g = la.thaw(g)
-    gmI = [
-        [ctx.sub(g[i][j], ctx.one if i == j else ctx.zero) for j in range(n)]
-        for i in range(n)
-    ]
-    d = la.det(ctx, gmI)
-    if d == ctx.zero:
-        return None, None
-    M = la.inv(ctx, gmI)
-    sign = ctx.legendre(ctx.mul(ctx.el((-1) ** space.N), d))
-    half = ctx.inv(ctx.el(2))
-    if ctx.m == 1:
-        p = ctx.p
-        Mnp = np.array(M, dtype=np.int64)
-        J = np.array(space.gram, dtype=np.int64)
-        Q = (Mnp.T @ J) % p
-        V = np.asarray(v_array, dtype=np.int64)
-        phase = ((V @ Q.T % p) * V).sum(axis=1) % p
-        return sign, (half * phase) % p
-    idx = np.empty(len(v_array), dtype=np.int64)
-    for k, v in enumerate(v_array):
-        w = la.mat_vec(ctx, M, list(v))
-        idx[k] = ctx.psi_index(ctx.mul(half, space.omega(w, list(v))))
-    return sign, idx
 
 
 def c_chi_direct(space: SympSpace, torus: Torus, chi: TorusCharacter, v) -> complex:
@@ -80,15 +51,16 @@ def c_chi_table(space: SympSpace, torus: Torus, v_list, characters=None):
     p = ctx.p
     psi_pow = np.exp(2j * np.pi * np.arange(p) / p)
     identity = torus.identity_matrix()
+    C = prime_coords(v_list)
     term_rows = []
     kept = []
     for gi, g in enumerate(torus.elements):
         if g == identity:
             continue
-        sign, idx = _char_sign_and_phases(space, g, v_list)
+        sign, _, B = character_form(space, g)
         if sign is None:
             raise SingularTermError(g)
-        term_rows.append(sign * psi_pow[idx])
+        term_rows.append(sign * psi_pow[((C @ B % p) * C).sum(axis=1) % p])
         kept.append(gi)
     terms = np.stack(term_rows) if term_rows else np.zeros((0, len(v_list)))
     X = np.stack([chi.values()[kept] for chi in characters])

@@ -29,8 +29,7 @@ from weilrep.catmap import (
     skip_reason,
     statistical_state_experiment,
 )
-from weilrep.cli import claim_rest_failures
-from weilrep.gfq import FieldCtx
+from weilrep.gfq import FieldCtx, claim_rest_failures
 from weilrep.heiwei import WeilRep, max_abs, restrict_to_extension
 from weilrep.spectra import decompose, expected_multiplicity
 from weilrep.sums import bound_report, c_chi_table, default_vector_range, orbit_spans_space

@@ -55,6 +55,13 @@ def test_self_reducibility_cmd(tmp_path):
     assert rc == 0
     data = json.loads((tmp_path / "self_reducibility.json").read_text())
     assert data["reports"][0]["sigma_identity_failures"] == 0
+    assert "jobs" not in data["config"]
+
+
+def test_options_no_code_reads_are_refused(tmp_path):
+    """--jobs belongs to the two prime sweeps; the rank sweep takes no window."""
+    assert main(["self-reducibility", "--jobs", "2", "--out", str(tmp_path)]) == 2
+    assert main(["rank-density", "--xi-max", "3", "--out", str(tmp_path)]) == 2
 
 
 def test_que_cmd_with_matrix_file(tmp_path):

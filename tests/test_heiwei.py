@@ -9,6 +9,7 @@ from weilrep import fqlin as la
 from weilrep.gfq import FieldCtx
 from weilrep.heiwei import (
     WeilRep,
+    character_form,
     heisenberg_compose,
     heisenberg_identity,
     heisenberg_inverse,
@@ -16,6 +17,7 @@ from weilrep.heiwei import (
     max_abs,
     restrict_to_extension,
 )
+from weilrep.sums import c_chi_table
 from weilrep.symp import (
     SympSpace,
     build_maximal_torus,
@@ -269,3 +271,102 @@ def test_restrict_dimension_guard():
     big.dim = 1000
     with pytest.raises(ValueError):
         restrict_to_extension(big, FakeMs())
+
+
+# -- the F_p Gram kernel against the per-vector field arithmetic it replaced ------
+
+
+def _phase_oracle(rep, g, vectors):
+    """sigma((-1)^N det(g - I)) and the psi indices of
+    (1/2) omega((g - I)^(-1) v, v), one field operation at a time."""
+    ctx, space = rep.ctx, rep.space
+    n = space.dim
+    g = la.thaw(g)
+    gmI = [
+        [ctx.sub(g[i][j], ctx.one if i == j else ctx.zero) for j in range(n)]
+        for i in range(n)
+    ]
+    M = la.inv(ctx, gmI)
+    sign = ctx.legendre(ctx.mul(ctx.el((-1) ** space.N), la.det(ctx, gmI)))
+    idx = []
+    for v in vectors:
+        w = la.mat_vec(ctx, M, list(v))
+        idx.append(ctx.psi_index(rep.mul_half(space.omega(w, list(v)))))
+    return sign, idx
+
+
+def _generic_element(space, rng):
+    while True:
+        g = random_symplectic(space, rng)
+        if character_form(space, g)[0] is not None:
+            return g
+
+
+KERNEL_CASES = [(5, 1, 1), (7, 1, 2), (3, 2, 1), (3, 2, 2), (5, 2, 1), (3, 3, 1), (3, 3, 2)]
+
+
+@pytest.mark.parametrize("p,m,N", KERNEL_CASES)
+def test_char_phase_table_matches_per_vector_oracle(p, m, N):
+    rep = WeilRep(SympSpace(FieldCtx(p, m), N))
+    rng = random.Random(p * 100 + m * 10 + N)
+    cells = [(ai, bi) for ai in range(rep.dim) for bi in range(rep.dim)]
+    if len(cells) > 4096:
+        cells = rng.sample(cells, 1500)
+    for _ in range(3):
+        g = _generic_element(rep.space, rng)
+        sign, table = rep.char_phase_table(g)
+        want_sign, want = _phase_oracle(rep, g, [rep._L[a] + rep._L[b] for a, b in cells])
+        assert sign == want_sign
+        assert [int(table[a, b]) for a, b in cells] == want
+
+
+@pytest.mark.parametrize("p,m,N", KERNEL_CASES)
+def test_c_chi_table_phases_match_per_vector_oracle(p, m, N):
+    """Every term sign * psi(idx) of c_chi_table, recovered by inverting the
+    character table, is the 2p-th root of unity the oracle predicts."""
+    sp = SympSpace(FieldCtx(p, m), N)
+    torus = build_maximal_torus(sp, ["inert"] if N == 1 else ["irreducible2"])
+    rep = WeilRep(sp)
+    rng = random.Random(7)
+    vs = [tuple(sp.ctx.from_int(rng.randrange(sp.ctx.q)) for _ in range(2 * N)) for _ in range(12)]
+    table, chars = c_chi_table(sp, torus, vs)
+    X = np.stack([chi.values() for chi in chars])
+    terms = X.T @ table / torus.order  # row h: the term of torus element h
+    identity = torus.identity_matrix()
+    for h in sorted(rng.sample(range(torus.order), min(torus.order, 60))):
+        g = torus.elements[h]
+        if g == identity:
+            assert max_abs(terms[h]) < 1e-9
+            continue
+        sign, idx = _phase_oracle(rep, g, vs)
+        want = [(2 * i + (0 if sign == 1 else p)) % (2 * p) for i in idx]
+        got = np.rint(np.angle(terms[h]) * p / np.pi).astype(int) % (2 * p)
+        assert got.tolist() == want
+        assert max_abs(terms[h] - np.exp(1j * np.pi * got / p)) < 1e-9
+
+
+def _tables_oracle(rep):
+    """shift_table, psi_mat and half_ab_idx by the double loops over L x L."""
+    ctx, L = rep.ctx, rep._L
+    index = {x: i for i, x in enumerate(L)}
+    shift = np.empty((rep.dim, rep.dim), dtype=np.int64)
+    dot_idx = np.empty((rep.dim, rep.dim), dtype=np.int64)
+    half_idx = np.empty((rep.dim, rep.dim), dtype=np.int64)
+    for ai, a in enumerate(L):
+        for xi, x in enumerate(L):
+            shift[ai, xi] = index[tuple(ctx.add(u, v) for u, v in zip(a, x))]
+            d = ctx.zero
+            for u, v in zip(a, x):
+                d = ctx.add(d, ctx.mul(u, v))
+            dot_idx[ai, xi] = ctx.psi_index(d)
+            half_idx[ai, xi] = ctx.psi_index(rep.mul_half(d))
+    return shift, rep.psi_pow[dot_idx], half_idx.T
+
+
+@pytest.mark.parametrize("p,m,N", [(3, 2, 2), (13, 1, 2), (3, 3, 1)])
+def test_weilrep_tables_match_double_loop(p, m, N):
+    rep = WeilRep(SympSpace(FieldCtx(p, m), N))
+    shift, psi_mat, half_ab = _tables_oracle(rep)
+    assert np.array_equal(rep.shift_table, shift)
+    assert np.array_equal(rep.psi_mat, psi_mat)
+    assert np.array_equal(rep.half_ab_idx, half_ab)
