@@ -275,8 +275,7 @@ def skip_reason(A: LatticeAutomorphism, p: int) -> str | None:
     ctx = FieldCtx(p)
     cp = [ctx.el(c) for c in A.charpoly]
     cp = gfq.poly_trim(ctx, cp)
-    dcp = gfq.poly_deriv(ctx, cp)
-    if gfq.poly_deg(gfq.poly_gcd(ctx, cp, dcp)) != 0:
+    if not gfq.is_squarefree(ctx, cp):
         return "p divides disc(charpoly)"
     return None
 
@@ -521,8 +520,7 @@ def rank_density_sweep(A: LatticeAutomorphism, max_prime: int):
             continue
         ctx = FieldCtx(p)
         cp = gfq.poly_trim(ctx, [ctx.el(c) for c in A.charpoly])
-        dcp = gfq.poly_deriv(ctx, cp)
-        if gfq.poly_deg(gfq.poly_gcd(ctx, cp, dcp)) != 0:
+        if not gfq.is_squarefree(ctx, cp):
             skipped.append(p)
             continue
         _, r = rank_from_charpoly(ctx, cp)

@@ -38,7 +38,7 @@ from .catmap import (
 from .gfq import FieldCtx, claim_rest_failures, factor_poly, poly_from_ints, poly_mul
 from .heiwei import WeilRep, max_abs, restrict_to_extension
 from .spectra import decompose, expected_multiplicity, multiplicity_table_rows
-from .sums import bound_report
+from .sums import SingularTermError, bound_report
 from .symp import SympSpace, build_maximal_torus, module_structure, random_symplectic
 
 SL2_KINDS = [["split"], ["inert"]]
@@ -116,6 +116,7 @@ def cmd_verify_bounds(args) -> int:
     failures = 0
     all_rows = []
     summaries = []
+    skipped = []
     for p in ps:
         sp = SympSpace(FieldCtx(p, args.m), args.N)
         kinds = (
@@ -125,7 +126,20 @@ def cmd_verify_bounds(args) -> int:
         )
         for kind in kinds:
             torus = build_maximal_torus(sp, kind)
-            rpt = bound_report(sp, torus, seed=args.seed)
+            try:
+                rpt = bound_report(sp, torus, seed=args.seed)
+            except SingularTermError as exc:
+                # the character formula does not apply to this torus kind
+                ctx = sp.ctx
+                skipped.append({
+                    "p": p,
+                    "torus": torus.descriptor(),
+                    "reason": "det(g - I) = 0 for a non-identity torus element",
+                    "witness": [[ctx.serialize(x) for x in row] for row in exc.g],
+                })
+                print(f"SKIP verify-bounds p={p} torus={torus.descriptor_string()} "
+                      f"reason=det(g - I) = 0 witness={skipped[-1]['witness']}")
+                continue
             all_rows.extend(rpt.csv_rows())
             summaries.append(rpt.summary())
             status = "PASS" if rpt.max_ratio <= 1 + 1e-9 else "FAIL"
@@ -144,7 +158,7 @@ def cmd_verify_bounds(args) -> int:
         all_rows,
     )
     _write_json(os.path.join(args.out, "bounds_summary.json"),
-                {"config": config, "reports": summaries})
+                {"config": config, "reports": summaries, "skipped": skipped})
     return 1 if failures else 0
 
 

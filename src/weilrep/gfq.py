@@ -21,6 +21,8 @@ import math
 import random
 from functools import lru_cache
 
+from . import fqlin
+
 _CZ_SEED = 1729  # seed for the equal-degree splitting PRNG
 
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
@@ -92,17 +94,17 @@ class FieldCtx:
         self.q = p**m
         if m == 1:
             self.modulus = (0, 1)  # the polynomial x; residues are constants
+            self.prime_field = self
             self.zero = 0
             self.one = 1
         else:
+            prime = self.prime_field = FieldCtx(p, 1)
             if modulus is None:
-                prime = FieldCtx(p, 1)
                 modulus = tuple(find_irreducible(prime, m))
             else:
                 modulus = tuple(int(c) % p for c in modulus)
                 if len(modulus) != m + 1 or modulus[-1] != 1:
                     raise ValueError("modulus must be monic of degree m")
-                prime = FieldCtx(p, 1)
                 if not is_irreducible(prime, list(modulus)):
                     raise ValueError("modulus is not irreducible over GF(p)")
             self.modulus = modulus
@@ -219,30 +221,17 @@ class FieldCtx:
         return tuple(res)
 
     def inv(self, a):
-        p, m = self.p, self.m
-        if m == 1:
+        if self.m == 1:
             if a == 0:
                 raise ZeroDivisionError("inverse of zero")
-            return pow(a, p - 2, p)
+            return pow(a, self.p - 2, self.p)
         if a == self.zero:
             raise ZeroDivisionError("inverse of zero")
-        # extended Euclid on int-coefficient polynomials mod p
-        r0, r1 = list(self.modulus), [c for c in a]
-        s0, s1 = [], [1]
-        while any(r1):
-            while r1 and r1[-1] == 0:
-                r1.pop()
-            q, r = _intpoly_divmod(r0, r1, p)
-            r0, r1 = r1, r
-            s0, s1 = s1, _intpoly_sub(s0, _intpoly_mul(q, s1, p), p)
-        while r0 and r0[-1] == 0:
-            r0.pop()
-        if len(r0) != 1:
+        fp = self.prime_field
+        g, _, v = poly_extgcd(fp, list(self.modulus), poly_trim(fp, a))
+        if poly_deg(g) != 0:
             raise ZeroDivisionError("element not invertible")
-        c = pow(r0[0], p - 2, p)
-        out = [c * x % p for x in s0]
-        out += [0] * (m - len(out))
-        return tuple(out[:m])
+        return self.el(v)
 
     def div(self, a, b):
         return self.mul(a, self.inv(b))
@@ -354,7 +343,7 @@ class SubfieldEmbedding:
 
     The image of the small field's generator-of-the-power-basis is the root
     of the small modulus in the big field with least encoding, so the maps
-    are reproducible.
+    are reproducible; a field embeds into itself by the identity.
     """
 
     def __init__(self, small: FieldCtx, big: FieldCtx):
@@ -362,7 +351,9 @@ class SubfieldEmbedding:
             raise ValueError(f"{small} does not embed in {big}")
         self.small = small
         self.big = big
-        if small.m == 1:
+        if small == big:
+            self.root = big.from_int(big.p) if big.m > 1 else big.one
+        elif small.m == 1:
             self.root = big.one
         else:
             f = [big.el(c) for c in small.modulus]
@@ -376,7 +367,7 @@ class SubfieldEmbedding:
         for _ in range(small.m):
             cols.append(big.serialize(cur))
             cur = big.mul(cur, self.root)
-        self._cols = cols
+        self._rows = fqlin.transpose(cols)
 
     def up(self, a):
         big = self.big
@@ -390,14 +381,7 @@ class SubfieldEmbedding:
 
     def down(self, b):
         """Preimage of ``b`` under the embedding; b must lie in the image."""
-        p = self.big.p
-        rows = [list(col) for col in self._cols]
-        # solve sum_i x_i * cols[i] = b over GF(p)
-        nrows = self.big.m
-        ncols = self.small.m
-        aug = [[rows[j][i] for j in range(ncols)] + [self.big.serialize(b)[i]]
-               for i in range(nrows)]
-        x = _solve_mod_p(aug, ncols, p)
+        x = fqlin.solve(self.big.prime_field, self._rows, self.big.serialize(b))
         if x is None:
             raise ValueError("element does not lie in the subfield")
         return self.small.el(x)
@@ -406,77 +390,6 @@ class SubfieldEmbedding:
 @lru_cache(maxsize=None)
 def subfield_embedding(small: FieldCtx, big: FieldCtx) -> SubfieldEmbedding:
     return SubfieldEmbedding(small, big)
-
-
-def _solve_mod_p(aug, ncols, p):
-    """Gaussian elimination mod p on an augmented system; None if inconsistent."""
-    rows = [r[:] for r in aug]
-    piv = []
-    r = 0
-    for c in range(ncols):
-        for i in range(r, len(rows)):
-            if rows[i][c] % p:
-                rows[r], rows[i] = rows[i], rows[r]
-                break
-        else:
-            continue
-        inv = pow(rows[r][c], p - 2, p)
-        rows[r] = [v * inv % p for v in rows[r]]
-        for i in range(len(rows)):
-            if i != r and rows[i][c] % p:
-                f = rows[i][c]
-                rows[i] = [(a - f * b) % p for a, b in zip(rows[i], rows[r])]
-        piv.append(c)
-        r += 1
-    for i in range(r, len(rows)):
-        if rows[i][-1] % p:
-            return None
-    x = [0] * ncols
-    for i, c in enumerate(piv):
-        x[c] = rows[i][-1]
-    return x
-
-
-# -- int-coefficient polynomial helpers (prime field internals) --------------
-
-
-def _intpoly_divmod(f, g, p):
-    f = f[:]
-    dg = len(g) - 1
-    inv_lead = pow(g[-1], p - 2, p)
-    q = [0] * max(len(f) - dg, 0)
-    for i in range(len(f) - 1, dg - 1, -1):
-        c = f[i] % p
-        if c:
-            c = c * inv_lead % p
-            q[i - dg] = c
-            for j, gc in enumerate(g):
-                f[i - dg + j] = (f[i - dg + j] - c * gc) % p
-    r = [c % p for c in f[:dg]]
-    while r and r[-1] == 0:
-        r.pop()
-    return q, r
-
-
-def _intpoly_mul(f, g, p):
-    if not f or not g:
-        return []
-    out = [0] * (len(f) + len(g) - 1)
-    for i, x in enumerate(f):
-        if x:
-            for j, y in enumerate(g):
-                out[i + j] = (out[i + j] + x * y) % p
-    return out
-
-
-def _intpoly_sub(f, g, p):
-    n = max(len(f), len(g))
-    f = f + [0] * (n - len(f))
-    g = g + [0] * (n - len(g))
-    out = [(a - b) % p for a, b in zip(f, g)]
-    while out and out[-1] == 0:
-        out.pop()
-    return out
 
 
 # -- generic polynomials over a FieldCtx --------------------------------------
@@ -605,6 +518,11 @@ def poly_deriv(ctx, f):
     return poly_trim(
         ctx, [ctx.mul(ctx.el(i), c) for i, c in enumerate(f)][1:]
     )
+
+
+def is_squarefree(ctx, f) -> bool:
+    """Whether f has no repeated factor: gcd(f, f') is a constant."""
+    return poly_deg(poly_gcd(ctx, f, poly_deriv(ctx, f))) == 0
 
 
 def poly_to_key(ctx, f) -> tuple:

@@ -346,6 +346,13 @@ def restrict_to_extension(rep: WeilRep, ms, n_samples: int = 50, seed: int = 0):
     """Compare the restriction of the Weil representation along the module
     structure with the tensor product of the block Weil representations.
 
+    Each block representation is a WeilRep of SL(2, K_alpha) built on the
+    block's FieldCtx, and block coordinates and test elements are elements
+    of that field.  The sigma identity compares the global sign with the
+    product of the block Legendre symbols of -det(g - 1); the psi identity
+    compares the global phase index with (1/2) Tr_{K/F_p}(omega_bar) summed
+    over the blocks.
+
     Returns a report with the exact trace-level identity counts over the
     torus and the maximum operator distance after one global alignment.
     """
@@ -357,32 +364,19 @@ def restrict_to_extension(rep: WeilRep, ms, n_samples: int = 50, seed: int = 0):
     ctx = rep.ctx
     space = rep.space
     blocks = ms.blocks
-    bar_data = []
-    for blk in blocks:
-        ctxK, to_ctx, from_ctx = blk.bf.as_field_ctx()
-        bar_space = SympSpace(ctxK, 1)
-        bar_rep = WeilRep(bar_space)
-        bar_data.append((blk, ctxK, to_ctx, from_ctx, bar_rep))
-
-    def coords_ctxK(v):
-        out = []
-        for blk, ctxK, to_ctx, _, _ in bar_data:
-            x, y = blk.coords_sl2(blk.project(list(v)))
-            out.append((to_ctx(x), to_ctx(y)))
-        return out
+    bar_reps = [WeilRep(SympSpace(blk.field, 1)) for blk in blocks]
 
     def bar_pi_of_v(v):
-        mats = []
-        for (blk, ctxK, _, _, bar_rep), (x, y) in zip(bar_data, coords_ctxK(v)):
-            mats.append(bar_rep.pi_op(((x, y), ctxK.zero)))
-        out = mats[0]
-        for m in mats[1:]:
-            out = np.kron(out, m)
+        out = None
+        for blk, bar_rep in zip(blocks, bar_reps):
+            x, y = blk.coords_sl2(blk.project(list(v)))
+            op = bar_rep.pi_op(((x, y), blk.field.zero))
+            out = op if out is None else np.kron(out, op)
         return out
 
     dim_bar = 1
-    for _, ctxK, _, _, _ in bar_data:
-        dim_bar *= ctxK.q
+    for blk in blocks:
+        dim_bar *= blk.field.q
     if dim_bar != rep.dim:
         raise RuntimeError(f"block model has dimension {dim_bar}, expected {rep.dim}")
     U = _intertwiner(rep, bar_pi_of_v, dim_bar)
@@ -400,28 +394,21 @@ def restrict_to_extension(rep: WeilRep, ms, n_samples: int = 50, seed: int = 0):
             continue
         g = la.thaw(gkey)
         gb = ms.torus_element_blocks(gkey)
-        dets = []
-        ok = True
-        for blk, ((a, b), (c, d)) in zip(blocks, gb):
-            bf = blk.bf
-            am1 = bf.sub(a, bf.one)
-            dm1 = bf.sub(d, bf.one)
-            det = bf.sub(bf.mul(am1, dm1), bf.mul(b, c))
-            if det == bf.zero:
-                ok = False
-                break
-            dets.append((blk, det))
-        if not ok:
-            continue
         rhs = 1
-        for blk, det in dets:
-            rhs *= blk.bf.legendre(blk.bf.neg(det))
+        for blk, ((a, b), (c, d)) in zip(blocks, gb):
+            K = blk.field
+            det = K.sub(K.mul(K.sub(a, K.one), K.sub(d, K.one)), K.mul(b, c))
+            # a singular block term zeroes rhs: the formula does not apply
+            rhs *= K.legendre(K.neg(det)) if det != K.zero else 0
+        if rhs == 0:
+            continue
         sign, M, B = character_form(space, g)
         sigma_checked += 1
         if sign != rhs:
             sigma_failures += 1
         # psi-level identity on the standard basis vectors, as exact indices:
-        # the F_p trace form at e_col against the sum of the block forms
+        # the F_p trace form at e_col against the sum of
+        # Tr_{K/F_p}((1/2) omega_bar) over the blocks
         for col in range(n):
             v = [ctx.one if i == col else ctx.zero for i in range(n)]
             w = la.mat_vec(ctx, M, v)
@@ -429,36 +416,26 @@ def restrict_to_extension(rep: WeilRep, ms, n_samples: int = 50, seed: int = 0):
             rhs_idx = 0
             for blk in blocks:
                 ob = blk.omega_bar(blk.project(w), blk.project(v))
-                rhs_idx += ctx.psi_index(rep.mul_half(blk.bf.trace_to_base(ob)))
+                rhs_idx += blk.field.trace_to_prime(ob)
             psi_checked += 1
-            if lhs_idx != rhs_idx % ctx.p:
+            if lhs_idx != (ctx.p + 1) // 2 * rhs_idx % ctx.p:
                 psi_failures += 1
 
     # operator-level distance over torus elements and random SL(2, K) points;
-    # every test element is a tuple of 2 x 2 matrices in block coordinates
+    # every test element is a tuple of 2 x 2 matrices over the block fields
     rng = random.Random(seed)
     test_elements = [ms.torus_element_blocks(gkey) for gkey in torus.elements]
     for _ in range(n_samples):
-        blocks_coeffs = []
-        for _, ctxK, _, from_ctx, _ in bar_data:
-            mat2 = _random_sl2(ctxK, rng)
-            blocks_coeffs.append(
-                tuple(tuple(from_ctx(e) for e in row) for row in mat2)
-            )
-        test_elements.append(tuple(blocks_coeffs))
+        test_elements.append(tuple(_random_sl2(blk.field, rng) for blk in blocks))
     max_dist = 0.0
     for gb in test_elements:
-        bar_ops = []
-        for (blk, ctxK, to_ctx, from_ctx, bar_rep), coeffs in zip(bar_data, gb):
-            gK = [[to_ctx(coeffs[0][0]), to_ctx(coeffs[0][1])],
-                  [to_ctx(coeffs[1][0]), to_ctx(coeffs[1][1])]]
-            bar_ops.append(bar_rep.weil_op(gK))
+        bar = None
+        for bar_rep, mat2 in zip(bar_reps, gb):
+            op = bar_rep.weil_op(mat2)
+            bar = op if bar is None else np.kron(bar, op)
         g_global = ms.embed_sl2(gb)
         assert_symplectic(space, g_global, "embedded SL(2, K) element")
         big = rep.weil_op(g_global)
-        bar = bar_ops[0]
-        for mop in bar_ops[1:]:
-            bar = np.kron(bar, mop)
         dist = max_abs(big - U @ bar @ U.conj().T)
         max_dist = max(max_dist, dist)
     return {

@@ -3,8 +3,9 @@
     c_chi(v) = sum over g in T minus I of
                conj(chi(g)) sigma((-1)^N det(g-I)) psi((1/2) omega((g-I)^(-1) v, v)),
 
-their one-dimensional reductions over the block fields, and sweep reports
-against the square-root cancellation bounds 2^r sqrt(q)^N.
+their one-dimensional reductions over the block fields (computed in each
+block's FieldCtx), and sweep reports against the square-root cancellation
+bounds 2^r sqrt(q)^N.
 
 Phases are exact integers (indices of p-th roots of unity), the quadratic
 form of ``heiwei.character_form`` on the F_p coordinates of the vectors;
@@ -100,53 +101,53 @@ def c_chi_reduced(ms, torus: Torus, chi: TorusCharacter, v) -> complex:
             conj(chi(g)) sigma_bar(-det_K(g-1)) psi_bar((1/2) omega_bar((g-1)^(-1) v, v))
 
     with the g = 1 term contributing |K_alpha| when the block component of v
-    vanishes and 0 otherwise.
+    vanishes and 0 otherwise.  sigma_bar and psi_bar are the Legendre symbol
+    and the additive character of the block's FieldCtx: psi_bar is
+    psi o Tr_{K/F_q} because Tr_{K/F_p} = Tr_{F_q/F_p} o Tr_{K/F_q}.
     """
-    ctx = torus.space.ctx
     positions = _block_torus_positions(ms, torus)
     total = 1.0 + 0j
     for bi, (blk, gen_pos) in enumerate(zip(ms.blocks, positions)):
-        bf = blk.bf
+        K = blk.field
+        half = K.inv(K.el(2))
         n_a = torus.orders[gen_pos]
         v_alpha = blk.project(list(v))
         x, y = blk.coords_sl2(v_alpha)
-        v_is_zero = x == bf.zero and y == bf.zero
+        v_is_zero = x == K.zero and y == K.zero
         gen = torus.generators[gen_pos]
         ((ga, gb), (gc, gd)) = ms.torus_element_blocks(gen)[bi]
-        cur = ((bf.one, bf.zero), (bf.zero, bf.one))
+        cur = ((K.one, K.zero), (K.zero, K.one))
         block_sum = 0.0 + 0j
         for j in range(n_a):
             if j == 0:
-                block_sum += bf.size if v_is_zero else 0.0
+                block_sum += K.q if v_is_zero else 0.0
             else:
                 ((a, b), (c, d)) = cur
-                am1, dm1 = bf.sub(a, bf.one), bf.sub(d, bf.one)
-                det = bf.sub(bf.mul(am1, dm1), bf.mul(b, c))
-                if det == bf.zero:
+                am1, dm1 = K.sub(a, K.one), K.sub(d, K.one)
+                det = K.sub(K.mul(am1, dm1), K.mul(b, c))
+                if det == K.zero:
                     raise SingularTermError(gen)
-                sign = bf.legendre(bf.neg(det))
-                det_inv = bf.inv(det)
+                sign = K.legendre(K.neg(det))
+                det_inv = K.inv(det)
                 # (g - 1)^(-1) = adj / det on the (x, y) coordinates
-                wx = bf.mul(det_inv, bf.sub(bf.mul(dm1, x), bf.mul(b, y)))
-                wy = bf.mul(det_inv, bf.sub(bf.mul(am1, y), bf.mul(c, x)))
-                ob = bf.sub(bf.mul(wx, y), bf.mul(wy, x))
-                half = ctx.inv(ctx.el(2))
-                phase = bf.scale(half, ob)
+                wx = K.mul(det_inv, K.sub(K.mul(dm1, x), K.mul(b, y)))
+                wy = K.mul(det_inv, K.sub(K.mul(am1, y), K.mul(c, x)))
+                ob = K.sub(K.mul(wx, y), K.mul(wy, x))
                 exps = tuple(
                     j if k == gen_pos else 0 for k in range(len(torus.orders))
                 )
                 chival = chi.value_at_exponents(exps)
-                block_sum += chival.conjugate() * sign * bf.psi_bar(phase)
+                block_sum += chival.conjugate() * sign * K.psi(K.mul(half, ob))
             # advance cur = gen^(j+1) in SL(2, K_alpha)
             ((a, b), (c, d)) = cur
             cur = (
                 (
-                    bf.add(bf.mul(a, ga), bf.mul(b, gc)),
-                    bf.add(bf.mul(a, gb), bf.mul(b, gd)),
+                    K.add(K.mul(a, ga), K.mul(b, gc)),
+                    K.add(K.mul(a, gb), K.mul(b, gd)),
                 ),
                 (
-                    bf.add(bf.mul(c, ga), bf.mul(d, gc)),
-                    bf.add(bf.mul(c, gb), bf.mul(d, gd)),
+                    K.add(K.mul(c, ga), K.mul(d, gc)),
+                    K.add(K.mul(c, gb), K.mul(d, gd)),
                 ),
             )
         total *= block_sum
@@ -220,8 +221,10 @@ class SumReport:
 
 
 def default_vector_range(space: SympSpace, seed: int = 0):
-    """Every nonzero vector when the space is small, otherwise a seeded
-    sample of 4096 plus all vectors of Hamming weight at most 2."""
+    """Every nonzero vector when the space is small (at most 6561 vectors),
+    otherwise all nonzero vectors of Hamming weight at most 2 followed by
+    4096 distinct others drawn with the given seed, capped at every nonzero
+    vector."""
     ctx = space.ctx
     n = space.dim
     total = ctx.q**n
@@ -246,7 +249,8 @@ def default_vector_range(space: SympSpace, seed: int = 0):
                     if any(x != ctx.zero for x in v) and v not in seen:
                         seen.add(v)
                         out.append(v)
-    while len(out) < 4096 + len(seen):
+    target = min(len(out) + 4096, total - 1)
+    while len(out) < target:
         v = tuple(ctx.from_int(rng.randrange(ctx.q)) for _ in range(n))
         if any(x != ctx.zero for x in v) and v not in seen:
             seen.add(v)

@@ -9,6 +9,11 @@ degree d is the norm-one group of GF(q^(2d)) over GF(q^d) acting by
 multiplication operators ("inert" for d = 1).  Elements are enumerated as
 generator powers, so character theory and spectral decompositions can refer
 to exponent tuples directly.
+
+In the module structure every block field K_alpha is a plain FieldCtx, so
+one arithmetic serves all fields; a block keeps only what the field cannot
+know, the F_q-linear isomorphism ``ModBlock.mat`` onto its matrices and the
+relative trace down to F_q.
 """
 
 from __future__ import annotations
@@ -483,8 +488,7 @@ def centralizer_torus(space: SympSpace, A) -> Torus:
     A = la.thaw(A)
     assert_symplectic(space, A, "centralizer input")
     cp = la.charpoly(ctx, A)
-    dcp = gfq.poly_deriv(ctx, cp)
-    if gfq.poly_deg(gfq.poly_gcd(ctx, cp, dcp)) != 0:
+    if not gfq.is_squarefree(ctx, cp):
         raise ValueError("degenerate centralizer: characteristic polynomial not squarefree")
     factors = gfq.factor_poly(ctx, cp)
     classes = _pair_factor_classes(ctx, factors)
@@ -591,273 +595,80 @@ def centralizer_algebra(space: SympSpace, mats):
 # -- module structure ----------------------------------------------------------
 
 
-class BlockField:
-    """The field K_alpha realized as a commutative matrix subalgebra acting
-    on one block of V, with arithmetic in coordinates over the base field.
-
-    Elements are coordinate tuples with respect to a fixed basis of matrices
-    whose first member is the block unit (the idempotent)."""
-
-    def __init__(self, space, basis_mats, unit):
-        ctx = space.ctx
-        self.space = space
-        self.ctx = ctx
-        self.d = len(basis_mats)
-        if la.freeze(basis_mats[0]) != la.freeze(unit):
-            basis_mats = [unit] + [b for b in basis_mats if la.freeze(b) != la.freeze(unit)]
-            basis_mats = self._independent(basis_mats)
-        self.basis = basis_mats
-        if len(self.basis) != self.d:
-            raise ValueError("block field basis is not independent over the unit")
-        n = space.dim
-        self._bvec = la.transpose([[m[i][j] for i in range(n) for j in range(n)] for m in self.basis])
-        self.unit_coords = tuple([ctx.one] + [ctx.zero] * (self.d - 1))
-        # structure constants: kappa_i kappa_j in coordinates
-        self.table = []
-        for i in range(self.d):
-            row = []
-            for j in range(self.d):
-                prod = la.mat_mul(ctx, self.basis[i], self.basis[j])
-                row.append(self.coords(prod))
-            self.table.append(row)
-        # trace of multiplication on K_alpha = half the trace on the block
-        half = ctx.inv(ctx.el(2))
-        self.trace_row = [ctx.mul(half, la.trace(ctx, b)) for b in self.basis]
-        self.size = ctx.q**self.d
-
-    def _independent(self, mats):
-        ctx = self.ctx
-        vecs = [[m[i][j] for i in range(self.space.dim) for j in range(self.space.dim)] for m in mats]
-        _, pivots = la.rref(ctx, la.transpose(vecs))
-        return [mats[i] for i in pivots]
-
-    def coords(self, mat):
-        flat = [mat[i][j] for i in range(self.space.dim) for j in range(self.space.dim)]
-        sol = la.solve(self.ctx, self._bvec, flat)
-        if sol is None:
-            raise ValueError("matrix does not lie in the block field")
-        return tuple(sol)
-
-    def mat(self, coords):
-        ctx = self.ctx
-        n = self.space.dim
-        out = la.zeros(ctx, n, n)
-        for c, b in zip(coords, self.basis):
-            if c != ctx.zero:
-                for i in range(n):
-                    for j in range(n):
-                        out[i][j] = ctx.add(out[i][j], ctx.mul(c, b[i][j]))
-        return out
-
-    # coordinate arithmetic
-
-    def add(self, u, v):
-        ctx = self.ctx
-        return tuple(ctx.add(a, b) for a, b in zip(u, v))
-
-    def sub(self, u, v):
-        ctx = self.ctx
-        return tuple(ctx.sub(a, b) for a, b in zip(u, v))
-
-    def neg(self, u):
-        ctx = self.ctx
-        return tuple(ctx.neg(a) for a in u)
-
-    def scale(self, c, u):
-        ctx = self.ctx
-        return tuple(ctx.mul(c, a) for a in u)
-
-    @property
-    def zero(self):
-        return tuple([self.ctx.zero] * self.d)
-
-    @property
-    def one(self):
-        return self.unit_coords
-
-    def mul(self, u, v):
-        ctx = self.ctx
-        out = [ctx.zero] * self.d
-        for i, ui in enumerate(u):
-            if ui == ctx.zero:
-                continue
-            for j, vj in enumerate(v):
-                if vj == ctx.zero:
-                    continue
-                c = ctx.mul(ui, vj)
-                t = self.table[i][j]
-                for k in range(self.d):
-                    if t[k] != ctx.zero:
-                        out[k] = ctx.add(out[k], ctx.mul(c, t[k]))
-        return tuple(out)
-
-    def mult_matrix(self, u):
-        """d x d matrix of multiplication by u on coordinates."""
-        cols = []
-        for j in range(self.d):
-            ej = tuple(self.ctx.one if k == j else self.ctx.zero for k in range(self.d))
-            cols.append(list(self.mul(u, ej)))
-        return la.transpose(cols)
-
-    def inv(self, u):
-        sol = la.solve(self.ctx, self.mult_matrix(u), list(self.unit_coords))
-        if sol is None:
-            raise ZeroDivisionError("block field element not invertible")
-        return tuple(sol)
-
-    def pow(self, u, e):
-        if e < 0:
-            return self.pow(self.inv(u), -e)
-        out = self.unit_coords
-        base = u
-        while e:
-            if e & 1:
-                out = self.mul(out, base)
-            base = self.mul(base, base)
-            e >>= 1
-        return out
-
-    def trace_to_base(self, u):
-        """Tr_{K_alpha / GF(q)} as a base field element."""
-        ctx = self.ctx
-        acc = ctx.zero
-        for c, t in zip(u, self.trace_row):
-            acc = ctx.add(acc, ctx.mul(c, t))
-        return acc
-
-    def legendre(self, u):
-        if u == self.zero:
-            raise ValueError("Legendre character undefined at zero")
-        s = self.pow(u, (self.size - 1) // 2)
-        if s == self.unit_coords:
-            return 1
-        if s != self.neg(self.unit_coords):
-            raise RuntimeError("Euler criterion gave neither +1 nor -1")
-        return -1
-
-    def psi_bar(self, u):
-        return self.ctx.psi(self.trace_to_base(u))
-
-    def elements(self):
-        for combo in itertools.product(range(self.ctx.q), repeat=self.d):
-            yield tuple(self.ctx.from_int(c) for c in combo)
-
-    def as_field_ctx(self):
-        """An isomorphic absolute FieldCtx plus coordinate maps both ways."""
-        ctx = self.ctx
-        abs_deg = ctx.m * self.d
-        if abs_deg == ctx.m:
-            # K_alpha is the base field itself
-            to_ctx = lambda u: ctx.mul(u[0], ctx.one) if False else u[0]
-            from_ctx = lambda y: (y,)
-            return ctx, (lambda u: u[0]), (lambda y: (y,))
-        big = FieldCtx(ctx.p, abs_deg)
-        emb = gfq.subfield_embedding(ctx, big)
-        # primitive element of K_alpha over the base field
-        theta = None
-        for enc in range(1, self.size):
-            cand = tuple(ctx.from_int((enc // ctx.q**i) % ctx.q) for i in range(self.d))
-            powers = [self.unit_coords]
-            for _ in range(self.d - 1):
-                powers.append(self.mul(powers[-1], cand))
-            if len(la.rref(ctx, la.transpose([list(pw) for pw in powers]))[1]) == self.d:
-                theta = cand
-                theta_powmat = la.transpose([list(pw) for pw in powers])
-                break
-        if theta is None:  # pragma: no cover
-            raise RuntimeError("no primitive element in block field")
-        # minimal polynomial of theta over GF(q)
-        top = self.pow(theta, self.d)
-        rhs = la.solve(ctx, theta_powmat, list(top))
-        minpoly = [ctx.neg(c) for c in rhs] + [ctx.one]
-        lifted = [emb.up(c) for c in minpoly]
-        root = gfq.poly_roots(big, lifted)[0]
-
-        def to_ctx(u):
-            a = la.solve(ctx, theta_powmat, list(u))
-            acc = big.zero
-            cur = big.one
-            for c in a:
-                acc = big.add(acc, big.mul(emb.up(c), cur))
-                cur = big.mul(cur, root)
-            return acc
-
-        # invert the GF(p)-linear map coordinates -> big field
-        p = ctx.p
-        cols = []
-        for i in range(self.d):
-            for jslot in range(ctx.m):
-                base_coeff = ctx.el([0] * jslot + [1])
-                u = tuple(base_coeff if k == i else ctx.zero for k in range(self.d))
-                cols.append(big.serialize(to_ctx(u)))
-        mat_rows = [[cols[c][r] for c in range(abs_deg)] for r in range(abs_deg)]
-
-        def from_ctx(y):
-            target = big.serialize(y)
-            aug = [mat_rows[r] + [target[r]] for r in range(abs_deg)]
-            sol = gfq._solve_mod_p(aug, abs_deg, p)
-            if sol is None:
-                raise ValueError("element not in the block field image")
-            out = []
-            for i in range(self.d):
-                out.append(ctx.el(sol[i * ctx.m : (i + 1) * ctx.m]))
-            return tuple(out)
-
-        return big, to_ctx, from_ctx
-
-
 class ModBlock:
-    """One summand of the module structure: the subspace, its field, the
-    distinguished K-basis (E, F) with omega_bar(E, F) = 1, and the K-valued
-    form in coordinates."""
+    """One summand V_alpha of the module structure.
 
-    def __init__(self, space, idempotent, bf, v_basis, gram, gram_inv, name):
+    Its field K_alpha is a FieldCtx (``field``); ``mat`` is the F_q-linear
+    ring isomorphism from K_alpha onto the block's fixed algebra, the only
+    link between field elements and matrices.  The block also holds the
+    distinguished K-basis (E, F) with omega_bar(E, F) = 1."""
+
+    def __init__(self, space, idempotent, field, powers, v_basis, name):
+        ctx = space.ctx
         self.space = space
         self.idempotent = idempotent
-        self.bf = bf
+        self.field = field
         self.v_basis = v_basis
-        self._gram = gram
-        self._gram_inv = gram_inv
         self.name = name
-        self.degree = bf.d
-        ctx = space.ctx
+        self.degree = field.m // ctx.m
+        self._powers = powers  # mat(x^k) for the power basis x^k of K_alpha
+        # Tr_{K/F_p}(x^k x^l) and its inverse, which recovers omega_bar from
+        # its F_p traces
+        xs = [field.from_int(field.p**k) for k in range(field.m)]
+        gram = [[field.trace_to_prime(field.mul(a, b)) for b in xs] for a in xs]
+        self._trace_dual = la.inv(field.prime_field, gram)
+        self._half = ctx.inv(ctx.el(2))
         E = v_basis[0]
         F = None
         for cand in v_basis[1:]:
             c = self.omega_bar(E, cand)
-            if c != bf.zero:
-                F = self._apply(bf.inv(c), cand)
+            if c != field.zero:
+                F = la.mat_vec(ctx, self.mat(field.inv(c)), cand)
                 break
         if F is None:  # pragma: no cover - nondegeneracy of omega_bar
             raise ValueError("no symplectic partner in block")
         self.E = E
         self.F = F
-        if self.omega_bar(self.E, self.F) != bf.one:
+        if self.omega_bar(self.E, self.F) != field.one:
             raise RuntimeError("symplectic partner is not normalized")
 
-    def _apply(self, coords, v):
-        return la.mat_vec(self.space.ctx, self.bf.mat(coords), v)
+    def mat(self, a):
+        """Multiplication by a in K_alpha: a matrix on V supported on the block."""
+        ctx = self.space.ctx
+        coeffs = [ctx.el(c) for c in self.field.serialize(a)]
+        return _span_matrices(ctx, [coeffs], self._powers, self.space.dim)[0]
+
+    def trace(self, a):
+        """Tr_{K_alpha / F_q}(a): half the trace of mat(a), since V_alpha is
+        free of rank 2 over K_alpha."""
+        ctx = self.space.ctx
+        return ctx.mul(self._half, la.trace(ctx, self.mat(a)))
 
     def project(self, v):
         return la.mat_vec(self.space.ctx, la.thaw(self.idempotent), v)
 
     def omega_bar(self, u, v):
-        """K_alpha-valued symplectic form, in coordinates."""
+        """The K_alpha-valued form: the w in K_alpha with
+        Tr_{K/F_q}(a w) = omega(mat(a) u, v) for every a, found from its
+        F_p traces against the power basis of K_alpha."""
         ctx = self.space.ctx
-        rhs = []
-        for kb in self.bf.basis:
-            rhs.append(self.space.omega(la.mat_vec(ctx, kb, u), v))
-        return tuple(la.mat_vec(ctx, self._gram_inv, rhs))
+        traces = [
+            ctx.trace_to_prime(self.space.omega(la.mat_vec(ctx, X, u), v))
+            for X in self._powers
+        ]
+        return self.field.el(la.mat_vec(self.field.prime_field, self._trace_dual, traces))
 
     def coords_sl2(self, v):
-        """(x, y) with v = x E + y F, for v in the block."""
+        """(x, y) in K_alpha with v = x E + y F, for v in the block."""
         x = self.omega_bar(v, self.F)
         y = self.omega_bar(self.E, v)
         return x, y
 
     def from_coords(self, x, y):
         ctx = self.space.ctx
-        return [ctx.add(a, b) for a, b in zip(self._apply(x, self.E), self._apply(y, self.F))]
+        xE = la.mat_vec(ctx, self.mat(x), self.E)
+        yF = la.mat_vec(ctx, self.mat(y), self.F)
+        return [ctx.add(a, b) for a, b in zip(xE, yF)]
 
     def element_as_sl2(self, g):
         """The 2 x 2 matrix over K_alpha of a block-preserving K-linear map."""
@@ -894,10 +705,11 @@ class SympModuleStructure:
             w = [ctx.one if i == j else ctx.zero for i in range(n)]
             out = [ctx.zero] * n
             for blk, gb in zip(self.blocks, g_blocks):
+                K = blk.field
                 ((a, b), (c, d)) = gb
                 x, y = blk.coords_sl2(blk.project(w))
-                nx = blk.bf.add(blk.bf.mul(a, x), blk.bf.mul(b, y))
-                ny = blk.bf.add(blk.bf.mul(c, x), blk.bf.mul(d, y))
+                nx = K.add(K.mul(a, x), K.mul(b, y))
+                ny = K.add(K.mul(c, x), K.mul(d, y))
                 piece = blk.from_coords(nx, ny)
                 out = [ctx.add(u, v) for u, v in zip(out, piece)]
             cols.append(out)
@@ -905,29 +717,30 @@ class SympModuleStructure:
 
     def sl2_generators(self):
         """Generators of prod SL(2, K_alpha) as block tuples, for embedding
-        tests: elementary unipotents over a K-basis plus the Weyl element."""
+        tests: elementary unipotents over the power basis of each K_alpha
+        plus the Weyl element."""
         gens = []
         for i, blk in enumerate(self.blocks):
-            bf = blk.bf
-            for k in range(bf.d):
-                kappa = tuple(bf.ctx.one if t == k else bf.ctx.zero for t in range(bf.d))
+            K = blk.field
+            for k in range(K.m):
+                xk = K.from_int(K.p**k)
                 for mat2 in (
-                    ((bf.one, kappa), (bf.zero, bf.one)),
-                    ((bf.one, bf.zero), (kappa, bf.one)),
+                    ((K.one, xk), (K.zero, K.one)),
+                    ((K.one, K.zero), (xk, K.one)),
                 ):
                     gens.append(self._one_block(i, mat2))
-            weyl = ((bf.zero, bf.one), (bf.neg(bf.one), bf.zero))
+            weyl = ((K.zero, K.one), (K.neg(K.one), K.zero))
             gens.append(self._one_block(i, weyl))
         return gens
 
     def _one_block(self, i, mat2):
         out = []
         for j, blk in enumerate(self.blocks):
-            bf = blk.bf
+            K = blk.field
             if j == i:
                 out.append(mat2)
             else:
-                out.append(((bf.one, bf.zero), (bf.zero, bf.one)))
+                out.append(((K.one, K.zero), (K.zero, K.one)))
         return tuple(out)
 
     def torus_element_blocks(self, g):
@@ -1044,7 +857,9 @@ def module_structure(torus: Torus) -> SympModuleStructure:
     The commutant algebra is split into its primitive idempotents; the
     symplectic transpose pairs them into blocks (a fixed idempotent is an
     inert or irreducible block, a swapped pair is a split block), and the
-    fixed subalgebra of each block is its field K_alpha."""
+    fixed subalgebra of each block is its field K_alpha, carried as a
+    FieldCtx together with the isomorphism ``ModBlock.mat`` onto that
+    subalgebra (see ``_block_field``)."""
     space = torus.space
     ctx = space.ctx
     n = space.dim
@@ -1094,14 +909,9 @@ def module_structure(torus: Torus) -> SympModuleStructure:
         if 2 * len(K_alpha) != len(A_alpha):
             raise AssertionError("block fixed algebra has the wrong dimension")
         total_k_dim += len(K_alpha)
-        bf = BlockField(space, _independent_with_unit(space, ctx, e, K_alpha), e)
-        gram = [
-            [bf.trace_to_base(bf.mul(_unit_vec(bf, i), _unit_vec(bf, j))) for j in range(bf.d)]
-            for i in range(bf.d)
-        ]
-        gram_inv = la.inv(ctx, gram)
-        name = _block_type(ctx, torus, e, bf)
-        blocks.append(ModBlock(space, la.freeze(e), bf, v_basis, gram, gram_inv, name))
+        field, powers = _block_field(ctx, e, _independent_with_unit(space, ctx, e, K_alpha), n)
+        name = _block_type(ctx, torus, e, len(K_alpha))
+        blocks.append(ModBlock(space, la.freeze(e), field, powers, v_basis, name))
     if total_k_dim != space.N:
         raise ValueError(
             f"fixed subalgebra has total dimension {total_k_dim}, expected {space.N}"
@@ -1120,8 +930,42 @@ def _block_support_start(ctx, blk):
     )
 
 
-def _unit_vec(bf, i):
-    return tuple(bf.ctx.one if k == i else bf.ctx.zero for k in range(bf.d))
+def _block_field(ctx, unit, basis, n):
+    """K_alpha as a FieldCtx, and the matrices mat(x^k) of the power basis
+    of that field, for the fixed algebra spanned by ``basis`` (unit first).
+
+    The field is GF(q^d) with the default modulus (the base field itself
+    when d = 1).  The isomorphism sends theta, the element of least
+    coordinate encoding whose minimal polynomial over GF(q) has degree d,
+    to the least-encoding root of that polynomial, and is GF(q)-linear
+    through ``gfq.subfield_embedding``."""
+    d = len(basis)
+    K = ctx if d == 1 else FieldCtx(ctx.p, ctx.m * d)
+    emb = gfq.subfield_embedding(ctx, K)
+    for enc in range(1, ctx.q**d):
+        coeffs = [ctx.from_int((enc // ctx.q**i) % ctx.q) for i in range(d)]
+        theta = _span_matrices(ctx, [coeffs], basis, n)[0]
+        minpoly = _algebra_min_poly(ctx, unit, theta, n)
+        if gfq.poly_deg(minpoly) == d:
+            break
+    else:  # pragma: no cover - a finite field extension is simple
+        raise RuntimeError("no primitive element in block field")
+    root = gfq.poly_roots(K, [emb.up(c) for c in minpoly])[0]
+    theta_pows, root_pows = [unit], [K.one]
+    for _ in range(d - 1):
+        theta_pows.append(la.mat_mul(ctx, theta_pows[-1], theta))
+        root_pows.append(K.mul(root_pows[-1], root))
+    # F_p basis eps_l root^i of K, eps_l the power basis of GF(q), in the
+    # columns of S; column k of S^(-1) writes x^k in that basis
+    eps = [emb.up(ctx.el([0] * l + [1])) for l in range(ctx.m)]
+    S = la.transpose([K.serialize(K.mul(e, r)) for r in root_pows for e in eps])
+    S_inv = la.inv(K.prime_field, S)
+    # x^k = sum_i c_ki root^i with c_ki in GF(q), so mat(x^k) = sum_i c_ki theta^i
+    c = [
+        [ctx.el([S_inv[i * ctx.m + l][k] for l in range(ctx.m)]) for i in range(d)]
+        for k in range(K.m)
+    ]
+    return K, _span_matrices(ctx, c, theta_pows, n)
 
 
 def _independent_with_unit(space, ctx, unit, mats):
@@ -1137,11 +981,10 @@ def _independent_with_unit(space, ctx, unit, mats):
     return out
 
 
-def _block_type(ctx, torus, e, bf):
+def _block_type(ctx, torus, e, d):
     """Type of a block, read off the order of the restricted torus: the
     norm-one group of a quadratic extension has order q^d + 1, a split block
     restricts to GF(q^d)^* of order q^d - 1."""
-    d = bf.d
     restrictions = set()
     for gkey in torus.elements:
         gb = la.mat_mul(ctx, la.thaw(e), la.thaw(gkey))
@@ -1166,7 +1009,7 @@ def _validate_module_structure(ms: SympModuleStructure):
             acc = ctx.zero
             for blk in ms.blocks:
                 ob = blk.omega_bar(blk.project(u), blk.project(v))
-                acc = ctx.add(acc, blk.bf.trace_to_base(ob))
+                acc = ctx.add(acc, blk.trace(ob))
             if acc != space.omega(u, v):
                 raise AssertionError("trace of omega_bar does not recover omega")
     # omega_bar is invariant under every torus generator
@@ -1181,10 +1024,9 @@ def _validate_module_structure(ms: SympModuleStructure):
     # V_alpha is free of rank 2 over K_alpha via the (E, F) basis
     for blk in ms.blocks:
         spanning = []
-        for k in range(blk.bf.d):
-            kb = blk.bf.basis[k]
-            spanning.append(la.mat_vec(ctx, kb, blk.E))
-            spanning.append(la.mat_vec(ctx, kb, blk.F))
+        for X in blk._powers:
+            spanning.append(la.mat_vec(ctx, X, blk.E))
+            spanning.append(la.mat_vec(ctx, X, blk.F))
         if len(la.rref(ctx, spanning)[1]) != len(blk.v_basis):
             raise AssertionError("(E, F) is not a K-basis of the block")
 
@@ -1196,8 +1038,7 @@ def rank_from_charpoly(ctx, cp):
     """Block descriptors and symplectic rank read off a squarefree
     characteristic polynomial: factor mod p, pair every irreducible factor
     with its reciprocal dual, count the classes."""
-    dcp = gfq.poly_deriv(ctx, cp)
-    if gfq.poly_deg(gfq.poly_gcd(ctx, cp, dcp)) != 0:
+    if not gfq.is_squarefree(ctx, cp):
         raise ValueError("characteristic polynomial is not squarefree")
     factors = gfq.factor_poly(ctx, cp)
     classes = _pair_factor_classes(ctx, factors)
@@ -1212,22 +1053,16 @@ def rank_from_charpoly(ctx, cp):
     return blocks, len(blocks)
 
 
-def symplectic_rank(torus: Torus, use_full_structure=False):
+def symplectic_rank(torus: Torus):
     """(block descriptors, r).  The cheap path factors the characteristic
     polynomial of a regular torus element; when the torus has no regular
     element (tiny fields), the full module structure is built instead."""
-    space = torus.space
-    ctx = space.ctx
-    if not use_full_structure:
-        for gkey in torus.elements:
-            g = la.thaw(gkey)
-            cp = la.charpoly(ctx, g)
-            dcp = gfq.poly_deriv(ctx, cp)
-            if gfq.poly_deg(gfq.poly_gcd(ctx, cp, dcp)) == 0:
-                try:
-                    return rank_from_charpoly(ctx, cp)
-                except ValueError:
-                    continue
+    ctx = torus.space.ctx
+    for gkey in torus.elements:
+        try:
+            return rank_from_charpoly(ctx, la.charpoly(ctx, la.thaw(gkey)))
+        except ValueError:  # not squarefree, or an eigenvalue +-1
+            continue
     ms = module_structure(torus)
     blocks = [
         BlockInfo(blk.name, blk.degree, ctx.q**blk.degree + (1 if blk.name != "split" else -1))

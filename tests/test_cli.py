@@ -33,6 +33,37 @@ def test_verify_bounds_and_determinism(tmp_path):
     assert summary["reports"][0]["max_ratio"] <= 1
 
 
+def test_verify_bounds_skips_tori_with_singular_terms(tmp_path, capsys):
+    """Product tori have elements that are the identity on one block, where
+    the character formula is undefined: they are skipped, the sweep goes on."""
+    rc = main(["verify-bounds", "--p", "5", "--N", "2", "--torus", "all",
+               "--out", str(tmp_path)])
+    assert rc == 0
+    status = {}
+    for line in capsys.readouterr().out.splitlines():
+        word, _, _, torus = line.split(" ")[:4]
+        status[torus.removeprefix("torus=")] = word
+    assert status == {
+        "split+split": "SKIP",
+        "split+inert": "SKIP",
+        "inert+inert": "SKIP",
+        "split2": "PASS",
+        "irreducible2": "PASS",
+    }
+    rows = body_of(tmp_path / "bounds.csv").splitlines()[1:]
+    assert {row.split(",")[3] for row in rows} == {"split2", "irreducible2"}
+    summary = json.loads((tmp_path / "bounds_summary.json").read_text())
+    assert len(summary["reports"]) == 2
+    skipped = summary["skipped"]
+    assert [s["torus"]["blocks"] for s in skipped] == [
+        [{"type": a, "degree": 1}, {"type": b, "degree": 1}]
+        for a, b in (("split", "split"), ("split", "inert"), ("inert", "inert"))
+    ]
+    for s in skipped:
+        assert s["p"] == 5 and s["reason"].startswith("det(g - I) = 0")
+        assert len(s["witness"]) == 4 and all(len(row) == 4 for row in s["witness"])
+
+
 def test_multiplicities_cmd(tmp_path):
     rc = main(["multiplicities", "--p", "5,7", "--N", "1", "--torus", "all",
                "--out", str(tmp_path)])

@@ -11,6 +11,7 @@ from weilrep.gfq import (
     factorize,
     find_irreducible,
     is_irreducible,
+    is_squarefree,
     is_prime,
     legendre_sigma,
     poly_deg,
@@ -64,11 +65,13 @@ def test_prime_field_arithmetic():
 
 
 def test_extension_field_axioms():
-    """Exhaustive field axioms in GF(9) and GF(25)."""
-    for p, m in [(3, 2), (5, 2)]:
+    """Exhaustive field axioms in GF(9), GF(25) and GF(81)."""
+    for p, m in [(3, 2), (5, 2), (3, 4)]:
         ctx = FieldCtx(p, m)
         els = list(ctx.elements())
         assert len(els) == p**m
+        with pytest.raises(ZeroDivisionError):
+            ctx.inv(ctx.zero)
         for a in els:
             assert ctx.add(a, ctx.zero) == a
             assert ctx.mul(a, ctx.one) == a
@@ -218,6 +221,30 @@ def test_embedding_round_trip():
         a = small.from_int(rng.randrange(9))
         b = small.from_int(rng.randrange(9))
         assert emb.up(small.mul(a, b)) == big.mul(emb.up(a), emb.up(b))
+    # a big-field element outside the image has no preimage
+    outside = next(b for b in big.elements() if big.pow(b, 9) != b)
+    with pytest.raises(ValueError):
+        emb.down(outside)
+
+
+@pytest.mark.parametrize("p,m", [(5, 1), (3, 2), (3, 3)])
+def test_a_field_embeds_into_itself_by_the_identity(p, m):
+    ctx = FieldCtx(p, m)
+    emb = subfield_embedding(ctx, ctx)
+    for a in ctx.elements():
+        assert emb.up(a) == a
+        assert emb.down(a) == a
+
+
+def test_is_squarefree():
+    F5 = FieldCtx(5)
+    assert is_squarefree(F5, poly_from_ints(F5, [1, 0, 1]))  # (x - 2)(x - 3)
+    assert not is_squarefree(F5, poly_from_ints(F5, [4, 1, 1]))  # (x - 2)^2
+    assert not is_squarefree(F5, poly_from_ints(F5, [0, 0, 0, 0, 0, 1]))  # x^5
+    F9 = FieldCtx(3, 2)
+    i = F9.el([0, 1])
+    assert is_squarefree(F9, [F9.one, F9.zero, F9.one])  # (x - i)(x + i)
+    assert not is_squarefree(F9, poly_mul(F9, [F9.neg(i), F9.one], [F9.neg(i), F9.one]))
 
 
 def test_factor_examples():

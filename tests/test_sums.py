@@ -171,6 +171,25 @@ def test_default_vector_range_small_space_exhaustive():
     assert len(vs) == 24  # q^2 - 1
 
 
+def test_default_vector_range_caps_at_every_nonzero_vector():
+    """GF(125)^2 has 15,625 vectors, above the exhaustive limit, and every
+    one of its nonzero vectors has weight at most 2."""
+    sp = SympSpace(FieldCtx(5, 3), 1)
+    vs = default_vector_range(sp)
+    assert len(vs) == len(set(vs)) == 125**2 - 1
+
+
+def test_default_vector_range_samples_distinct_nonzero_vectors():
+    sp = SympSpace(FieldCtx(11), 2)
+    vs = default_vector_range(sp, seed=5)
+    low_weight = 4 * 10 + 6 * 10**2  # nonzero vectors of weight <= 2 in GF(11)^4
+    assert len(vs) == len(set(vs)) == low_weight + 4096
+    assert all(any(x != 0 for x in v) for v in vs)
+    assert all(sum(x != 0 for x in v) <= 2 for v in vs[:low_weight])
+    assert default_vector_range(sp, seed=5) == vs
+    assert default_vector_range(sp, seed=6) != vs
+
+
 def test_csv_rows_shape():
     sp, torus = setup(5, 1, ["inert"])
     rpt = bound_report(sp, torus)

@@ -256,7 +256,7 @@ def test_centralizer_torus_invariants_property(drawn):
     for p in (3, 5, 7, 11, 13):
         ctx = FieldCtx(p)
         cp = gfq.poly_trim(ctx, [ctx.el(c) for c in cp_int])
-        if gfq.poly_deg(gfq.poly_gcd(ctx, cp, gfq.poly_deriv(ctx, cp))) != 0:
+        if not gfq.is_squarefree(ctx, cp):
             continue
         sp = SympSpace(ctx, N)
         A = [[ctx.el(x) for x in row] for row in A_int]
@@ -343,7 +343,7 @@ def test_module_structure_sl2_split_is_base_field():
     for i in range(2):
         for j in range(2):
             ob = blk.omega_bar(I[i], I[j])
-            assert blk.bf.trace_to_base(ob) == sp.omega(I[i], I[j])
+            assert blk.trace(ob) == sp.omega(I[i], I[j])
 
 
 def test_module_structure_inert_sl2_f5():
@@ -406,10 +406,9 @@ def test_torus_elements_embed_as_sl2_over_K():
     for gkey in torus.elements:
         gb = ms.torus_element_blocks(gkey)
         # determinant over K of a torus element is 1
-        blk = ms.blocks[0]
+        K = ms.blocks[0].field
         ((a, b), (c, d)) = gb[0]
-        det = blk.bf.sub(blk.bf.mul(a, d), blk.bf.mul(b, c))
-        assert det == blk.bf.one
+        assert K.sub(K.mul(a, d), K.mul(b, c)) == K.one
         # re-embedding recovers the element
         assert la.freeze(ms.embed_sl2(gb)) == gkey
 
@@ -452,27 +451,55 @@ def test_maximality_torus_is_own_centralizer():
             assert count == torus.order
 
 
-def test_block_field_as_field_ctx_round_trip():
-    sp = SympSpace(FieldCtx(3), 2)
-    torus = build_maximal_torus(sp, ["irreducible2"])
+@pytest.mark.parametrize(
+    "p,m,kind",
+    [
+        (3, 1, ["irreducible2"]),
+        (3, 2, ["irreducible2"]),  # K = GF(81) over GF(9)
+        (5, 1, ["split", "inert"]),
+        (3, 1, ["irreducible3"]),
+    ],
+)
+def test_block_mat_is_a_ring_isomorphism_onto_the_fixed_algebra(p, m, kind):
+    """mat: K_alpha -> End(V) is injective, unital, additive, multiplicative
+    and GF(q)-linear, and its image is the block's fixed algebra: matrices
+    supported on the block, commuting with the torus, fixed by the
+    symplectic transpose; |K_alpha| = q^d of them fill that F_q-space of
+    dimension d."""
+    ctx = FieldCtx(p, m)
+    N = sum(int(k[-1]) if k[-1].isdigit() else 1 for k in kind)
+    sp = SympSpace(ctx, N)
+    torus = build_maximal_torus(sp, kind)
     ms = module_structure(torus)
-    bf = ms.blocks[0].bf
-    ctxK, to_ctx, from_ctx = bf.as_field_ctx()
-    assert ctxK.q == bf.size == 9
-    els = list(bf.elements())
-    images = set()
-    for u in els:
-        y = to_ctx(u)
-        images.add(y)
-        assert from_ctx(y) == u
-    assert len(images) == bf.size
-    # ring homomorphism
-    rng = random.Random(4)
-    for _ in range(30):
-        u = els[rng.randrange(len(els))]
-        v = els[rng.randrange(len(els))]
-        assert to_ctx(bf.mul(u, v)) == ctxK.mul(to_ctx(u), to_ctx(v))
-        assert to_ctx(bf.add(u, v)) == ctxK.add(to_ctx(u), to_ctx(v))
+    rng = random.Random(7)
+    for blk in ms.blocks:
+        K = blk.field
+        assert K.q == ctx.q**blk.degree
+        e = la.thaw(blk.idempotent)
+        assert blk.mat(K.one) == e
+        assert blk.mat(K.zero) == la.zeros(ctx, sp.dim, sp.dim)
+        images = {}
+        for a in K.elements():
+            M = blk.mat(a)
+            images[la.freeze(M)] = a
+            assert la.mat_mul(ctx, e, M) == M
+            assert symplectic_transpose(sp, M) == M
+            for g in torus.generators:
+                g = la.thaw(g)
+                assert la.mat_mul(ctx, g, M) == la.mat_mul(ctx, M, g)
+        assert len(images) == K.q
+        emb = gfq.subfield_embedding(ctx, K)
+        els = list(K.elements())
+        for _ in range(25):
+            a, b = rng.choice(els), rng.choice(els)
+            c = ctx.from_int(rng.randrange(ctx.q))
+            assert blk.mat(K.mul(a, b)) == la.mat_mul(ctx, blk.mat(a), blk.mat(b))
+            assert blk.mat(K.add(a, b)) == la.mat_add(ctx, blk.mat(a), blk.mat(b))
+            scaled = [[ctx.mul(c, x) for x in row] for row in blk.mat(a)]
+            assert blk.mat(K.mul(emb.up(c), a)) == scaled
+            # the relative trace is GF(q)-linear and Tr(1) = d
+            assert blk.trace(K.add(a, b)) == ctx.add(blk.trace(a), blk.trace(b))
+        assert blk.trace(K.one) == ctx.el(blk.degree)
 
 
 def test_module_structure_sp6_irreducible_degree_3():
