@@ -19,7 +19,7 @@ from . import gfq
 from .gfq import FieldCtx
 from .heiwei import WeilRep
 from .spectra import decompose
-from .symp import SympSpace, centralizer_torus, rank_from_charpoly
+from .symp import SympSpace, centralizer_torus, rank_from_trace_polynomial, trace_polynomial
 from .symp import _crt_lift_general  # factor idempotents for the span test
 
 #: a strongly generic element of Sp(4, Z): characteristic polynomial
@@ -506,10 +506,14 @@ def default_observables(N: int):
 
 def rank_density_sweep(A: LatticeAutomorphism, max_prime: int):
     """Empirical frequencies of the symplectic rank over all usable odd
-    primes up to max_prime, from characteristic polynomial factorization
-    alone (no representation is built)."""
+    primes up to max_prime.  The trace polynomial h of the characteristic
+    polynomial is built once; at each prime the rank is the number of
+    irreducible factors of h mod p (``symp.rank_from_trace_polynomial``),
+    and p is skipped exactly when the characteristic polynomial is not
+    squarefree mod p.  No representation is built."""
     if not A.regular:
         raise ValueError("rank sweep needs a regular element")
+    h = trace_polynomial(A.charpoly)
     counts: dict[int, int] = {}
     half_counts: dict[int, int] = {}
     skipped = []
@@ -518,12 +522,10 @@ def rank_density_sweep(A: LatticeAutomorphism, max_prime: int):
     for p in primes_up_to(max_prime):
         if p == 2:
             continue
-        ctx = FieldCtx(p)
-        cp = gfq.poly_trim(ctx, [ctx.el(c) for c in A.charpoly])
-        if not gfq.is_squarefree(ctx, cp):
+        r = rank_from_trace_polynomial(FieldCtx(p), h)
+        if r is None:
             skipped.append(p)
             continue
-        _, r = rank_from_charpoly(ctx, cp)
         counts[r] = counts.get(r, 0) + 1
         if p <= half_limit:
             half_counts[r] = half_counts.get(r, 0) + 1

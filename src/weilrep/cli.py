@@ -35,11 +35,26 @@ from .catmap import (
     rank_density_sweep,
     statistical_state_experiment,
 )
-from .gfq import FieldCtx, claim_rest_failures, factor_poly, poly_from_ints, poly_mul
+from .gfq import (
+    FieldCtx,
+    claim_rest_failures,
+    factor_poly,
+    is_squarefree,
+    poly_from_ints,
+    poly_mul,
+)
 from .heiwei import WeilRep, max_abs, restrict_to_extension
 from .spectra import decompose, expected_multiplicity, multiplicity_table_rows
 from .sums import SingularTermError, bound_report
-from .symp import SympSpace, build_maximal_torus, module_structure, random_symplectic
+from .symp import (
+    SympSpace,
+    build_maximal_torus,
+    module_structure,
+    random_symplectic,
+    rank_from_charpoly,
+    rank_from_trace_polynomial,
+    trace_polynomial,
+)
 
 SL2_KINDS = [["split"], ["inert"]]
 SP4_KINDS = [
@@ -372,6 +387,18 @@ def cmd_selftest(args) -> int:
         for _ in range(mult):
             prod = poly_mul(F7, prod, g)
     failures += _check("factorization round-trip GF(7)", prod == f)
+
+    # the rank sweep's trace-polynomial count against the full factorization
+    cp = LatticeAutomorphism(CAT4_DEFAULT).charpoly
+    h = trace_polynomial(cp)
+    bad = []
+    for p in primes_up_to(199)[1:]:
+        ctx = FieldCtx(p)
+        f = poly_from_ints(ctx, cp)
+        full = rank_from_charpoly(ctx, f)[1] if is_squarefree(ctx, f) else None
+        if rank_from_trace_polynomial(ctx, h) != full:
+            bad.append(p)
+    failures += _check("trace-polynomial rank cat4, odd p <= 199", not bad, f"p in {bad}")
 
     # quadratic sign identity over the norm-one subgroup
     qs = [3, 5, 7, 9, 11, 13, 25, 27] if args.quick else None

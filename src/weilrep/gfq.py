@@ -228,10 +228,7 @@ class FieldCtx:
         if a == self.zero:
             raise ZeroDivisionError("inverse of zero")
         fp = self.prime_field
-        g, _, v = poly_extgcd(fp, list(self.modulus), poly_trim(fp, a))
-        if poly_deg(g) != 0:
-            raise ZeroDivisionError("element not invertible")
-        return self.el(v)
+        return self.el(poly_inverse_mod(fp, a, self.modulus))
 
     def div(self, a, b):
         return self.mul(a, self.inv(b))
@@ -444,8 +441,10 @@ def poly_divmod(ctx, f, g):
     g = poly_trim(ctx, g)
     if not g:
         raise ZeroDivisionError("polynomial division by zero")
-    f = list(f)
     dg = poly_deg(g)
+    if len(f) <= dg:
+        return [], poly_trim(ctx, f)
+    f = list(f)
     inv_lead = ctx.inv(g[-1])
     q = [ctx.zero] * max(len(f) - dg, 0)
     for i in range(len(f) - 1, dg - 1, -1):
@@ -476,24 +475,22 @@ def poly_gcd(ctx, f, g):
     return poly_monic(ctx, f)
 
 
-def poly_extgcd(ctx, f, g):
-    """Monic gcd d of (f, g) plus cofactors u, v with u*f + v*g = d."""
-    r0, r1 = poly_trim(ctx, f), poly_trim(ctx, g)
-    s0, s1 = [ctx.one], []
-    t0, t1 = [], [ctx.one]
-    while r1:
+def poly_inverse_mod(ctx, a, mod):
+    """The inverse of a modulo mod, of degree below deg(mod).
+
+    Extended Euclid tracking only the cofactor of a (s * a = r mod mod for
+    every remainder r), stopped at the first constant remainder; raises
+    ZeroDivisionError when gcd(a, mod) != 1.
+    """
+    r0, r1 = poly_trim(ctx, mod), poly_mod(ctx, a, mod)
+    s0, s1 = [], [ctx.one]
+    while len(r1) > 1:
         q, r = poly_divmod(ctx, r0, r1)
         r0, r1 = r1, r
         s0, s1 = s1, poly_sub(ctx, s0, poly_mul(ctx, q, s1))
-        t0, t1 = t1, poly_sub(ctx, t0, poly_mul(ctx, q, t1))
-    if not r0:
-        return [], [], []
-    c = ctx.inv(r0[-1])
-    return (
-        poly_scale(ctx, c, r0),
-        poly_scale(ctx, c, s0),
-        poly_scale(ctx, c, t0),
-    )
+    if not r1:
+        raise ZeroDivisionError("not invertible modulo the polynomial")
+    return poly_scale(ctx, ctx.inv(r1[0]), s1)
 
 
 def poly_pow_mod(ctx, base, e: int, mod):

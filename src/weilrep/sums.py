@@ -40,29 +40,40 @@ def c_chi_direct(space: SympSpace, torus: Torus, chi: TorusCharacter, v) -> comp
     return complex(table[0, 0])
 
 
-def c_chi_table(space: SympSpace, torus: Torus, v_list, characters=None):
-    """Matrix of c_chi(v) over characters x vectors.
+def character_forms(space: SympSpace, torus: Torus):
+    """(index, sign, Gram matrix) of ``heiwei.character_form`` for every
+    non-identity torus element, in enumeration order.
 
     Raises SingularTermError when some non-identity torus element has
     det(g - I) = 0 (the formula does not apply to such tori).
     """
-    ctx = space.ctx
-    if characters is None:
-        characters = torus_characters(torus)
-    p = ctx.p
-    psi_pow = np.exp(2j * np.pi * np.arange(p) / p)
     identity = torus.identity_matrix()
-    C = prime_coords(v_list)
-    term_rows = []
-    kept = []
+    forms = []
     for gi, g in enumerate(torus.elements):
         if g == identity:
             continue
         sign, _, B = character_form(space, g)
         if sign is None:
             raise SingularTermError(g)
-        term_rows.append(sign * psi_pow[((C @ B % p) * C).sum(axis=1) % p])
-        kept.append(gi)
+        forms.append((gi, sign, B))
+    return forms
+
+
+def c_chi_table(space: SympSpace, torus: Torus, v_list, characters=None, forms=None):
+    """Matrix of c_chi(v) over characters x vectors.
+
+    ``forms`` is ``character_forms(space, torus)`` when the caller already
+    has it; otherwise it is computed here, and SingularTermError propagates.
+    """
+    if characters is None:
+        characters = torus_characters(torus)
+    if forms is None:
+        forms = character_forms(space, torus)
+    p = space.ctx.p
+    psi_pow = np.exp(2j * np.pi * np.arange(p) / p)
+    C = prime_coords(v_list)
+    term_rows = [sign * psi_pow[((C @ B % p) * C).sum(axis=1) % p] for _, sign, B in forms]
+    kept = [gi for gi, _, _ in forms]
     terms = np.stack(term_rows) if term_rows else np.zeros((0, len(v_list)))
     X = np.stack([chi.values()[kept] for chi in characters])
     return X.conj() @ terms, characters
@@ -269,6 +280,8 @@ def bound_report(space: SympSpace, torus: Torus, v_list=None, seed: int = 0) -> 
     report.rank = len(torus.blocks)
     report.bound = 2**report.rank * math.sqrt(ctx.q**space.N)
     report.es_bound = 2**space.N * math.sqrt(ctx.q**space.N)
+    # a singular term is found before the admissibility pass pays for it
+    forms = character_forms(space, torus)
     admissible = []
     for v in v_list:
         if orbit_spans_space(space, torus, v):
@@ -277,7 +290,7 @@ def bound_report(space: SympSpace, torus: Torus, v_list=None, seed: int = 0) -> 
             report.excluded.append(v)
     if not admissible:
         return report
-    table, chars = c_chi_table(space, torus, admissible)
+    table, chars = c_chi_table(space, torus, admissible, forms=forms)
     mags = np.abs(table)
     for ci, chi in enumerate(chars):
         for vi, v in enumerate(admissible):

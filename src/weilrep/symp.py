@@ -434,13 +434,6 @@ def _poly_compose_mod(ctx, u, s, mod):
     return acc
 
 
-def _poly_inverse_mod(ctx, u, mod):
-    d, a, _ = gfq.poly_extgcd(ctx, u, mod)
-    if gfq.poly_deg(d) != 0:
-        raise ZeroDivisionError("not invertible in the quotient ring")
-    return gfq.poly_mod(ctx, a, mod)
-
-
 def _order_test(ctx, c, order, mod):
     one = [ctx.one]
     if gfq.poly_sub(ctx, gfq.poly_pow_mod(ctx, c, order, mod), one):
@@ -524,9 +517,9 @@ def centralizer_torus(space: SympSpace, A) -> Torus:
                     break
             if gamma is None:  # pragma: no cover
                 raise RuntimeError("no unit generator found")
-            xinv = _poly_inverse_mod(ctx, x, partner)
+            xinv = gfq.poly_inverse_mod(ctx, x, partner)
             theta_gamma = _poly_compose_mod(ctx, gamma, xinv, partner)
-            w = _poly_inverse_mod(ctx, theta_gamma, partner)
+            w = gfq.poly_inverse_mod(ctx, theta_gamma, partner)
             residues = {tuple(f): gamma, tuple(partner): w}
             name = "split"
         # the generator is the identity off its block; the idempotent cuts
@@ -558,7 +551,7 @@ def _crt_lift_general(ctx, charpoly, targets):
             continue
         f = list(f)
         M = gfq.poly_divmod(ctx, charpoly, f)[0]
-        Minv = _poly_inverse_mod(ctx, gfq.poly_mod(ctx, M, f), f)
+        Minv = gfq.poly_inverse_mod(ctx, M, f)
         term = gfq.poly_mul(ctx, gfq.poly_mul(ctx, M, Minv), val)
         acc = gfq.poly_add(ctx, acc, term)
     return gfq.poly_mod(ctx, acc, charpoly)
@@ -1051,6 +1044,57 @@ def rank_from_charpoly(ctx, cp):
             d = gfq.poly_deg(list(f))
             blocks.append(BlockInfo("split", d, ctx.q**d - 1))
     return blocks, len(blocks)
+
+
+def trace_polynomial(cp):
+    """The trace polynomial h of a monic palindromic integer polynomial cp
+    of degree 2N: cp(x) = x^N h(x + 1/x), with h monic of degree N.
+
+    With c_k the coefficients of cp and the Dickson polynomials
+    D_0 = 2, D_1 = t, D_j = t D_(j-1) - D_(j-2), for which
+    D_j(x + 1/x) = x^j + x^(-j), h = c_N + sum over j = 1..N of c_(N+j) D_j.
+    Integer coefficients, constant term first; ValueError unless cp is
+    monic and palindromic of even degree.
+    """
+    cp = [int(c) for c in cp]
+    if len(cp) % 2 == 0 or cp[-1] != 1 or cp != cp[::-1]:
+        raise ValueError("expected a monic palindromic polynomial of even degree")
+    N = len(cp) // 2
+    h = [cp[N]] + [0] * N
+    prev, cur = [2], [0, 1]
+    for j in range(1, N + 1):
+        for i, d in enumerate(cur):
+            h[i] += cp[N + j] * d
+        nxt = [0] + cur
+        for i, d in enumerate(prev):
+            nxt[i] -= d
+        prev, cur = cur, nxt
+    return h
+
+
+def rank_from_trace_polynomial(ctx, h):
+    """Symplectic rank over GF(q) of a regular element whose characteristic
+    polynomial has the integer trace polynomial h, or None when that
+    characteristic polynomial is not squarefree over GF(q).
+
+    Every irreducible factor of h gives exactly one block, a split dual pair
+    or a self-dual factor, so r is the number of irreducible factors of h,
+    read off its distinct-degree decomposition as the sum of deg(g)/d; no
+    factor is split further.  The characteristic polynomial x^N h(x + 1/x)
+    is squarefree exactly when h is and h(2) h(-2) != 0: x = 1/x only at
+    x = +-1.
+    """
+    f = gfq.poly_from_ints(ctx, h)
+    two = ctx.el(2)
+    if (
+        gfq.poly_eval(ctx, f, two) == ctx.zero
+        or gfq.poly_eval(ctx, f, ctx.neg(two)) == ctx.zero
+        or not gfq.is_squarefree(ctx, f)
+    ):
+        return None
+    return sum(
+        gfq.poly_deg(g) // d for g, d in gfq.distinct_degree_decomposition(ctx, f)
+    )
 
 
 def symplectic_rank(torus: Torus):

@@ -207,6 +207,43 @@ def test_rank_density_cat4_half_half():
     assert sum(sweep["freqs"].values()) == pytest.approx(1.0)
 
 
+def _oracle_rank_sweep(A, max_prime):
+    """The sweep by full factorization of the characteristic polynomial."""
+    from weilrep import gfq
+    from weilrep.gfq import FieldCtx
+    from weilrep.symp import rank_from_charpoly
+
+    counts, half_counts, skipped = {}, {}, []
+    for p in primes_up_to(max_prime)[1:]:
+        ctx = FieldCtx(p)
+        cp = gfq.poly_from_ints(ctx, A.charpoly)
+        if not gfq.is_squarefree(ctx, cp):
+            skipped.append(p)
+            continue
+        _, r = rank_from_charpoly(ctx, cp)
+        counts[r] = counts.get(r, 0) + 1
+        if p <= max_prime // 2:
+            half_counts[r] = half_counts.get(r, 0) + 1
+    used, half_used = sum(counts.values()), sum(half_counts.values())
+    return {
+        "max_prime": max_prime,
+        "n_primes": used,
+        "skipped": skipped,
+        "counts": counts,
+        "freqs": {r: c / used for r, c in sorted(counts.items())},
+        "half_freqs": {r: c / half_used for r, c in sorted(half_counts.items())},
+    }
+
+
+def test_rank_density_sweep_matches_full_factorization():
+    A = LatticeAutomorphism(CAT4_DEFAULT)
+    sweep = rank_density_sweep(A, 2000)
+    oracle = _oracle_rank_sweep(A, 2000)
+    assert sweep == oracle
+    # the same key order too, which the JSON report keeps
+    assert list(sweep["counts"]) == list(oracle["counts"])
+
+
 def test_rank_density_requires_regular():
     ident = LatticeAutomorphism(((1, 0), (0, 1)))
     with pytest.raises(ValueError):

@@ -18,6 +18,7 @@ from weilrep.gfq import (
     poly_eval,
     poly_from_ints,
     poly_gcd,
+    poly_inverse_mod,
     poly_mul,
     poly_pow_mod,
     poly_mod,
@@ -65,8 +66,8 @@ def test_prime_field_arithmetic():
 
 
 def test_extension_field_axioms():
-    """Exhaustive field axioms in GF(9), GF(25) and GF(81)."""
-    for p, m in [(3, 2), (5, 2), (3, 4)]:
+    """Exhaustive field axioms in GF(9), GF(25), GF(81) and GF(125)."""
+    for p, m in [(3, 2), (5, 2), (3, 4), (5, 3)]:
         ctx = FieldCtx(p, m)
         els = list(ctx.elements())
         assert len(els) == p**m
@@ -83,6 +84,20 @@ def test_extension_field_axioms():
             assert ctx.mul(a, b) == ctx.mul(b, a)
             assert ctx.mul(a, ctx.add(b, c)) == ctx.add(ctx.mul(a, b), ctx.mul(a, c))
             assert ctx.mul(ctx.mul(a, b), c) == ctx.mul(a, ctx.mul(b, c))
+
+
+def test_poly_inverse_mod():
+    F7 = FieldCtx(7)
+    mod = poly_from_ints(F7, [2, -3, 1])  # (x - 1)(x - 2)
+    a = poly_from_ints(F7, [-3, 1])
+    inv = poly_inverse_mod(F7, a, mod)
+    assert poly_deg(inv) < poly_deg(mod)
+    assert poly_mod(F7, poly_mul(F7, a, inv), mod) == [F7.one]
+    # a is reduced mod the modulus first
+    assert poly_inverse_mod(F7, poly_sub(F7, a, mod), mod) == inv
+    for shared in ([-1, 1], [0], [2, -3, 1]):
+        with pytest.raises(ZeroDivisionError):
+            poly_inverse_mod(F7, poly_from_ints(F7, shared), mod)
 
 
 def test_canonical_modulus_f9_is_x2_plus_1():

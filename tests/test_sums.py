@@ -91,6 +91,24 @@ def test_singular_term_raises_with_witness():
         c_chi_table(sp, torus, [v])
 
 
+def test_bound_report_finds_a_singular_term_before_the_admissibility_pass(monkeypatch):
+    import weilrep.sums as sums_mod
+
+    calls = []
+    real = sums_mod.orbit_spans_space
+    monkeypatch.setattr(
+        sums_mod, "orbit_spans_space", lambda *args: calls.append(1) or real(*args)
+    )
+    sp, torus = setup(5, 2, ["split", "split"])
+    with pytest.raises(SingularTermError):
+        bound_report(sp, torus)
+    assert calls == []
+    # the counter is live: a regular torus runs the admissibility pass
+    sp, torus = setup(5, 1, ["split"])
+    bound_report(sp, torus)
+    assert len(calls) == 24
+
+
 def test_reduced_equals_direct_sl2():
     """N = 1: the reduction is the direct sum verbatim (K = k)."""
     sp, torus = setup(7, 1, ["inert"])

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from weilrep import fqlin as la
 from weilrep import gfq
-from weilrep.catmap import CAT4_DEFAULT, LatticeAutomorphism, is_integer_symplectic
+from weilrep.catmap import CAT4_DEFAULT, LatticeAutomorphism, is_integer_symplectic, primes_up_to
 from weilrep.gfq import FieldCtx, factorize, poly_from_ints
 from weilrep.symp import (
     SympSpace,
@@ -19,9 +19,11 @@ from weilrep.symp import (
     module_structure,
     random_symplectic,
     rank_from_charpoly,
+    rank_from_trace_polynomial,
     standard_gram,
     symplectic_rank,
     symplectic_transpose,
+    trace_polynomial,
     transvection,
 )
 
@@ -327,6 +329,58 @@ def test_rank_from_charpoly_pairs_duals():
     assert r == 2
     names = sorted(b.name for b in blocks)
     assert names == ["inert", "split"]
+
+
+#: characteristic polynomials (constant term first) of cat2, of cat4 and of a
+#: degree-6 reciprocal polynomial whose trace polynomial t^3 - t - 1 has
+#: Galois group S3 (discriminant -23)
+CAT2_CHARPOLY = [1, -3, 1]
+CAT4_CHARPOLY = [1, -2, -2, -2, 1]
+SP6_CHARPOLY = [1, 0, 2, -1, 2, 0, 1]
+
+
+def test_trace_polynomial():
+    assert LatticeAutomorphism(CAT4_DEFAULT).charpoly == CAT4_CHARPOLY
+    assert trace_polynomial(CAT4_CHARPOLY) == [-4, -2, 1]  # t^2 - 2t - 4
+    assert trace_polynomial(CAT2_CHARPOLY) == [-3, 1]  # t - 3
+    assert trace_polynomial(SP6_CHARPOLY) == [-1, -1, 0, 1]  # t^3 - t - 1
+    for bad in ([1, -2, -2, -3, 1], [1, 2, 2, 1], [2, 1, 2], []):
+        with pytest.raises(ValueError):
+            trace_polynomial(bad)
+
+
+@pytest.mark.parametrize("cp", [CAT2_CHARPOLY, CAT4_CHARPOLY, SP6_CHARPOLY])
+def test_trace_polynomial_rank_matches_full_factorization(cp):
+    """At every odd prime up to 3000, a prime is skipped exactly when the
+    characteristic polynomial is not squarefree, and otherwise the factor
+    count of the trace polynomial is the rank of the full factorization."""
+    h = trace_polynomial(cp)
+    n_skipped = 0
+    for p in primes_up_to(3000)[1:]:
+        ctx = FieldCtx(p)
+        f = poly_from_ints(ctx, cp)
+        r = rank_from_trace_polynomial(ctx, h)
+        if not gfq.is_squarefree(ctx, f):
+            assert r is None, p
+            n_skipped += 1
+            continue
+        assert r == rank_from_charpoly(ctx, f)[1], p
+    assert n_skipped > 0
+
+
+def test_rank_density_sp6_follows_s3():
+    """Chebotarev for t^3 - t - 1 (Galois group S3): the rank is 1, 2 or 3
+    with densities 1/3, 1/2 and 1/6 (3-cycles, transpositions, identity)."""
+    h = trace_polynomial(SP6_CHARPOLY)
+    counts = {}
+    for p in primes_up_to(20000)[1:]:
+        r = rank_from_trace_polynomial(FieldCtx(p), h)
+        if r is not None:
+            counts[r] = counts.get(r, 0) + 1
+    used = sum(counts.values())
+    assert set(counts) == {1, 2, 3}
+    for r, density in ((1, 1 / 3), (2, 1 / 2), (3, 1 / 6)):
+        assert abs(counts[r] / used - density) <= 0.05, (r, counts)
 
 
 def test_module_structure_sl2_split_is_base_field():
