@@ -19,8 +19,8 @@ from . import gfq
 from .gfq import FieldCtx
 from .heiwei import WeilRep
 from .spectra import decompose
+from .sums import admissible_mask
 from .symp import SympSpace, centralizer_torus, rank_from_trace_polynomial, trace_polynomial
-from .symp import _crt_lift_general  # factor idempotents for the span test
 
 #: a strongly generic element of Sp(4, Z): characteristic polynomial
 #: x^4 - 2x^3 - 2x^2 - 2x + 1, irreducible over Q, whose trace resolvent
@@ -283,7 +283,9 @@ def skip_reason(A: LatticeAutomorphism, p: int) -> str | None:
 class HeckeContext:
     """Everything one prime's experiments share: the Hecke torus, the
     eigenstate matrix with character bookkeeping, the batched Wigner table,
-    and the admissibility and support masks over the exponent window."""
+    and the masks over the exponent window: admissibility from
+    ``sums.admissible_mask``, the one test the bound sweeps use too, and
+    the support of each block."""
 
     def __init__(self, A: LatticeAutomorphism, p: int, xi_max: int | None = None):
         if p**A.N > MAX_WIGNER_DIM:
@@ -330,7 +332,7 @@ class HeckeContext:
         a_idx = (self.vmod[:, : A.N] * qpow).sum(axis=1)
         b_idx = (self.vmod[:, A.N :] * qpow).sum(axis=1)
         self.v_index = a_idx * (p**A.N) + b_idx
-        self.admissible = self._span_mask()
+        self.admissible = admissible_mask(self.torus, self.vmod)
         self.block_masks, self.block_factors = self._support_masks()
         # per-xi assembled bound: product over supporting blocks of
         # 2 sqrt(p^(N_alpha)) / |T_alpha|
@@ -338,24 +340,6 @@ class HeckeContext:
         for mask, circ in zip(self.block_masks.T, self.block_factors):
             bounds = np.where(mask, bounds * circ, bounds)
         self.xi_bound = bounds
-
-    def _span_mask(self):
-        """The orbit of xi spans V iff its component in every irreducible
-        constituent is nonzero; constituents are cut by the idempotents of
-        the individual irreducible factors of the characteristic polynomial."""
-        ctx = self.ctx
-        cp = gfq.poly_trim(ctx, [ctx.el(c) for c in self.A.charpoly])
-        factors = gfq.factor_poly(ctx, cp)
-        ok = np.ones(len(self.vmod), dtype=bool)
-        for f, _ in factors:
-            targets = {
-                tuple(g): ([ctx.one] if g == f else [ctx.zero]) for g, _ in factors
-            }
-            e = la.mat_eval_poly(ctx, _crt_lift_general(ctx, cp, targets), la.thaw(self.A_mod))
-            E = np.array(e, dtype=np.int64)
-            comp = (self.vmod @ E.T) % self.p
-            ok &= comp.any(axis=1)
-        return ok
 
     def _support_masks(self):
         masks = []

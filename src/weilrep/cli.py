@@ -9,7 +9,9 @@ non-reproducible content).
 
 Exit codes: 0 all checks passed, 1 a bound or invariant was violated
 (witness printed) or a prime's experiment raised (its error row lists the
-exception), 2 invalid configuration.
+exception), 2 invalid configuration, 3 internal error (any other exception
+that reaches the top level; its traceback, then its type and message, go to
+stderr).
 """
 
 from __future__ import annotations
@@ -45,7 +47,7 @@ from .gfq import (
 )
 from .heiwei import WeilRep, max_abs, restrict_to_extension
 from .spectra import decompose, expected_multiplicity, multiplicity_table_rows
-from .sums import SingularTermError, bound_report
+from .sums import bound_report
 from .symp import (
     SympSpace,
     build_maximal_torus,
@@ -131,7 +133,6 @@ def cmd_verify_bounds(args) -> int:
     failures = 0
     all_rows = []
     summaries = []
-    skipped = []
     for p in ps:
         sp = SympSpace(FieldCtx(p, args.m), args.N)
         kinds = (
@@ -141,20 +142,7 @@ def cmd_verify_bounds(args) -> int:
         )
         for kind in kinds:
             torus = build_maximal_torus(sp, kind)
-            try:
-                rpt = bound_report(sp, torus, seed=args.seed)
-            except SingularTermError as exc:
-                # the character formula does not apply to this torus kind
-                ctx = sp.ctx
-                skipped.append({
-                    "p": p,
-                    "torus": torus.descriptor(),
-                    "reason": "det(g - I) = 0 for a non-identity torus element",
-                    "witness": [[ctx.serialize(x) for x in row] for row in exc.g],
-                })
-                print(f"SKIP verify-bounds p={p} torus={torus.descriptor_string()} "
-                      f"reason=det(g - I) = 0 witness={skipped[-1]['witness']}")
-                continue
+            rpt = bound_report(sp, torus, seed=args.seed)
             all_rows.extend(rpt.csv_rows())
             summaries.append(rpt.summary())
             status = "PASS" if rpt.max_ratio <= 1 + 1e-9 else "FAIL"
@@ -173,7 +161,7 @@ def cmd_verify_bounds(args) -> int:
         all_rows,
     )
     _write_json(os.path.join(args.out, "bounds_summary.json"),
-                {"config": config, "reports": summaries, "skipped": skipped})
+                {"config": config, "reports": summaries})
     return 1 if failures else 0
 
 
@@ -589,6 +577,10 @@ def main(argv=None) -> int:
     except (ValueError, FileNotFoundError, json.JSONDecodeError) as exc:
         print(f"invalid configuration: {exc}", file=sys.stderr)
         return 2
+    except Exception as exc:
+        traceback.print_exc()
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

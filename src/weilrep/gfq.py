@@ -306,15 +306,7 @@ class FieldCtx:
         return self._psi_table[self.trace_to_prime(a)]
 
 
-# -- character and norm operations as module-level functions ------------------
-
-
-def legendre_sigma(ctx: FieldCtx, a) -> int:
-    return ctx.legendre(a)
-
-
-def additive_psi(ctx: FieldCtx, t) -> complex:
-    return ctx.psi(t)
+# -- relative trace and norm, subfield embeddings ------------------------------
 
 
 def trace_norm(ctx_big: FieldCtx, ctx_small: FieldCtx, a):

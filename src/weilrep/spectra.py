@@ -1,5 +1,5 @@
 """Characters of tori, eigenspace decomposition of the representation
-space, multiplicities, projectors, and Wigner matrix coefficients.
+space, multiplicities and projectors.
 
 A character of a torus with cyclic factor orders (n_1, ..., n_r) is stored
 as one exponent per factor; its value on the element with exponent tuple
@@ -180,11 +180,6 @@ def _orthonormal_range(P: np.ndarray, mult: int) -> np.ndarray:
     if len(basis) != mult:  # pragma: no cover - projector rank equals trace
         raise RuntimeError("projector rank deficient against its multiplicity")
     return np.stack(basis, axis=1)
-
-
-def wigner(rep: WeilRep, phi, v) -> complex:
-    """Matrix coefficient <phi | pi(v, 0) phi> of a unit vector."""
-    return rep.wigner(phi, v)
 
 
 def multiplicity_table_rows(dec: EigenDecomposition):

@@ -7,6 +7,12 @@ their one-dimensional reductions over the block fields (computed in each
 block's FieldCtx), and sweep reports against the square-root cancellation
 bounds 2^r sqrt(q)^N.
 
+The bound holds for admissible vectors, those outside every proper
+torus-invariant subspace.  ``admissible_mask`` is the one admissibility
+test: the bound sweeps here and the Hecke experiments of ``catmap`` both
+call it.  A term with det(g - I) = 0 vanishes at every admissible vector
+and is dropped, so product tori (r >= 2) are summed like any other.
+
 Phases are exact integers (indices of p-th roots of unity), the quadratic
 form of ``heiwei.character_form`` on the F_p coordinates of the vectors;
 sums are accumulated in complex doubles.
@@ -21,17 +27,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import fqlin as la
-from .heiwei import character_form, prime_coords
+from .heiwei import character_form, prime_coords, trace_form_gram
 from .spectra import TorusCharacter, torus_characters
-from .symp import SympSpace, Torus
-
-
-class SingularTermError(ValueError):
-    """det(g - I) = 0 for a non-identity torus element."""
-
-    def __init__(self, g):
-        self.g = g
-        super().__init__(f"det(g - I) = 0 for torus element {g}")
+from .symp import SympSpace, Torus, torus_idempotents
 
 
 def c_chi_direct(space: SympSpace, torus: Torus, chi: TorusCharacter, v) -> complex:
@@ -40,40 +38,56 @@ def c_chi_direct(space: SympSpace, torus: Torus, chi: TorusCharacter, v) -> comp
     return complex(table[0, 0])
 
 
-def character_forms(space: SympSpace, torus: Torus):
-    """(index, sign, Gram matrix) of ``heiwei.character_form`` for every
-    non-identity torus element, in enumeration order.
+def admissible_mask(torus: Torus, C) -> np.ndarray:
+    """Whether the torus orbit of each vector spans V, for the vectors given
+    by their F_p coordinate rows C (``heiwei.prime_coords``).
 
-    Raises SingularTermError when some non-identity torus element has
-    det(g - I) = 0 (the formula does not apply to such tori).
+    With E and L from ``symp.torus_idempotents``, v is admissible iff every
+    piece E V is one line over its field (rank(E) = L; otherwise no vector
+    is) and E v != 0 for every E.  E v != 0 is read off the Gram matrix of
+    the nondegenerate form (u, v) -> Tr(u^T E v), so one kernel serves
+    every field.  ``orbit_spans_space`` is the per-vector oracle."""
+    ctx = torus.space.ctx
+    ok = np.ones(len(C), dtype=bool)
+    for E, degree in torus_idempotents(torus):
+        if la.rank(ctx, E) != degree:
+            return np.zeros(len(C), dtype=bool)
+        ok &= (C @ trace_form_gram(ctx, E).T % ctx.p).any(axis=1)
+    return ok
+
+
+def c_chi_table(space: SympSpace, torus: Torus, v_list, characters=None):
+    """Matrix of c_chi(v) over characters x vectors.
+
+    A non-identity torus element with det(g - I) = 0 is the identity on some
+    block, so its true term Tr(rho(g) pi(v)) vanishes for every admissible
+    v, which has a nonzero component in every block.  Such terms are
+    dropped; ValueError when the torus has one and some vector is not
+    admissible.
     """
+    if characters is None:
+        characters = torus_characters(torus)
+    p = space.ctx.p
+    psi_pow = np.exp(2j * np.pi * np.arange(p) / p)
+    C = prime_coords(v_list)
     identity = torus.identity_matrix()
-    forms = []
+    kept, term_rows, singular = [], [], None
     for gi, g in enumerate(torus.elements):
         if g == identity:
             continue
         sign, _, B = character_form(space, g)
         if sign is None:
-            raise SingularTermError(g)
-        forms.append((gi, sign, B))
-    return forms
-
-
-def c_chi_table(space: SympSpace, torus: Torus, v_list, characters=None, forms=None):
-    """Matrix of c_chi(v) over characters x vectors.
-
-    ``forms`` is ``character_forms(space, torus)`` when the caller already
-    has it; otherwise it is computed here, and SingularTermError propagates.
-    """
-    if characters is None:
-        characters = torus_characters(torus)
-    if forms is None:
-        forms = character_forms(space, torus)
-    p = space.ctx.p
-    psi_pow = np.exp(2j * np.pi * np.arange(p) / p)
-    C = prime_coords(v_list)
-    term_rows = [sign * psi_pow[((C @ B % p) * C).sum(axis=1) % p] for _, sign, B in forms]
-    kept = [gi for gi, _, _ in forms]
+            singular = g
+            continue
+        kept.append(gi)
+        term_rows.append(sign * psi_pow[((C @ B % p) * C).sum(axis=1) % p])
+    if singular is not None:
+        adm = admissible_mask(torus, C)
+        if not adm.all():
+            raise ValueError(
+                f"det(g - I) = 0 for torus element {singular}, and "
+                f"{v_list[int(adm.argmin())]} is not admissible"
+            )
     terms = np.stack(term_rows) if term_rows else np.zeros((0, len(v_list)))
     X = np.stack([chi.values()[kept] for chi in characters])
     return X.conj() @ terms, characters
@@ -137,7 +151,7 @@ def c_chi_reduced(ms, torus: Torus, chi: TorusCharacter, v) -> complex:
                 am1, dm1 = K.sub(a, K.one), K.sub(d, K.one)
                 det = K.sub(K.mul(am1, dm1), K.mul(b, c))
                 if det == K.zero:
-                    raise SingularTermError(gen)
+                    raise RuntimeError("a block generator power has det(g - 1) = 0 on its block")
                 sign = K.legendre(K.neg(det))
                 det_inv = K.inv(det)
                 # (g - 1)^(-1) = adj / det on the (x, y) coordinates
@@ -167,7 +181,7 @@ def c_chi_reduced(ms, torus: Torus, chi: TorusCharacter, v) -> complex:
 
 def orbit_spans_space(space: SympSpace, torus: Torus, v) -> bool:
     """Whether the torus orbit of v spans V (v avoids every proper invariant
-    subspace)."""
+    subspace), by exact ranks: the test oracle of ``admissible_mask``."""
     ctx = space.ctx
     rows = []
     for g in torus.elements:
@@ -177,11 +191,31 @@ def orbit_spans_space(space: SympSpace, torus: Torus, v) -> bool:
     return la.rank(ctx, rows) == space.dim
 
 
+class SumRows:
+    """The rows of a bound report, one dict per (character, vector) in
+    character-major order, built as they are read: a sweep has
+    |T| x |vectors| of them."""
+
+    def __init__(self, chars, vectors, table, bound):
+        self.chars, self.vectors, self.table = chars, vectors, table
+        self.mags = np.abs(table)
+        self.ratios = self.mags / bound
+
+    def __len__(self):
+        return self.table.size
+
+    def __iter__(self):
+        cols = (self.table.real, self.table.imag, self.mags, self.ratios)
+        for chi, *row_cols in zip(self.chars, *(c.tolist() for c in cols)):
+            for v, re, im, a, r in zip(self.vectors, *row_cols):
+                yield {"chi": chi.exponents, "v": v, "re": re, "im": im, "abs": a, "ratio": r}
+
+
 @dataclass
 class SumReport:
     space: SympSpace
     torus: Torus
-    rows: list = field(default_factory=list)
+    rows: SumRows | list = field(default_factory=list)
     excluded: list = field(default_factory=list)
     seed: int | None = None
     rank: int = 0
@@ -271,8 +305,8 @@ def default_vector_range(space: SympSpace, seed: int = 0):
 
 def bound_report(space: SympSpace, torus: Torus, v_list=None, seed: int = 0) -> SumReport:
     """Evaluate |c_chi(v)| against 2^r sqrt(q)^N over all characters and the
-    given (or default) vectors; vectors inside a proper invariant subspace
-    are excluded from the bound assertion and reported separately."""
+    given (or default) vectors; vectors that ``admissible_mask`` rejects are
+    excluded from the bound assertion and reported separately."""
     ctx = space.ctx
     if v_list is None:
         v_list = default_vector_range(space, seed)
@@ -280,37 +314,19 @@ def bound_report(space: SympSpace, torus: Torus, v_list=None, seed: int = 0) -> 
     report.rank = len(torus.blocks)
     report.bound = 2**report.rank * math.sqrt(ctx.q**space.N)
     report.es_bound = 2**space.N * math.sqrt(ctx.q**space.N)
-    # a singular term is found before the admissibility pass pays for it
-    forms = character_forms(space, torus)
-    admissible = []
-    for v in v_list:
-        if orbit_spans_space(space, torus, v):
-            admissible.append(v)
-        else:
-            report.excluded.append(v)
+    mask = admissible_mask(torus, prime_coords(v_list)) if v_list else []
+    admissible = [v for v, ok in zip(v_list, mask) if ok]
+    report.excluded = [v for v, ok in zip(v_list, mask) if not ok]
     if not admissible:
         return report
-    table, chars = c_chi_table(space, torus, admissible, forms=forms)
-    mags = np.abs(table)
-    for ci, chi in enumerate(chars):
-        for vi, v in enumerate(admissible):
-            val = table[ci, vi]
-            ratio = mags[ci, vi] / report.bound
-            report.rows.append(
-                {
-                    "chi": chi.exponents,
-                    "v": v,
-                    "re": float(val.real),
-                    "im": float(val.imag),
-                    "abs": float(mags[ci, vi]),
-                    "ratio": float(ratio),
-                }
-            )
-            if ratio > report.max_ratio:
-                report.max_ratio = float(ratio)
-                report.argmax = {
-                    "chi": list(chi.exponents),
-                    "v": [ctx.serialize(x) for x in v],
-                    "abs": float(mags[ci, vi]),
-                }
+    table, chars = c_chi_table(space, torus, admissible)
+    report.rows = rows = SumRows(chars, admissible, table, report.bound)
+    ci, vi = np.unravel_index(rows.ratios.argmax(), rows.ratios.shape)
+    if rows.ratios[ci, vi] > 0:
+        report.max_ratio = float(rows.ratios[ci, vi])
+        report.argmax = {
+            "chi": list(chars[ci].exponents),
+            "v": [ctx.serialize(x) for x in admissible[vi]],
+            "abs": float(rows.mags[ci, vi]),
+        }
     return report

@@ -19,6 +19,7 @@ relative trace down to F_q.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field
 
 from . import gfq
@@ -543,8 +544,8 @@ def centralizer_torus(space: SympSpace, A) -> Torus:
 
 
 def _crt_lift_general(ctx, charpoly, targets):
-    """Polynomial with the prescribed residue mod every factor (all factors
-    must be listed)."""
+    """Polynomial with the prescribed residue mod every factor of a
+    squarefree ``charpoly`` (a factor left out gets residue 0)."""
     acc = []
     for f, val in targets.items():
         if not val:
@@ -555,6 +556,35 @@ def _crt_lift_general(ctx, charpoly, targets):
         term = gfq.poly_mul(ctx, gfq.poly_mul(ctx, M, Minv), val)
         acc = gfq.poly_add(ctx, acc, term)
     return gfq.poly_mod(ctx, acc, charpoly)
+
+
+def torus_idempotents(torus: Torus):
+    """(E, L) for the nonzero products E of the minimal-polynomial
+    idempotents of the torus generators, L the lcm of the degrees of the
+    factors that cut E.  No regular element is needed.
+
+    The E sum to the identity, and E GF(q)[T] is a quotient of the tensor
+    product of the GF(q^d) of those factors, a product of copies of
+    GF(q^L).  So E V is one line over a field exactly when rank(E) = L, and
+    then E is a primitive idempotent of GF(q)[T]."""
+    ctx = torus.space.ctx
+    pieces = [(la.identity(ctx, torus.space.dim), 1)]
+    for gkey in torus.generators:
+        g = la.thaw(gkey)
+        mp = la.matrix_min_poly(ctx, g)
+        factors = gfq.factor_poly(ctx, mp)
+        if any(mult != 1 for _, mult in factors):
+            raise RuntimeError("torus generator is not semisimple")
+        idems = [
+            (la.mat_eval_poly(ctx, _crt_lift_general(ctx, mp, {tuple(f): [ctx.one]}), g),
+             gfq.poly_deg(f))
+            for f, _ in factors
+        ]
+        pieces = [
+            (la.mat_mul(ctx, E, e), math.lcm(deg, d)) for E, deg in pieces for e, d in idems
+        ]
+        pieces = [(E, deg) for E, deg in pieces if any(x != ctx.zero for row in E for x in row)]
+    return pieces
 
 
 def _poly_from_encoding(ctx, enc, max_deg):
@@ -770,65 +800,6 @@ def _algebra_min_poly(ctx, unit, kappa, n):
     raise RuntimeError("no relative minimal polynomial")  # pragma: no cover
 
 
-def _mat_eval_poly_with_unit(ctx, f, A, unit):
-    n = len(A)
-    acc = la.zeros(ctx, n, n)
-    for c in reversed(f):
-        acc = la.mat_mul(ctx, acc, A)
-        if c != ctx.zero:
-            for i in range(n):
-                for j in range(n):
-                    acc[i][j] = ctx.add(acc[i][j], ctx.mul(c, unit[i][j]))
-    return acc
-
-
-def _primitive_idempotents(ctx, unit, basis, n):
-    """Primitive idempotents of a commutative semisimple matrix algebra, by
-    repeatedly splitting along reducible relative minimal polynomials.  A
-    piece is certified a field by an element whose minimal polynomial is
-    irreducible of the full piece dimension; some certificate always exists
-    in a product of fields, so the deterministic scan terminates."""
-    work = [(unit, basis)]
-    out = []
-    while work:
-        e, bas = work.pop()
-        d = len(bas)
-        if d == 1:
-            out.append(e)
-            continue
-        decided = False
-        for enc in range(1, ctx.q**d):
-            coeffs = [ctx.from_int((enc // ctx.q**i) % ctx.q) for i in range(d)]
-            kappa = _span_matrices(ctx, [coeffs], bas, n)[0]
-            mp = _algebra_min_poly(ctx, e, kappa, n)
-            deg = gfq.poly_deg(mp)
-            factors = gfq.factor_poly(ctx, mp)
-            if len(factors) == 1 and factors[0][1] == 1:
-                if deg == d:
-                    out.append(e)  # the piece is a field
-                    decided = True
-                    break
-                continue
-            if any(mult != 1 for _, mult in factors):
-                raise ValueError("algebra not semisimple")
-            for f, _ in factors:
-                idem_poly = _crt_lift_general(
-                    ctx,
-                    mp,
-                    {tuple(g): ([ctx.one] if g == f else [ctx.zero]) for g, _ in factors},
-                )
-                ei = _mat_eval_poly_with_unit(ctx, idem_poly, kappa, e)
-                if la.mat_mul(ctx, ei, ei) != ei:
-                    raise RuntimeError("idempotent failed")
-                sub = _restrict_basis(ctx, ei, bas, n)
-                work.append((ei, sub))
-            decided = True
-            break
-        if not decided:  # pragma: no cover - certificates are dense
-            raise RuntimeError("could not decide algebra piece")
-    return out
-
-
 def _restrict_basis(ctx, e, bas, n):
     prods = [la.mat_mul(ctx, e, B) for B in bas]
     vecs = []
@@ -847,12 +818,14 @@ def module_structure(torus: Torus) -> SympModuleStructure:
     """Compute the canonical decomposition of V under the torus together
     with the block fields and the trace-compatible K-linear form.
 
-    The commutant algebra is split into its primitive idempotents; the
-    symplectic transpose pairs them into blocks (a fixed idempotent is an
-    inert or irreducible block, a swapped pair is a split block), and the
-    fixed subalgebra of each block is its field K_alpha, carried as a
-    FieldCtx together with the isomorphism ``ModBlock.mat`` onto that
-    subalgebra (see ``_block_field``)."""
+    The commutant algebra must have dimension dim V; it is then the torus
+    algebra GF(q)[T], whose primitive idempotents ``torus_idempotents``
+    gives.  The symplectic transpose pairs them into blocks (a fixed
+    idempotent is an inert or irreducible block, a swapped pair is a split
+    block), and the fixed subalgebra of each block is its field K_alpha,
+    carried as a FieldCtx together with the isomorphism ``ModBlock.mat``
+    onto that subalgebra (see ``_block_field``).  Blocks are ordered by the
+    first coordinate they touch, ties in the order of the idempotents."""
     space = torus.space
     ctx = space.ctx
     n = space.dim
@@ -863,8 +836,12 @@ def module_structure(torus: Torus) -> SympModuleStructure:
             f"has dimension {len(alg)}, expected {n} (torus not maximal, or its "
             f"point group too small over this field)"
         )
-    unit = la.identity(ctx, n)
-    prim = _primitive_idempotents(ctx, unit, alg, n)
+    # a commutant of dimension n is GF(q)[T] itself, so its primitive
+    # idempotents are those of the torus algebra
+    pieces = torus_idempotents(torus)
+    if any(la.rank(ctx, e) != degree for e, degree in pieces):
+        raise RuntimeError("a torus idempotent of a maximal torus is not primitive")
+    prim = [e for e, _ in pieces]
     merged = []
     used = set()
     for e in prim:

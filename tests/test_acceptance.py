@@ -10,6 +10,7 @@ line (visible with pytest -rA or -s).
 7. cat-map Hecke eigenstate bound, primes 5 < p <= 97
 8. statistical (density operator) bound, same sweep
 9. rank frequencies 1/2, 1/2 for the Sp(4, Z) element, primes to 1e5
+10. the rank-r bound 2^r sqrt(q)^N on every Sp(4) torus kind, p in {5, 7, 11}
 """
 
 import math
@@ -289,4 +290,36 @@ def test_criterion_9_chebotarev_density():
         "9 rank density",
         ok,
         f"delta(1)={f1:.4f}, delta(2)={f2:.4f} over {sweep['n_primes']} primes",
+    )
+
+
+def test_criterion_10_rank_bound_on_every_sp4_kind():
+    """|c_chi(v)| <= 2^r sqrt(q)^N for every Sp(4) torus kind at p in
+    {5, 7, 11}, the product kinds (r = 2) included, over the default
+    vectors.  Each kind's worst sum is also reported against the r = 1
+    bound 2 sqrt(q)^N; product kinds exceed it, so the factor 2^r is
+    needed."""
+    kinds = (
+        (["split", "split"], 2),
+        (["split", "inert"], 2),
+        (["inert", "inert"], 2),
+        ([("split", 2)], 1),
+        (["irreducible2"], 1),
+    )
+    ratios = {}
+    for p in (5, 7, 11):
+        sp = SympSpace(FieldCtx(p), 2)
+        for kind, rank in kinds:
+            torus = build_maximal_torus(sp, kind)
+            rpt = bound_report(sp, torus)
+            assert rpt.rows and rpt.rank == rank
+            plain = rpt.max_ratio * rpt.bound / (2 * math.sqrt(p**2))
+            ratios[(p, torus.descriptor_string())] = (rpt.max_ratio, plain)
+    worst = max(r for r, _ in ratios.values())
+    worst_plain = max(plain for _, plain in ratios.values())
+    report(
+        "10 rank-r bound",
+        worst <= 1 + 1e-9 and worst_plain > 1,
+        "max |c_chi| / (2^r sqrt(q)^N), then / (2 sqrt(q)^N): "
+        + ", ".join(f"p={p} {k} {r:.3f} {plain:.3f}" for (p, k), (r, plain) in ratios.items()),
     )

@@ -33,9 +33,9 @@ def test_verify_bounds_and_determinism(tmp_path):
     assert summary["reports"][0]["max_ratio"] <= 1
 
 
-def test_verify_bounds_skips_tori_with_singular_terms(tmp_path, capsys):
-    """Product tori have elements that are the identity on one block, where
-    the character formula is undefined: they are skipped, the sweep goes on."""
+def test_verify_bounds_checks_the_rank_bound_on_product_tori(tmp_path, capsys):
+    """Every Sp(4) kind is checked, the product tori (r = 2) included: their
+    det(g - I) = 0 terms vanish at the admissible vectors and are dropped."""
     rc = main(["verify-bounds", "--p", "5", "--N", "2", "--torus", "all",
                "--out", str(tmp_path)])
     assert rc == 0
@@ -43,25 +43,29 @@ def test_verify_bounds_skips_tori_with_singular_terms(tmp_path, capsys):
     for line in capsys.readouterr().out.splitlines():
         word, _, _, torus = line.split(" ")[:4]
         status[torus.removeprefix("torus=")] = word
-    assert status == {
-        "split+split": "SKIP",
-        "split+inert": "SKIP",
-        "inert+inert": "SKIP",
-        "split2": "PASS",
-        "irreducible2": "PASS",
-    }
+    kinds = ["split+split", "split+inert", "inert+inert", "split2", "irreducible2"]
+    assert status == {kind: "PASS" for kind in kinds}
     rows = body_of(tmp_path / "bounds.csv").splitlines()[1:]
-    assert {row.split(",")[3] for row in rows} == {"split2", "irreducible2"}
+    assert {row.split(",")[3] for row in rows} == set(kinds)
     summary = json.loads((tmp_path / "bounds_summary.json").read_text())
-    assert len(summary["reports"]) == 2
-    skipped = summary["skipped"]
-    assert [s["torus"]["blocks"] for s in skipped] == [
-        [{"type": a, "degree": 1}, {"type": b, "degree": 1}]
-        for a, b in (("split", "split"), ("split", "inert"), ("inert", "inert"))
-    ]
-    for s in skipped:
-        assert s["p"] == 5 and s["reason"].startswith("det(g - I) = 0")
-        assert len(s["witness"]) == 4 and all(len(row) == 4 for row in s["witness"])
+    assert set(summary) == {"config", "reports"}
+    assert [r["rank"] for r in summary["reports"]] == [2, 2, 2, 1, 1]
+    assert all(r["max_ratio"] <= 1 for r in summary["reports"])
+
+
+def test_internal_error_exits_3(tmp_path, monkeypatch, capsys):
+    """An exception that is not a configuration error is reported as an
+    internal error, never as a violated bound or a bad configuration."""
+    from weilrep import cli
+
+    def broken(args):
+        raise RuntimeError("injected invariant failure")
+
+    monkeypatch.setattr(cli, "cmd_verify_bounds", broken)
+    assert main(["verify-bounds", "--p", "5", "--out", str(tmp_path)]) == 3
+    err = capsys.readouterr().err.splitlines()
+    assert err[0] == "Traceback (most recent call last):"
+    assert err[-1] == "internal error: RuntimeError: injected invariant failure"
 
 
 def test_multiplicities_cmd(tmp_path):

@@ -6,14 +6,12 @@ import pytest
 
 from weilrep.gfq import (
     FieldCtx,
-    additive_psi,
     factor_poly,
     factorize,
     find_irreducible,
     is_irreducible,
     is_squarefree,
     is_prime,
-    legendre_sigma,
     poly_deg,
     poly_eval,
     poly_from_ints,
@@ -122,14 +120,14 @@ def test_generator_orders():
 def test_legendre_examples():
     F5 = FieldCtx(5)
     F7 = FieldCtx(7)
-    assert legendre_sigma(F5, 1) == 1
+    assert F5.legendre(1) == 1
     # squares mod 5 are {1, 4}; squares mod 7 are {1, 2, 4}
     assert {a * a % 5 for a in range(1, 5)} == {1, 4}
-    assert legendre_sigma(F5, 3) == -1
+    assert F5.legendre(3) == -1
     assert {a * a % 7 for a in range(1, 7)} == {1, 2, 4}
-    assert legendre_sigma(F7, 2) == 1
+    assert F7.legendre(2) == 1
     with pytest.raises(ValueError):
-        legendre_sigma(F5, 0)
+        F5.legendre(0)
 
 
 @pytest.mark.parametrize("p,m", [(5, 1), (7, 1), (11, 1), (3, 2), (5, 2), (3, 4), (11, 2)])
@@ -147,14 +145,14 @@ def test_legendre_multiplicative_and_balanced(p, m):
 
 def test_psi_basics():
     F7 = FieldCtx(7)
-    assert additive_psi(F7, 0) == 1
-    total = sum(additive_psi(F7, t) for t in range(7))
+    assert F7.psi(0) == 1
+    total = sum(F7.psi(t) for t in range(7))
     assert abs(total) < 1e-12
     for s in range(7):
         for t in range(7):
             assert abs(
-                additive_psi(F7, (s + t) % 7)
-                - additive_psi(F7, s) * additive_psi(F7, t)
+                F7.psi((s + t) % 7)
+                - F7.psi(s) * F7.psi(t)
             ) < 1e-12
 
 

@@ -1,15 +1,16 @@
 """Character sums: direct evaluation, blockwise reduction, bound sweeps."""
 
 import math
+import random
 
 import numpy as np
 import pytest
 
 from weilrep.gfq import FieldCtx
-from weilrep.heiwei import WeilRep
+from weilrep.heiwei import WeilRep, prime_coords
 from weilrep.spectra import decompose, torus_characters
 from weilrep.sums import (
-    SingularTermError,
+    admissible_mask,
     bound_report,
     c_chi_direct,
     c_chi_reduced,
@@ -23,6 +24,13 @@ from weilrep.symp import SympSpace, build_maximal_torus, module_structure
 def setup(p, N, kind):
     sp = SympSpace(FieldCtx(p), N)
     return sp, build_maximal_torus(sp, kind)
+
+
+def kind_id(val):
+    """Test id of a torus kind: its blocks joined by '+'."""
+    if isinstance(val, list):
+        return "+".join(k if isinstance(k, str) else f"{k[0]}{k[1]}" for k in val)
+    return None
 
 
 def all_nonzero_vectors(sp):
@@ -83,30 +91,74 @@ def test_eigenvector_exclusion_is_necessary():
     assert best > 2 * math.sqrt(11) + 1e-9
 
 
-def test_singular_term_raises_with_witness():
+SP4_KINDS = (
+    ["split", "split"],
+    ["split", "inert"],
+    ["inert", "inert"],
+    [("split", 2)],
+    ["irreducible2"],
+)
+
+
+@pytest.mark.parametrize(
+    "p,m,N,kind",
+    [(p, m, 1, kind) for p, m in ((5, 1), (7, 1), (3, 2)) for kind in (["split"], ["inert"])]
+    + [(p, 1, 2, kind) for p in (3, 5) for kind in SP4_KINDS],
+    ids=kind_id,
+)
+def test_admissible_mask_matches_orbit_span_oracle(p, m, N, kind):
+    """The idempotent mask against the exact orbit rank on every nonzero
+    vector.  Over GF(3) the split blocks of split+split and split+inert
+    have torus order 2 (the element -1), so no orbit spans V."""
+    sp = SympSpace(FieldCtx(p, m), N)
+    torus = build_maximal_torus(sp, kind)
+    vs = list(all_nonzero_vectors(sp))
+    mask = admissible_mask(torus, prime_coords(vs))
+    assert mask.tolist() == [orbit_spans_space(sp, torus, v) for v in vs]
+    if (p, N) == (3, 2) and kind[0] == "split" and len(kind) == 2:
+        assert not mask.any()
+    else:
+        assert mask.any()
+
+
+def test_c_chi_table_refuses_an_inadmissible_vector_beside_a_singular_term():
+    """split+split has elements that are the identity on one block; their
+    term is known to vanish only at admissible vectors."""
     sp, torus = setup(5, 2, ["split", "split"])
     ctx = sp.ctx
-    v = tuple([ctx.one] * 4)
-    with pytest.raises(SingularTermError):
+    v = (ctx.one, ctx.zero, ctx.zero, ctx.zero)  # inside one block
+    assert not orbit_spans_space(sp, torus, v)
+    with pytest.raises(ValueError, match="not admissible"):
         c_chi_table(sp, torus, [v])
+    w = (ctx.one, ctx.one, ctx.one, ctx.el(2))
+    assert orbit_spans_space(sp, torus, w)
+    with pytest.raises(ValueError, match="not admissible"):
+        c_chi_table(sp, torus, [w, v])
+    table, _ = c_chi_table(sp, torus, [w])
+    assert table.shape == (torus.order, 1)
 
 
-def test_bound_report_finds_a_singular_term_before_the_admissibility_pass(monkeypatch):
-    import weilrep.sums as sums_mod
-
-    calls = []
-    real = sums_mod.orbit_spans_space
-    monkeypatch.setattr(
-        sums_mod, "orbit_spans_space", lambda *args: calls.append(1) or real(*args)
-    )
-    sp, torus = setup(5, 2, ["split", "split"])
-    with pytest.raises(SingularTermError):
-        bound_report(sp, torus)
-    assert calls == []
-    # the counter is live: a regular torus runs the admissibility pass
-    sp, torus = setup(5, 1, ["split"])
-    bound_report(sp, torus)
-    assert len(calls) == 24
+@pytest.mark.parametrize(
+    "p,kind",
+    [(5, ["split", "split"]), (5, ["split", "inert"]), (7, ["inert", "inert"])],
+    ids=kind_id,
+)
+def test_c_chi_table_drops_singular_terms_as_the_blockwise_sum_does(p, kind):
+    """With the det(g - I) = 0 terms dropped, the direct sum equals the
+    blockwise reduction, which never meets such a term, on 40 seeded
+    (character, admissible vector) pairs."""
+    sp, torus = setup(p, 2, kind)
+    ms = module_structure(torus)
+    chars = torus_characters(torus)
+    admissible = [v for v in all_nonzero_vectors(sp) if orbit_spans_space(sp, torus, v)]
+    rng = random.Random(p)
+    pairs = [(rng.choice(chars), rng.choice(admissible)) for _ in range(40)]
+    vs = sorted({v for _, v in pairs})
+    table, table_chars = c_chi_table(sp, torus, vs)
+    row_of = {chi.exponents: k for k, chi in enumerate(table_chars)}
+    for chi, v in pairs:
+        direct = table[row_of[chi.exponents], vs.index(v)]
+        assert abs(direct - c_chi_reduced(ms, torus, chi, v)) < 1e-12
 
 
 def test_reduced_equals_direct_sl2():
@@ -206,6 +258,29 @@ def test_default_vector_range_samples_distinct_nonzero_vectors():
     assert all(sum(x != 0 for x in v) <= 2 for v in vs[:low_weight])
     assert default_vector_range(sp, seed=5) == vs
     assert default_vector_range(sp, seed=6) != vs
+
+
+def test_bound_report_rows_match_the_table_entry_by_entry():
+    """Rows, exclusions, maximum and witness of a report, against the
+    character table of the oracle-admissible vectors read one entry at a
+    time."""
+    sp, torus = setup(7, 1, ["split"])
+    rpt = bound_report(sp, torus)
+    vs = list(all_nonzero_vectors(sp))
+    admissible = [v for v in vs if orbit_spans_space(sp, torus, v)]
+    assert rpt.excluded == [v for v in vs if v not in admissible]
+    table, chars = c_chi_table(sp, torus, admissible)
+    expected = []
+    for ci, chi in enumerate(chars):
+        for vi, v in enumerate(admissible):
+            val = table[ci, vi]
+            expected.append({"chi": chi.exponents, "v": v, "re": val.real, "im": val.imag,
+                             "abs": abs(val), "ratio": abs(val) / rpt.bound})
+    assert len(rpt.rows) == len(expected) and list(rpt.rows) == expected
+    best = max(expected, key=lambda row: row["ratio"])
+    assert rpt.max_ratio == best["ratio"]
+    witness = [sp.ctx.serialize(x) for x in best["v"]]
+    assert rpt.argmax == {"chi": list(best["chi"]), "v": witness, "abs": best["abs"]}
 
 
 def test_csv_rows_shape():
