@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import argparse
 import concurrent.futures
+import contextlib
 import datetime
 import json
 import math
@@ -68,14 +69,22 @@ SP4_KINDS = [
 ]
 
 
-def _write_csv(path, config, colnames, rows):
+@contextlib.contextmanager
+def _csv_file(path, config, colnames):
+    """Write the header of a CSV report and yield a function that appends
+    rows, so a sweep can write each report's rows before computing the
+    next one."""
     os.makedirs(os.path.dirname(os.path.abspath(path)), exist_ok=True)
     with open(path, "w") as fh:
         fh.write(f"# config={json.dumps(config, sort_keys=True)}\n")
         fh.write(f"# generated_at={datetime.datetime.now().isoformat()}\n")
         fh.write(",".join(colnames) + "\n")
-        for row in rows:
-            fh.write(",".join(str(x) for x in row) + "\n")
+        yield lambda rows: fh.writelines(",".join(str(x) for x in row) + "\n" for row in rows)
+
+
+def _write_csv(path, config, colnames, rows):
+    with _csv_file(path, config, colnames) as write_rows:
+        write_rows(rows)
 
 
 def _write_json(path, payload):
@@ -97,22 +106,23 @@ def _load_matrix(source: str):
     return tuple(tuple(int(x) for x in row) for row in data)
 
 
-def _apply_config_file(args):
-    """Optional run configuration file
+def _config_defaults(args):
+    """Defaults from the optional run configuration file
     {"A": [[..]], "primes": {"max": n}, "xi_window": {"max_coeff": n},
-    "seed": n}; explicit flags win over file values."""
-    if not getattr(args, "config", None):
-        return
+    "seed": n}, for the options the subcommand has.  ``main`` parses the
+    command line again over them, so explicit flags win over file values."""
     with open(args.config) as fh:
         cfg = json.load(fh)
-    if "A" in cfg and args.A is None:
-        args.A_matrix = tuple(tuple(int(x) for x in row) for row in cfg["A"])
-    if "primes" in cfg and "max" in cfg["primes"]:
-        args.max_prime = int(cfg["primes"]["max"])
+    defaults = {}
+    if "A" in cfg:
+        defaults["A_matrix"] = tuple(tuple(int(x) for x in row) for row in cfg["A"])
+    if "max" in cfg.get("primes", {}):
+        defaults["max_prime"] = int(cfg["primes"]["max"])
     if "xi_max" in vars(args) and cfg.get("xi_window", {}).get("max_coeff") is not None:
-        args.xi_max = int(cfg["xi_window"]["max_coeff"])
+        defaults["xi_max"] = int(cfg["xi_window"]["max_coeff"])
     if "seed" in cfg:
-        args.seed = int(cfg["seed"])
+        defaults["seed"] = int(cfg["seed"])
+    return defaults
 
 
 def _parse_torus_arg(arg: str):
@@ -131,35 +141,33 @@ def _primes_in(lo, hi):
 def cmd_verify_bounds(args) -> int:
     ps = [int(x) for x in args.p.split(",")]
     failures = 0
-    all_rows = []
     summaries = []
-    for p in ps:
-        sp = SympSpace(FieldCtx(p, args.m), args.N)
-        kinds = (
-            [_parse_torus_arg(args.torus)]
-            if args.torus != "all"
-            else (SL2_KINDS if args.N == 1 else SP4_KINDS)
-        )
-        for kind in kinds:
-            torus = build_maximal_torus(sp, kind)
-            rpt = bound_report(sp, torus, seed=args.seed)
-            all_rows.extend(rpt.csv_rows())
-            summaries.append(rpt.summary())
-            status = "PASS" if rpt.max_ratio <= 1 + 1e-9 else "FAIL"
-            if status == "FAIL":
-                failures += 1
-                print(f"FAIL verify-bounds p={p} torus={torus.descriptor_string()} "
-                      f"witness={rpt.argmax}")
-            else:
-                print(f"PASS verify-bounds p={p} torus={torus.descriptor_string()} "
-                      f"max_ratio={rpt.max_ratio:.6f}")
     config = _config_of(args, subcommand="verify-bounds")
-    _write_csv(
+    with _csv_file(
         os.path.join(args.out, "bounds.csv"),
         config,
         ["p", "m", "N", "torus", "chi", "v", "re", "im", "abs", "bound", "ratio"],
-        all_rows,
-    )
+    ) as write_rows:
+        for p in ps:
+            sp = SympSpace(FieldCtx(p, args.m), args.N)
+            kinds = (
+                [_parse_torus_arg(args.torus)]
+                if args.torus != "all"
+                else (SL2_KINDS if args.N == 1 else SP4_KINDS)
+            )
+            for kind in kinds:
+                torus = build_maximal_torus(sp, kind)
+                rpt = bound_report(sp, torus, seed=args.seed)
+                write_rows(rpt.csv_rows())
+                summaries.append(rpt.summary())
+                status = "PASS" if rpt.max_ratio <= 1 + 1e-9 else "FAIL"
+                if status == "FAIL":
+                    failures += 1
+                    print(f"FAIL verify-bounds p={p} torus={torus.descriptor_string()} "
+                          f"witness={rpt.argmax}")
+                else:
+                    print(f"PASS verify-bounds p={p} torus={torus.descriptor_string()} "
+                          f"max_ratio={rpt.max_ratio:.6f}")
     _write_json(os.path.join(args.out, "bounds_summary.json"),
                 {"config": config, "reports": summaries})
     return 1 if failures else 0
@@ -253,12 +261,11 @@ def _que_worker(task):
 
 
 def _resolve_matrix(args):
-    _apply_config_file(args)
-    if getattr(args, "A_matrix", None) is not None:
-        return args.A_matrix
-    if args.A is None:
+    if args.A is not None:
+        return _load_matrix(args.A)
+    if getattr(args, "A_matrix", None) is None:
         raise ValueError("no automorphism given: pass --A or a --config with an A entry")
-    return _load_matrix(args.A)
+    return args.A_matrix
 
 
 def _run_prime_sweep(args, statistical: bool) -> int:
@@ -502,7 +509,9 @@ def _config_of(args, **extra):
 # -- argument parsing ---------------------------------------------------------------
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(config_defaults=None) -> argparse.ArgumentParser:
+    """The argument parser; ``config_defaults`` (from ``_config_defaults``)
+    become the defaults of the subcommands that take --config."""
     ap = argparse.ArgumentParser(
         prog="weilrep",
         description="Exact experiments with Heisenberg-Weil representations "
@@ -549,7 +558,7 @@ def build_parser() -> argparse.ArgumentParser:
         p4.add_argument("--max-prime", type=int, default=97)
         p4.add_argument("--xi-max", type=int, default=None)
         p4.add_argument("--jobs", type=int, default=os.cpu_count() or 1)
-        p4.set_defaults(func=fn)
+        p4.set_defaults(func=fn, **(config_defaults or {}))
 
     p5 = sub.add_parser("rank-density", help="symplectic rank frequencies over primes")
     common(p5)
@@ -557,7 +566,7 @@ def build_parser() -> argparse.ArgumentParser:
     p5.add_argument("--config", default=None,
                     help="JSON run configuration {A, primes.max, seed}")
     p5.add_argument("--max-prime", type=int, default=100000)
-    p5.set_defaults(func=cmd_rank_density)
+    p5.set_defaults(func=cmd_rank_density, **(config_defaults or {}))
 
     p6 = sub.add_parser("selftest", help="run the invariant suite")
     common(p6)
@@ -573,6 +582,8 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     try:
+        if getattr(args, "config", None):
+            args = build_parser(_config_defaults(args)).parse_args(argv)
         return args.func(args)
     except (ValueError, FileNotFoundError, json.JSONDecodeError) as exc:
         print(f"invalid configuration: {exc}", file=sys.stderr)

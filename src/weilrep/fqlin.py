@@ -267,12 +267,16 @@ def charpoly(ctx, A):
     return list(reversed(poly))
 
 
-def matrix_min_poly(ctx, A):
+def matrix_min_poly(ctx, A, unit=None):
     """Minimal polynomial via the first linear dependency among powers of A,
-    coefficients constant term first, monic."""
+    coefficients constant term first, monic.
+
+    ``unit`` (default the identity) is the identity of a subalgebra holding
+    A, such as an idempotent e with A = e A; the powers are then unit A^k and
+    the result is the minimal polynomial of A within that subalgebra."""
     n = len(A)
     vecs = []  # flattened powers of A
-    cur = identity(ctx, n)
+    cur = identity(ctx, n) if unit is None else unit
     for _ in range(n * n + 1):
         vecs.append([x for row in cur for x in row])
         # first dependency: solve vecs[:-1]^T c = vecs[-1]

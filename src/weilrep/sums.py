@@ -225,28 +225,25 @@ class SumReport:
     argmax: dict | None = None
 
     def csv_rows(self):
-        out = []
+        """The formatted CSV rows, yielded one at a time."""
         ctx = self.space.ctx
         desc = self.torus.descriptor_string()
         for row in self.rows:
-            out.append(
-                (
-                    ctx.p,
-                    ctx.m,
-                    self.space.N,
-                    desc,
-                    ";".join(str(e) for e in row["chi"]),
-                    ";".join(
-                        ",".join(str(c) for c in ctx.serialize(x)) for x in row["v"]
-                    ),
-                    f"{row['re']:.12g}",
-                    f"{row['im']:.12g}",
-                    f"{row['abs']:.12g}",
-                    f"{self.bound:.12g}",
-                    f"{row['ratio']:.12g}",
-                )
+            yield (
+                ctx.p,
+                ctx.m,
+                self.space.N,
+                desc,
+                ";".join(str(e) for e in row["chi"]),
+                ";".join(
+                    ",".join(str(c) for c in ctx.serialize(x)) for x in row["v"]
+                ),
+                f"{row['re']:.12g}",
+                f"{row['im']:.12g}",
+                f"{row['abs']:.12g}",
+                f"{self.bound:.12g}",
+                f"{row['ratio']:.12g}",
             )
-        return out
 
     def summary(self):
         return {

@@ -117,18 +117,19 @@ class BlockInfo:
     """One cyclic block of a torus.
 
     name:   'split', 'inert', or 'irreducible'
-    degree: d, so the block spans d pairs of symplectic coordinates and its
-            field of definition K_alpha has degree d over the base field
+    degree: d, so the block has dimension 2d and its field of definition
+            K_alpha has degree d over the base field
     order:  q^d - 1 (split) or q^d + 1 (inert/irreducible)
-    pairs:  indices of the symplectic coordinate pairs the block occupies,
-            or None for tori not built from the standard block layout
     idempotent: projector matrix onto the block subspace (frozen), or None
+            for descriptors read off a characteristic polynomial
+
+    ``module_structure`` reads none of these fields: it finds the blocks
+    again from the torus algebra alone.
     """
 
     name: str
     degree: int
     order: int
-    pairs: tuple | None = None
     idempotent: tuple | None = None
 
     def descriptor(self):
@@ -411,7 +412,7 @@ def build_maximal_torus(space: SympSpace, kind) -> Torus:
             e[space.N + i][space.N + i] = ctx.one
         generators.append(la.freeze(g))
         orders.append(order)
-        infos.append(BlockInfo(name, d, order, pairs, la.freeze(e)))
+        infos.append(BlockInfo(name, d, order, la.freeze(e)))
     return Torus(space, generators, orders, infos)
 
 
@@ -536,7 +537,7 @@ def centralizer_torus(space: SympSpace, A) -> Torus:
         e = la.mat_eval_poly(ctx, idem_poly, A)
         generators.append(la.freeze(g))
         orders.append(order)
-        infos.append(BlockInfo(name, d, order, None, la.freeze(e)))
+        infos.append(BlockInfo(name, d, order, la.freeze(e)))
     torus = Torus(space, generators, orders, infos)
     if not torus.contains(A):
         raise AssertionError("input element missing from its own centralizer torus")
@@ -598,7 +599,8 @@ def _poly_from_encoding(ctx, enc, max_deg):
 
 def centralizer_algebra(space: SympSpace, mats):
     """Basis of the algebra of matrices commuting with every matrix in
-    ``mats``, as a list of matrices."""
+    ``mats``, as a list of matrices: the test oracle of the line test in
+    ``module_structure``."""
     ctx = space.ctx
     n = space.dim
     rows = []
@@ -704,15 +706,15 @@ class ModBlock:
 
 
 class SympModuleStructure:
-    """The commutative algebra K = Z(T, End V)^theta with its block
-    decomposition, block fields, and the K-linear form omega_bar lifting
-    omega through the trace."""
+    """The commutative algebra K = Z(T, End V)^theta, the transpose-fixed
+    part of the torus algebra GF(q)[T], with its block decomposition, block
+    fields, and the K-linear form omega_bar lifting omega through the
+    trace."""
 
-    def __init__(self, torus, blocks, algebra_dim):
+    def __init__(self, torus, blocks):
         self.torus = torus
         self.space = torus.space
         self.blocks = blocks
-        self.algebra_dim = algebra_dim
 
     @property
     def rank(self) -> int:
@@ -785,63 +787,38 @@ def _span_matrices(ctx, coeffs_list, mats, n):
     return out
 
 
-def _algebra_min_poly(ctx, unit, kappa, n):
-    """Minimal polynomial of kappa within a subalgebra whose identity is
-    ``unit`` (monic, constant term first)."""
-    vecs = []
-    cur = unit
-    for _ in range(n * n + 1):
-        vecs.append([cur[i][j] for i in range(n) for j in range(n)])
-        if len(vecs) > 1:
-            sol = la.solve(ctx, la.transpose(vecs[:-1]), vecs[-1])
-            if sol is not None:
-                return [ctx.neg(c) for c in sol] + [ctx.one]
-        cur = la.mat_mul(ctx, cur, kappa)
-    raise RuntimeError("no relative minimal polynomial")  # pragma: no cover
-
-
-def _restrict_basis(ctx, e, bas, n):
-    prods = [la.mat_mul(ctx, e, B) for B in bas]
-    vecs = []
-    out = []
-    for m in prods:
-        flat = [m[i][j] for i in range(n) for j in range(n)]
-        if any(x != ctx.zero for x in flat):
-            trial = vecs + [flat]
-            if len(la.rref(ctx, trial)[1]) == len(trial):
-                vecs = trial
-                out.append(m)
-    return out
-
-
 def module_structure(torus: Torus) -> SympModuleStructure:
     """Compute the canonical decomposition of V under the torus together
     with the block fields and the trace-compatible K-linear form.
 
-    The commutant algebra must have dimension dim V; it is then the torus
-    algebra GF(q)[T], whose primitive idempotents ``torus_idempotents``
-    gives.  The symplectic transpose pairs them into blocks (a fixed
-    idempotent is an inert or irreducible block, a swapped pair is a split
-    block), and the fixed subalgebra of each block is its field K_alpha,
-    carried as a FieldCtx together with the isomorphism ``ModBlock.mat``
-    onto that subalgebra (see ``_block_field``).  Blocks are ordered by the
-    first coordinate they touch, ties in the order of the idempotents."""
+    The blocks come from the primitive idempotents of the torus algebra
+    GF(q)[T] (``torus_idempotents``).  The torus determines a module
+    structure exactly when each idempotent E cuts out one line over its
+    field, rank(E) = L: the commutant of T is then GF(q)[T] itself, of
+    dimension dim V (it is a product of matrix algebras
+    M_k(GF(q^L)) of dimension k^2 L, and sum k L = dim V); otherwise
+    ValueError.  The symplectic transpose pairs the idempotents into blocks:
+    a fixed idempotent is an inert or irreducible block, a swapped pair is a
+    split block.  The field K_alpha of a block of dimension 2d is generated
+    by e (t + t^-1) for the first torus element t where that has degree d,
+    and is carried as a FieldCtx together with the isomorphism
+    ``ModBlock.mat`` onto the block's fixed algebra (see ``_block_field``).
+    Blocks are ordered by the first coordinate they touch, ties in the order
+    of the idempotents."""
     space = torus.space
     ctx = space.ctx
     n = space.dim
-    alg = centralizer_algebra(space, torus.generators)
-    if len(alg) != n:
-        raise ValueError(
-            f"torus does not determine a module structure: centralizer algebra "
-            f"has dimension {len(alg)}, expected {n} (torus not maximal, or its "
-            f"point group too small over this field)"
-        )
-    # a commutant of dimension n is GF(q)[T] itself, so its primitive
-    # idempotents are those of the torus algebra
     pieces = torus_idempotents(torus)
-    if any(la.rank(ctx, e) != degree for e, degree in pieces):
-        raise RuntimeError("a torus idempotent of a maximal torus is not primitive")
+    for e, degree in pieces:
+        rank = la.rank(ctx, e)
+        if rank != degree:
+            raise ValueError(
+                f"torus does not determine a module structure: an idempotent of "
+                f"rank {rank} is not a line over GF(q^{degree}) (torus not "
+                f"maximal, or its point group too small over this field)"
+            )
     prim = [e for e, _ in pieces]
+    keys = {la.freeze(e) for e in prim}
     merged = []
     used = set()
     for e in prim:
@@ -851,43 +828,32 @@ def module_structure(torus: Torus) -> SympModuleStructure:
         te = symplectic_transpose(space, e)
         tkey = la.freeze(te)
         if tkey == key:
-            merged.append(e)
-            used.add(key)
+            merged.append((e, False))
+        elif tkey in keys:
+            merged.append((la.mat_add(ctx, e, te), True))
         else:
-            if tkey not in {la.freeze(x) for x in prim}:
-                raise AssertionError("transpose of a primitive idempotent escaped")
-            merged.append(la.mat_add(ctx, e, te))
-            used.add(key)
-            used.add(tkey)
+            raise AssertionError("transpose of a primitive idempotent escaped")
+        used.update((key, tkey))
     blocks = []
-    total_k_dim = 0
-    for e in merged:
+    for e, split in merged:
         v_basis = la.column_space_basis(ctx, e)
         if len(v_basis) % 2:
             raise AssertionError("odd-dimensional block")
-        # K_alpha: the theta-fixed part of e * A
-        A_alpha = _restrict_basis(ctx, e, alg, n)
-        theta_of = [symplectic_transpose(space, B) for B in A_alpha]
-        rows = []
-        for r in range(n * n):
-            i, j = divmod(r, n)
-            rows.append(
-                [ctx.sub(theta_of[k][i][j], A_alpha[k][i][j]) for k in range(len(A_alpha))]
-            )
-        fixed_coeffs = la.nullspace(ctx, rows)
-        K_alpha = _span_matrices(ctx, fixed_coeffs, A_alpha, n)
-        if 2 * len(K_alpha) != len(A_alpha):
-            raise AssertionError("block fixed algebra has the wrong dimension")
-        total_k_dim += len(K_alpha)
-        field, powers = _block_field(ctx, e, _independent_with_unit(space, ctx, e, K_alpha), n)
-        name = _block_type(ctx, torus, e, len(K_alpha))
+        d = len(v_basis) // 2
+        for gkey in torus.elements:
+            # t + t^-1 is fixed by the symplectic transpose, which inverts t
+            g = la.thaw(gkey)
+            theta = la.mat_mul(ctx, e, la.mat_add(ctx, g, symplectic_transpose(space, g)))
+            minpoly = la.matrix_min_poly(ctx, theta, unit=e)
+            if gfq.poly_deg(minpoly) == d:
+                break
+        else:
+            raise RuntimeError("no torus element generates the block field")
+        field, powers = _block_field(ctx, e, theta, minpoly, n)
+        name = "split" if split else "inert" if d == 1 else "irreducible"
         blocks.append(ModBlock(space, la.freeze(e), field, powers, v_basis, name))
-    if total_k_dim != space.N:
-        raise ValueError(
-            f"fixed subalgebra has total dimension {total_k_dim}, expected {space.N}"
-        )
     blocks.sort(key=lambda blk: _block_support_start(ctx, blk))
-    ms = SympModuleStructure(torus, blocks, len(alg))
+    ms = SympModuleStructure(torus, blocks)
     _validate_module_structure(ms)
     return ms
 
@@ -900,26 +866,19 @@ def _block_support_start(ctx, blk):
     )
 
 
-def _block_field(ctx, unit, basis, n):
+def _block_field(ctx, unit, theta, minpoly, n):
     """K_alpha as a FieldCtx, and the matrices mat(x^k) of the power basis
-    of that field, for the fixed algebra spanned by ``basis`` (unit first).
+    of that field, for the block fixed algebra with identity ``unit``
+    generated by theta, whose minimal polynomial there, of degree d, is
+    ``minpoly``.
 
     The field is GF(q^d) with the default modulus (the base field itself
-    when d = 1).  The isomorphism sends theta, the element of least
-    coordinate encoding whose minimal polynomial over GF(q) has degree d,
-    to the least-encoding root of that polynomial, and is GF(q)-linear
-    through ``gfq.subfield_embedding``."""
-    d = len(basis)
+    when d = 1).  The isomorphism sends theta to the least-encoding root of
+    its minimal polynomial, and is GF(q)-linear through
+    ``gfq.subfield_embedding``."""
+    d = gfq.poly_deg(minpoly)
     K = ctx if d == 1 else FieldCtx(ctx.p, ctx.m * d)
     emb = gfq.subfield_embedding(ctx, K)
-    for enc in range(1, ctx.q**d):
-        coeffs = [ctx.from_int((enc // ctx.q**i) % ctx.q) for i in range(d)]
-        theta = _span_matrices(ctx, [coeffs], basis, n)[0]
-        minpoly = _algebra_min_poly(ctx, unit, theta, n)
-        if gfq.poly_deg(minpoly) == d:
-            break
-    else:  # pragma: no cover - a finite field extension is simple
-        raise RuntimeError("no primitive element in block field")
     root = gfq.poly_roots(K, [emb.up(c) for c in minpoly])[0]
     theta_pows, root_pows = [unit], [K.one]
     for _ in range(d - 1):
@@ -936,35 +895,6 @@ def _block_field(ctx, unit, basis, n):
         for k in range(K.m)
     ]
     return K, _span_matrices(ctx, c, theta_pows, n)
-
-
-def _independent_with_unit(space, ctx, unit, mats):
-    out = [unit]
-    n = space.dim
-    vecs = [[unit[i][j] for i in range(n) for j in range(n)]]
-    for m in mats:
-        flat = [m[i][j] for i in range(n) for j in range(n)]
-        trial = vecs + [flat]
-        if len(la.rref(ctx, trial)[1]) == len(trial):
-            out.append(m)
-            vecs = trial
-    return out
-
-
-def _block_type(ctx, torus, e, d):
-    """Type of a block, read off the order of the restricted torus: the
-    norm-one group of a quadratic extension has order q^d + 1, a split block
-    restricts to GF(q^d)^* of order q^d - 1."""
-    restrictions = set()
-    for gkey in torus.elements:
-        gb = la.mat_mul(ctx, la.thaw(e), la.thaw(gkey))
-        restrictions.add(la.freeze(gb))
-    block_order = len(restrictions)
-    if block_order == ctx.q**d - 1:
-        return "split"
-    if block_order == ctx.q**d + 1:
-        return "inert" if d == 1 else "irreducible"
-    raise AssertionError(f"unexpected block torus order {block_order}")
 
 
 def _validate_module_structure(ms: SympModuleStructure):
@@ -1072,21 +1002,3 @@ def rank_from_trace_polynomial(ctx, h):
     return sum(
         gfq.poly_deg(g) // d for g, d in gfq.distinct_degree_decomposition(ctx, f)
     )
-
-
-def symplectic_rank(torus: Torus):
-    """(block descriptors, r).  The cheap path factors the characteristic
-    polynomial of a regular torus element; when the torus has no regular
-    element (tiny fields), the full module structure is built instead."""
-    ctx = torus.space.ctx
-    for gkey in torus.elements:
-        try:
-            return rank_from_charpoly(ctx, la.charpoly(ctx, la.thaw(gkey)))
-        except ValueError:  # not squarefree, or an eigenvalue +-1
-            continue
-    ms = module_structure(torus)
-    blocks = [
-        BlockInfo(blk.name, blk.degree, ctx.q**blk.degree + (1 if blk.name != "split" else -1))
-        for blk in ms.blocks
-    ]
-    return blocks, len(blocks)

@@ -2,6 +2,8 @@
 
 import json
 
+import pytest
+
 from weilrep.cli import main
 
 
@@ -206,6 +208,28 @@ def test_config_file_interface(tmp_path):
     assert data["config"]["seed"] == 9
     ps = [r["p"] for r in data["rows"]]
     assert max(ps) == 11
+
+
+@pytest.mark.parametrize("subcommand", ["que", "rank-density"])
+def test_explicit_flags_win_over_the_config_file(tmp_path, subcommand):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"primes": {"max": 13}, "seed": 4,
+                               "xi_window": {"max_coeff": 3}}))
+    argv = [subcommand, "--A", "cat2", "--config", str(cfg), "--max-prime", "11",
+            "--seed", "9", "--out", str(tmp_path)]
+    if subcommand == "que":
+        argv += ["--xi-max", "5", "--jobs", "1"]
+    assert main(argv) == 0
+    name = "que_summary.json" if subcommand == "que" else "rank_density.json"
+    data = json.loads((tmp_path / name).read_text())
+    assert data["config"]["max_prime"] == 11
+    assert data["config"]["seed"] == 9
+    if subcommand == "que":
+        assert data["config"]["xi_max"] == 5
+        assert max(r["p"] for r in data["rows"]) == 11
+    else:
+        assert "xi_max" not in data["config"]
+        assert data["sweep"]["max_prime"] == 11
 
 
 def test_missing_A_and_config_is_error(tmp_path):

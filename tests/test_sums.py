@@ -286,7 +286,7 @@ def test_bound_report_rows_match_the_table_entry_by_entry():
 def test_csv_rows_shape():
     sp, torus = setup(5, 1, ["inert"])
     rpt = bound_report(sp, torus)
-    rows = rpt.csv_rows()
+    rows = list(rpt.csv_rows())
     assert rows and len(rows[0]) == 11
     summary = rpt.summary()
     assert summary["max_ratio"] <= 1

@@ -9,9 +9,12 @@ from hypothesis import strategies as st
 from weilrep import fqlin as la
 from weilrep import gfq
 from weilrep.catmap import CAT4_DEFAULT, LatticeAutomorphism, is_integer_symplectic, primes_up_to
+from weilrep.cli import SL2_KINDS, SP4_KINDS
 from weilrep.gfq import FieldCtx, factorize, poly_from_ints
 from weilrep.symp import (
+    BlockInfo,
     SympSpace,
+    Torus,
     build_maximal_torus,
     centralizer_algebra,
     centralizer_torus,
@@ -21,7 +24,6 @@ from weilrep.symp import (
     rank_from_charpoly,
     rank_from_trace_polynomial,
     standard_gram,
-    symplectic_rank,
     symplectic_transpose,
     trace_polynomial,
     transvection,
@@ -311,11 +313,7 @@ def test_symplectic_rank(p, kind, expected_rank):
     N = sum(2 * (int(k[1]) if isinstance(k, tuple) else (2 if "2" in k else 1)) for k in kind) // 2
     sp = SympSpace(FieldCtx(p), N)
     torus = build_maximal_torus(sp, kind)
-    blocks, r = symplectic_rank(torus)
-    assert r == expected_rank
-    # cheap path agrees with the full module structure
-    ms = module_structure(torus)
-    assert ms.rank == r
+    assert module_structure(torus).rank == len(torus.blocks) == expected_rank
 
 
 def test_rank_from_charpoly_pairs_duals():
@@ -407,8 +405,6 @@ def test_module_structure_inert_sl2_f5():
     assert ms.rank == 1
     assert ms.blocks[0].degree == 1
     assert ms.blocks[0].name == "inert"
-    # ambient algebra A = Z(T, End V) is two-dimensional (a copy of F_25)
-    assert ms.algebra_dim == 2
 
 
 def test_module_structure_irreducible_sp4():
@@ -434,12 +430,50 @@ def test_module_structure_requires_maximal_torus():
     # the two-element subgroup {I, -I} of SL(2, F_5) is not maximal
     sp = sl2(5)
     ctx = sp.ctx
-    from weilrep.symp import Torus, BlockInfo
-
     minus_I = la.freeze([[ctx.el(-1), ctx.zero], [ctx.zero, ctx.el(-1)]])
     small = Torus(sp, [minus_I], [2], [BlockInfo("split", 1, 2)])
     with pytest.raises(ValueError):
         module_structure(small)
+
+
+def _squares_subgroup(torus):
+    """The subgroup generated by the squares of the torus generators."""
+    ctx = torus.space.ctx
+    gens = [la.freeze(la.mat_pow(ctx, la.thaw(g), 2)) for g in torus.generators]
+    return Torus(torus.space, gens, [o // 2 for o in torus.orders], torus.blocks)
+
+
+def test_module_structure_is_refused_exactly_when_the_commutant_is_too_big():
+    """The line test on the torus idempotents raises exactly when the
+    commutant Z(T, End V) is not of dimension 2N, and each block's name
+    agrees with the order of the torus restricted to it: a divisor of
+    q^d - 1 on a split block, of q^d + 1 on an inert or irreducible one,
+    with equality for the maximal tori."""
+    tori = []
+    for p in (3, 5):
+        for N, kinds in ((1, SL2_KINDS), (2, SP4_KINDS)):
+            sp = SympSpace(FieldCtx(p), N)
+            minus_I = la.freeze(la.mat_pow(sp.ctx, sp.gram, 2))  # J^2 = -I
+            tori.append((Torus(sp, [minus_I], [2], [BlockInfo("split", 1, 2)]), False))
+            for kind in kinds:
+                torus = build_maximal_torus(sp, kind)
+                tori += [(torus, True), (_squares_subgroup(torus), False)]
+    outcomes = set()
+    for torus, maximal in tori:
+        sp, ctx = torus.space, torus.space.ctx
+        determined = len(centralizer_algebra(sp, torus.generators)) == sp.dim
+        outcomes.add(determined)
+        if not determined:
+            with pytest.raises(ValueError):
+                module_structure(torus)
+            continue
+        for blk in module_structure(torus).blocks:
+            e = la.thaw(blk.idempotent)
+            order = len({la.freeze(la.mat_mul(ctx, e, la.thaw(g))) for g in torus.elements})
+            field_order = ctx.q**blk.degree + (-1 if blk.name == "split" else 1)
+            assert order > 2 and field_order % order == 0, (blk.name, order)
+            assert order == field_order or not maximal
+    assert outcomes == {True, False}
 
 
 def test_sl2_embedding_lands_in_sp():
@@ -512,6 +546,8 @@ def test_maximality_torus_is_own_centralizer():
         (3, 2, ["irreducible2"]),  # K = GF(81) over GF(9)
         (5, 1, ["split", "inert"]),
         (3, 1, ["irreducible3"]),
+        (3, 1, ["split2"]),
+        (5, 1, ["split2"]),
     ],
 )
 def test_block_mat_is_a_ring_isomorphism_onto_the_fixed_algebra(p, m, kind):
@@ -573,5 +609,4 @@ def test_module_structure_sp8_inert_fourth_power():
     ms = module_structure(torus)
     assert ms.rank == 4
     assert all(blk.name == "inert" for blk in ms.blocks)
-    blocks, r = symplectic_rank(torus)
-    assert r == 4
+    assert ms.rank == len(torus.blocks) == 4
