@@ -2,12 +2,17 @@
 integer symplectic matrices, Hecke tori mod p, eigenstate and statistical
 bound experiments, and the prime-sweep statistics of the symplectic rank.
 
+Genericity is decided exactly over Q for every size 2N: the characteristic
+polynomial is factored by ``factor_over_Q``, which reuses the GF(p)
+factorization of ``gfq.factor_poly``.
+
 Every experiment works prime by prime and is pure in its inputs, so sweeps
 parallelize over p and reports merge by simple concatenation.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -20,7 +25,7 @@ from .gfq import FieldCtx
 from .heiwei import WeilRep
 from .spectra import decompose
 from .sums import admissible_mask
-from .symp import SympSpace, centralizer_torus, rank_from_trace_polynomial, trace_polynomial
+from .symp import SympSpace, centralizer_torus, trace_factor_degrees, trace_polynomial
 
 #: a strongly generic element of Sp(4, Z): characteristic polynomial
 #: x^4 - 2x^3 - 2x^2 - 2x + 1, irreducible over Q, whose trace resolvent
@@ -62,7 +67,7 @@ def _int_J(N: int):
 
 def is_integer_symplectic(mat) -> bool:
     n = len(mat)
-    if n % 2:
+    if n == 0 or n % 2 or any(len(row) != n for row in mat):
         return False
     J = _int_J(n // 2)
     lhs = la.mat_mul(la.INT_RING, la.mat_mul(la.INT_RING, la.transpose(mat), J), mat)
@@ -114,84 +119,58 @@ def is_squarefree_over_q(f) -> bool:
     return len(_qpoly_gcd(f, int_poly_derivative(f))) <= 1
 
 
-def _int_roots(f):
-    """Integer roots of a monic integer polynomial (all rational roots are
-    integers dividing the constant term)."""
-    c0 = f[0]
-    if c0 == 0:
-        return [0]
-    roots = []
-    for d in range(1, abs(c0) + 1):
-        if abs(c0) % d:
-            continue
-        for r in (d, -d):
-            if sum(c * r**i for i, c in enumerate(f)) == 0:
-                roots.append(r)
-    return roots
-
-
 def factor_over_Q(f):
-    """Monic integer polynomial of degree <= 4 into monic irreducible
-    integer factors (Gauss: rational factors of monic integer polynomials
-    clear to integer ones)."""
+    """The monic irreducible integer factors of a monic squarefree integer
+    polynomial of any degree, sorted as coefficient lists (constant term
+    first).  By Gauss's lemma the rational factors of a monic integer
+    polynomial are monic integer polynomials.
+
+    Big-prime method (von zur Gathen and Gerhard, "Modern Computer
+    Algebra", 15.2).  A factor of degree at most n - 1 has every
+    coefficient at most B = C(n-1, floor((n-1)/2)) ceil(||f||_2) in
+    absolute value (Mignotte), so at the least prime P > 2B where f stays
+    squarefree it is the product of a set of the monic irreducible factors
+    of f over GF(P) (``gfq.factor_poly``), read with coefficients in
+    (-P/2, P/2).  Sets are tried smallest first and kept when their product
+    divides f exactly, so each kept product is irreducible.  ValueError
+    unless f is monic and squarefree, and when P reaches the 2^20 bound of
+    ``FieldCtx``.
+    """
     f = [int(c) for c in _qpoly_trim(f)]
-    if f[-1] != 1:
+    if not f or f[-1] != 1:
         raise ValueError("factor_over_Q expects a monic polynomial")
-    deg = len(f) - 1
-    if deg == 0:
-        return []
-    if deg == 1:
-        return [f]
-    roots = _int_roots(f)
-    if roots:
-        r = roots[0]
-        q, rem = _qpoly_divmod(f, [-r, 1])
-        if rem:
-            raise RuntimeError(f"integer root {r} leaves a remainder")
-        return sorted([[-r, 1]] + factor_over_Q([int(c) for c in q]))
-    if deg == 2 or deg == 3:
-        return [f]
-    if deg != 4:
-        raise NotImplementedError("exact rational factorization only up to degree 4")
-    e0, e1, e2, e3 = f[0], f[1], f[2], f[3]
-    for b in _divisors_signed(e0):
-        if e0 % b:
-            continue
-        d = e0 // b
-        # (x^2 + a x + b)(x^2 + c x + d): a + c = e3, b + d + ac = e2,
-        # ad + bc = e1, bd = e0
-        if b == d:
-            # a, c are the roots of t^2 - e3 t + (e2 - 2b)
-            disc = e3 * e3 - 4 * (e2 - 2 * b)
-            if disc < 0 or not _is_square(disc):
-                continue
-            s = math.isqrt(disc)
-            for a in ((e3 + s) // 2, (e3 - s) // 2):
-                c = e3 - a
-                if (e3 + s) % 2 == 0 and a * d + b * c == e1 and b + d + a * c == e2:
-                    return sorted([[b, a, 1], [d, c, 1]])
+    if not is_squarefree_over_q(f):
+        raise ValueError("factor_over_Q expects a squarefree polynomial")
+    n = len(f) - 1
+    if n <= 1:
+        return [f] if n else []
+    norm = math.isqrt(sum(c * c for c in f) - 1) + 1  # ceil(||f||_2)
+    P = 2 * math.comb(n - 1, (n - 1) // 2) * norm
+    while True:
+        P += 1
+        if gfq.is_prime(P):
+            ctx = FieldCtx(P)
+            f_mod = gfq.poly_from_ints(ctx, f)
+            if gfq.is_squarefree(ctx, f_mod):
+                break
+    mods = gfq.factor_poly(ctx, f_mod)
+    factors = []
+    k = 1
+    while 2 * k <= len(mods):
+        for subset in itertools.combinations(range(len(mods)), k):
+            prod = [1]
+            for i in subset:
+                prod = gfq.poly_mul(ctx, prod, mods[i])
+            g = [c - P if 2 * c > P else c for c in prod]
+            q, rem = _qpoly_divmod(f, g)
+            if not rem:
+                factors.append(g)
+                f = [int(c) for c in q]
+                mods = [m for i, m in enumerate(mods) if i not in subset]
+                break
         else:
-            num = e1 - e3 * b
-            den = d - b
-            if num % den:
-                continue
-            a = num // den
-            c = e3 - a
-            if b + d + a * c == e2 and a * d + b * c == e1:
-                return sorted([[b, a, 1], [d, c, 1]])
-    return [f]
-
-
-def _divisors_signed(n):
-    out = []
-    for d in range(1, abs(n) + 1):
-        if abs(n) % d == 0:
-            out.extend((d, -d))
-    return out
-
-
-def _is_square(n):
-    return n >= 0 and math.isqrt(n) ** 2 == n
+            k += 1
+    return sorted(factors + [f])
 
 
 def _reciprocal_int(f):
@@ -222,7 +201,7 @@ class LatticeAutomorphism:
     def __post_init__(self):
         mat = [list(row) for row in self.mat]
         if not is_integer_symplectic(mat):
-            raise ValueError("matrix is not integer symplectic")
+            raise ValueError("matrix is not a square integer symplectic matrix")
         self.mat = tuple(tuple(int(x) for x in row) for row in mat)
         self.charpoly = la.charpoly(la.INT_RING, mat)
         flags = check_genericity_from_charpoly(self.charpoly)
@@ -255,13 +234,14 @@ def check_genericity(mat) -> dict:
 
 
 def check_genericity_from_charpoly(cp) -> dict:
-    regular = is_squarefree_over_q(cp)
-    factors = factor_over_Q(cp) if regular else None
-    strongly = bool(regular and factors is not None and len(factors) == 1)
-    generic = False
-    if regular:
-        generic = all(_reciprocal_int(g) == g for g in factors)
-    return {"regular": regular, "strongly_generic": strongly, "generic": generic}
+    if not is_squarefree_over_q(cp):
+        return {"regular": False, "strongly_generic": False, "generic": False}
+    factors = factor_over_Q(cp)
+    return {
+        "regular": True,
+        "strongly_generic": len(factors) == 1,
+        "generic": all(_reciprocal_int(g) == g for g in factors),
+    }
 
 
 # -- per-prime experiment core ---------------------------------------------------
@@ -491,25 +471,31 @@ def default_observables(N: int):
 def rank_density_sweep(A: LatticeAutomorphism, max_prime: int):
     """Empirical frequencies of the symplectic rank over all usable odd
     primes up to max_prime.  The trace polynomial h of the characteristic
-    polynomial is built once; at each prime the rank is the number of
-    irreducible factors of h mod p (``symp.rank_from_trace_polynomial``),
-    and p is skipped exactly when the characteristic polynomial is not
-    squarefree mod p.  No representation is built."""
+    polynomial is built once; at each prime the factor degrees of h mod p
+    (``symp.trace_factor_degrees``) give the rank, their number, and the
+    cycle type of Frobenius, counted in ``degree_patterns`` under the
+    comma-joined sorted degrees.  p is skipped exactly when the
+    characteristic polynomial is not squarefree mod p.  No representation
+    is built."""
     if not A.regular:
         raise ValueError("rank sweep needs a regular element")
     h = trace_polynomial(A.charpoly)
     counts: dict[int, int] = {}
     half_counts: dict[int, int] = {}
+    patterns: dict[str, int] = {}
     skipped = []
     used = 0
     half_limit = max_prime // 2
     for p in primes_up_to(max_prime):
         if p == 2:
             continue
-        r = rank_from_trace_polynomial(FieldCtx(p), h)
-        if r is None:
+        degrees = trace_factor_degrees(FieldCtx(p), h)
+        if degrees is None:
             skipped.append(p)
             continue
+        r = len(degrees)
+        key = ",".join(map(str, degrees))
+        patterns[key] = patterns.get(key, 0) + 1
         counts[r] = counts.get(r, 0) + 1
         if p <= half_limit:
             half_counts[r] = half_counts.get(r, 0) + 1
@@ -524,4 +510,5 @@ def rank_density_sweep(A: LatticeAutomorphism, max_prime: int):
         "counts": counts,
         "freqs": freqs,
         "half_freqs": half_freqs,
+        "degree_patterns": patterns,
     }

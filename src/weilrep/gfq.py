@@ -538,15 +538,20 @@ def is_irreducible(ctx, f) -> bool:
     return True
 
 
+def poly_from_encoding(ctx, n: int):
+    """The polynomial whose coefficients, constant term first, are the
+    base-q digits of n (n = 0 gives the zero polynomial)."""
+    f = []
+    while n:
+        n, c = divmod(n, ctx.q)
+        f.append(ctx.from_int(c))
+    return f
+
+
 def find_irreducible(ctx, d: int):
     """Monic irreducible of degree d whose coefficient encoding is least."""
-    for n in range(ctx.q**d):
-        coeffs = []
-        k = n
-        for _ in range(d):
-            coeffs.append(ctx.from_int(k % ctx.q))
-            k //= ctx.q
-        f = coeffs + [ctx.one]
+    for n in range(ctx.q**d, 2 * ctx.q**d):
+        f = poly_from_encoding(ctx, n)
         if is_irreducible(ctx, f):
             return f
     raise RuntimeError("no irreducible polynomial found")  # pragma: no cover
@@ -558,13 +563,8 @@ def find_primitive_irreducible(ctx, d: int):
     order = ctx.q**d - 1
     facs = [r for r, _ in factorize(order)]
     x = [ctx.zero, ctx.one]
-    for n in range(ctx.q**d):
-        coeffs = []
-        k = n
-        for _ in range(d):
-            coeffs.append(ctx.from_int(k % ctx.q))
-            k //= ctx.q
-        f = coeffs + [ctx.one]
+    for n in range(ctx.q**d, 2 * ctx.q**d):
+        f = poly_from_encoding(ctx, n)
         if not is_irreducible(ctx, f):
             continue
         if all(
@@ -573,53 +573,6 @@ def find_primitive_irreducible(ctx, d: int):
         ):
             return f
     raise RuntimeError("no primitive polynomial found")  # pragma: no cover
-
-
-def _poly_pth_root(ctx, f):
-    """p-th root of a polynomial in x^p (possible since Frobenius is onto)."""
-    root_exp = ctx.q // ctx.p
-    out = []
-    for i in range(0, len(f), ctx.p):
-        out.append(ctx.pow(f[i], root_exp))
-    return out
-
-
-def squarefree_decomposition(ctx, f):
-    """Yun's algorithm adapted to characteristic p; returns [(g_i, i)] with
-    f = prod g_i^i and the g_i squarefree, pairwise coprime, monic."""
-    f = poly_monic(ctx, f)
-    out = []
-
-    def rec(f, mult):
-        df = poly_deriv(ctx, f)
-        if not df:
-            # f is a polynomial in x^p
-            rec_root = _poly_pth_root(ctx, f)
-            rec(rec_root, mult * ctx.p)
-            return
-        c = poly_gcd(ctx, f, df)
-        w = poly_divmod(ctx, f, c)[0]
-        i = 1
-        while poly_deg(w) > 0:
-            y = poly_gcd(ctx, w, c)
-            z = poly_divmod(ctx, w, y)[0]
-            if poly_deg(z) > 0:
-                out.append((z, i * mult))
-            w = y
-            c = poly_divmod(ctx, c, y)[0]
-            i += 1
-        if poly_deg(c) > 0:
-            rec(c, mult)
-
-    rec(f, 1)
-    merged = {}
-    for g, i in out:
-        key = tuple(g)
-        if key in merged:
-            merged[key] = (poly_mul(ctx, merged[key][0], g), i)
-        else:
-            merged[key] = (g, i)
-    return sorted(merged.values(), key=lambda gi: (gi[1], poly_to_key(ctx, gi[0])))
 
 
 def distinct_degree_decomposition(ctx, f):
@@ -669,44 +622,36 @@ def _equal_degree_split(ctx, f, d, rng):
 
 
 def factor_poly(ctx, f):
-    """Full factorization of a monic polynomial over GF(q) into monic
-    irreducibles with multiplicities, deterministically ordered.
+    """The monic irreducible factors of a monic squarefree polynomial over
+    GF(q), sorted by ``poly_to_key``.
 
-    Squarefree decomposition, then distinct-degree splitting, then seeded
-    equal-degree splitting; every factor is re-checked irreducible.
+    Distinct-degree splitting, then seeded equal-degree splitting; every
+    factor is re-checked irreducible.  ValueError unless f is monic,
+    squarefree and of degree >= 1: callers with repeated factors test
+    ``is_squarefree`` first.
     """
     f = poly_trim(ctx, list(f))
     if poly_deg(f) < 1:
         raise ValueError("factor_poly expects degree >= 1")
     if f[-1] != ctx.one:
         raise ValueError("factor_poly expects a monic polynomial")
+    if not is_squarefree(ctx, f):
+        raise ValueError("factor_poly expects a squarefree polynomial")
     rng = random.Random(_CZ_SEED)
     factors = []
-    for g, mult in squarefree_decomposition(ctx, f):
-        for h, d in distinct_degree_decomposition(ctx, g):
-            for irr in _equal_degree_split(ctx, h, d, rng):
-                irr = poly_monic(ctx, irr)
-                if not is_irreducible(ctx, irr):
-                    raise RuntimeError("factorization produced a reducible factor")
-                factors.append((irr, mult))
-    factors.sort(key=lambda fm: (poly_to_key(ctx, fm[0]), fm[1]))
-    # merge repeats that arose from distinct squarefree layers
-    merged: list = []
-    for g, mult in factors:
-        if merged and merged[-1][0] == g:
-            merged[-1] = (g, merged[-1][1] + mult)
-        else:
-            merged.append((g, mult))
-    return merged
+    for h, d in distinct_degree_decomposition(ctx, f):
+        for irr in _equal_degree_split(ctx, h, d, rng):
+            irr = poly_monic(ctx, irr)
+            if not is_irreducible(ctx, irr):
+                raise RuntimeError("factorization produced a reducible factor")
+            factors.append(irr)
+    return sorted(factors, key=lambda g: poly_to_key(ctx, g))
 
 
 def poly_roots(ctx, f):
-    """Roots of f in GF(q), sorted by encoding."""
-    roots = []
-    for g, _ in factor_poly(ctx, poly_monic(ctx, f)):
-        if poly_deg(g) == 1:
-            roots.append(ctx.neg(g[0]))
-    return sorted(roots, key=ctx.to_int)
+    """Roots of a squarefree f in GF(q), sorted by encoding."""
+    factors = factor_poly(ctx, poly_monic(ctx, f))
+    return sorted((ctx.neg(g[0]) for g in factors if poly_deg(g) == 1), key=ctx.to_int)
 
 
 def norm_one_elements(big: FieldCtx, degree: int = 2):

@@ -449,7 +449,7 @@ def _order_test(ctx, c, order, mod):
 def _pair_factor_classes(ctx, factors):
     """Group the distinct irreducible factors into self-dual singletons and
     dual pairs under f -> reciprocal of f."""
-    polys = [tuple(f) for f, _ in factors]
+    polys = [tuple(f) for f in factors]
     seen = set()
     classes = []
     lookup = set(polys)
@@ -497,7 +497,7 @@ def centralizer_torus(space: SympSpace, A) -> Torus:
             Q = ctx.q**d
             c = None
             for enc in range(2, ctx.q**twod):
-                r = _poly_from_encoding(ctx, enc, twod)
+                r = gfq.poly_from_encoding(ctx, enc)
                 cand = gfq.poly_pow_mod(ctx, r, Q - 1, f)
                 if _order_test(ctx, cand, Q + 1, f):
                     c = cand
@@ -513,7 +513,7 @@ def centralizer_torus(space: SympSpace, A) -> Torus:
             order = ctx.q**d - 1
             gamma = None
             for enc in range(2, ctx.q**d):
-                r = _poly_from_encoding(ctx, enc, d)
+                r = gfq.poly_from_encoding(ctx, enc)
                 if _order_test(ctx, gfq.poly_mod(ctx, r, f), order, f):
                     gamma = gfq.poly_mod(ctx, r, f)
                     break
@@ -526,7 +526,7 @@ def centralizer_torus(space: SympSpace, A) -> Torus:
             name = "split"
         # the generator is the identity off its block; the idempotent cuts
         # out the block subspace
-        keys = [tuple(other) for other, _ in factors]
+        keys = [tuple(g) for g in factors]
         lift = _crt_lift_general(ctx, cp, {k: residues.get(k, [ctx.one]) for k in keys})
         g = la.mat_eval_poly(ctx, lift, A)
         assert_symplectic(space, g, "centralizer generator")
@@ -573,28 +573,18 @@ def torus_idempotents(torus: Torus):
     for gkey in torus.generators:
         g = la.thaw(gkey)
         mp = la.matrix_min_poly(ctx, g)
-        factors = gfq.factor_poly(ctx, mp)
-        if any(mult != 1 for _, mult in factors):
+        if not gfq.is_squarefree(ctx, mp):
             raise RuntimeError("torus generator is not semisimple")
         idems = [
             (la.mat_eval_poly(ctx, _crt_lift_general(ctx, mp, {tuple(f): [ctx.one]}), g),
              gfq.poly_deg(f))
-            for f, _ in factors
+            for f in gfq.factor_poly(ctx, mp)
         ]
         pieces = [
             (la.mat_mul(ctx, E, e), math.lcm(deg, d)) for E, deg in pieces for e, d in idems
         ]
         pieces = [(E, deg) for E, deg in pieces if any(x != ctx.zero for row in E for x in row)]
     return pieces
-
-
-def _poly_from_encoding(ctx, enc, max_deg):
-    coeffs = []
-    while enc:
-        coeffs.append(ctx.from_int(enc % ctx.q))
-        enc //= ctx.q
-    coeffs = coeffs[:max_deg]
-    return gfq.poly_trim(ctx, coeffs)
 
 
 def centralizer_algebra(space: SympSpace, mats):
@@ -937,9 +927,8 @@ def _validate_module_structure(ms: SympModuleStructure):
 def rank_from_charpoly(ctx, cp):
     """Block descriptors and symplectic rank read off a squarefree
     characteristic polynomial: factor mod p, pair every irreducible factor
-    with its reciprocal dual, count the classes."""
-    if not gfq.is_squarefree(ctx, cp):
-        raise ValueError("characteristic polynomial is not squarefree")
+    with its reciprocal dual, count the classes.  ValueError (from
+    ``gfq.factor_poly``) when cp is not squarefree."""
     factors = gfq.factor_poly(ctx, cp)
     classes = _pair_factor_classes(ctx, factors)
     blocks = []
@@ -979,17 +968,18 @@ def trace_polynomial(cp):
     return h
 
 
-def rank_from_trace_polynomial(ctx, h):
-    """Symplectic rank over GF(q) of a regular element whose characteristic
-    polynomial has the integer trace polynomial h, or None when that
-    characteristic polynomial is not squarefree over GF(q).
+def trace_factor_degrees(ctx, h):
+    """The sorted degrees of the irreducible factors of the integer trace
+    polynomial h over GF(q), or None when the characteristic polynomial
+    x^N h(x + 1/x) of a regular element is not squarefree over GF(q).
 
-    Every irreducible factor of h gives exactly one block, a split dual pair
-    or a self-dual factor, so r is the number of irreducible factors of h,
-    read off its distinct-degree decomposition as the sum of deg(g)/d; no
-    factor is split further.  The characteristic polynomial x^N h(x + 1/x)
-    is squarefree exactly when h is and h(2) h(-2) != 0: x = 1/x only at
-    x = +-1.
+    The degrees are the cycle type of Frobenius on the roots of h, and
+    their number is the symplectic rank: every irreducible factor of h
+    gives exactly one block, a split dual pair or a self-dual factor.  They
+    are read off the distinct-degree decomposition, deg(g)/d factors of
+    degree d in each part g; no factor is split further.  The
+    characteristic polynomial is squarefree exactly when h is and
+    h(2) h(-2) != 0: x = 1/x only at x = +-1.
     """
     f = gfq.poly_from_ints(ctx, h)
     two = ctx.el(2)
@@ -999,6 +989,8 @@ def rank_from_trace_polynomial(ctx, h):
         or not gfq.is_squarefree(ctx, f)
     ):
         return None
-    return sum(
-        gfq.poly_deg(g) // d for g, d in gfq.distinct_degree_decomposition(ctx, f)
+    return tuple(
+        d
+        for g, d in gfq.distinct_degree_decomposition(ctx, f)
+        for _ in range(gfq.poly_deg(g) // d)
     )

@@ -11,6 +11,8 @@ line (visible with pytest -rA or -s).
 8. statistical (density operator) bound, same sweep
 9. rank frequencies 1/2, 1/2 for the Sp(4, Z) element, primes to 1e5
 10. the rank-r bound 2^r sqrt(q)^N on every Sp(4) torus kind, p in {5, 7, 11}
+11. Sp(6, Z): rank frequencies 1/3, 1/2, 1/6 to 2e4, Hecke and statistical
+    bounds at p = 5
 """
 
 import math
@@ -322,4 +324,39 @@ def test_criterion_10_rank_bound_on_every_sp4_kind():
         worst <= 1 + 1e-9 and worst_plain > 1,
         "max |c_chi| / (2^r sqrt(q)^N), then / (2 sqrt(q)^N): "
         + ", ".join(f"p={p} {k} {r:.3f} {plain:.3f}" for (p, k), (r, plain) in ratios.items()),
+    )
+
+
+#: the Sp(6, Z) seed [[0, I], [-I, S]], S = [[0, 3, -1], [3, 0, 0], [-1, 0, 3]]:
+#: hyperbolic, with trace polynomial t^3 - 3t^2 - 10t + 27 of Galois group S3
+SP6_SEED = (
+    (0, 0, 0, 1, 0, 0),
+    (0, 0, 0, 0, 1, 0),
+    (0, 0, 0, 0, 0, 1),
+    (-1, 0, 0, 0, 3, -1),
+    (0, -1, 0, 3, 0, 0),
+    (0, 0, -1, -1, 0, 3),
+)
+
+
+def test_criterion_11_sp6_end_to_end():
+    """The strongly generic Sp(6, Z) seed: rank frequencies over the primes
+    up to 2e4 within 0.05 of 1/3, 1/2 and 1/6 (Chebotarev for S3), and at
+    p = 5 every Hecke eigenstate and every density operator within the
+    assembled per-block bound."""
+    A = LatticeAutomorphism(SP6_SEED)
+    assert A.regular and A.strongly_generic and A.generic
+    sweep = rank_density_sweep(A, 20000)
+    freqs = sweep["freqs"]
+    ok = all(abs(freqs[r] - d) <= 0.05 for r, d in ((1, 1 / 3), (2, 1 / 2), (3, 1 / 6)))
+    que = hecke_que_experiment(A, 5)
+    stat = statistical_state_experiment(A, 5)
+    ok = ok and que["violations"] == 0 and que["max_ratio"] <= 1 + 1e-9
+    ok = ok and stat["violations"] == 0 and stat["max_ratio"] <= 1 + 1e-9
+    report(
+        "11 Sp(6) end to end",
+        ok,
+        ", ".join(f"delta({r})={f:.4f}" for r, f in freqs.items())
+        + f" over {sweep['n_primes']} primes; p=5 {que['torus']} r={que['r_p']}"
+        f" QUE max_ratio={que['max_ratio']:.4f}, statistical {stat['max_ratio']:.4f}",
     )

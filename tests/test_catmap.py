@@ -46,6 +46,87 @@ def test_factor_over_Q():
     assert factor_over_Q([int(c) for c in f]) == sorted([[1, 0, 1], [2, 1, 1]])
 
 
+#: the Sp(6, Z) seed [[0, I], [-I, S]] with S = [[0, 3, -1], [3, 0, 0],
+#: [-1, 0, 3]]: its trace polynomial t^3 - 3t^2 - 10t + 27 has nonsquare
+#: discriminant 2713 (Galois group S3) and roots of modulus > 2
+SP6_SEED = (
+    (0, 0, 0, 1, 0, 0),
+    (0, 0, 0, 0, 1, 0),
+    (0, 0, 0, 0, 0, 1),
+    (-1, 0, 0, 0, 3, -1),
+    (0, -1, 0, 3, 0, 0),
+    (0, 0, -1, -1, 0, 3),
+)
+SP6_SEED_CHARPOLY = [1, -3, -7, 21, -7, -3, 1]
+
+
+def _cyclotomic(d):
+    """Phi_d by exact division of x^d - 1 by Phi_e for the proper divisors
+    e of d, independent of any factorization."""
+    f = [-1] + [0] * (d - 1) + [1]
+    for e in range(1, d):
+        if d % e == 0:
+            g = _cyclotomic(e)
+            q = [0] * (len(f) - len(g) + 1)
+            for i in reversed(range(len(q))):
+                q[i] = f[i + len(g) - 1]
+                for j, c in enumerate(g):
+                    f[i + j] -= q[i] * c
+            assert not any(f)
+            f = q
+    return f
+
+
+@pytest.mark.parametrize("n", range(1, 13))
+def test_factor_over_Q_splits_x_to_the_n_minus_1_into_cyclotomics(n):
+    """x^n - 1 is the product of the Phi_d over d | n; x^4 + 1 (n = 8) is
+    reducible modulo every prime, so recombination must merge factors."""
+    expected = sorted(_cyclotomic(d) for d in range(1, n + 1) if n % d == 0)
+    assert factor_over_Q([-1] + [0] * (n - 1) + [1]) == expected
+
+
+def test_factor_over_Q_cat2_times_cat4_and_the_sp6_seed():
+    cat2, cat4 = [1, -3, 1], [1, -2, -2, -2, 1]
+    product = [int(c) for c in np.polynomial.polynomial.polymul(cat2, cat4)]
+    assert factor_over_Q(product) == sorted([cat2, cat4])
+    assert factor_over_Q(SP6_SEED_CHARPOLY) == [SP6_SEED_CHARPOLY]
+
+
+@pytest.mark.parametrize(
+    "f",
+    [
+        [1, 0, 2],  # 2x^2 + 1
+        [1, 1, -1],  # -x^2 + x + 1
+        [],  # the zero polynomial
+        [1, 2, 1],  # (x + 1)^2
+        [0, 0, 1, 1],  # x^2 (x + 1)
+        [1, 2, 1, -2, -2, 0, 1],  # (x^3 - x - 1)^2
+    ],
+)
+def test_factor_over_Q_refuses_non_monic_and_non_squarefree_input(f):
+    with pytest.raises(ValueError):
+        factor_over_Q(f)
+
+
+def test_sp6_seed_is_strongly_generic():
+    A = LatticeAutomorphism(SP6_SEED)
+    assert A.charpoly == SP6_SEED_CHARPOLY
+    assert A.regular and A.strongly_generic and A.generic
+    sweep = rank_density_sweep(A, 2000)
+    assert set(sweep["freqs"]) == {1, 2, 3}
+    assert set(sweep["degree_patterns"]) == {"3", "1,2", "1,1,1"}
+    assert sweep["skipped"] == [3]
+    assert sum(sweep["degree_patterns"].values()) == sweep["n_primes"]
+
+
+def test_ragged_and_empty_matrices_are_not_symplectic():
+    assert not is_integer_symplectic([[1, 2], [3]])
+    assert not is_integer_symplectic([[1, 0, 0], [0, 1, 0]])
+    assert not is_integer_symplectic([])
+    with pytest.raises(ValueError, match="square"):
+        LatticeAutomorphism(((1, 2), (3,)))
+
+
 def test_genericity_flags():
     # the cat map is hyperbolic, hence strongly generic
     flags = check_genericity(CAT2_DEFAULT)
@@ -211,9 +292,9 @@ def _oracle_rank_sweep(A, max_prime):
     """The sweep by full factorization of the characteristic polynomial."""
     from weilrep import gfq
     from weilrep.gfq import FieldCtx
-    from weilrep.symp import rank_from_charpoly
+    from weilrep.symp import rank_from_charpoly, trace_polynomial
 
-    counts, half_counts, skipped = {}, {}, []
+    counts, half_counts, patterns, skipped = {}, {}, {}, []
     for p in primes_up_to(max_prime)[1:]:
         ctx = FieldCtx(p)
         cp = gfq.poly_from_ints(ctx, A.charpoly)
@@ -222,6 +303,9 @@ def _oracle_rank_sweep(A, max_prime):
             continue
         _, r = rank_from_charpoly(ctx, cp)
         counts[r] = counts.get(r, 0) + 1
+        h = gfq.poly_from_ints(ctx, trace_polynomial(A.charpoly))
+        key = ",".join(str(d) for d in sorted(gfq.poly_deg(g) for g in gfq.factor_poly(ctx, h)))
+        patterns[key] = patterns.get(key, 0) + 1
         if p <= max_prime // 2:
             half_counts[r] = half_counts.get(r, 0) + 1
     used, half_used = sum(counts.values()), sum(half_counts.values())
@@ -232,6 +316,7 @@ def _oracle_rank_sweep(A, max_prime):
         "counts": counts,
         "freqs": {r: c / used for r, c in sorted(counts.items())},
         "half_freqs": {r: c / half_used for r, c in sorted(half_counts.items())},
+        "degree_patterns": patterns,
     }
 
 

@@ -234,3 +234,42 @@ def test_explicit_flags_win_over_the_config_file(tmp_path, subcommand):
 
 def test_missing_A_and_config_is_error(tmp_path):
     assert main(["que", "--out", str(tmp_path)]) == 2
+
+
+#: the Sp(6, Z) seed [[0, I], [-I, S]], S = [[0, 3, -1], [3, 0, 0], [-1, 0, 3]]
+SP6_SEED = [
+    [0, 0, 0, 1, 0, 0],
+    [0, 0, 0, 0, 1, 0],
+    [0, 0, 0, 0, 0, 1],
+    [-1, 0, 0, 0, 3, -1],
+    [0, -1, 0, 3, 0, 0],
+    [0, 0, -1, -1, 0, 3],
+]
+
+
+def test_rank_density_sp6_reports_rank_and_factor_degrees(tmp_path, capsys):
+    """A 6 x 6 matrix runs end to end; the JSON also counts the factor
+    degrees of the trace polynomial mod p, whose lengths are the ranks."""
+    mat_file = tmp_path / "sp6.json"
+    mat_file.write_text(json.dumps({"A": SP6_SEED}))
+    rc = main(["rank-density", "--A", str(mat_file), "--max-prime", "2000",
+               "--out", str(tmp_path)])
+    assert rc == 0
+    assert capsys.readouterr().out.startswith("rank frequencies over ")
+    sweep = json.loads((tmp_path / "rank_density.json").read_text())["sweep"]
+    assert set(sweep["freqs"]) == {"1", "2", "3"}
+    patterns = sweep["degree_patterns"]
+    assert set(patterns) == {"3", "1,2", "1,1,1"}
+    for r in ("1", "2", "3"):
+        assert sweep["counts"][r] == sum(
+            c for key, c in patterns.items() if len(key.split(",")) == int(r)
+        )
+
+
+@pytest.mark.parametrize("matrix", [[[1, 2], [3]], [[1, 0, 0], [0, 1, 0]], []])
+def test_ragged_matrix_file_is_config_error(tmp_path, capsys, matrix):
+    mat_file = tmp_path / "A.json"
+    mat_file.write_text(json.dumps({"A": matrix}))
+    rc = main(["rank-density", "--A", str(mat_file), "--out", str(tmp_path)])
+    assert rc == 2
+    assert capsys.readouterr().err.startswith("invalid configuration: ")

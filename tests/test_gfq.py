@@ -21,6 +21,7 @@ from weilrep.gfq import (
     poly_pow_mod,
     poly_mod,
     poly_roots,
+    poly_to_key,
     poly_sub,
     reciprocal_dual,
     subfield_embedding,
@@ -265,13 +266,13 @@ def test_factor_examples():
     F3 = FieldCtx(3)
     # x^2 - 1 = (x - 1)(x + 1)
     fac = factor_poly(F5, poly_from_ints(F5, [-1, 0, 1]))
-    assert sorted(poly_eval(F5, f, 0) for f, _ in fac) == [1, 4]
+    assert sorted(poly_eval(F5, f, 0) for f in fac) == [1, 4]
     # x^2 + 1 mod 5 = (x + 2)(x + 3) since 2^2 = 4 = -1
     fac = factor_poly(F5, poly_from_ints(F5, [1, 0, 1]))
-    assert [f for f, _ in fac] == [poly_from_ints(F5, [2, 1]), poly_from_ints(F5, [3, 1])]
+    assert fac == [poly_from_ints(F5, [2, 1]), poly_from_ints(F5, [3, 1])]
     # x^2 + 1 mod 3 is irreducible
     fac = factor_poly(F3, poly_from_ints(F3, [1, 0, 1]))
-    assert len(fac) == 1 and fac[0][1] == 1 and poly_deg(fac[0][0]) == 2
+    assert len(fac) == 1 and poly_deg(fac[0]) == 2
     assert is_irreducible(F3, poly_from_ints(F3, [1, 0, 1]))
 
 
@@ -286,22 +287,23 @@ def test_factor_rejects_bad_input():
 @pytest.mark.parametrize(
     "p,m,ints",
     [
-        (5, 1, [0, 0, 1, 1, 0, 0, 0, 1]),
+        (5, 1, [0, 1, 1, 0, 0, 0, 1]),
         (5, 1, [2, 3, 1, 0, 1]),
         (3, 1, [1, 0, 1, 0, 0, 0, 1]),
         (7, 1, [6, 0, 0, 0, 0, 0, 1]),
         (3, 2, [1, 2, 0, 1]),
         (13, 1, [1, 1, 1, 1, 1]),
+        (5, 1, [0, 4, 0, 0, 0, 1]),  # x^5 - x, all five roots
     ],
 )
 def test_factor_round_trip_and_irreducibility(p, m, ints):
     ctx = FieldCtx(p, m)
     f = poly_from_ints(ctx, ints) if m == 1 else _lift_ints(ctx, ints)
     fac = factor_poly(ctx, f)
+    assert fac == sorted(fac, key=lambda g: poly_to_key(ctx, g))
     prod = [ctx.one]
-    for g, mult in fac:
-        for _ in range(mult):
-            prod = poly_mul(ctx, prod, g)
+    for g in fac:
+        prod = poly_mul(ctx, prod, g)
         # claimed-irreducible g of degree d divides x^(q^d) - x ...
         d = poly_deg(g)
         x = [ctx.zero, ctx.one]
@@ -318,29 +320,20 @@ def _lift_ints(ctx, ints):
     return [ctx.el(i) for i in ints]
 
 
-def test_factor_with_multiplicities():
+def test_factor_refuses_repeated_factors():
+    """factor_poly takes squarefree input only; callers test is_squarefree."""
     F5 = FieldCtx(5)
-    # (x - 1)^2 (x + 1)^3
-    f = [F5.one]
-    for root, e in [(1, 2), (4, 3)]:
-        for _ in range(e):
-            f = poly_mul(F5, f, poly_from_ints(F5, [-root, 1]))
-    fac = factor_poly(F5, f)
-    assert sorted(m for _, m in fac) == [2, 3]
-
-
-def test_factor_frobenius_power_multiplicity():
-    # x^5 - x = x(x-1)...(x-4) mod 5, and (x^2+1)^5 exercises the p-th root path
-    F5 = FieldCtx(5)
-    f = poly_from_ints(F5, [0, 4, 0, 0, 0, 1])  # x^5 - x
-    fac = factor_poly(F5, f)
-    assert len(fac) == 5 and all(m == 1 for _, m in fac)
-    g = poly_from_ints(F5, [1, 0, 1])
-    gp = [F5.one]
-    for _ in range(5):
-        gp = poly_mul(F5, gp, g)
-    fac = factor_poly(F5, gp)
-    assert len(fac) == 2 and all(m == 5 for _, m in fac)
+    F9 = FieldCtx(3, 2)
+    x_plus_i = [F9.el([0, 1]), F9.one]
+    for ctx, f in (
+        (F5, poly_from_ints(F5, [0, 0, 1, 1, 0, 0, 0, 1])),  # x^2 (x^5 + x + 1)
+        (F5, poly_from_ints(F5, [1] + [0] * 9 + [1])),  # (x^2 + 1)^5 = x^10 + 1
+        (F5, poly_from_ints(F5, [0, 0, 0, 0, 0, 1])),  # x^5, a polynomial in x^p
+        (F9, poly_mul(F9, x_plus_i, x_plus_i)),
+    ):
+        assert not is_squarefree(ctx, f)
+        with pytest.raises(ValueError, match="squarefree"):
+            factor_poly(ctx, f)
 
 
 def test_find_irreducible_deterministic():

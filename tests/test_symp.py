@@ -22,9 +22,9 @@ from weilrep.symp import (
     module_structure,
     random_symplectic,
     rank_from_charpoly,
-    rank_from_trace_polynomial,
     standard_gram,
     symplectic_transpose,
+    trace_factor_degrees,
     trace_polynomial,
     transvection,
 )
@@ -351,34 +351,39 @@ def test_trace_polynomial():
 def test_trace_polynomial_rank_matches_full_factorization(cp):
     """At every odd prime up to 3000, a prime is skipped exactly when the
     characteristic polynomial is not squarefree, and otherwise the factor
-    count of the trace polynomial is the rank of the full factorization."""
+    count of the trace polynomial is the rank of the full factorization,
+    and its factor degrees those of the full factorization of h."""
     h = trace_polynomial(cp)
     n_skipped = 0
     for p in primes_up_to(3000)[1:]:
         ctx = FieldCtx(p)
         f = poly_from_ints(ctx, cp)
-        r = rank_from_trace_polynomial(ctx, h)
+        degrees = trace_factor_degrees(ctx, h)
         if not gfq.is_squarefree(ctx, f):
-            assert r is None, p
+            assert degrees is None, p
             n_skipped += 1
             continue
-        assert r == rank_from_charpoly(ctx, f)[1], p
+        assert len(degrees) == rank_from_charpoly(ctx, f)[1], p
+        h_factors = gfq.factor_poly(ctx, poly_from_ints(ctx, h))
+        assert degrees == tuple(sorted(gfq.poly_deg(g) for g in h_factors)), p
     assert n_skipped > 0
 
 
 def test_rank_density_sp6_follows_s3():
-    """Chebotarev for t^3 - t - 1 (Galois group S3): the rank is 1, 2 or 3
-    with densities 1/3, 1/2 and 1/6 (3-cycles, transpositions, identity)."""
+    """Chebotarev for t^3 - t - 1 (Galois group S3): the factor degrees
+    are the cycle type of Frobenius, 3, 1+2 or 1+1+1 with densities 1/3,
+    1/2 and 1/6 (3-cycles, transpositions, identity), so the rank is 1, 2
+    or 3 with those densities."""
     h = trace_polynomial(SP6_CHARPOLY)
     counts = {}
     for p in primes_up_to(20000)[1:]:
-        r = rank_from_trace_polynomial(FieldCtx(p), h)
-        if r is not None:
-            counts[r] = counts.get(r, 0) + 1
+        degrees = trace_factor_degrees(FieldCtx(p), h)
+        if degrees is not None:
+            counts[degrees] = counts.get(degrees, 0) + 1
     used = sum(counts.values())
-    assert set(counts) == {1, 2, 3}
-    for r, density in ((1, 1 / 3), (2, 1 / 2), (3, 1 / 6)):
-        assert abs(counts[r] / used - density) <= 0.05, (r, counts)
+    assert set(counts) == {(3,), (1, 2), (1, 1, 1)}
+    for degrees, density in (((3,), 1 / 3), ((1, 2), 1 / 2), ((1, 1, 1), 1 / 6)):
+        assert abs(counts[degrees] / used - density) <= 0.05, (degrees, counts)
 
 
 def test_module_structure_sl2_split_is_base_field():
