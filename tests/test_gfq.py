@@ -13,6 +13,8 @@ from weilrep.gfq import (
     is_squarefree,
     is_prime,
     poly_deg,
+    poly_deriv,
+    poly_divmod,
     poly_eval,
     poly_from_ints,
     poly_gcd,
@@ -334,6 +336,51 @@ def test_factor_refuses_repeated_factors():
         assert not is_squarefree(ctx, f)
         with pytest.raises(ValueError, match="squarefree"):
             factor_poly(ctx, f)
+
+
+def _multiplicity(ctx, f, g):
+    """Largest e with g^e dividing f."""
+    e = 0
+    while True:
+        quo, rem = poly_divmod(ctx, f, g)
+        if rem:
+            return e
+        f, e = quo, e + 1
+
+
+def test_factor_with_multiplicities():
+    """Repeated factors are refused; factoring the radical and dividing out
+    recovers the multiplicities."""
+    F5 = FieldCtx(5)
+    # (x - 1)^2 (x + 1)^3
+    f = [F5.one]
+    for root, e in [(1, 2), (4, 3)]:
+        for _ in range(e):
+            f = poly_mul(F5, f, poly_from_ints(F5, [-root, 1]))
+    with pytest.raises(ValueError, match="squarefree"):
+        factor_poly(F5, f)
+    radical = poly_divmod(F5, f, poly_gcd(F5, f, poly_deriv(F5, f)))[0]
+    fac = factor_poly(F5, radical)
+    assert sorted(fac) == sorted([poly_from_ints(F5, [-1, 1]), poly_from_ints(F5, [1, 1])])
+    assert sorted(_multiplicity(F5, f, g) for g in fac) == [2, 3]
+
+
+def test_factor_frobenius_power_multiplicity():
+    # x^5 - x = x(x-1)...(x-4) mod 5 is squarefree; (x^2+1)^5 = x^10 + 1 is a
+    # polynomial in x^p, refused, and x^2 + 1 = (x - 2)(x - 3) divides it 5 times
+    F5 = FieldCtx(5)
+    f = poly_from_ints(F5, [0, 4, 0, 0, 0, 1])  # x^5 - x
+    fac = factor_poly(F5, f)
+    assert len(fac) == 5 and all(poly_deg(g) == 1 for g in fac)
+    g = poly_from_ints(F5, [1, 0, 1])
+    gp = [F5.one]
+    for _ in range(5):
+        gp = poly_mul(F5, gp, g)
+    assert not poly_deriv(F5, gp)
+    with pytest.raises(ValueError, match="squarefree"):
+        factor_poly(F5, gp)
+    fac = factor_poly(F5, g)
+    assert len(fac) == 2 and all(_multiplicity(F5, gp, h) == 5 for h in fac)
 
 
 def test_find_irreducible_deterministic():
