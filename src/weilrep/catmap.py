@@ -41,10 +41,6 @@ CAT4_DEFAULT = (
 #: the classical two-dimensional cat map
 CAT2_DEFAULT = ((2, 1), (1, 1))
 
-#: largest representation dimension HeckeContext accepts: its Wigner table
-#: holds dim^3 complex numbers (0.75 GB at dim 361)
-MAX_WIGNER_DIM = 343
-
 
 def primes_up_to(n: int) -> list[int]:
     if n < 2:
@@ -260,19 +256,51 @@ def skip_reason(A: LatticeAutomorphism, p: int) -> str | None:
     return None
 
 
+def torus_orbit_minima(torus) -> np.ndarray:
+    """For every v in F_p^2N, by its index a_idx * p^N + b_idx
+    (``WeilRep.v_index``), the least index over its orbit under a torus
+    over the prime field F_p.
+
+    For each generator g the permutation v -> gv is built by index
+    arithmetic, and the minimum over the g-cycle by pointer doubling: after
+    k rounds a label is the minimum over v, gv, ..., g^(2^k - 1) v.  T is
+    the product of its cyclic generator groups, so one pass per generator
+    gives the minimum over the T-orbit."""
+    p = torus.space.ctx.p
+    n = torus.space.dim
+    N = n // 2
+    labels = np.arange(p**n, dtype=np.int64)
+    # coordinate j < N is a_j with place value p^(N + j); b_j has p^j
+    place = p ** np.concatenate([np.arange(N, n), np.arange(N)])
+    coords = labels[:, None] // place % p
+    for g, order in zip(torus.generators, torus.orders):
+        step = (coords @ np.array(la.thaw(g), dtype=np.int64).T % p) @ place
+        span = 1
+        while span < order:
+            labels = np.minimum(labels, labels[step])
+            step = step[step]
+            span *= 2
+    return labels
+
+
 class HeckeContext:
     """Everything one prime's experiments share: the Hecke torus, the
-    eigenstate matrix with character bookkeeping, the batched Wigner table,
-    and the masks over the exponent window: admissibility from
-    ``sums.admissible_mask``, the one test the bound sweeps use too, and
-    the support of each block."""
+    eigenstate matrix with character bookkeeping, the masks over the
+    exponent window (admissibility from ``sums.admissible_mask``, the one
+    test the bound sweeps use too, and the support of each block), and the
+    Wigner values on torus orbits.
+
+    A joint eigenvector phi of T has rho(g) phi = chi(g) phi, and
+    rho(g) pi(v) rho(g)^-1 = pi(gv), so W_phi(gv) = W_phi(v); admissibility
+    and the per-block bound are T-invariant too.  So the Wigner values are
+    computed at one representative per admissible T-orbit that meets the
+    window (``orbit_reps``, the least index of the orbit,
+    ``torus_orbit_minima``): ``wigner`` has one column per orbit, window
+    entry k reads column ``xi_orbit[k]`` (-1 when not admissible), and
+    ``orbit_weight`` counts the admissible window exponents of each orbit.
+    """
 
     def __init__(self, A: LatticeAutomorphism, p: int, xi_max: int | None = None):
-        if p**A.N > MAX_WIGNER_DIM:
-            raise ValueError(
-                f"dimension {p**A.N} exceeds the supported bound {MAX_WIGNER_DIM} "
-                "of the Wigner table"
-            )
         self.A = A
         self.p = p
         self.N = A.N
@@ -295,7 +323,6 @@ class HeckeContext:
                 self.state_char.append(chi)
                 self.state_mult.append(m)
         self.states = np.stack(states, axis=1)
-        self.wigner = self.rep.wigner_batch(self.states)
         self.rank = len(self.torus.blocks)
         # exponent window
         if xi_max is None:
@@ -320,6 +347,15 @@ class HeckeContext:
         for mask, circ in zip(self.block_masks.T, self.block_factors):
             bounds = np.where(mask, bounds * circ, bounds)
         self.xi_bound = bounds
+        adm = np.flatnonzero(self.admissible)
+        labels = torus_orbit_minima(self.torus)[self.v_index[adm]]
+        self.orbit_reps, first, inverse, self.orbit_weight = np.unique(
+            labels, return_index=True, return_inverse=True, return_counts=True
+        )
+        self.xi_orbit = np.full(len(self.v_index), -1, dtype=np.int64)
+        self.xi_orbit[adm] = inverse
+        self.orbit_bound = bounds[adm[first]]
+        self.wigner = self.rep.wigner_at(self.states, self.orbit_reps)
 
     def _support_masks(self):
         masks = []
@@ -339,9 +375,8 @@ def hecke_que_experiment(A: LatticeAutomorphism, p: int, xi_max: int | None = No
     if reason is not None:
         return {"p": p, "skipped": reason}
     hc = HeckeContext(A, p, xi_max)
-    adm = hc.admissible
-    W = np.abs(hc.wigner[:, hc.v_index[adm]])
-    bound = hc.xi_bound[adm]
+    W = np.abs(hc.wigner)
+    bound = hc.orbit_bound
     mults = np.array(hc.state_mult)
     ratios_sharp = W / (mults[:, None] * bound[None, :])
     row = {
@@ -352,10 +387,10 @@ def hecke_que_experiment(A: LatticeAutomorphism, p: int, xi_max: int | None = No
         "torus": hc.torus.descriptor_string(),
         "n_eigenstates": hc.states.shape[1],
         "n_xi": len(hc.vmod),
-        "n_xi_excluded": int((~adm).sum()),
+        "n_xi_excluded": int((~hc.admissible).sum()),
         "max_ratio": float(ratios_sharp.max()),
         "max_ratio_plain": float((W.max(axis=0) / bound).max()),
-        "violations": int((ratios_sharp > 1 + 1e-9).sum()),
+        "violations": int((ratios_sharp > 1 + 1e-9).sum(axis=0) @ hc.orbit_weight),
         "max_scaled_wigner": float(W.max() * math.sqrt(p**hc.N)),
     }
     return row
@@ -378,17 +413,15 @@ def statistical_state_experiment(A: LatticeAutomorphism, p: int, xi_max: int | N
             for e, j, n in zip(chi.exponents, exps_A, hc.torus.orders)
         ) % L
         groups.setdefault(phase, []).append(s)
-    adm = hc.admissible
-    bound = hc.xi_bound[adm]
     max_ratio = 0.0
     violations = 0
     trace_dev = 0.0
     for phase, state_ids in groups.items():
         m_lambda = len(state_ids)
-        vals = hc.wigner[state_ids][:, hc.v_index[adm]].sum(axis=0) / m_lambda
-        ratios = np.abs(vals) / bound
+        vals = hc.wigner[state_ids].sum(axis=0) / m_lambda
+        ratios = np.abs(vals) / hc.orbit_bound
         max_ratio = max(max_ratio, float(ratios.max()))
-        violations += int((ratios > 1 + 1e-9).sum())
+        violations += int((ratios > 1 + 1e-9) @ hc.orbit_weight)
         # Tr(D) = (1/m) sum of <phi|phi> = 1 up to roundoff
         norms = np.linalg.norm(hc.states[:, state_ids], axis=0) ** 2
         trace_dev = max(trace_dev, abs(norms.sum() / m_lambda - 1.0))
@@ -428,7 +461,7 @@ def observable_bound_check(A: LatticeAutomorphism, p: int, observables=None):
             if k is None or not hc.admissible[k]:
                 usable = False
                 break
-            acc += coeff * hc.wigner[:, hc.v_index[k]]
+            acc += coeff * hc.wigner[:, hc.xi_orbit[k]]
             rhs += abs(coeff) * hc.xi_bound[k]
         if not usable:
             rows.append({"observable": _obs_name(obs), "skipped": "inadmissible exponent"})

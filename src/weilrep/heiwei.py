@@ -286,14 +286,36 @@ class WeilRep:
 
     # -- batched Wigner values ------------------------------------------------------
 
+    def _checked_states(self, states) -> np.ndarray:
+        states = np.asarray(states, dtype=np.complex128)
+        if states.shape[0] != self.dim:
+            raise ValueError(f"states have length {states.shape[0]}, expected {self.dim}")
+        return states
+
+    def wigner_at(self, states: np.ndarray, v_idx) -> np.ndarray:
+        """<phi | pi(v, 0) phi> for the columns phi of ``states`` and the
+        vectors v given by their indices a_idx * q^N + b_idx; result has
+        shape (n_states, len(v_idx)).  The vectors are grouped by their
+        translation a, and each group is one product
+        psi_mat[b] @ (conj(S) * S[shift_table[a]])."""
+        states = self._checked_states(states)
+        a_idx, b_idx = np.divmod(np.asarray(v_idx, dtype=np.int64), self.dim)
+        out = np.empty((states.shape[1], len(a_idx)), dtype=np.complex128)
+        conj = states.conj()
+        for a in np.unique(a_idx):
+            cols = np.flatnonzero(a_idx == a)
+            bs = b_idx[cols]
+            T = self.psi_mat[bs] @ (conj * states[self.shift_table[a]])
+            out[:, cols] = (T * self.psi_pow[self.half_ab_idx[a, bs]][:, None]).T
+        return out
+
     def wigner_batch(self, states: np.ndarray) -> np.ndarray:
         """<phi | pi(v, 0) phi> for the columns phi of ``states`` and every
         v in V; result has shape (n_states, q^N * q^N) indexed by
-        a_idx * q^N + b_idx."""
-        states = np.asarray(states, dtype=np.complex128)
+        a_idx * q^N + b_idx.  The full table is the test oracle of
+        ``wigner_at``: it holds q^(3N) numbers for a full set of states."""
+        states = self._checked_states(states)
         dim, nstates = states.shape
-        if dim != self.dim:
-            raise ValueError(f"states have length {dim}, expected {self.dim}")
         out = np.empty((nstates, dim * dim), dtype=np.complex128)
         conj = states.conj()
         for ai in range(dim):

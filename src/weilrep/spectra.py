@@ -6,8 +6,9 @@ as one exponent per factor; its value on the element with exponent tuple
 (j_1, ..., j_r) is the root of unity with phase sum e_k j_k / n_k.
 A character is fixed by its values on the r generators, so the eigenspaces
 are the joint eigenspaces of the r generator Weil operators, found by
-simultaneous diagonalization; multiplicities are their dimensions, and
-projectors are formed from their orthonormal bases on demand.
+simultaneous diagonalization; multiplicities are their dimensions.  The
+basis of each eigenspace is computed without forming its projector, and
+projectors are formed from the bases on demand only.
 """
 
 from __future__ import annotations
@@ -122,7 +123,11 @@ def decompose(rep: WeilRep, torus: Torus) -> EigenDecomposition:
 
     Every eigenspace gets the orthonormal basis that Gram-Schmidt makes of
     the columns of its projector B B*, and every basis vector v is checked
-    to satisfy |U_k v - chi(g_k) v| <= rep.tol for every generator."""
+    to satisfy |U_k v - chi(g_k) v| <= rep.tol for every generator.  Column
+    j of B B* is B conj(B[j, :]) and B is an isometry, so the Gram-Schmidt
+    runs on the mult-dimensional coefficient vectors conj(B[j, :]), in the
+    same order, and its result is mapped back by B once: no dim x dim
+    projector is formed."""
     ops = [rep.weil_op(g) for g in torus.generators]
     spaces = {(): np.eye(rep.dim, dtype=np.complex128)}
     for U, n in zip(ops, torus.orders):
@@ -142,7 +147,7 @@ def decompose(rep: WeilRep, torus: Torus) -> EigenDecomposition:
     for chi in chars:
         B = spaces.get(chi.exponents, empty)
         dec.multiplicities[chi.exponents] = B.shape[1]
-        dec.bases[chi.exponents] = _orthonormal_range(B @ B.conj().T, B.shape[1])
+        dec.bases[chi.exponents] = B @ _orthonormal_range(B.conj().T, B.shape[1])
     state_chars, states = zip(*dec.eigenstates())
     S = np.stack(states, axis=1)
     for U, gkey in zip(ops, torus.generators):
@@ -158,9 +163,11 @@ def decompose(rep: WeilRep, torus: Torus) -> EigenDecomposition:
 
 
 def _orthonormal_range(P: np.ndarray, mult: int) -> np.ndarray:
-    """Modified Gram-Schmidt on the ``mult`` largest projector columns.
-    Columns whose norms agree to 1e-9 are taken in index order, so rounding
-    noise in P cannot change which columns span the basis."""
+    """Modified Gram-Schmidt on the ``mult`` largest columns of P: a
+    projector, or the coefficients of its columns in an orthonormal basis
+    of its range.  Columns whose norms agree to 1e-9 are taken in index
+    order, so rounding noise in P cannot change which columns span the
+    basis."""
     if mult == 0:
         return np.zeros((P.shape[0], 0), dtype=np.complex128)
     norms = np.linalg.norm(P, axis=0)

@@ -20,7 +20,10 @@ from weilrep.catmap import (
     rank_density_sweep,
     skip_reason,
     statistical_state_experiment,
+    torus_orbit_minima,
 )
+from weilrep import fqlin as la
+from weilrep.heiwei import max_abs
 from weilrep.sums import orbit_spans_space
 
 
@@ -202,9 +205,14 @@ def test_que_experiment_cat4_p11_two_blocks():
     assert row["max_ratio"] <= 1 + 1e-9
 
 
-def test_hecke_context_refuses_dimensions_beyond_the_wigner_bound():
-    with pytest.raises(ValueError, match="Wigner table"):
-        HeckeContext(LatticeAutomorphism(CAT4_DEFAULT), 19)
+def test_que_experiment_cat4_p19_beyond_the_old_table_limit():
+    """Dimension 361, past the 343 at which the full Wigner table stopped:
+    a split+inert torus, every check completes and passes."""
+    row = hecke_que_experiment(LatticeAutomorphism(CAT4_DEFAULT), 19)
+    assert row["torus"] == "split+inert"
+    assert row["n_eigenstates"] == 361
+    assert row["violations"] == 0
+    assert row["max_ratio"] <= 1 + 1e-9
 
 
 def test_que_zero_exponent_excluded():
@@ -260,6 +268,175 @@ def test_observable_bound_p7():
     rows = [r for r in out["rows"] if "ok" in r]
     assert len(rows) == 3
     assert all(r["ok"] for r in rows)
+
+
+# -- Wigner values on torus orbits against the full table -------------------------
+
+
+def _vector_action(rep, mats):
+    """For each matrix g, the permutation v -> gv of the indices of
+    ``rep.all_vectors()``, found by lookup of the image rows."""
+    vs = list(rep.all_vectors())
+    assert all(rep.v_index(v) == i for i, v in enumerate(vs))
+    C = np.array(vs, dtype=np.int64)
+    p = rep.ctx.p
+    weights = (p + 1) ** np.arange(C.shape[1])  # any injective encoding
+    order = np.argsort(C @ weights)
+    keys = (C @ weights)[order]
+    return [
+        order[np.searchsorted(keys, (C @ np.array(la.thaw(g), dtype=np.int64).T % p) @ weights)]
+        for g in mats
+    ]
+
+
+def _que_row_from_table(hc):
+    """The QUE numbers from the full Wigner table, one column per window
+    exponent, as the experiments computed them before the orbit reduction."""
+    adm = hc.admissible
+    W = np.abs(hc.rep.wigner_batch(hc.states)[:, hc.v_index[adm]])
+    bound = hc.xi_bound[adm]
+    ratios = W / (np.array(hc.state_mult)[:, None] * bound[None, :])
+    return {
+        "n_eigenstates": hc.states.shape[1],
+        "n_xi": len(hc.vmod),
+        "n_xi_excluded": int((~adm).sum()),
+        "max_ratio": float(ratios.max()),
+        "max_ratio_plain": float((W.max(axis=0) / bound).max()),
+        "violations": int((ratios > 1 + 1e-9).sum()),
+        "max_scaled_wigner": float(W.max() * math.sqrt(hc.p**hc.N)),
+    }
+
+
+def _statistical_row_from_table(hc):
+    table = hc.rep.wigner_batch(hc.states)[:, hc.v_index[hc.admissible]]
+    bound = hc.xi_bound[hc.admissible]
+    exps_A = hc.torus.index[hc.A_mod]
+    L = math.lcm(*hc.torus.orders)
+    groups = {}
+    for s, chi in enumerate(hc.state_char):
+        phase = sum(e * j * (L // n) for e, j, n in zip(chi.exponents, exps_A, hc.torus.orders))
+        groups.setdefault(phase % L, []).append(s)
+    max_ratio, violations, trace_dev = 0.0, 0, 0.0
+    for ids in groups.values():
+        ratios = np.abs(table[ids].sum(axis=0) / len(ids)) / bound
+        max_ratio = max(max_ratio, float(ratios.max()))
+        violations += int((ratios > 1 + 1e-9).sum())
+        norms = np.linalg.norm(hc.states[:, ids], axis=0) ** 2
+        trace_dev = max(trace_dev, abs(norms.sum() / len(ids) - 1.0))
+    return {
+        "n_eigenspaces": len(groups),
+        "max_ratio": max_ratio,
+        "violations": violations,
+        "trace_deviation": trace_dev,
+    }
+
+
+def _assert_rows_agree(row, ref):
+    for key, value in ref.items():
+        if isinstance(value, float):
+            assert row[key] == pytest.approx(value, rel=1e-12, abs=0), key
+        else:
+            assert row[key] == value, key
+
+
+ORBIT_CASES = [(CAT2_DEFAULT, 7), (CAT2_DEFAULT, 13), (CAT4_DEFAULT, 7), (CAT4_DEFAULT, 11),
+               (CAT4_DEFAULT, 13)]
+ORBIT_IDS = ["cat2-p7", "cat2-p13", "cat4-p7", "cat4-p11", "cat4-p13"]
+
+
+@pytest.mark.parametrize("mat,p", ORBIT_CASES, ids=ORBIT_IDS)
+def test_wigner_values_are_constant_on_torus_orbits(mat, p):
+    """W_phi(gv) = W_phi(v) for every generator g on the full table, and
+    the orbit values are the table's values at every admissible window
+    exponent, both to 1e-12."""
+    hc = HeckeContext(LatticeAutomorphism(mat), p)
+    table = hc.rep.wigner_batch(hc.states)
+    for perm in _vector_action(hc.rep, hc.torus.generators):
+        assert max_abs(table[:, perm] - table) < 1e-12
+    adm = hc.admissible
+    assert max_abs(hc.wigner - table[:, hc.orbit_reps]) < 1e-12
+    assert max_abs(hc.wigner[:, hc.xi_orbit[adm]] - table[:, hc.v_index[adm]]) < 1e-12
+    assert np.all(hc.xi_orbit[~adm] == -1)
+
+
+@pytest.mark.parametrize("mat,p", ORBIT_CASES, ids=ORBIT_IDS)
+def test_orbit_classes_are_closed_and_weighted_by_the_window(mat, p):
+    hc = HeckeContext(LatticeAutomorphism(mat), p)
+    labels = torus_orbit_minima(hc.torus)
+    for perm in _vector_action(hc.rep, hc.torus.generators):
+        assert np.array_equal(labels[perm], labels)
+    assert np.all(labels <= np.arange(len(labels)))
+    sizes = np.unique(labels, return_counts=True)[1]
+    assert np.all(hc.torus.order % sizes == 0)
+    assert np.array_equal(labels[hc.orbit_reps], hc.orbit_reps)
+    assert hc.orbit_weight.sum() == hc.admissible.sum()
+
+
+def test_orbit_minima_match_the_orbit_over_every_torus_element():
+    hc = HeckeContext(LatticeAutomorphism(CAT4_DEFAULT), 7)
+    perms = _vector_action(hc.rep, hc.torus.elements)
+    assert np.array_equal(torus_orbit_minima(hc.torus), np.min(perms, axis=0))
+
+
+def _tight_bounds(monkeypatch):
+    """Halve every per-block factor, so that many (state, exponent) pairs
+    violate the bound and the violation counts are exercised."""
+    real = HeckeContext._support_masks
+
+    def halved(self):
+        masks, factors = real(self)
+        return masks, [f / 2 for f in factors]
+
+    monkeypatch.setattr(HeckeContext, "_support_masks", halved)
+
+
+@pytest.mark.parametrize(
+    "mat,p,xi_max,tight",
+    [
+        (CAT2_DEFAULT, 7, None, False),
+        (CAT2_DEFAULT, 13, 11, True),
+        (CAT2_DEFAULT, 11, 14, True),
+        (CAT4_DEFAULT, 7, None, True),
+        (CAT4_DEFAULT, 11, 9, False),
+        (CAT4_DEFAULT, 7, 10, True),
+        (CAT4_DEFAULT, 13, None, False),
+    ],
+    ids=["cat2-p7", "cat2-p13-xi11", "cat2-p11-xi14", "cat4-p7-tight", "cat4-p11-xi9",
+         "cat4-p7-xi10", "cat4-p13"],
+)
+def test_orbit_rows_match_the_table_reference(monkeypatch, mat, p, xi_max, tight):
+    """Window exponents outside [0, p) repeat vectors and a window below p
+    misses some, so violations count window exponents, not orbits."""
+    if tight:
+        _tight_bounds(monkeypatch)
+    A = LatticeAutomorphism(mat)
+    hc = HeckeContext(A, p, xi_max)
+    que_ref = _que_row_from_table(hc)
+    if tight:
+        assert que_ref["violations"] > 0
+    _assert_rows_agree(hecke_que_experiment(A, p, xi_max), que_ref)
+    _assert_rows_agree(statistical_state_experiment(A, p, xi_max), _statistical_row_from_table(hc))
+
+
+def test_observable_rows_match_the_table_reference():
+    A = LatticeAutomorphism(CAT2_DEFAULT)
+    hc = HeckeContext(A, 7)
+    table = hc.rep.wigner_batch(hc.states)
+    out = observable_bound_check(A, 7)
+    assert len(out["rows"]) == 3
+    for obs, row in zip(default_observables(1), out["rows"]):
+        a0 = complex(obs.get((0, 0), 0.0))
+        acc = np.full(hc.states.shape[1], a0)
+        rhs = 0.0
+        for xi, coeff in obs.items():
+            if any(x % 7 for x in xi):
+                k = next(k for k, v in enumerate(hc.vmod) if tuple(v) == tuple(x % 7 for x in xi))
+                acc += coeff * table[:, hc.v_index[k]]
+                rhs += abs(coeff) * hc.xi_bound[k]
+        lhs = float(np.abs(acc - a0).max())
+        assert row["max_deviation"] == pytest.approx(lhs, rel=1e-12, abs=0)
+        assert row["bound"] == rhs
+        assert row["ok"] == (lhs <= rhs + 1e-9)
 
 
 def test_split_prime_excludes_eigen_directions():

@@ -224,7 +224,8 @@ def _decompose_by_averaging(rep, torus):
     chars = torus_characters(torus)
     ops = np.stack([rep.weil_op(g) for g in torus.elements])
     X = np.stack([chi.values() for chi in chars])
-    P_all = np.einsum("ct,txy->cxy", X.conj(), ops) / torus.order
+    P_all = (X.conj() @ ops.reshape(len(ops), -1)).reshape(len(chars), rep.dim, rep.dim)
+    P_all /= torus.order
     out = {}
     for chi, P in zip(chars, P_all):
         tr = P.trace()
