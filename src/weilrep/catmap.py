@@ -368,13 +368,33 @@ class HeckeContext:
         return np.stack(masks, axis=1), factors
 
 
+#: the one context ``hecke_context`` holds: ((A.mat, p, xi_max), context)
+_held_context: tuple | None = None
+
+
+def hecke_context(A: LatticeAutomorphism, p: int, xi_max: int | None = None) -> HeckeContext:
+    """The ``HeckeContext`` of A at p, built once for all the experiments
+    run on that prime in a row.
+
+    A per-process memo of one entry, keyed by (A.mat, p, xi_max).  On a
+    miss the held context is dropped before the new one is built, so at
+    most one context is ever held; a build that raises leaves none.
+    Callers read the context and never mutate it."""
+    global _held_context
+    key = (A.mat, p, xi_max)
+    if _held_context is None or _held_context[0] != key:
+        _held_context = None
+        _held_context = (key, HeckeContext(A, p, xi_max))
+    return _held_context[1]
+
+
 def hecke_que_experiment(A: LatticeAutomorphism, p: int, xi_max: int | None = None):
     """Check, for one prime, every Hecke eigenstate against the assembled
     per-block bound over the exponent window.  Returns a summary row."""
     reason = skip_reason(A, p)
     if reason is not None:
         return {"p": p, "skipped": reason}
-    hc = HeckeContext(A, p, xi_max)
+    hc = hecke_context(A, p, xi_max)
     W = np.abs(hc.wigner)
     bound = hc.orbit_bound
     mults = np.array(hc.state_mult)
@@ -402,7 +422,7 @@ def statistical_state_experiment(A: LatticeAutomorphism, p: int, xi_max: int | N
     reason = skip_reason(A, p)
     if reason is not None:
         return {"p": p, "skipped": reason}
-    hc = HeckeContext(A, p, xi_max)
+    hc = hecke_context(A, p, xi_max)
     # group characters by their value on A: these cut the eigenspaces
     exps_A = hc.torus.index[hc.A_mod]
     L = math.lcm(*hc.torus.orders)
@@ -444,7 +464,7 @@ def observable_bound_check(A: LatticeAutomorphism, p: int, observables=None):
     reason = skip_reason(A, p)
     if reason is not None:
         return {"p": p, "skipped": reason}
-    hc = HeckeContext(A, p)
+    hc = hecke_context(A, p)
     if observables is None:
         observables = default_observables(A.N)
     index_of = {tuple(x): k for k, x in enumerate(map(tuple, hc.xi))}

@@ -555,7 +555,8 @@ def build_parser(config_defaults=None) -> argparse.ArgumentParser:
         p4.add_argument("--min-prime", type=int, default=5)
         p4.add_argument("--max-prime", type=int, default=97)
         p4.add_argument("--xi-max", type=int, default=None)
-        p4.add_argument("--jobs", type=int, default=os.cpu_count() or 1)
+        p4.add_argument("--jobs", type=int, default=1,
+                        help="worker processes, one prime each (default 1)")
         p4.set_defaults(func=fn, **(config_defaults or {}))
 
     p5 = sub.add_parser("rank-density", help="symplectic rank frequencies over primes")

@@ -127,7 +127,14 @@ def decompose(rep: WeilRep, torus: Torus) -> EigenDecomposition:
     j of B B* is B conj(B[j, :]) and B is an isometry, so the Gram-Schmidt
     runs on the mult-dimensional coefficient vectors conj(B[j, :]), in the
     same order, and its result is mapped back by B once: no dim x dim
-    projector is formed."""
+    projector is formed.
+
+    For a multiplicity-1 eigenspace that Gram-Schmidt stops at its first
+    column: the basis vector is b conj(b_j) / |b_j|, with b_j the entry of
+    b = B of largest modulus (moduli within 1e-9 taken in index order), so
+    its entry j is real and positive.  All these phases are found in one
+    vectorised step (``_line_phases``), bit-identical to the Gram-Schmidt
+    of ``_orthonormal_range``, which runs for multiplicities 2 and more."""
     ops = [rep.weil_op(g) for g in torus.generators]
     spaces = {(): np.eye(rep.dim, dtype=np.complex128)}
     for U, n in zip(ops, torus.orders):
@@ -144,10 +151,17 @@ def decompose(rep: WeilRep, torus: Torus) -> EigenDecomposition:
     chars = torus_characters(torus)
     dec = EigenDecomposition(rep, torus, chars)
     empty = np.zeros((rep.dim, 0), dtype=np.complex128)
+    lines = [exps for exps, B in spaces.items() if B.shape[1] == 1]
+    phases = {}
+    if lines:
+        P = np.concatenate([spaces[exps] for exps in lines], axis=1).conj().T
+        phases = dict(zip(lines, _line_phases(P).reshape(-1, 1, 1)))
     for chi in chars:
         B = spaces.get(chi.exponents, empty)
-        dec.multiplicities[chi.exponents] = B.shape[1]
-        dec.bases[chi.exponents] = B @ _orthonormal_range(B.conj().T, B.shape[1])
+        mult = B.shape[1]
+        dec.multiplicities[chi.exponents] = mult
+        coef = phases[chi.exponents] if mult == 1 else _orthonormal_range(B.conj().T, mult)
+        dec.bases[chi.exponents] = B @ coef
     state_chars, states = zip(*dec.eigenstates())
     S = np.stack(states, axis=1)
     for U, gkey in zip(ops, torus.generators):
@@ -160,6 +174,25 @@ def decompose(rep: WeilRep, torus: Torus) -> EigenDecomposition:
                 f"at character {state_chars[worst].exponents}"
             )
     return dec
+
+
+def _line_phases(P: np.ndarray) -> np.ndarray:
+    """What ``_orthonormal_range(P[[k]], 1)`` returns, for every row k of P
+    at once: the row's entry of largest modulus, divided by its modulus.
+    Entries whose moduli agree to 1e-9 are taken in index order.  The
+    moduli and the division use the formulas of ``_orthonormal_range``
+    (``np.linalg.norm`` along an axis and of a single entry), so the
+    result is the same to the bit."""
+    norms = np.sqrt((P.conj() * P).real)
+    order = np.argsort(-norms, axis=1, kind="stable")
+    drops = np.diff(np.take_along_axis(norms, order, axis=1), axis=1) < -1e-9
+    first = np.cumsum(drops, axis=1) == 0
+    top = np.where(np.concatenate([np.ones((len(P), 1), bool), first], axis=1), order, P.shape[1])
+    v = P[np.arange(len(P)), top.min(axis=1)]
+    nv = np.sqrt(v.real * v.real + v.imag * v.imag)
+    if np.any(nv <= 1e-8):  # pragma: no cover - a unit vector has an entry >= 1/sqrt(dim)
+        raise RuntimeError("eigenline basis vector vanishes")
+    return v / nv
 
 
 def _orthonormal_range(P: np.ndarray, mult: int) -> np.ndarray:

@@ -166,8 +166,8 @@ class Torus:
                 powers.append(la.mat_mul(ctx, powers[-1], g))
             gen_powers.append(powers)
         for e in exps:
-            m = la.identity(ctx, self.space.dim)
-            for powers, ei in zip(gen_powers, e):
+            m = gen_powers[0][e[0]]
+            for powers, ei in zip(gen_powers[1:], e[1:]):
                 m = la.mat_mul(ctx, m, powers[ei])
             key = la.freeze(m)
             if key in self.index:
@@ -476,6 +476,19 @@ def _pair_factor_classes(ctx, factors):
     return classes
 
 
+def _norm_one_residue(ctx, f, d):
+    """A generator of the norm-one group of GF(q)[x]/f, for f self-dual
+    irreducible of degree 2d: c = r^(Q - 1), Q = q^d, for the least
+    encoding r with c of order Q + 1.  A constant r lies in F_q^*, so
+    r^(Q - 1) = 1: the search starts at the first non-constant encoding."""
+    Q = ctx.q**d
+    for enc in range(ctx.q, ctx.q ** (2 * d)):
+        c = gfq.poly_pow_mod(ctx, gfq.poly_from_encoding(ctx, enc), Q - 1, f)
+        if _order_test(ctx, c, Q + 1, f):
+            return c
+    raise RuntimeError("no norm-one generator found")  # pragma: no cover
+
+
 def centralizer_torus(space: SympSpace, A) -> Torus:
     """The full commutant of a regular symplectic element inside Sp, as a
     torus of norm-one elements of the algebra GF(q)[A]."""
@@ -492,20 +505,9 @@ def centralizer_torus(space: SympSpace, A) -> Torus:
     for typ, f, partner in classes:
         f = list(f)
         if typ == "I":
-            twod = gfq.poly_deg(f)
-            d = twod // 2
-            Q = ctx.q**d
-            c = None
-            for enc in range(2, ctx.q**twod):
-                r = gfq.poly_from_encoding(ctx, enc)
-                cand = gfq.poly_pow_mod(ctx, r, Q - 1, f)
-                if _order_test(ctx, cand, Q + 1, f):
-                    c = cand
-                    break
-            if c is None:  # pragma: no cover
-                raise RuntimeError("no norm-one generator found")
-            residues = {tuple(f): c}
-            order = Q + 1
+            d = gfq.poly_deg(f) // 2
+            residues = {tuple(f): _norm_one_residue(ctx, f, d)}
+            order = ctx.q**d + 1
             name = "inert" if d == 1 else "irreducible"
         else:
             partner = list(partner)

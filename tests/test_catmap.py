@@ -1,6 +1,7 @@
 """Lattice automorphisms, genericity, Hecke sweeps, rank statistics."""
 
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from weilrep.catmap import (
     check_genericity,
     default_observables,
     factor_over_Q,
+    hecke_context,
     hecke_que_experiment,
     is_integer_symplectic,
     observable_bound_check,
@@ -22,7 +24,9 @@ from weilrep.catmap import (
     statistical_state_experiment,
     torus_orbit_minima,
 )
+from weilrep import catmap, gfq, symp
 from weilrep import fqlin as la
+from weilrep.gfq import FieldCtx
 from weilrep.heiwei import max_abs
 from weilrep.sums import orbit_spans_space
 
@@ -437,6 +441,131 @@ def test_observable_rows_match_the_table_reference():
         assert row["max_deviation"] == pytest.approx(lhs, rel=1e-12, abs=0)
         assert row["bound"] == rhs
         assert row["ok"] == (lhs <= rhs + 1e-9)
+
+
+# -- one context per prime ----------------------------------------------------------
+
+
+def _count_builds(monkeypatch):
+    """Replace ``catmap.HeckeContext`` by a subclass that records a weak
+    reference to every context it builds, and checks on each build that no
+    earlier context is still alive."""
+    built = []
+
+    class Counted(HeckeContext):
+        def __init__(self, *args):
+            assert all(ref() is None for ref in built), "an earlier context is still held"
+            built.append(weakref.ref(self))
+            super().__init__(*args)
+
+    monkeypatch.setattr(catmap, "HeckeContext", Counted)
+    return built
+
+
+def test_experiments_at_one_prime_share_one_context(monkeypatch):
+    built = _count_builds(monkeypatch)
+    A = LatticeAutomorphism(CAT2_DEFAULT)
+    hecke_que_experiment(A, 13)
+    statistical_state_experiment(A, 13)
+    observable_bound_check(A, 13)
+    assert len(built) == 1
+    assert hecke_context(A, 13) is built[0]()
+
+
+def test_a_different_prime_window_or_matrix_rebuilds_the_context(monkeypatch):
+    built = _count_builds(monkeypatch)
+    cat2, cat4 = LatticeAutomorphism(CAT2_DEFAULT), LatticeAutomorphism(CAT4_DEFAULT)
+    calls = [(cat2, 7, None), (cat2, 7, None), (cat2, 11, None), (cat2, 11, 5), (cat2, 11, 5),
+             (cat4, 7, None), (LatticeAutomorphism(CAT4_DEFAULT), 7, None), (cat2, 7, None)]
+    counts = []
+    for A, p, xi_max in calls:
+        statistical_state_experiment(A, p, xi_max)
+        counts.append(len(built))
+    assert counts == [1, 1, 2, 3, 3, 4, 4, 5]
+    assert sum(ref() is not None for ref in built) == 1
+
+
+@pytest.mark.parametrize(
+    "mat,p", [(CAT2_DEFAULT, 11), (CAT4_DEFAULT, 7)], ids=["cat2-p11", "cat4-p7"]
+)
+def test_rows_from_a_shared_context_equal_rows_from_fresh_ones(monkeypatch, mat, p):
+    A = LatticeAutomorphism(mat)
+    experiments = (hecke_que_experiment, statistical_state_experiment, observable_bound_check)
+    shared = [run(A, p) for run in experiments]
+    fresh = []
+    for run in experiments:
+        monkeypatch.setattr(catmap, "_held_context", None)
+        fresh.append(run(A, p))
+    assert shared == fresh
+
+
+def test_a_failed_build_leaves_no_context(monkeypatch):
+    A = LatticeAutomorphism(CAT2_DEFAULT)
+    hecke_que_experiment(A, 11)
+    assert catmap._held_context is not None
+
+    def fails(space, A):
+        raise RuntimeError("injected failure")
+
+    monkeypatch.setattr(catmap, "centralizer_torus", fails)
+    with pytest.raises(RuntimeError, match="injected"):
+        statistical_state_experiment(A, 7)
+    assert catmap._held_context is None
+
+
+# -- the norm-one generator search ---------------------------------------------------
+
+
+def _norm_one_residue_from_two(ctx, f, d):
+    """The oracle for ``symp._norm_one_residue``: the search from encoding
+    2, which also tries every constant."""
+    Q = ctx.q**d
+    for enc in range(2, ctx.q ** (2 * d)):
+        c = gfq.poly_pow_mod(ctx, gfq.poly_from_encoding(ctx, enc), Q - 1, f)
+        if symp._order_test(ctx, c, Q + 1, f):
+            return c
+    raise AssertionError("no norm-one generator")
+
+
+def _count_order_tests(monkeypatch):
+    """Record the order of every generator order test."""
+    calls = []
+    real = symp._order_test
+
+    def counting(ctx, c, order, mod):
+        calls.append(order)
+        return real(ctx, c, order, mod)
+
+    monkeypatch.setattr(symp, "_order_test", counting)
+    return calls
+
+
+def test_norm_one_search_skips_the_constants(monkeypatch):
+    """The search from the first non-constant encoding finds the
+    generators the search from encoding 2 finds, with fewer order tests
+    (counted over the whole centralizer, split blocks included)."""
+    calls = _count_order_tests(monkeypatch)
+    cases = [(CAT2_DEFAULT, p) for p in primes_up_to(97)]
+    cases += [(CAT4_DEFAULT, p) for p in primes_up_to(31)] + [(SP6_SEED, 5), (SP6_SEED, 7)]
+    tests = {}
+    for mat, p in cases:
+        A = LatticeAutomorphism(mat)
+        if skip_reason(A, p) is not None:
+            continue
+        space = symp.SympSpace(FieldCtx(p), A.N)
+        calls.clear()
+        torus = symp.centralizer_torus(space, A.mod_p(space))
+        n_new = len(calls)
+        with monkeypatch.context() as m:
+            m.setattr(symp, "_norm_one_residue", _norm_one_residue_from_two)
+            calls.clear()
+            oracle = symp.centralizer_torus(space, A.mod_p(space))
+        assert torus.generators == oracle.generators, (mat, p)
+        assert n_new <= len(calls)
+        tests[(A.N, p)] = (len(calls), n_new)
+    assert tests[(1, 97)] == (97, 2)
+    assert tests[(2, 31)] == (34, 5)
+    assert {(3, 5), (3, 7)} <= set(tests)
 
 
 def test_split_prime_excludes_eigen_directions():

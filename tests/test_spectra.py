@@ -2,11 +2,15 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from weilrep.catmap import CAT4_DEFAULT, LatticeAutomorphism
+from weilrep import spectra
+from weilrep.catmap import CAT2_DEFAULT, CAT4_DEFAULT, LatticeAutomorphism
 from weilrep.gfq import FieldCtx
 from weilrep.heiwei import WeilRep, max_abs
 from weilrep.spectra import (
+    _line_phases,
     _orthonormal_range,
     decompose,
     expected_multiplicity,
@@ -236,8 +240,13 @@ def _decompose_by_averaging(rep, torus):
 
 
 def _cat4_torus(p):
-    sp = SympSpace(FieldCtx(p), 2)
-    return WeilRep(sp), centralizer_torus(sp, LatticeAutomorphism(CAT4_DEFAULT).mod_p(sp))
+    return _cat_torus(CAT4_DEFAULT, p)
+
+
+def _cat_torus(mat, p):
+    A = LatticeAutomorphism(mat)
+    sp = SympSpace(FieldCtx(p), A.N)
+    return WeilRep(sp), centralizer_torus(sp, A.mod_p(sp))
 
 
 ORACLE_CASES = [
@@ -295,3 +304,57 @@ def test_decompose_builds_only_generator_operators():
     # each generator is trivial on the other block, so it goes through the
     # two-factor path: at most three operators per generator
     assert len(built) <= 3 * len(torus.generators) < torus.order
+
+
+def _same_bits(a, b):
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def _line_phases_by_gram_schmidt(P):
+    """The oracle for ``_line_phases``: ``_orthonormal_range`` on each row."""
+    return np.array([_orthonormal_range(P[k : k + 1], 1)[0, 0] for k in range(len(P))])
+
+
+#: steps between neighbouring moduli: below, at and above the 1e-9 tie width
+TIE_STEPS = [0.0, 1e-12, 0.4e-9, 0.7e-9, 1e-9, 1.3e-9, 3e-9, 1e-3, 0.1]
+
+
+@st.composite
+def tied_rows(draw):
+    """Rows whose moduli descend from their largest in drawn steps, so that
+    chains of moduli within 1e-9 of their neighbours are common, placed at
+    drawn positions with drawn phases."""
+    dim = draw(st.integers(1, 9))
+    rows = []
+    for _ in range(draw(st.integers(1, 5))):
+        top = draw(st.floats(0.05, 1.0))
+        steps = draw(st.lists(st.sampled_from(TIE_STEPS), min_size=dim - 1, max_size=dim - 1))
+        mags = np.maximum(top - np.cumsum([0.0] + steps), 0.0)
+        perm = draw(st.permutations(range(dim)))
+        angles = draw(st.lists(st.floats(0, 2 * np.pi), min_size=dim, max_size=dim))
+        rows.append((mags * np.exp(1j * np.array(angles)))[list(perm)])
+    return np.array(rows)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(tied_rows())
+def test_line_phases_match_gram_schmidt_to_the_bit(P):
+    assert _same_bits(_line_phases(P), _line_phases_by_gram_schmidt(P))
+
+
+@pytest.mark.parametrize(
+    "make",
+    [lambda: _cat_torus(CAT2_DEFAULT, 97), lambda: _cat4_torus(11), lambda: _cat4_torus(13),
+     lambda: setup_rep(3, 1, ["inert"], m=2)],
+    ids=["cat2-p97", "cat4-p11", "cat4-p13", "sl2-f9-inert"],
+)
+def test_decompose_bases_match_gram_schmidt_to_the_bit(monkeypatch, make):
+    """Every eigenbasis, of multiplicity 1 or more, is bit-identical to the
+    one the per-character Gram-Schmidt gives."""
+    rep, torus = make()
+    dec = decompose(rep, torus)
+    monkeypatch.setattr(spectra, "_line_phases", _line_phases_by_gram_schmidt)
+    ref = decompose(rep, torus)
+    assert any(m == 1 for m in dec.multiplicities.values())
+    for exps, B in ref.bases.items():
+        assert _same_bits(dec.bases[exps], B), exps

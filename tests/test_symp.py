@@ -1,5 +1,6 @@
 """Symplectic spaces, tori, centralizers, and module structures."""
 
+import itertools
 import random
 
 import pytest
@@ -158,6 +159,41 @@ def test_split_degree_two_block():
     assert torus.order == 3**2 - 1
     for g in torus.elements:
         assert is_symplectic(sp, la.thaw(g))
+
+
+def _enumerate_from_identity(torus):
+    """The oracle for ``Torus._enumerate``: every product
+    I g_1^e_1 ... g_r^e_r, the powers also built up from I, with the
+    exponent tuples in lexicographic order."""
+    ctx, dim = torus.space.ctx, torus.space.dim
+    gen_powers = []
+    for g, order in zip(torus.generators, torus.orders):
+        powers = [la.identity(ctx, dim)]
+        for _ in range(order - 1):
+            powers.append(la.mat_mul(ctx, powers[-1], g))
+        gen_powers.append(powers)
+    exps = list(itertools.product(*[range(o) for o in torus.orders]))
+    elements = []
+    for e in exps:
+        m = la.identity(ctx, dim)
+        for powers, ei in zip(gen_powers, e):
+            m = la.mat_mul(ctx, m, powers[ei])
+        elements.append(la.freeze(m))
+    return elements, exps
+
+
+@pytest.mark.parametrize(
+    "p,m,kinds",
+    [(7, 1, ["inert"]), (5, 1, ["split", "inert"]), (3, 1, ["inert", "split", "inert"]),
+     (3, 2, ["inert"]), (3, 2, ["split", "inert"])],
+    ids=["r1-f7", "r2-f5", "r3-f3", "r1-f9", "r2-f9"],
+)
+def test_enumeration_matches_the_identity_products(p, m, kinds):
+    torus = build_maximal_torus(SympSpace(FieldCtx(p, m), len(kinds)), kinds)
+    elements, exps = _enumerate_from_identity(torus)
+    assert torus.elements == elements
+    assert torus.exponents == exps
+    assert torus.index == dict(zip(elements, exps))
 
 
 def test_bad_kind_rejected():
