@@ -368,33 +368,28 @@ class HeckeContext:
         return np.stack(masks, axis=1), factors
 
 
-#: the one context ``hecke_context`` holds: ((A.mat, p, xi_max), context)
-_held_context: tuple | None = None
+def _context_for(A: LatticeAutomorphism, p: int, xi_max: int | None,
+                 context: HeckeContext | None) -> HeckeContext:
+    """``context`` when it was built for (A, p, xi_max), a new
+    ``HeckeContext`` when it is None.  A caller that runs several
+    experiments on one prime builds the context once and passes it to
+    each; the experiments only read it."""
+    if context is None:
+        return HeckeContext(A, p, xi_max)
+    if (context.A.mat, context.p, context.xi_max) != (A.mat, p, p if xi_max is None else xi_max):
+        raise ValueError("the context was built for another automorphism, prime or window")
+    return context
 
 
-def hecke_context(A: LatticeAutomorphism, p: int, xi_max: int | None = None) -> HeckeContext:
-    """The ``HeckeContext`` of A at p, built once for all the experiments
-    run on that prime in a row.
-
-    A per-process memo of one entry, keyed by (A.mat, p, xi_max).  On a
-    miss the held context is dropped before the new one is built, so at
-    most one context is ever held; a build that raises leaves none.
-    Callers read the context and never mutate it."""
-    global _held_context
-    key = (A.mat, p, xi_max)
-    if _held_context is None or _held_context[0] != key:
-        _held_context = None
-        _held_context = (key, HeckeContext(A, p, xi_max))
-    return _held_context[1]
-
-
-def hecke_que_experiment(A: LatticeAutomorphism, p: int, xi_max: int | None = None):
+def hecke_que_experiment(A: LatticeAutomorphism, p: int, xi_max: int | None = None, *,
+                         context: HeckeContext | None = None):
     """Check, for one prime, every Hecke eigenstate against the assembled
-    per-block bound over the exponent window.  Returns a summary row."""
+    per-block bound over the exponent window.  Returns a summary row.
+    ``context`` is the prime's ``HeckeContext`` if the caller has built it."""
     reason = skip_reason(A, p)
     if reason is not None:
         return {"p": p, "skipped": reason}
-    hc = hecke_context(A, p, xi_max)
+    hc = _context_for(A, p, xi_max, context)
     W = np.abs(hc.wigner)
     bound = hc.orbit_bound
     mults = np.array(hc.state_mult)
@@ -416,13 +411,15 @@ def hecke_que_experiment(A: LatticeAutomorphism, p: int, xi_max: int | None = No
     return row
 
 
-def statistical_state_experiment(A: LatticeAutomorphism, p: int, xi_max: int | None = None):
+def statistical_state_experiment(A: LatticeAutomorphism, p: int, xi_max: int | None = None, *,
+                                 context: HeckeContext | None = None):
     """The same sweep at the level of the density operators D of the
-    eigenspaces of the quantized automorphism."""
+    eigenspaces of the quantized automorphism.  ``context`` as for
+    ``hecke_que_experiment``."""
     reason = skip_reason(A, p)
     if reason is not None:
         return {"p": p, "skipped": reason}
-    hc = hecke_context(A, p, xi_max)
+    hc = _context_for(A, p, xi_max, context)
     # group characters by their value on A: these cut the eigenspaces
     exps_A = hc.torus.index[hc.A_mod]
     L = math.lcm(*hc.torus.orders)
@@ -457,14 +454,16 @@ def statistical_state_experiment(A: LatticeAutomorphism, p: int, xi_max: int | N
     }
 
 
-def observable_bound_check(A: LatticeAutomorphism, p: int, observables=None):
+def observable_bound_check(A: LatticeAutomorphism, p: int, observables=None, *,
+                           context: HeckeContext | None = None):
     """Triangle-inequality form of the equidistribution statement for a few
     fixed trigonometric polynomials f = sum of a_xi xi: every Hecke state
-    satisfies |<phi|pi(f)phi> - a_0| <= sum over xi != 0 of |a_xi| bound_xi."""
+    satisfies |<phi|pi(f)phi> - a_0| <= sum over xi != 0 of |a_xi| bound_xi.
+    ``context`` as for ``hecke_que_experiment``, with the default window."""
     reason = skip_reason(A, p)
     if reason is not None:
         return {"p": p, "skipped": reason}
-    hc = hecke_context(A, p)
+    hc = _context_for(A, p, None, context)
     if observables is None:
         observables = default_observables(A.N)
     index_of = {tuple(x): k for k, x in enumerate(map(tuple, hc.xi))}

@@ -31,6 +31,7 @@ from . import fqlin as la
 from .catmap import (
     CAT2_DEFAULT,
     CAT4_DEFAULT,
+    HeckeContext,
     LatticeAutomorphism,
     hecke_que_experiment,
     observable_bound_check,
@@ -475,13 +476,14 @@ def cmd_selftest(args) -> int:
                 and rpt["max_operator_distance"] <= rpt["tol"]
             )
             failures += _check(f"self-reducibility Sp(4,F_{p})", ok)
-        # cat map spot check
+        # cat map spot check: both checks read one context
         A = LatticeAutomorphism(CAT2_DEFAULT)
-        row = hecke_que_experiment(A, 7)
+        hc = HeckeContext(A, 7)
+        row = hecke_que_experiment(A, 7, context=hc)
         failures += _check(
             "cat map QUE p=7", row["violations"] == 0 and row["torus_order"] == 8
         )
-        obs = observable_bound_check(A, 7)
+        obs = observable_bound_check(A, 7, context=hc)
         failures += _check(
             "observable bound p=7",
             all(r.get("ok") for r in obs["rows"] if "ok" in r),

@@ -131,10 +131,11 @@ def decompose(rep: WeilRep, torus: Torus) -> EigenDecomposition:
 
     For a multiplicity-1 eigenspace that Gram-Schmidt stops at its first
     column: the basis vector is b conj(b_j) / |b_j|, with b_j the entry of
-    b = B of largest modulus (moduli within 1e-9 taken in index order), so
-    its entry j is real and positive.  All these phases are found in one
-    vectorised step (``_line_phases``), bit-identical to the Gram-Schmidt
-    of ``_orthonormal_range``, which runs for multiplicities 2 and more."""
+    b = B of largest modulus (moduli within 1e-9 taken in index order, the
+    ``_tie_order`` rule of the Gram-Schmidt), so its entry j is real and
+    positive.  All these phases are found in one vectorised step
+    (``_line_phases``), bit-identical to the Gram-Schmidt of
+    ``_orthonormal_range``, which runs for multiplicities 2 and more."""
     ops = [rep.weil_op(g) for g in torus.generators]
     spaces = {(): np.eye(rep.dim, dtype=np.complex128)}
     for U, n in zip(ops, torus.orders):
@@ -176,19 +177,24 @@ def decompose(rep: WeilRep, torus: Torus) -> EigenDecomposition:
     return dec
 
 
+def _tie_order(norms: np.ndarray) -> np.ndarray:
+    """The indices along the last axis of ``norms``, largest first.  Norms
+    that agree to 1e-9 with their neighbour in that order (chains
+    included) are taken in index order, so rounding noise cannot change
+    which entry comes first."""
+    order = np.argsort(-norms, axis=-1, kind="stable")
+    drops = np.diff(np.take_along_axis(norms, order, axis=-1), axis=-1) < -1e-9
+    ties = np.concatenate([np.zeros(drops.shape[:-1] + (1,), np.int64), np.cumsum(drops, axis=-1)], axis=-1)
+    return np.take_along_axis(order, np.argsort(ties * norms.shape[-1] + order, axis=-1), axis=-1)
+
+
 def _line_phases(P: np.ndarray) -> np.ndarray:
     """What ``_orthonormal_range(P[[k]], 1)`` returns, for every row k of P
-    at once: the row's entry of largest modulus, divided by its modulus.
-    Entries whose moduli agree to 1e-9 are taken in index order.  The
-    moduli and the division use the formulas of ``_orthonormal_range``
-    (``np.linalg.norm`` along an axis and of a single entry), so the
-    result is the same to the bit."""
-    norms = np.sqrt((P.conj() * P).real)
-    order = np.argsort(-norms, axis=1, kind="stable")
-    drops = np.diff(np.take_along_axis(norms, order, axis=1), axis=1) < -1e-9
-    first = np.cumsum(drops, axis=1) == 0
-    top = np.where(np.concatenate([np.ones((len(P), 1), bool), first], axis=1), order, P.shape[1])
-    v = P[np.arange(len(P)), top.min(axis=1)]
+    at once: the row's first entry in ``_tie_order``, divided by its
+    modulus.  The moduli and the division use the formulas of
+    ``_orthonormal_range`` (``np.linalg.norm`` along an axis and of a
+    single entry), so the result is the same to the bit."""
+    v = P[np.arange(len(P)), _tie_order(np.sqrt((P.conj() * P).real))[:, 0]]
     nv = np.sqrt(v.real * v.real + v.imag * v.imag)
     if np.any(nv <= 1e-8):  # pragma: no cover - a unit vector has an entry >= 1/sqrt(dim)
         raise RuntimeError("eigenline basis vector vanishes")
@@ -196,19 +202,13 @@ def _line_phases(P: np.ndarray) -> np.ndarray:
 
 
 def _orthonormal_range(P: np.ndarray, mult: int) -> np.ndarray:
-    """Modified Gram-Schmidt on the ``mult`` largest columns of P: a
-    projector, or the coefficients of its columns in an orthonormal basis
-    of its range.  Columns whose norms agree to 1e-9 are taken in index
-    order, so rounding noise in P cannot change which columns span the
-    basis."""
+    """Modified Gram-Schmidt on the ``mult`` largest columns of P, in
+    ``_tie_order``: a projector, or the coefficients of its columns in an
+    orthonormal basis of its range."""
     if mult == 0:
         return np.zeros((P.shape[0], 0), dtype=np.complex128)
-    norms = np.linalg.norm(P, axis=0)
-    order = np.argsort(-norms, kind="stable")
-    ties = np.concatenate(([0], np.cumsum(np.diff(norms[order]) < -1e-9)))
-    order = order[np.lexsort((order, ties))]
     basis = []
-    for idx in order:
+    for idx in _tie_order(np.linalg.norm(P, axis=0)):
         v = P[:, idx].copy()
         for b in basis:
             v -= (b.conj() @ v) * b

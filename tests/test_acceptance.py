@@ -26,6 +26,7 @@ from weilrep import fqlin as la
 from weilrep.catmap import (
     CAT2_DEFAULT,
     CAT4_DEFAULT,
+    HeckeContext,
     LatticeAutomorphism,
     hecke_que_experiment,
     primes_up_to,
@@ -352,8 +353,9 @@ def test_criterion_11_sp6_end_to_end():
     ok = all(abs(freqs[r] - d) <= 0.05 for r, d in ((1, 1 / 3), (2, 1 / 2), (3, 1 / 6)))
     detail = []
     for p in (5, 7):
-        que = hecke_que_experiment(A, p)
-        stat = statistical_state_experiment(A, p)
+        hc = HeckeContext(A, p)
+        que = hecke_que_experiment(A, p, context=hc)
+        stat = statistical_state_experiment(A, p, context=hc)
         ok = ok and que["violations"] == 0 and que["max_ratio"] <= 1 + 1e-9
         ok = ok and stat["violations"] == 0 and stat["max_ratio"] <= 1 + 1e-9
         detail.append(

@@ -14,7 +14,6 @@ from weilrep.catmap import (
     check_genericity,
     default_observables,
     factor_over_Q,
-    hecke_context,
     hecke_que_experiment,
     is_integer_symplectic,
     observable_bound_check,
@@ -24,7 +23,7 @@ from weilrep.catmap import (
     statistical_state_experiment,
     torus_orbit_minima,
 )
-from weilrep import catmap, gfq, symp
+from weilrep import gfq, symp
 from weilrep import fqlin as la
 from weilrep.gfq import FieldCtx
 from weilrep.heiwei import max_abs
@@ -447,70 +446,58 @@ def test_observable_rows_match_the_table_reference():
 
 
 def _count_builds(monkeypatch):
-    """Replace ``catmap.HeckeContext`` by a subclass that records a weak
-    reference to every context it builds, and checks on each build that no
-    earlier context is still alive."""
+    """Record a weak reference to every ``HeckeContext`` built, wherever
+    the class is used from."""
     built = []
+    real = HeckeContext.__init__
 
-    class Counted(HeckeContext):
-        def __init__(self, *args):
-            assert all(ref() is None for ref in built), "an earlier context is still held"
-            built.append(weakref.ref(self))
-            super().__init__(*args)
+    def counting(self, *args, **kwargs):
+        built.append(weakref.ref(self))
+        real(self, *args, **kwargs)
 
-    monkeypatch.setattr(catmap, "HeckeContext", Counted)
+    monkeypatch.setattr(HeckeContext, "__init__", counting)
     return built
 
 
-def test_experiments_at_one_prime_share_one_context(monkeypatch):
+EXPERIMENTS = (hecke_que_experiment, statistical_state_experiment, observable_bound_check)
+
+
+def test_experiments_read_a_passed_context(monkeypatch):
     built = _count_builds(monkeypatch)
     A = LatticeAutomorphism(CAT2_DEFAULT)
-    hecke_que_experiment(A, 13)
-    statistical_state_experiment(A, 13)
-    observable_bound_check(A, 13)
+    hc = HeckeContext(A, 13)
+    for run in EXPERIMENTS:
+        run(A, 13, context=hc)
     assert len(built) == 1
-    assert hecke_context(A, 13) is built[0]()
 
 
-def test_a_different_prime_window_or_matrix_rebuilds_the_context(monkeypatch):
+def test_without_a_context_each_experiment_builds_its_own_and_keeps_none(monkeypatch):
     built = _count_builds(monkeypatch)
-    cat2, cat4 = LatticeAutomorphism(CAT2_DEFAULT), LatticeAutomorphism(CAT4_DEFAULT)
-    calls = [(cat2, 7, None), (cat2, 7, None), (cat2, 11, None), (cat2, 11, 5), (cat2, 11, 5),
-             (cat4, 7, None), (LatticeAutomorphism(CAT4_DEFAULT), 7, None), (cat2, 7, None)]
-    counts = []
-    for A, p, xi_max in calls:
-        statistical_state_experiment(A, p, xi_max)
-        counts.append(len(built))
-    assert counts == [1, 1, 2, 3, 3, 4, 4, 5]
-    assert sum(ref() is not None for ref in built) == 1
+    A = LatticeAutomorphism(CAT2_DEFAULT)
+    for run in EXPERIMENTS:
+        run(A, 13)
+    assert len(built) == len(EXPERIMENTS)
+    assert all(ref() is None for ref in built)
 
 
 @pytest.mark.parametrize(
     "mat,p", [(CAT2_DEFAULT, 11), (CAT4_DEFAULT, 7)], ids=["cat2-p11", "cat4-p7"]
 )
-def test_rows_from_a_shared_context_equal_rows_from_fresh_ones(monkeypatch, mat, p):
+def test_rows_from_a_shared_context_equal_rows_from_fresh_ones(mat, p):
     A = LatticeAutomorphism(mat)
-    experiments = (hecke_que_experiment, statistical_state_experiment, observable_bound_check)
-    shared = [run(A, p) for run in experiments]
-    fresh = []
-    for run in experiments:
-        monkeypatch.setattr(catmap, "_held_context", None)
-        fresh.append(run(A, p))
-    assert shared == fresh
+    hc = HeckeContext(A, p)
+    assert [run(A, p, context=hc) for run in EXPERIMENTS] == [run(A, p) for run in EXPERIMENTS]
 
 
-def test_a_failed_build_leaves_no_context(monkeypatch):
-    A = LatticeAutomorphism(CAT2_DEFAULT)
-    hecke_que_experiment(A, 11)
-    assert catmap._held_context is not None
-
-    def fails(space, A):
-        raise RuntimeError("injected failure")
-
-    monkeypatch.setattr(catmap, "centralizer_torus", fails)
-    with pytest.raises(RuntimeError, match="injected"):
-        statistical_state_experiment(A, 7)
-    assert catmap._held_context is None
+def test_a_context_for_another_prime_window_or_matrix_is_refused():
+    cat2 = LatticeAutomorphism(CAT2_DEFAULT)
+    hc = HeckeContext(cat2, 7)
+    assert hecke_que_experiment(cat2, 7, 7, context=hc) == hecke_que_experiment(cat2, 7)
+    for A, p, xi_max in [(cat2, 13, None), (cat2, 7, 5), (LatticeAutomorphism(CAT4_DEFAULT), 7, None)]:
+        with pytest.raises(ValueError, match="another automorphism"):
+            statistical_state_experiment(A, p, xi_max, context=hc)
+    with pytest.raises(ValueError, match="another automorphism"):
+        observable_bound_check(cat2, 13, context=hc)
 
 
 # -- the norm-one generator search ---------------------------------------------------

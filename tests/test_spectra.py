@@ -12,6 +12,7 @@ from weilrep.heiwei import WeilRep, max_abs
 from weilrep.spectra import (
     _line_phases,
     _orthonormal_range,
+    _tie_order,
     decompose,
     expected_multiplicity,
     multiplicity_table_rows,
@@ -334,6 +335,23 @@ def tied_rows(draw):
         angles = draw(st.lists(st.floats(0, 2 * np.pi), min_size=dim, max_size=dim))
         rows.append((mags * np.exp(1j * np.array(angles)))[list(perm)])
     return np.array(rows)
+
+
+def _tie_order_by_lexsort(norms):
+    """The oracle for ``_tie_order`` on one row: the column order the
+    Gram-Schmidt used before the rule was shared, a lexsort on (tie group,
+    index)."""
+    order = np.argsort(-norms, kind="stable")
+    ties = np.concatenate(([0], np.cumsum(np.diff(norms[order]) < -1e-9)))
+    return order[np.lexsort((order, ties))]
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(tied_rows())
+def test_tie_order_matches_the_lexsort_rule_row_by_row(P):
+    norms = np.abs(P)
+    assert np.array_equal(_tie_order(norms), np.array([_tie_order_by_lexsort(n) for n in norms]))
+    assert np.array_equal(_tie_order(norms[0]), _tie_order_by_lexsort(norms[0]))
 
 
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)
