@@ -80,7 +80,25 @@ def _qpoly_trim(f):
     return f
 
 
+def _monic_quotient(f, g):
+    """f / g for integer coefficient lists with g monic, or None when g does
+    not divide f.  The division is exact in integers; a g whose constant
+    term does not divide that of f is refused before any division."""
+    if f[0] % g[0] if g[0] else f[0]:
+        return None
+    f = list(f)
+    dg = len(g) - 1
+    q = [0] * (len(f) - dg)
+    for sh in reversed(range(len(q))):
+        c = q[sh] = f[sh + dg]
+        if c:
+            for i in range(dg):
+                f[sh + i] -= c * g[i]
+    return None if any(f[:dg]) else q
+
+
 def _qpoly_divmod(f, g):
+    """Division with remainder over Q, for any nonzero divisor g."""
     f = [Fraction(c) for c in f]
     g = [Fraction(c) for c in g]
     q = [Fraction(0)] * max(len(f) - len(g) + 1, 0)
@@ -128,7 +146,8 @@ def factor_over_Q(f):
     squarefree it is the product of a set of the monic irreducible factors
     of f over GF(P) (``gfq.factor_poly``), read with coefficients in
     (-P/2, P/2).  Sets are tried smallest first and kept when their product
-    divides f exactly, so each kept product is irreducible.  ValueError
+    divides f exactly (``_monic_quotient``: the product is monic, so the
+    division stays in integers), so each kept product is irreducible.  ValueError
     unless f is monic and squarefree, and when P reaches the 2^20 bound of
     ``FieldCtx``.
     """
@@ -158,10 +177,10 @@ def factor_over_Q(f):
             for i in subset:
                 prod = gfq.poly_mul(ctx, prod, mods[i])
             g = [c - P if 2 * c > P else c for c in prod]
-            q, rem = _qpoly_divmod(f, g)
-            if not rem:
+            q = _monic_quotient(f, g)
+            if q is not None:
                 factors.append(g)
-                f = [int(c) for c in q]
+                f = q
                 mods = [m for i, m in enumerate(mods) if i not in subset]
                 break
         else:

@@ -22,6 +22,7 @@ import contextlib
 import datetime
 import json
 import math
+import multiprocessing
 import os
 import random
 import sys
@@ -242,6 +243,28 @@ def cmd_self_reducibility(args) -> int:
     return 1 if failures else 0
 
 
+#: the thread counts of the BLAS libraries numpy may be built on
+BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+
+@contextlib.contextmanager
+def _one_blas_thread_for_children():
+    """Set every BLAS thread count to 1 in this process's environment while
+    the block runs, so that worker processes started in it inherit it.  A
+    BLAS library reads the count once, when numpy is first imported, so a
+    worker cannot lower it for itself."""
+    saved = {name: os.environ.get(name) for name in BLAS_THREAD_VARS}
+    os.environ.update(dict.fromkeys(BLAS_THREAD_VARS, "1"))
+    try:
+        yield
+    finally:
+        for name, value in saved.items():
+            if value is None:
+                os.environ.pop(name, None)
+            else:
+                os.environ[name] = value
+
+
 def _que_worker(task):
     """One prime's experiment; an exception becomes an error row with its
     type, message and raising frame, so one bad prime does not abort the
@@ -277,7 +300,12 @@ def _run_prime_sweep(args, statistical: bool) -> int:
     ps = _primes_in(args.min_prime, args.max_prime)
     tasks = [(A, p, args.xi_max, statistical) for p in ps]
     if args.jobs > 1:
-        with concurrent.futures.ProcessPoolExecutor(max_workers=args.jobs) as ex:
+        # spawned, not forked: a forked worker would share this process's
+        # numpy and so its BLAS thread count; each worker gets one thread
+        spawn = multiprocessing.get_context("spawn")
+        with _one_blas_thread_for_children(), concurrent.futures.ProcessPoolExecutor(
+            max_workers=args.jobs, mp_context=spawn
+        ) as ex:
             rows = list(ex.map(_que_worker, tasks))
     else:
         rows = [_que_worker(t) for t in tasks]
@@ -558,7 +586,8 @@ def build_parser(config_defaults=None) -> argparse.ArgumentParser:
         p4.add_argument("--max-prime", type=int, default=97)
         p4.add_argument("--xi-max", type=int, default=None)
         p4.add_argument("--jobs", type=int, default=1,
-                        help="worker processes, one prime each (default 1)")
+                        help="worker processes, one prime each, with one BLAS "
+                             "thread each (default 1)")
         p4.set_defaults(func=fn, **(config_defaults or {}))
 
     p5 = sub.add_parser("rank-density", help="symplectic rank frequencies over primes")

@@ -29,6 +29,7 @@ is floating point.
 
 from __future__ import annotations
 
+import math
 import random
 from functools import lru_cache
 
@@ -344,16 +345,52 @@ def _standard_gram_cache(space):
 # -- restriction to SL(2) over the extension fields ----------------------------
 
 
-def _intertwiner(rep: WeilRep, bar_pi_of_v, dim_bar):
+def _column_entries(rep: WeilRep, a_idx, b_idx, col):
+    """Row and value of the one nonzero entry in column ``col`` of
+    pi((a, b), 0), for the vectors given by their index arrays: pi(v, 0)
+    sends e_col to row r with shift_table[a, r] = col, with the phase
+    pi_op gives that row, psi_mat[b, r] * psi_pow[half_ab_idx[a, b]]."""
+    rows = np.argsort(rep.shift_table, axis=1)[a_idx, col]
+    return rows, rep.psi_mat[b_idx, rows] * rep.psi_pow[rep.half_ab_idx[a_idx, b_idx]]
+
+
+def _intertwiner(rep: WeilRep, blocks, bar_reps):
     """Unitary U with pi(iota_H(v, 0)) U = U pi_bar(v, 0) for all v, found
-    by averaging rank-one seeds over the Heisenberg translates."""
+    by averaging rank-one seeds over the Heisenberg translates.
+
+    pi_bar(v, 0) is the Kronecker product of the block operators
+    pi_alpha((x_alpha, y_alpha), 0) of ``bar_reps``, and the block
+    coordinates of every v come from one product with the block's
+    ``to_coords``.  Each column of pi(v, 0), and of pi_bar(v, 0), has one
+    nonzero entry, so the seed (i, j) adds one entry per v,
+    pi(v)[r, i] conj(pi_bar(v)[s, j]) at (r, s), in vector order: bit for
+    bit the sum of the dense outer products, which add only exact zeros
+    elsewhere."""
+    dim, p = rep.dim, rep.ctx.p
+    a_idx, b_idx = np.divmod(np.arange(dim * dim), dim)
+    # F_p coordinates of every v = (a, b), in the order a_idx * q^N + b_idx,
+    # and the encodings of its block coordinates (x, y)
+    coords = np.hstack([rep._Lc[a_idx], rep._Lc[b_idx]])
+    bar_idx = []
+    for blk in blocks:
+        mK = blk.field.m
+        xy = coords @ blk.to_coords.T % p
+        digits = p ** np.arange(mK)
+        bar_idx.append((xy[:, :mK] @ digits, xy[:, mK:] @ digits))
+    dims = [bar_rep.dim for bar_rep in bar_reps]
+    dim_bar = math.prod(dims)
     for i in range(rep.dim):
+        rows, big = _column_entries(rep, a_idx, b_idx, i)
         for j in range(dim_bar):
+            cols, bar = 0, None
+            for bar_rep, (x_idx, y_idx), j_alpha in zip(
+                bar_reps, bar_idx, np.unravel_index(j, dims)
+            ):
+                r, val = _column_entries(bar_rep, x_idx, y_idx, j_alpha)
+                cols = cols * bar_rep.dim + r
+                bar = val if bar is None else bar * val
             U = np.zeros((rep.dim, dim_bar), dtype=np.complex128)
-            for v in rep.all_vectors():
-                big = rep.pi_op((v, rep.ctx.zero))
-                bar = bar_pi_of_v(v)
-                U += np.outer(big[:, i], bar[:, j].conj())
+            np.add.at(U, (rows, cols), big * bar.conj())
             gram = U.conj().T @ U
             c = abs(gram.trace()) / dim_bar
             if c < 1e-8:
@@ -370,10 +407,14 @@ def restrict_to_extension(rep: WeilRep, ms, n_samples: int = 50, seed: int = 0):
 
     Each block representation is a WeilRep of SL(2, K_alpha) built on the
     block's FieldCtx, and block coordinates and test elements are elements
-    of that field.  The sigma identity compares the global sign with the
-    product of the block Legendre symbols of -det(g - 1); the psi identity
-    compares the global phase index with (1/2) Tr_{K/F_p}(omega_bar) summed
-    over the blocks.
+    of that field.  The block coordinates of every vector come from the
+    blocks' integer coordinate maps (``ModBlock.to_coords``), the
+    intertwiner adds one entry per vector (``_intertwiner``), and each
+    torus element's blocks are computed once.  The sigma identity compares
+    the global sign with the product of the block Legendre symbols of
+    -det(g - 1); the psi identity compares the global phase index with
+    (1/2) Tr_{K/F_p}(omega_bar) summed over the blocks, read from the sum
+    of the blocks' F_p Gram matrices (``SympModuleStructure.trace_gram``).
 
     Returns a report with the exact trace-level identity counts over the
     torus and the maximum operator distance after one global alignment.
@@ -384,38 +425,29 @@ def restrict_to_extension(rep: WeilRep, ms, n_samples: int = 50, seed: int = 0):
             "operator-level comparison"
         )
     ctx = rep.ctx
+    p = ctx.p
     space = rep.space
     blocks = ms.blocks
     bar_reps = [WeilRep(SympSpace(blk.field, 1)) for blk in blocks]
-
-    def bar_pi_of_v(v):
-        out = None
-        for blk, bar_rep in zip(blocks, bar_reps):
-            x, y = blk.coords_sl2(blk.project(list(v)))
-            op = bar_rep.pi_op(((x, y), blk.field.zero))
-            out = op if out is None else np.kron(out, op)
-        return out
-
-    dim_bar = 1
-    for blk in blocks:
-        dim_bar *= blk.field.q
+    dim_bar = math.prod(bar_rep.dim for bar_rep in bar_reps)
     if dim_bar != rep.dim:
         raise RuntimeError(f"block model has dimension {dim_bar}, expected {rep.dim}")
-    U = _intertwiner(rep, bar_pi_of_v, dim_bar)
+    U = _intertwiner(rep, blocks, bar_reps)
 
     # exact trace-level identities over the torus
     torus = ms.torus
+    element_blocks = [ms.torus_element_blocks(gkey) for gkey in torus.elements]
     sigma_checked = 0
     sigma_failures = 0
     psi_checked = 0
     psi_failures = 0
     identity = torus.identity_matrix()
     n = space.dim
-    for gkey in torus.elements:
+    cols = np.arange(n) * ctx.m
+    gram = ms.trace_gram()
+    for gkey, gb in zip(torus.elements, element_blocks):
         if gkey == identity:
             continue
-        g = la.thaw(gkey)
-        gb = ms.torus_element_blocks(gkey)
         rhs = 1
         for blk, ((a, b), (c, d)) in zip(blocks, gb):
             K = blk.field
@@ -424,31 +456,24 @@ def restrict_to_extension(rep: WeilRep, ms, n_samples: int = 50, seed: int = 0):
             rhs *= K.legendre(K.neg(det)) if det != K.zero else 0
         if rhs == 0:
             continue
-        sign, M, B = character_form(space, g)
+        sign, M, B = character_form(space, gkey)
         sigma_checked += 1
         if sign != rhs:
             sigma_failures += 1
-        # psi-level identity on the standard basis vectors, as exact indices:
-        # the F_p trace form at e_col against the sum of
-        # Tr_{K/F_p}((1/2) omega_bar) over the blocks
-        for col in range(n):
-            v = [ctx.one if i == col else ctx.zero for i in range(n)]
-            w = la.mat_vec(ctx, M, v)
-            lhs_idx = B[col * ctx.m, col * ctx.m]
-            rhs_idx = 0
-            for blk in blocks:
-                ob = blk.omega_bar(blk.project(w), blk.project(v))
-                rhs_idx += blk.field.trace_to_prime(ob)
-            psi_checked += 1
-            if lhs_idx != (ctx.p + 1) // 2 * rhs_idx % ctx.p:
-                psi_failures += 1
+        # psi-level identity on the standard basis vectors e_col, as exact
+        # indices: the F_p trace form at e_col against the sum of
+        # Tr_{K/F_p}((1/2) omega_bar(M e_col, e_col)) over the blocks
+        lhs_idx = B[cols, cols]
+        rhs_idx = (prime_coords(la.transpose(M)) @ gram % p)[np.arange(n), cols]
+        psi_checked += n
+        psi_failures += int(np.count_nonzero(lhs_idx != (p + 1) // 2 * rhs_idx % p))
 
     # operator-level distance over torus elements and random SL(2, K) points;
     # every test element is a tuple of 2 x 2 matrices over the block fields
     rng = random.Random(seed)
-    test_elements = [ms.torus_element_blocks(gkey) for gkey in torus.elements]
-    for _ in range(n_samples):
-        test_elements.append(tuple(_random_sl2(blk.field, rng) for blk in blocks))
+    test_elements = element_blocks + [
+        tuple(_random_sl2(blk.field, rng) for blk in blocks) for _ in range(n_samples)
+    ]
     max_dist = 0.0
     for gb in test_elements:
         bar = None

@@ -12,8 +12,9 @@ to exponent tuples directly.
 
 In the module structure every block field K_alpha is a plain FieldCtx, so
 one arithmetic serves all fields; a block keeps only what the field cannot
-know, the F_q-linear isomorphism ``ModBlock.mat`` onto its matrices and the
-relative trace down to F_q.
+know, the F_q-linear isomorphism ``ModBlock.mat`` onto its matrices, the
+relative trace down to F_q, and the integer matrices of its coordinates
+v_alpha = x E + y F on F_p coordinates.
 """
 
 from __future__ import annotations
@@ -21,6 +22,8 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field
+
+import numpy as np
 
 from . import gfq
 from . import fqlin as la
@@ -618,7 +621,19 @@ class ModBlock:
     Its field K_alpha is a FieldCtx (``field``); ``mat`` is the F_q-linear
     ring isomorphism from K_alpha onto the block's fixed algebra, the only
     link between field elements and matrices.  The block also holds the
-    distinguished K-basis (E, F) with omega_bar(E, F) = 1."""
+    distinguished K-basis (E, F) with omega_bar(E, F) = 1.
+
+    The coordinates v_alpha = x E + y F are read through two integer
+    matrices on F_p coordinates, by the restriction of scalars of
+    ``heiwei.prime_coords`` (power-basis coefficient k of component i at
+    i*m + k; for (x, y), the coefficients of x and then those of y):
+    ``to_coords`` (2 [K:F_p] x 2N m) sends v to (x, y) and is built from
+    ``omega_bar`` on the F_p basis of V; ``from_coords_mat`` (2N m x
+    2 [K:F_p]) sends (x, y) back to x E + y F and is built from the
+    power-basis matrices applied to E and F.  ``omega_bar`` stays their
+    definition.  ``trace_gram`` is the F_p Gram matrix of
+    (u, v) -> Tr_{K/F_p} omega_bar(u_alpha, v_alpha); the validation of the
+    module structure fills it."""
 
     def __init__(self, space, idempotent, field, powers, v_basis, name):
         ctx = space.ctx
@@ -648,6 +663,14 @@ class ModBlock:
         self.F = F
         if self.omega_bar(self.E, self.F) != field.one:
             raise RuntimeError("symplectic partner is not normalized")
+        cols = []
+        for e in _prime_basis(ctx, space.dim):
+            e = self.project(e)
+            cols.append(field.serialize(self.omega_bar(e, F)) + field.serialize(self.omega_bar(E, e)))
+        self.to_coords = np.array(cols, dtype=np.int64).T
+        images = [la.mat_vec(ctx, X, w) for w in (E, F) for X in powers]
+        self.from_coords_mat = np.array(images, dtype=np.int64).reshape(len(images), -1).T
+        self.trace_gram = None
 
     def mat(self, a):
         """Multiplication by a in K_alpha: a matrix on V supported on the block."""
@@ -676,16 +699,16 @@ class ModBlock:
         return self.field.el(la.mat_vec(self.field.prime_field, self._trace_dual, traces))
 
     def coords_sl2(self, v):
-        """(x, y) in K_alpha with v = x E + y F, for v in the block."""
-        x = self.omega_bar(v, self.F)
-        y = self.omega_bar(self.E, v)
-        return x, y
+        """(x, y) in K_alpha with v_alpha = x E + y F, through ``to_coords``."""
+        K = self.field
+        c = self.to_coords @ np.asarray(v, dtype=np.int64).reshape(-1) % K.p
+        return K.el(c[: K.m]), K.el(c[K.m :])
 
     def from_coords(self, x, y):
-        ctx = self.space.ctx
-        xE = la.mat_vec(ctx, self.mat(x), self.E)
-        yF = la.mat_vec(ctx, self.mat(y), self.F)
-        return [ctx.add(a, b) for a, b in zip(xE, yF)]
+        """x E + y F, through ``from_coords_mat``."""
+        K = self.field
+        c = self.from_coords_mat @ np.array(K.serialize(x) + K.serialize(y)) % K.p
+        return _unflat(self.space.ctx, c)
 
     def element_as_sl2(self, g):
         """The 2 x 2 matrix over K_alpha of a block-preserving K-linear map."""
@@ -695,6 +718,31 @@ class ModBlock:
         a, c = self.coords_sl2(gE)
         b, d = self.coords_sl2(gF)
         return ((a, b), (c, d))
+
+
+def _prime_basis(ctx, n):
+    """The F_p basis of GF(q)^n in the order of the F_p coordinates: the
+    vector at position i*m + k has component i = x^k, the others 0."""
+    out = []
+    for i in range(n):
+        for k in range(ctx.m):
+            v = [ctx.zero] * n
+            v[i] = ctx.from_int(ctx.p**k)
+            out.append(v)
+    return out
+
+
+def _unflat(ctx, c):
+    """The vector over GF(p^m) with F_p coordinates c."""
+    m = ctx.m
+    return [ctx.el(c[i : i + m]) for i in range(0, len(c), m)]
+
+
+def _mul_matrix(K, a):
+    """The F_p matrix of multiplication by a on the power basis of K."""
+    return np.array(
+        [K.serialize(K.mul(a, K.from_int(K.p**k))) for k in range(K.m)], dtype=np.int64
+    ).T
 
 
 class SympModuleStructure:
@@ -714,23 +762,20 @@ class SympModuleStructure:
 
     def embed_sl2(self, g_blocks):
         """Global matrix of a tuple of 2 x 2 matrices over the block fields
-        acting via the (E, F) bases."""
+        acting via the (E, F) bases: on F_p coordinates it is the sum over
+        the blocks of from_coords_mat . [[a, b], [c, d]] . to_coords, each
+        entry its multiplication matrix on the power basis of K_alpha, and
+        column j m of that F_p matrix is column j of the F_q matrix."""
         ctx = self.space.ctx
-        n = self.space.dim
-        cols = []
-        for j in range(n):
-            w = [ctx.one if i == j else ctx.zero for i in range(n)]
-            out = [ctx.zero] * n
-            for blk, gb in zip(self.blocks, g_blocks):
-                K = blk.field
-                ((a, b), (c, d)) = gb
-                x, y = blk.coords_sl2(blk.project(w))
-                nx = K.add(K.mul(a, x), K.mul(b, y))
-                ny = K.add(K.mul(c, x), K.mul(d, y))
-                piece = blk.from_coords(nx, ny)
-                out = [ctx.add(u, v) for u, v in zip(out, piece)]
-            cols.append(out)
-        return la.transpose(cols)
+        m, n = ctx.m, self.space.dim
+        total = np.zeros((n * m, n * m), dtype=np.int64)
+        for blk, ((a, b), (c, d)) in zip(self.blocks, g_blocks):
+            K = blk.field
+            act = np.block(
+                [[_mul_matrix(K, a), _mul_matrix(K, b)], [_mul_matrix(K, c), _mul_matrix(K, d)]]
+            )
+            total += blk.from_coords_mat @ (act @ blk.to_coords % ctx.p) % ctx.p
+        return la.transpose([_unflat(ctx, total[:, j * m] % ctx.p) for j in range(n)])
 
     def sl2_generators(self):
         """Generators of prod SL(2, K_alpha) as block tuples, for embedding
@@ -759,6 +804,12 @@ class SympModuleStructure:
             else:
                 out.append(((K.one, K.zero), (K.zero, K.one)))
         return tuple(out)
+
+    def trace_gram(self):
+        """The F_p Gram matrix of (u, v) -> sum over the blocks of
+        Tr_{K_alpha/F_p} omega_bar(u_alpha, v_alpha), on the F_p
+        coordinates of ``ModBlock.to_coords``."""
+        return sum(blk.trace_gram for blk in self.blocks) % self.space.ctx.p
 
     def torus_element_blocks(self, g):
         """Block 2 x 2 matrices over the K_alpha of a torus element."""
@@ -892,16 +943,18 @@ def _block_field(ctx, unit, theta, minpoly, n):
 def _validate_module_structure(ms: SympModuleStructure):
     space = ms.space
     ctx = space.ctx
-    n = space.dim
-    basis = la.identity(ctx, n)
-    # Tr(omega_bar) recovers omega on every basis pair
-    for i in range(n):
-        for j in range(n):
-            u, v = basis[i], basis[j]
+    basis = _prime_basis(ctx, space.dim)
+    # Tr(omega_bar) recovers omega on every pair of F_p basis vectors; the
+    # F_p traces of the same omega_bar values fill each block's trace_gram
+    for blk in ms.blocks:
+        blk.trace_gram = np.zeros((len(basis), len(basis)), dtype=np.int64)
+    for s, u in enumerate(basis):
+        for t, v in enumerate(basis):
             acc = ctx.zero
             for blk in ms.blocks:
                 ob = blk.omega_bar(blk.project(u), blk.project(v))
                 acc = ctx.add(acc, blk.trace(ob))
+                blk.trace_gram[s, t] = blk.field.trace_to_prime(ob)
             if acc != space.omega(u, v):
                 raise AssertionError("trace of omega_bar does not recover omega")
     # omega_bar is invariant under every torus generator
@@ -913,13 +966,11 @@ def _validate_module_structure(ms: SympModuleStructure):
                     lhs = blk.omega_bar(la.mat_vec(ctx, g, u), la.mat_vec(ctx, g, v))
                     if lhs != blk.omega_bar(u, v):
                         raise AssertionError("omega_bar is not torus-invariant")
-    # V_alpha is free of rank 2 over K_alpha via the (E, F) basis
+    # V_alpha is free of rank 2 over K_alpha via the (E, F) basis: reading
+    # the coordinates of x E + y F gives back (x, y)
     for blk in ms.blocks:
-        spanning = []
-        for X in blk._powers:
-            spanning.append(la.mat_vec(ctx, X, blk.E))
-            spanning.append(la.mat_vec(ctx, X, blk.F))
-        if len(la.rref(ctx, spanning)[1]) != len(blk.v_basis):
+        round_trip = blk.to_coords @ blk.from_coords_mat % ctx.p
+        if not np.array_equal(round_trip, np.eye(len(round_trip), dtype=np.int64)):
             raise AssertionError("(E, F) is not a K-basis of the block")
 
 

@@ -112,12 +112,13 @@ def test_criterion_2_multiplicity_formulas():
 
 
 def test_criterion_3_self_reducibility():
-    """Exact trace identities on all torus elements for q in {3, 5, 7};
-    operator distance <= 1e-8 q^N at q = 5 over 50 random elements."""
+    """Exact trace identities on all torus elements for q in {3, 5, 7} and
+    for Sp(4, GF(9)), whose block field is GF(81); operator distance
+    <= 1e-8 q^N at q = 5 over 50 random elements and at GF(9)."""
     details = []
     ok = True
-    for p, samples in ((3, 5), (5, 50), (7, 5)):
-        sp = SympSpace(FieldCtx(p), 2)
+    for p, m, samples in ((3, 1, 5), (5, 1, 50), (7, 1, 5), (3, 2, 5)):
+        sp = SympSpace(FieldCtx(p, m), 2)
         torus = build_maximal_torus(sp, ["irreducible2"])
         ms = module_structure(torus)
         rep = WeilRep(sp)
@@ -125,9 +126,9 @@ def test_criterion_3_self_reducibility():
         ok = ok and rpt["sigma_identity_failures"] == 0
         ok = ok and rpt["psi_identity_failures"] == 0
         ok = ok and rpt["sigma_identity_checked"] == torus.order - 1
-        if p == 5:
-            ok = ok and rpt["max_operator_distance"] <= 1e-8 * 25
-        details.append(f"p={p} dist={rpt['max_operator_distance']:.2e}")
+        if p == 5 or m == 2:
+            ok = ok and rpt["max_operator_distance"] <= 1e-8 * rep.dim
+        details.append(f"q={p**m} dist={rpt['max_operator_distance']:.2e}")
     report("3 self-reducibility", ok, "; ".join(details))
 
 

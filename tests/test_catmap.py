@@ -5,6 +5,8 @@ import weakref
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from weilrep.catmap import (
     CAT2_DEFAULT,
@@ -21,6 +23,8 @@ from weilrep.catmap import (
     rank_density_sweep,
     skip_reason,
     statistical_state_experiment,
+    _monic_quotient,
+    _qpoly_divmod,
     torus_orbit_minima,
 )
 from weilrep import gfq, symp
@@ -50,6 +54,37 @@ def test_factor_over_Q():
     # product of two irreducible quadratics
     f = np.polynomial.polynomial.polymul([1, 0, 1], [2, 1, 1])
     assert factor_over_Q([int(c) for c in f]) == sorted([[1, 0, 1], [2, 1, 1]])
+
+
+_monic = st.lists(st.integers(-9, 9), max_size=4).map(lambda c: c + [1])
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.lists(_monic, min_size=1, max_size=4),
+    st.integers(0, 3),
+    st.lists(st.integers(-5, 5), max_size=4),
+)
+def test_monic_quotient_matches_fraction_division(factors, k, perturb):
+    """Integer division by a monic product of some of the factors agrees
+    with division over Q: the exact quotient when the remainder is zero,
+    None otherwise.  The perturbation, of degree below the divisor's, makes
+    the remainder nonzero in most draws."""
+    g = [1]
+    for h in factors[: k + 1]:
+        g = [int(c) for c in np.polynomial.polynomial.polymul(g, h)]
+    f = [1]
+    for h in factors:
+        f = [int(c) for c in np.polynomial.polynomial.polymul(f, h)]
+    for i, c in enumerate(perturb[: len(g) - 1]):
+        f[i] += c
+    q, rem = _qpoly_divmod(f, g)
+    got = _monic_quotient(f, g)
+    if rem:
+        assert got is None
+    else:
+        assert got == [int(c) for c in q]
+        assert all(c.denominator == 1 for c in q)
 
 
 #: the Sp(6, Z) seed [[0, I], [-I, S]] with S = [[0, 3, -1], [3, 0, 0],

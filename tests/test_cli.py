@@ -1,10 +1,13 @@
 """CLI subcommands: outputs, exit codes, determinism."""
 
+import concurrent.futures
 import json
+import multiprocessing
+import os
 
 import pytest
 
-from weilrep.cli import main
+from weilrep.cli import BLAS_THREAD_VARS, _one_blas_thread_for_children, main
 
 
 def body_of(path):
@@ -173,6 +176,19 @@ def test_que_parallel_jobs_match_serial(tmp_path):
                 "--out", str(out2)])
     assert rc1 == rc2 == 0
     assert body_of(out1 / "que.csv") == body_of(out2 / "que.csv")
+
+
+def test_spawned_workers_get_one_blas_thread_and_the_environment_is_restored(monkeypatch):
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "4")
+    for name in BLAS_THREAD_VARS[1:]:
+        monkeypatch.delenv(name, raising=False)
+    with _one_blas_thread_for_children():
+        spawn = multiprocessing.get_context("spawn")
+        with concurrent.futures.ProcessPoolExecutor(max_workers=1, mp_context=spawn) as ex:
+            seen = [ex.submit(os.getenv, name).result() for name in BLAS_THREAD_VARS]
+    assert seen == ["1"] * len(BLAS_THREAD_VARS)
+    assert os.environ["OPENBLAS_NUM_THREADS"] == "4"
+    assert not any(name in os.environ for name in BLAS_THREAD_VARS[1:])
 
 
 def test_selftest_quick_runtime(tmp_path):

@@ -4,6 +4,7 @@ import random
 
 import numpy as np
 import pytest
+from test_symp import _coords_by_omega_bar, _embed_sl2_by_columns
 
 from weilrep import fqlin as la
 from weilrep.gfq import FieldCtx
@@ -14,12 +15,16 @@ from weilrep.heiwei import (
     heisenberg_identity,
     heisenberg_inverse,
     is_unitary,
+    _intertwiner,
+    _random_sl2,
     max_abs,
+    prime_coords,
     restrict_to_extension,
 )
 from weilrep.sums import c_chi_table
 from weilrep.symp import (
     SympSpace,
+    assert_symplectic,
     build_maximal_torus,
     module_structure,
     random_symplectic,
@@ -271,6 +276,192 @@ def test_restrict_dimension_guard():
     big.dim = 1000
     with pytest.raises(ValueError):
         restrict_to_extension(big, FakeMs())
+
+
+# -- self-reducibility against the omega_bar path it replaced ---------------------
+
+#: (p, m, N, kind) of the restriction cases: K_alpha = GF(9), GF(25), GF(49),
+#: GF(5) x GF(5), GF(81)
+RESTRICT_CASES = {
+    "irreducible2-q3": (3, 1, 2, ["irreducible2"]),
+    "irreducible2-q5": (5, 1, 2, ["irreducible2"]),
+    "irreducible2-q7": (7, 1, 2, ["irreducible2"]),
+    "split+inert-q5": (5, 1, 2, ["split", "inert"]),
+    "sl2-gf9": (3, 2, 1, ["irreducible1"]),
+    "sl2-gf25": (5, 2, 1, ["irreducible1"]),
+    "sp4-gf9": (3, 2, 2, ["irreducible2"]),
+}
+
+#: (sigma checked, psi checked, operator tests) at seed 0 with 50 samples, as
+#: the omega_bar path reported them; every failure count was 0
+RESTRICT_COUNTS = {
+    "irreducible2-q3": (9, 36, 60),
+    "irreducible2-q5": (25, 100, 76),
+    "irreducible2-q7": (49, 196, 100),
+    "split+inert-q5": (15, 60, 74),
+    "sl2-gf9": (9, 18, 60),
+    "sl2-gf25": (25, 50, 76),
+    "sp4-gf9": (81, 324, 132),
+}
+
+
+def _restrict_case(name):
+    p, m, N, kind = RESTRICT_CASES[name]
+    sp = SympSpace(FieldCtx(p, m), N)
+    return WeilRep(sp), module_structure(build_maximal_torus(sp, kind))
+
+
+def _dense_intertwiner(rep, ms, bar_reps):
+    """The intertwiner as the dense average of q^(2N) outer products of the
+    columns of pi(v, 0) and of the Kronecker product of the block operators,
+    block coordinates read off omega_bar."""
+    ctx = rep.ctx
+
+    def bar_pi_of_v(v):
+        out = None
+        for blk, bar_rep in zip(ms.blocks, bar_reps):
+            w = blk.project(list(v))
+            x, y = blk.omega_bar(w, blk.F), blk.omega_bar(blk.E, w)
+            op = bar_rep.pi_op(((x, y), blk.field.zero))
+            out = op if out is None else np.kron(out, op)
+        return out
+
+    dim_bar = rep.dim
+    for i in range(rep.dim):
+        for j in range(dim_bar):
+            U = np.zeros((rep.dim, dim_bar), dtype=np.complex128)
+            for v in rep.all_vectors():
+                big = rep.pi_op((v, ctx.zero))
+                U += np.outer(big[:, i], bar_pi_of_v(v)[:, j].conj())
+            gram = U.conj().T @ U
+            c = abs(gram.trace()) / dim_bar
+            if c < 1e-8 or max_abs(gram - c * np.eye(dim_bar)) > rep.tol * c:
+                continue
+            return U / np.sqrt(c)
+    raise AssertionError("no intertwiner")
+
+
+def _restrict_by_omega_bar(rep, ms, n_samples, seed):
+    """restrict_to_extension with every block coordinate, psi identity and
+    embedding read off omega_bar one vector at a time; the intertwiner is
+    ``_intertwiner``, checked against ``_dense_intertwiner`` on its own."""
+    ctx, space, blocks = rep.ctx, rep.space, ms.blocks
+    bar_reps = [WeilRep(SympSpace(blk.field, 1)) for blk in blocks]
+    U = _intertwiner(rep, blocks, bar_reps)
+
+    def element_blocks(gkey):
+        g = la.thaw(gkey)
+        out = []
+        for blk in blocks:
+            a, c = _coords_by_omega_bar(blk, la.mat_vec(ctx, g, blk.E))
+            b, d = _coords_by_omega_bar(blk, la.mat_vec(ctx, g, blk.F))
+            out.append(((a, b), (c, d)))
+        return tuple(out)
+
+    counts = dict.fromkeys(["sc", "sf", "pc", "pf"], 0)
+    n = space.dim
+    for gkey in ms.torus.elements:
+        if gkey == ms.torus.identity_matrix():
+            continue
+        rhs = 1
+        for blk, ((a, b), (c, d)) in zip(blocks, element_blocks(gkey)):
+            K = blk.field
+            det = K.sub(K.mul(K.sub(a, K.one), K.sub(d, K.one)), K.mul(b, c))
+            rhs *= K.legendre(K.neg(det)) if det != K.zero else 0
+        if rhs == 0:
+            continue
+        sign, M, B = character_form(space, gkey)
+        counts["sc"] += 1
+        counts["sf"] += sign != rhs
+        for col in range(n):
+            v = [ctx.one if i == col else ctx.zero for i in range(n)]
+            w = la.mat_vec(ctx, M, v)
+            rhs_idx = sum(
+                blk.field.trace_to_prime(blk.omega_bar(blk.project(w), blk.project(v)))
+                for blk in blocks
+            )
+            counts["pc"] += 1
+            counts["pf"] += B[col * ctx.m, col * ctx.m] != (ctx.p + 1) // 2 * rhs_idx % ctx.p
+    rng = random.Random(seed)
+    tests = [element_blocks(gkey) for gkey in ms.torus.elements]
+    tests += [tuple(_random_sl2(blk.field, rng) for blk in blocks) for _ in range(n_samples)]
+    max_dist = 0.0
+    for gb in tests:
+        bar = None
+        for bar_rep, mat2 in zip(bar_reps, gb):
+            op = bar_rep.weil_op(mat2)
+            bar = op if bar is None else np.kron(bar, op)
+        g_global = _embed_sl2_by_columns(ms, gb)
+        assert_symplectic(space, g_global)
+        max_dist = max(max_dist, max_abs(rep.weil_op(g_global) - U @ bar @ U.conj().T))
+    return {
+        "sigma_identity_checked": counts["sc"],
+        "sigma_identity_failures": counts["sf"],
+        "psi_identity_checked": counts["pc"],
+        "psi_identity_failures": counts["pf"],
+        "n_operator_tests": len(tests),
+        "max_operator_distance": max_dist,
+        "tol": rep.tol,
+    }
+
+
+@pytest.mark.parametrize("name", ["irreducible2-q3", "split+inert-q5", "sl2-gf25", "sp4-gf9"])
+def test_trace_gram_matches_the_omega_bar_sums(name):
+    """The summed block Gram matrix gives, at every torus element g and
+    column, the sum over the blocks of Tr_{K/F_p} omega_bar(M e_col, e_col)
+    with M = (g - I)^(-1), and on random pairs the sum over the blocks of
+    their omega_bar traces; each block's Gram matrix gives its own.  The
+    random pairs matter: a split torus element is diagonal on its block,
+    so omega(M e_col, e_col) = 0 there and the columns alone cannot tell
+    whether the block was summed."""
+    rep, ms = _restrict_case(name)
+    ctx, n = rep.ctx, rep.space.dim
+    gram = ms.trace_gram()
+    for gkey in ms.torus.elements:
+        sign, M, _ = character_form(rep.space, gkey)
+        if sign is None:
+            continue
+        for col in range(n):
+            v = [ctx.one if i == col else ctx.zero for i in range(n)]
+            w = la.mat_vec(ctx, M, v)
+            want = sum(
+                blk.field.trace_to_prime(blk.omega_bar(blk.project(w), blk.project(v)))
+                for blk in ms.blocks
+            ) % ctx.p
+            cw, cv = prime_coords([w, v])
+            assert cw @ gram @ cv % ctx.p == want
+    rng = random.Random(5)
+    for _ in range(20):
+        u, v = ([ctx.from_int(rng.randrange(ctx.q)) for _ in range(n)] for _ in range(2))
+        cu, cv = prime_coords([u, v])
+        traces = [
+            blk.field.trace_to_prime(blk.omega_bar(blk.project(u), blk.project(v)))
+            for blk in ms.blocks
+        ]
+        assert cu @ gram @ cv % ctx.p == sum(traces) % ctx.p
+        for blk, tr in zip(ms.blocks, traces):
+            assert cu @ blk.trace_gram @ cv % ctx.p == tr
+
+
+@pytest.mark.parametrize("name", ["irreducible2-q3", "irreducible2-q5", "sl2-gf9"])
+def test_intertwiner_is_bit_identical_to_the_dense_average(name):
+    rep, ms = _restrict_case(name)
+    bar_reps = [WeilRep(SympSpace(blk.field, 1)) for blk in ms.blocks]
+    U = _intertwiner(rep, ms.blocks, bar_reps)
+    assert np.array_equal(U, _dense_intertwiner(rep, ms, bar_reps))
+
+
+@pytest.mark.parametrize("name", list(RESTRICT_CASES))
+def test_restrict_to_extension_reports_match_the_omega_bar_path(name):
+    """Every key of the report equals the omega_bar path's, bit for bit, at
+    seed 0 with 50 samples, and the counts are the ones recorded."""
+    rep, ms = _restrict_case(name)
+    rpt = restrict_to_extension(rep, ms, n_samples=50, seed=0)
+    assert rpt == _restrict_by_omega_bar(rep, ms, n_samples=50, seed=0)
+    counts = (rpt["sigma_identity_checked"], rpt["psi_identity_checked"], rpt["n_operator_tests"])
+    assert counts == RESTRICT_COUNTS[name]
+    assert rpt["sigma_identity_failures"] == rpt["psi_identity_failures"] == 0
+    assert rpt["max_operator_distance"] <= rpt["tol"]
 
 
 # -- the F_p Gram kernel against the per-vector field arithmetic it replaced ------

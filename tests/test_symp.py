@@ -12,6 +12,7 @@ from weilrep import gfq
 from weilrep.catmap import CAT4_DEFAULT, LatticeAutomorphism, is_integer_symplectic, primes_up_to
 from weilrep.cli import SL2_KINDS, SP4_KINDS
 from weilrep.gfq import FieldCtx, factorize, poly_from_ints
+from weilrep.heiwei import _random_sl2
 from weilrep.symp import (
     BlockInfo,
     SympSpace,
@@ -651,3 +652,109 @@ def test_module_structure_sp8_inert_fourth_power():
     assert ms.rank == 4
     assert all(blk.name == "inert" for blk in ms.blocks)
     assert ms.rank == len(torus.blocks) == 4
+
+
+# -- block coordinate maps against the omega_bar path they replace -------------
+
+#: (p, m, N, kind): prime and extension base fields, one and two blocks,
+#: block fields GF(q), GF(q^2) and GF(81)
+MAP_CASES = [
+    (3, 1, 2, ["irreducible2"]),
+    (5, 1, 2, ["split", "inert"]),
+    (5, 1, 2, [("split", 2)]),
+    (3, 2, 1, ["irreducible1"]),
+    (3, 2, 2, ["irreducible2"]),
+    (5, 1, 1, ["split"]),
+]
+
+
+def _map_case(p, m, N, kind):
+    sp = SympSpace(FieldCtx(p, m), N)
+    return sp, module_structure(build_maximal_torus(sp, kind))
+
+
+def _random_vector(ctx, n, rng):
+    return [ctx.from_int(rng.randrange(ctx.q)) for _ in range(n)]
+
+
+def _coords_by_omega_bar(blk, v):
+    """(x, y) with v_alpha = x E + y F, read off omega_bar."""
+    w = blk.project(v)
+    return blk.omega_bar(w, blk.F), blk.omega_bar(blk.E, w)
+
+
+def _from_coords_by_mat(blk, x, y):
+    ctx = blk.space.ctx
+    xE = la.mat_vec(ctx, blk.mat(x), blk.E)
+    yF = la.mat_vec(ctx, blk.mat(y), blk.F)
+    return [ctx.add(a, b) for a, b in zip(xE, yF)]
+
+
+def _embed_sl2_by_columns(ms, g_blocks):
+    """The global matrix of a block tuple, one column at a time, with every
+    block coordinate read off omega_bar."""
+    ctx = ms.space.ctx
+    n = ms.space.dim
+    cols = []
+    for j in range(n):
+        w = [ctx.one if i == j else ctx.zero for i in range(n)]
+        out = [ctx.zero] * n
+        for blk, ((a, b), (c, d)) in zip(ms.blocks, g_blocks):
+            K = blk.field
+            x, y = _coords_by_omega_bar(blk, w)
+            nx = K.add(K.mul(a, x), K.mul(b, y))
+            ny = K.add(K.mul(c, x), K.mul(d, y))
+            out = [ctx.add(u, v) for u, v in zip(out, _from_coords_by_mat(blk, nx, ny))]
+        cols.append(out)
+    return la.transpose(cols)
+
+
+def _mul2(K, g, h):
+    return tuple(
+        tuple(K.add(K.mul(g[i][0], h[0][j]), K.mul(g[i][1], h[1][j])) for j in range(2))
+        for i in range(2)
+    )
+
+
+@pytest.mark.parametrize("p,m,N,kind", MAP_CASES)
+def test_coordinate_maps_match_omega_bar(p, m, N, kind):
+    """coords_sl2 (the forward map) agrees with omega_bar on random vectors,
+    from_coords after coords_sl2 is the block projection, and from_coords
+    agrees with the power-basis matrices applied to E and F."""
+    sp, ms = _map_case(p, m, N, kind)
+    ctx = sp.ctx
+    rng = random.Random(p * 100 + m * 10 + N)
+    for blk in ms.blocks:
+        K = blk.field
+        assert blk.to_coords.shape == (2 * K.m, sp.dim * ctx.m)
+        assert blk.from_coords_mat.shape == (sp.dim * ctx.m, 2 * K.m)
+        for _ in range(30):
+            v = _random_vector(ctx, sp.dim, rng)
+            x, y = blk.coords_sl2(v)
+            assert (x, y) == _coords_by_omega_bar(blk, v)
+            assert blk.from_coords(x, y) == blk.project(v)
+            x, y = K.from_int(rng.randrange(K.q)), K.from_int(rng.randrange(K.q))
+            assert blk.from_coords(x, y) == _from_coords_by_mat(blk, x, y)
+            assert blk.coords_sl2(blk.from_coords(x, y)) == (x, y)
+
+
+@pytest.mark.parametrize("p,m,N,kind", MAP_CASES)
+def test_embed_sl2_matches_the_column_construction_and_is_a_homomorphism(p, m, N, kind):
+    sp, ms = _map_case(p, m, N, kind)
+    rng = random.Random(p * 100 + m * 10 + N + 1)
+    for _ in range(8):
+        g = tuple(_random_sl2(blk.field, rng) for blk in ms.blocks)
+        h = tuple(_random_sl2(blk.field, rng) for blk in ms.blocks)
+        Gg, Gh = ms.embed_sl2(g), ms.embed_sl2(h)
+        assert Gg == _embed_sl2_by_columns(ms, g)
+        assert is_symplectic(sp, Gg)
+        gh = tuple(_mul2(blk.field, a, b) for blk, a, b in zip(ms.blocks, g, h))
+        assert ms.embed_sl2(gh) == la.mat_mul(sp.ctx, Gg, Gh)
+    for gkey in ms.torus.elements[:20]:
+        g = la.thaw(gkey)
+        want = []
+        for blk in ms.blocks:
+            a, c = _coords_by_omega_bar(blk, la.mat_vec(sp.ctx, g, blk.E))
+            b, d = _coords_by_omega_bar(blk, la.mat_vec(sp.ctx, g, blk.F))
+            want.append(((a, b), (c, d)))
+        assert ms.torus_element_blocks(gkey) == tuple(want)
