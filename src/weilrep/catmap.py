@@ -23,8 +23,13 @@ from . import fqlin as la
 from . import gfq
 from .gfq import FieldCtx
 from .heiwei import WeilRep
-from .spectra import decompose
-from .sums import admissible_mask
+from .spectra import (
+    expected_multiplicity,
+    split_quadratic_bases,
+    torus_characters,
+    trace_multiplicities,
+)
+from .sums import admissible_mask, c_chi_table
 from .symp import SympSpace, centralizer_torus, trace_factor_degrees, trace_polynomial
 
 #: a strongly generic element of Sp(4, Z): characteristic polynomial
@@ -156,6 +161,12 @@ def factor_over_Q(f):
         raise ValueError("factor_over_Q expects a monic polynomial")
     if not is_squarefree_over_q(f):
         raise ValueError("factor_over_Q expects a squarefree polynomial")
+    return _factor_monic_squarefree(f)
+
+
+def _factor_monic_squarefree(f):
+    """``factor_over_Q`` for a trimmed monic integer coefficient list that
+    the caller has already found squarefree."""
     n = len(f) - 1
     if n <= 1:
         return [f] if n else []
@@ -249,9 +260,11 @@ def check_genericity(mat) -> dict:
 
 
 def check_genericity_from_charpoly(cp) -> dict:
+    """Genericity flags of a monic integer characteristic polynomial; the
+    squarefree test runs once, and the factorization does not repeat it."""
     if not is_squarefree_over_q(cp):
         return {"regular": False, "strongly_generic": False, "generic": False}
-    factors = factor_over_Q(cp)
+    factors = _factor_monic_squarefree(cp)
     return {
         "regular": True,
         "strongly_generic": len(factors) == 1,
@@ -275,6 +288,13 @@ def skip_reason(A: LatticeAutomorphism, p: int) -> str | None:
     return None
 
 
+def _index_places(p: int, N: int) -> np.ndarray:
+    """The place value of each coordinate in the vector index
+    a_idx * p^N + b_idx: coordinate j < N is a_j with place value
+    p^(N + j), b_j has p^j."""
+    return p ** np.concatenate([np.arange(N, 2 * N), np.arange(N)])
+
+
 def torus_orbit_minima(torus) -> np.ndarray:
     """For every v in F_p^2N, by its index a_idx * p^N + b_idx
     (``WeilRep.v_index``), the least index over its orbit under a torus
@@ -287,10 +307,8 @@ def torus_orbit_minima(torus) -> np.ndarray:
     gives the minimum over the T-orbit."""
     p = torus.space.ctx.p
     n = torus.space.dim
-    N = n // 2
     labels = np.arange(p**n, dtype=np.int64)
-    # coordinate j < N is a_j with place value p^(N + j); b_j has p^j
-    place = p ** np.concatenate([np.arange(N, n), np.arange(N)])
+    place = _index_places(p, n // 2)
     coords = labels[:, None] // place % p
     for g, order in zip(torus.generators, torus.orders):
         step = (coords @ np.array(la.thaw(g), dtype=np.int64).T % p) @ place
@@ -303,20 +321,35 @@ def torus_orbit_minima(torus) -> np.ndarray:
 
 
 class HeckeContext:
-    """Everything one prime's experiments share: the Hecke torus, the
-    eigenstate matrix with character bookkeeping, the masks over the
-    exponent window (admissibility from ``sums.admissible_mask``, the one
-    test the bound sweeps use too, and the support of each block), and the
-    Wigner values on torus orbits.
+    """Everything one prime's experiments share: the Hecke torus, its
+    characters with their multiplicities, the masks over the exponent window
+    (admissibility from ``sums.admissible_mask``, the one test the bound
+    sweeps use too, and the support of each block), and the Wigner values
+    on torus orbits, read from the torus character sums.
 
     A joint eigenvector phi of T has rho(g) phi = chi(g) phi, and
     rho(g) pi(v) rho(g)^-1 = pi(gv), so W_phi(gv) = W_phi(v); admissibility
     and the per-block bound are T-invariant too.  So the Wigner values are
-    computed at one representative per admissible T-orbit that meets the
+    needed at one representative per admissible T-orbit that meets the
     window (``orbit_reps``, the least index of the orbit,
-    ``torus_orbit_minima``): ``wigner`` has one column per orbit, window
-    entry k reads column ``xi_orbit[k]`` (-1 when not admissible), and
-    ``orbit_weight`` counts the admissible window exponents of each orbit.
+    ``torus_orbit_minima``); window entry k reads orbit ``xi_orbit[k]``
+    (-1 when not admissible), and ``orbit_weight`` counts the admissible
+    window exponents of each orbit.
+
+    The projector onto the chi-eigenspace is P_chi = (1/|T|) sum over g of
+    conj(chi(g)) rho(g), and Tr(rho(g) pi(v)) is the Heisenberg-Weil
+    character at (g, v), so Tr(P_chi pi(v)) = c_chi(v) / |T| at every
+    admissible v: ``table`` holds these values, one row per character of
+    ``characters``, one column per orbit, from ``sums.c_chi_table`` with no
+    operator built.  ``mults`` are the predicted multiplicities
+    (``spectra.expected_multiplicity``); they must sum to q^N, and
+    ``mult_residual`` is each character's deviation from the multiplicity
+    the character of rho gives (``spectra.trace_multiplicities``), which
+    must stay below 1e-6.  A state of multiplicity 1 is the whole
+    eigenspace, so its Wigner row is its character's row of ``table``.  The
+    eigenspaces of multiplicity 2 or more (quadratic characters of split
+    blocks) need a basis; ``state_wigner`` builds them, on first use, from
+    the generator operators (``spectra.split_quadratic_bases``).
     """
 
     def __init__(self, A: LatticeAutomorphism, p: int, xi_max: int | None = None):
@@ -329,31 +362,26 @@ class HeckeContext:
         Amod = A.mod_p(self.space)
         self.torus = centralizer_torus(self.space, Amod)
         self.A_mod = la.freeze(Amod)
-        self.rep = WeilRep(self.space)
-        self.dec = decompose(self.rep, self.torus)
-        states = []
-        self.state_char = []
-        self.state_mult = []
-        for chi in self.dec.characters:
-            basis = self.dec.bases[chi.exponents]
-            m = self.dec.multiplicity(chi)
-            for k in range(m):
-                states.append(basis[:, k])
-                self.state_char.append(chi)
-                self.state_mult.append(m)
-        self.states = np.stack(states, axis=1)
         self.rank = len(self.torus.blocks)
+        self.characters = torus_characters(self.torus)
+        self.mults = np.array([expected_multiplicity(self.torus, chi) for chi in self.characters])
+        if self.mults.sum() != p**A.N:
+            raise RuntimeError(f"predicted multiplicities sum to {self.mults.sum()}, not {p**A.N}")
+        self.mult_residual = trace_multiplicities(self.torus, self.characters) - self.mults
+        if np.abs(self.mult_residual).max() > 1e-6:
+            raise RuntimeError("the predicted multiplicities contradict the character of rho")
         # exponent window
         if xi_max is None:
             xi_max = p
         self.xi_max = xi_max
         n = 2 * A.N
-        grids = np.meshgrid(*([np.arange(xi_max)] * n), indexing="ij")
-        XI = np.stack([g.ravel() for g in grids], axis=1)
-        Vmod = XI % p
+        XI = np.indices((xi_max,) * n).reshape(n, -1).T
+        Vmod = XI % p if xi_max > p else XI
         nonzero = Vmod.any(axis=1)
         self.xi = XI[nonzero]
-        self.vmod = Vmod[nonzero]
+        # a window inside [0, p) is its own reduction: one array serves both
+        self.vmod = Vmod[nonzero] if xi_max > p else self.xi
+        del XI, Vmod
         qpow = p ** np.arange(A.N, dtype=np.int64)
         a_idx = (self.vmod[:, : A.N] * qpow).sum(axis=1)
         b_idx = (self.vmod[:, A.N :] * qpow).sum(axis=1)
@@ -374,7 +402,9 @@ class HeckeContext:
         self.xi_orbit = np.full(len(self.v_index), -1, dtype=np.int64)
         self.xi_orbit[adm] = inverse
         self.orbit_bound = bounds[adm[first]]
-        self.wigner = self.rep.wigner_at(self.states, self.orbit_reps)
+        reps = self.orbit_reps[:, None] // _index_places(p, A.N) % p
+        self.table = c_chi_table(self.space, self.torus, reps, self.characters)[0] / self.torus.order
+        self._state_wigner = None
 
     def _support_masks(self):
         masks = []
@@ -385,6 +415,26 @@ class HeckeContext:
             masks.append(comp.any(axis=1))
             factors.append(2 * math.sqrt(self.p**blk.degree) / blk.order)
         return np.stack(masks, axis=1), factors
+
+    def state_wigner(self):
+        """(W, mult): the Wigner values W_phi at the orbit representatives
+        of every Hecke eigenstate phi, one row per state, and the
+        multiplicity of each state's eigenspace.  The multiplicity-1 rows
+        come first, in character order, read from ``table``; then the
+        states of the larger eigenspaces, which are built here the first
+        time and kept."""
+        if self._state_wigner is None:
+            ones = self.mults == 1
+            rows, mult = [self.table[ones]], [self.mults[ones]]
+            if np.any(self.mults >= 2):
+                rep = WeilRep(self.space)
+                wanted = {chi.exponents: int(m) for chi, m in zip(self.characters, self.mults)}
+                bases = split_quadratic_bases(rep, self.torus, wanted)
+                for exps, B in sorted(bases.items()):
+                    rows.append(rep.wigner_at(B, self.orbit_reps))
+                    mult.append(np.full(B.shape[1], B.shape[1]))
+            self._state_wigner = (np.concatenate(rows), np.concatenate(mult))
+        return self._state_wigner
 
 
 def _context_for(A: LatticeAutomorphism, p: int, xi_max: int | None,
@@ -409,9 +459,9 @@ def hecke_que_experiment(A: LatticeAutomorphism, p: int, xi_max: int | None = No
     if reason is not None:
         return {"p": p, "skipped": reason}
     hc = _context_for(A, p, xi_max, context)
-    W = np.abs(hc.wigner)
+    W, mults = hc.state_wigner()
+    W = np.abs(W)
     bound = hc.orbit_bound
-    mults = np.array(hc.state_mult)
     ratios_sharp = W / (mults[:, None] * bound[None, :])
     row = {
         "p": p,
@@ -419,7 +469,7 @@ def hecke_que_experiment(A: LatticeAutomorphism, p: int, xi_max: int | None = No
         "r_p": hc.rank,
         "torus_order": hc.torus.order,
         "torus": hc.torus.descriptor_string(),
-        "n_eigenstates": hc.states.shape[1],
+        "n_eigenstates": len(W),
         "n_xi": len(hc.vmod),
         "n_xi_excluded": int((~hc.admissible).sum()),
         "max_ratio": float(ratios_sharp.max()),
@@ -433,43 +483,47 @@ def hecke_que_experiment(A: LatticeAutomorphism, p: int, xi_max: int | None = No
 def statistical_state_experiment(A: LatticeAutomorphism, p: int, xi_max: int | None = None, *,
                                  context: HeckeContext | None = None):
     """The same sweep at the level of the density operators D of the
-    eigenspaces of the quantized automorphism.  ``context`` as for
+    eigenspaces of the quantized automorphism, read from the rows of
+    ``HeckeContext.table``: no state and no operator is built.
+    ``trace_deviation`` is the largest residual of the multiplicity law
+    over the eigenspaces, |sum of (trace multiplicity - predicted)| / m
+    with m the eigenspace's predicted dimension, which is Tr(D) - 1 for
+    the D the character of rho gives.  ``context`` as for
     ``hecke_que_experiment``."""
     reason = skip_reason(A, p)
     if reason is not None:
         return {"p": p, "skipped": reason}
     hc = _context_for(A, p, xi_max, context)
-    # group characters by their value on A: these cut the eigenspaces
-    exps_A = hc.torus.index[hc.A_mod]
+    # group the characters of nonzero multiplicity by their value on A:
+    # these cut the eigenspaces, and the density operator of an eigenspace
+    # is D = (1/m) sum of the P_chi, so Tr(D pi(v)) is a sum of table rows
+    present = np.flatnonzero(hc.mults)
+    exps_A = np.array(hc.torus.index[hc.A_mod])
+    orders = np.array(hc.torus.orders)
     L = math.lcm(*hc.torus.orders)
-    groups = {}
-    for s, chi in enumerate(hc.state_char):
-        phase = sum(
-            e * j * (L // n)
-            for e, j, n in zip(chi.exponents, exps_A, hc.torus.orders)
-        ) % L
-        groups.setdefault(phase, []).append(s)
+    E = np.array([hc.characters[c].exponents for c in present])
+    phases, group = np.unique(E @ (exps_A * (L // orders)) % L, return_inverse=True)
     max_ratio = 0.0
     violations = 0
     trace_dev = 0.0
-    for phase, state_ids in groups.items():
-        m_lambda = len(state_ids)
-        vals = hc.wigner[state_ids].sum(axis=0) / m_lambda
+    for g in range(len(phases)):
+        ids = present[group == g]
+        m_lambda = hc.mults[ids].sum()
+        vals = hc.table[ids].sum(axis=0) / m_lambda
         ratios = np.abs(vals) / hc.orbit_bound
         max_ratio = max(max_ratio, float(ratios.max()))
         violations += int((ratios > 1 + 1e-9) @ hc.orbit_weight)
-        # Tr(D) = (1/m) sum of <phi|phi> = 1 up to roundoff
-        norms = np.linalg.norm(hc.states[:, state_ids], axis=0) ** 2
-        trace_dev = max(trace_dev, abs(norms.sum() / m_lambda - 1.0))
+        # Tr(D) - 1, with the multiplicities the character of rho gives
+        trace_dev = max(trace_dev, abs(hc.mult_residual[ids].sum() / m_lambda))
     return {
         "p": p,
         "skipped": None,
         "r_p": hc.rank,
         "torus_order": hc.torus.order,
-        "n_eigenspaces": len(groups),
+        "n_eigenspaces": len(phases),
         "max_ratio": max_ratio,
         "violations": violations,
-        "trace_deviation": trace_dev,
+        "trace_deviation": float(trace_dev),
     }
 
 
@@ -486,10 +540,11 @@ def observable_bound_check(A: LatticeAutomorphism, p: int, observables=None, *,
     if observables is None:
         observables = default_observables(A.N)
     index_of = {tuple(x): k for k, x in enumerate(map(tuple, hc.xi))}
+    W, _ = hc.state_wigner()
     rows = []
     for obs in observables:
         a0 = complex(obs.get((0,) * (2 * A.N), 0.0))
-        acc = np.full(hc.states.shape[1], a0, dtype=np.complex128)
+        acc = np.full(len(W), a0, dtype=np.complex128)
         rhs = 0.0
         usable = True
         for xi, coeff in obs.items():
@@ -499,7 +554,7 @@ def observable_bound_check(A: LatticeAutomorphism, p: int, observables=None, *,
             if k is None or not hc.admissible[k]:
                 usable = False
                 break
-            acc += coeff * hc.wigner[:, hc.xi_orbit[k]]
+            acc += coeff * W[:, hc.xi_orbit[k]]
             rhs += abs(coeff) * hc.xi_bound[k]
         if not usable:
             rows.append({"observable": _obs_name(obs), "skipped": "inadmissible exponent"})

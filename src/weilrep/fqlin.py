@@ -7,6 +7,10 @@ matrix into nested tuples for hashing and dictionary keys.
 
 from __future__ import annotations
 
+from functools import lru_cache
+
+import numpy as np
+
 
 class IntRing:
     """Ring interface over the plain integers (for characteristic
@@ -286,3 +290,62 @@ def matrix_min_poly(ctx, A, unit=None):
                 return [ctx.neg(ci) for ci in c] + [ctx.one]
         cur = mat_mul(ctx, cur, A)
     raise RuntimeError("no minimal polynomial found")  # pragma: no cover
+
+
+# -- stacks of matrices over a prime field ---------------------------------------
+
+
+@lru_cache(maxsize=8)
+def inverses_mod(p: int) -> np.ndarray:
+    """The inverse of every residue mod p, indexed by the residue (0 at 0),
+    read-only: a^(p-2) by square and multiply, each product reduced before
+    the next, so p < 2^20 stays exact in int64."""
+    a, inv, e = np.arange(p, dtype=np.int64), np.ones(p, dtype=np.int64), p - 2
+    while e:
+        if e & 1:
+            inv = inv * a % p
+        a = a * a % p
+        e >>= 1
+    inv = inv.astype(np.int32)
+    inv.setflags(write=False)
+    return inv
+
+
+@lru_cache(maxsize=8)
+def legendre_mod(p: int) -> np.ndarray:
+    """The Legendre symbol of every residue mod p, indexed by the residue:
+    1 on the nonzero squares, -1 on the nonsquares, 0 at 0; read-only."""
+    symbol = np.full(p, -1, dtype=np.int8)
+    symbol[np.arange(1, p) ** 2 % p] = 1
+    symbol[0] = 0
+    symbol.setflags(write=False)
+    return symbol
+
+
+def stack_det_inv(X, p: int):
+    """(det, inv) mod p of a stack of square integer matrices with entries
+    in [0, p), by one Gauss-Jordan elimination with row pivoting over the
+    whole stack.  A singular matrix gets det 0 and an inverse that means
+    nothing.  Products are reduced mod p between steps, so p < 2^20 stays
+    exact in int64."""
+    X = np.asarray(X, dtype=np.int64)
+    k, s = X.shape[0], X.shape[1]
+    aug = np.concatenate([X, np.broadcast_to(np.eye(s, dtype=np.int64), X.shape)], axis=2)
+    inverse = inverses_mod(p)
+    rows = np.arange(k)
+    pivots = np.empty((k, s), dtype=np.int64)
+    swaps = np.zeros(k, dtype=np.int64)
+    for c in range(s):
+        piv = c + np.argmax(aug[:, c:, c] != 0, axis=1)
+        swaps += piv != c
+        top = aug[rows, piv]
+        aug[rows, piv] = aug[:, c]
+        pivots[:, c] = top[:, c]
+        aug[:, c] = top * inverse[top[:, c], None] % p
+        f = aug[:, :, c, None] * aug[:, None, c]
+        f[:, c] = 0
+        aug = (aug - f) % p
+    det = np.where(swaps % 2, -1, 1) * pivots[:, 0] % p
+    for c in range(1, s):
+        det = det * pivots[:, c] % p
+    return det, aug[:, :, s:]

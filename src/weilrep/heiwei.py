@@ -36,7 +36,7 @@ from functools import lru_cache
 import numpy as np
 
 from . import fqlin as la
-from .symp import SympSpace, assert_symplectic, random_symplectic
+from .symp import SympSpace, assert_symplectic, random_symplectic, restrict_scalars
 
 
 def max_abs(A) -> float:
@@ -85,26 +85,41 @@ def trace_form_gram(ctx, A) -> np.ndarray:
     return B.reshape(n * ctx.m, n * ctx.m) % ctx.p
 
 
-def character_form(space: SympSpace, g):
-    """(sign, M, B) with sign = sigma((-1)^N det(g - I)), M = (g - I)^(-1)
-    and B the Gram matrix of v -> Tr((1/2) omega(M v, v)), so that the
-    Heisenberg-Weil character is ch(g, v) = sign * psi_p(c B c) for
-    c = prime_coords(v).  (None, None, None) when det(g - I) = 0."""
+def character_forms(space: SympSpace, stack):
+    """(sign, M, B) for a stack of group elements given by their F_p
+    matrices (``symp.restrict_scalars``; ``Torus.stack`` for a torus), in one
+    elimination mod p over the whole stack (``fqlin.stack_det_inv``):
+
+    - sign[k] = sigma((-1)^N det(g - I)) over GF(q), 0 when det(g - I) = 0.
+      The F_p determinant of g - I is the norm of its GF(q) determinant, and
+      an element of GF(q) is a square exactly when its norm is one in F_p,
+      so sign is the Legendre symbol mod p of (-1)^(N m) det_p(g - I);
+    - M[k] is the F_p matrix of (g - I)^(-1);
+    - B[k] is the Gram matrix of v -> Tr((1/2) omega(M v, v)), that is
+      (1/2) M^T G with G the F_p Gram matrix of Tr omega,
+
+    so that the Heisenberg-Weil character is ch(g, v) = sign * psi_p(c B c)
+    for c = prime_coords(v).  M and B mean nothing where sign is 0."""
     ctx = space.ctx
-    g = la.thaw(g)
-    n = space.dim
-    gmI = [
-        [ctx.sub(g[i][j], ctx.one if i == j else ctx.zero) for j in range(n)]
-        for i in range(n)
-    ]
-    d = la.det(ctx, gmI)
-    if d == ctx.zero:
-        return None, None, None
-    sign = ctx.legendre(ctx.mul(ctx.el((-1) ** space.N), d))
-    M = la.inv(ctx, gmI)
-    MtJ = la.mat_mul(ctx, la.transpose(M), space.gram)
+    p = ctx.p
+    X = np.asarray(stack, dtype=np.int64)
+    X = (X - np.eye(X.shape[1], dtype=np.int64)) % p
+    det, M = la.stack_det_inv(X, p)
+    sign = la.legendre_mod(p)[(-1) ** (space.N * ctx.m) * det % p].astype(np.int64)
+    G = trace_form_gram(ctx, space.gram)
     # 1/2 lies in F_p, so it comes out of the trace as the integer (p+1)/2
-    return sign, M, trace_form_gram(ctx, MtJ) * ((ctx.p + 1) // 2) % ctx.p
+    B = np.swapaxes(M, 1, 2) @ G % p * ((p + 1) // 2) % p
+    return sign, M, B
+
+
+def character_form(space: SympSpace, g):
+    """``character_forms`` of the one element g, given over GF(q):
+    (sign, M, B) with sign an int, or (None, None, None) when
+    det(g - I) = 0."""
+    sign, M, B = character_forms(space, restrict_scalars(space.ctx, [la.thaw(g)]))
+    if sign[0] == 0:
+        return None, None, None
+    return int(sign[0]), M[0], B[0]
 
 
 # -- Heisenberg group ----------------------------------------------------------
@@ -410,11 +425,14 @@ def restrict_to_extension(rep: WeilRep, ms, n_samples: int = 50, seed: int = 0):
     of that field.  The block coordinates of every vector come from the
     blocks' integer coordinate maps (``ModBlock.to_coords``), the
     intertwiner adds one entry per vector (``_intertwiner``), and each
-    torus element's blocks are computed once.  The sigma identity compares
-    the global sign with the product of the block Legendre symbols of
-    -det(g - 1); the psi identity compares the global phase index with
-    (1/2) Tr_{K/F_p}(omega_bar) summed over the blocks, read from the sum
-    of the blocks' F_p Gram matrices (``SympModuleStructure.trace_gram``).
+    torus element's blocks are computed once.  The signs and forms of all
+    torus elements come from one ``character_forms`` call.  The sigma
+    identity compares the global sign with the product of the block Legendre
+    symbols of -det(g - 1); the psi identity compares, at each standard
+    basis vector e_i, the whole row of the global form B with that of
+    (1/2) Tr_{K/F_p}(omega_bar(M e_i, .)) summed over the blocks, read from
+    the sum of the blocks' F_p Gram matrices
+    (``SympModuleStructure.trace_gram``).
 
     Returns a report with the exact trace-level identity counts over the
     torus and the maximum operator distance after one global alignment.
@@ -434,18 +452,14 @@ def restrict_to_extension(rep: WeilRep, ms, n_samples: int = 50, seed: int = 0):
         raise RuntimeError(f"block model has dimension {dim_bar}, expected {rep.dim}")
     U = _intertwiner(rep, blocks, bar_reps)
 
-    # exact trace-level identities over the torus
+    # exact trace-level identities over the torus, from one kernel call
     torus = ms.torus
     element_blocks = [ms.torus_element_blocks(gkey) for gkey in torus.elements]
-    sigma_checked = 0
-    sigma_failures = 0
-    psi_checked = 0
-    psi_failures = 0
+    sign, M, B = character_forms(space, torus.stack)
     identity = torus.identity_matrix()
-    n = space.dim
-    cols = np.arange(n) * ctx.m
-    gram = ms.trace_gram()
-    for gkey, gb in zip(torus.elements, element_blocks):
+    sigma_failures = 0
+    kept = []
+    for k, (gkey, gb) in enumerate(zip(torus.elements, element_blocks)):
         if gkey == identity:
             continue
         rhs = 1
@@ -456,17 +470,17 @@ def restrict_to_extension(rep: WeilRep, ms, n_samples: int = 50, seed: int = 0):
             rhs *= K.legendre(K.neg(det)) if det != K.zero else 0
         if rhs == 0:
             continue
-        sign, M, B = character_form(space, gkey)
-        sigma_checked += 1
-        if sign != rhs:
+        kept.append(k)
+        if sign[k] != rhs:
             sigma_failures += 1
-        # psi-level identity on the standard basis vectors e_col, as exact
-        # indices: the F_p trace form at e_col against the sum of
-        # Tr_{K/F_p}((1/2) omega_bar(M e_col, e_col)) over the blocks
-        lhs_idx = B[cols, cols]
-        rhs_idx = (prime_coords(la.transpose(M)) @ gram % p)[np.arange(n), cols]
-        psi_checked += n
-        psi_failures += int(np.count_nonzero(lhs_idx != (p + 1) // 2 * rhs_idx % p))
+    # psi-level identity at the standard basis vectors e_i (F_p coordinate
+    # i*m), as exact indices: the whole row of B at e_i, the form
+    # u -> Tr((1/2) omega(M e_i, u)), against the same row of
+    # (1/2) M^T (sum of the blocks' Tr_{K/F_p} omega_bar Gram matrices)
+    n = space.dim
+    rows = np.arange(n) * ctx.m
+    expect = np.swapaxes(M[kept], 1, 2)[:, rows] @ ms.trace_gram() % p * ((p + 1) // 2) % p
+    psi_failures = int(np.count_nonzero((B[kept][:, rows] != expect).any(axis=2)))
 
     # operator-level distance over torus elements and random SL(2, K) points;
     # every test element is a tuple of 2 x 2 matrices over the block fields
@@ -486,9 +500,9 @@ def restrict_to_extension(rep: WeilRep, ms, n_samples: int = 50, seed: int = 0):
         dist = max_abs(big - U @ bar @ U.conj().T)
         max_dist = max(max_dist, dist)
     return {
-        "sigma_identity_checked": sigma_checked,
+        "sigma_identity_checked": len(kept),
         "sigma_identity_failures": sigma_failures,
-        "psi_identity_checked": psi_checked,
+        "psi_identity_checked": n * len(kept),
         "psi_identity_failures": psi_failures,
         "n_operator_tests": len(test_elements),
         "max_operator_distance": max_dist,

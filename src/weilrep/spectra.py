@@ -18,8 +18,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import fqlin as la
 from .heiwei import WeilRep
-from .symp import Torus
+from .symp import Torus, restrict_scalars
 
 
 @dataclass(frozen=True)
@@ -38,11 +39,7 @@ class TorusCharacter:
 
     def values(self) -> np.ndarray:
         """Values over the full element enumeration, in order."""
-        acc = np.zeros(len(self.torus.exponents))
-        for k, (e, n) in enumerate(zip(self.exponents, self.torus.orders)):
-            js = np.array([exp[k] for exp in self.torus.exponents])
-            acc = acc + e * js / n
-        return np.exp(2j * np.pi * acc)
+        return character_values(self.torus, [self])[0]
 
     def is_quadratic(self) -> bool:
         """All values in {+1, -1} but not all +1."""
@@ -51,6 +48,17 @@ class TorusCharacter:
             np.abs(np.abs(vals.real) - 1) < 1e-12
         )
         return bool(real and np.any(vals.real < 0))
+
+
+def character_values(torus: Torus, characters) -> np.ndarray:
+    """The values of the given characters over the full element
+    enumeration, one row per character."""
+    E = np.array([chi.exponents for chi in characters], dtype=np.int64).reshape(len(characters), -1)
+    J = np.array(torus.exponents, dtype=np.int64)
+    acc = np.zeros((len(characters), len(J)))
+    for k, n in enumerate(torus.orders):
+        acc = acc + E[:, k, None] * J[None, :, k] / n
+    return np.exp(2j * np.pi * acc)
 
 
 def torus_characters(torus: Torus) -> list[TorusCharacter]:
@@ -112,33 +120,44 @@ class EigenDecomposition:
 def decompose(rep: WeilRep, torus: Torus) -> EigenDecomposition:
     """Joint eigenspaces of the Weil operators of the torus generators.
 
-    Only the r generator operators U_k = rho(g_k) are built.  The space is
-    split one generator at a time: inside every joint eigenspace found so
-    far, U_k acts as a unitary M whose eigenvalues are n_k-th roots of unity,
-    and the Hermitian part of exp(-i phi) M with phi = pi / (2 n_k) has the
-    eigenvalue cos(2 pi e / n_k - phi) on the exponent-e eigenspace.  These
-    cosines are distinct for distinct e mod n_k, so one ``eigh`` separates
-    every exponent, with fixed weights and hence deterministically.  The
-    exponent of each eigenvector is read from its eigenvalue of U_k.
-
-    Every eigenspace gets the orthonormal basis that Gram-Schmidt makes of
-    the columns of its projector B B*, and every basis vector v is checked
-    to satisfy |U_k v - chi(g_k) v| <= rep.tol for every generator.  Column
-    j of B B* is B conj(B[j, :]) and B is an isometry, so the Gram-Schmidt
-    runs on the mult-dimensional coefficient vectors conj(B[j, :]), in the
-    same order, and its result is mapped back by B once: no dim x dim
-    projector is formed.
-
-    For a multiplicity-1 eigenspace that Gram-Schmidt stops at its first
-    column: the basis vector is b conj(b_j) / |b_j|, with b_j the entry of
-    b = B of largest modulus (moduli within 1e-9 taken in index order, the
-    ``_tie_order`` rule of the Gram-Schmidt), so its entry j is real and
-    positive.  All these phases are found in one vectorised step
-    (``_line_phases``), bit-identical to the Gram-Schmidt of
-    ``_orthonormal_range``, which runs for multiplicities 2 and more."""
+    Only the r generator operators U_k = rho(g_k) are built, and the whole
+    space is split by ``_joint_eigenspaces``.  Every eigenspace gets the
+    orthonormal basis that Gram-Schmidt makes of the columns of its
+    projector B B* (``_orthonormal_range``), and every basis vector v is
+    checked to satisfy |U_k v - chi(g_k) v| <= rep.tol for every generator.
+    Column j of B B* is B conj(B[j, :]) and B is an isometry, so the
+    Gram-Schmidt runs on the mult-dimensional coefficient vectors
+    conj(B[j, :]), in the same order, and its result is mapped back by B
+    once: no dim x dim projector is formed.  The basis depends on the
+    eigenspace only, not on the B that ``eigh`` happened to return."""
     ops = [rep.weil_op(g) for g in torus.generators]
-    spaces = {(): np.eye(rep.dim, dtype=np.complex128)}
-    for U, n in zip(ops, torus.orders):
+    spaces = _joint_eigenspaces(ops, torus.orders, np.eye(rep.dim, dtype=np.complex128))
+    chars = torus_characters(torus)
+    dec = EigenDecomposition(rep, torus, chars)
+    empty = np.zeros((rep.dim, 0), dtype=np.complex128)
+    for chi in chars:
+        B = spaces.get(chi.exponents, empty)
+        dec.multiplicities[chi.exponents] = B.shape[1]
+        dec.bases[chi.exponents] = _canonical_basis(B)
+    _check_eigenstates(rep, torus, ops, dec.bases)
+    return dec
+
+
+def _joint_eigenspaces(ops, orders, Q) -> dict:
+    """The joint eigenspaces of the unitaries ``ops`` (of orders dividing
+    ``orders``) inside the range of the isometry Q, which they must leave
+    invariant, keyed by exponent tuples.
+
+    The range is split one operator at a time: inside every joint
+    eigenspace found so far, U_k acts as a unitary M whose eigenvalues are
+    n_k-th roots of unity, and the Hermitian part of exp(-i phi) M with
+    phi = pi / (2 n_k) has the eigenvalue cos(2 pi e / n_k - phi) on the
+    exponent-e eigenspace.  These cosines are distinct for distinct e mod
+    n_k, so one ``eigh`` separates every exponent, with fixed weights and
+    hence deterministically.  The exponent of each eigenvector is read from
+    its eigenvalue of U_k."""
+    spaces = {(): Q}
+    for U, n in zip(ops, orders):
         rot = np.exp(-1j * np.pi / (2 * n))
         refined = {}
         for exps, Q in spaces.items():
@@ -149,32 +168,92 @@ def decompose(rep: WeilRep, torus: Torus) -> EigenDecomposition:
             for e in np.unique(es):
                 refined[exps + (int(e),)] = W[:, es == e]
         spaces = refined
-    chars = torus_characters(torus)
-    dec = EigenDecomposition(rep, torus, chars)
-    empty = np.zeros((rep.dim, 0), dtype=np.complex128)
-    lines = [exps for exps, B in spaces.items() if B.shape[1] == 1]
-    phases = {}
-    if lines:
-        P = np.concatenate([spaces[exps] for exps in lines], axis=1).conj().T
-        phases = dict(zip(lines, _line_phases(P).reshape(-1, 1, 1)))
-    for chi in chars:
-        B = spaces.get(chi.exponents, empty)
-        mult = B.shape[1]
-        dec.multiplicities[chi.exponents] = mult
-        coef = phases[chi.exponents] if mult == 1 else _orthonormal_range(B.conj().T, mult)
-        dec.bases[chi.exponents] = B @ coef
-    state_chars, states = zip(*dec.eigenstates())
-    S = np.stack(states, axis=1)
-    for U, gkey in zip(ops, torus.generators):
-        values = np.array([chi(gkey) for chi in state_chars])
+    return spaces
+
+
+def _canonical_basis(B: np.ndarray) -> np.ndarray:
+    """The Gram-Schmidt basis of the columns of the projector B B*, for an
+    isometry B."""
+    return B @ _orthonormal_range(B.conj().T, B.shape[1])
+
+
+def _check_eigenstates(rep: WeilRep, torus: Torus, ops, bases: dict):
+    """RuntimeError unless every column v of every basis, keyed by its
+    character's exponents, has |U_k v - chi(g_k) v| <= rep.tol for every
+    generator operator U_k."""
+    keys = [exps for exps, B in bases.items() for _ in range(B.shape[1])]
+    if not keys:
+        return
+    S = np.concatenate([bases[exps] for exps in dict.fromkeys(keys)], axis=1)
+    for k, (U, n) in enumerate(zip(ops, torus.orders)):
+        values = np.exp(2j * np.pi * np.array([exps[k] for exps in keys]) / n)
         resid = np.linalg.norm(U @ S - S * values, axis=0)
         worst = int(np.argmax(resid))
         if resid[worst] > rep.tol:
             raise RuntimeError(
                 f"eigenvector residual {resid[worst]:.3e} exceeds {rep.tol:.3e} "
-                f"at character {state_chars[worst].exponents}"
+                f"at character {keys[worst]}"
             )
-    return dec
+
+
+def split_quadratic_bases(rep: WeilRep, torus: Torus, multiplicities: dict) -> dict:
+    """The bases ``decompose`` gives, up to rounding, of the eigenspaces of
+    multiplicity 2 or more only, given the predicted multiplicity of every
+    character by its exponents (``expected_multiplicity``).
+
+    Such a character is quadratic on a block of even order n_k, exponent
+    n_k / 2, where the generator operator U_k has eigenvalue -1.  For each
+    such k, the -1 eigenspace of U_k, whose predicted dimension is the sum
+    of the multiplicities with that exponent, is found by inverse iteration
+    (``_eigenspace``), and ``_joint_eigenspaces`` splits it.  Each piece
+    gets the basis of ``_canonical_basis``, which depends on the eigenspace
+    only.  RuntimeError when a piece does not have its predicted dimension
+    or a character of multiplicity 2 or more is left without a basis."""
+    ops = [rep.weil_op(g) for g in torus.generators]
+    wanted = {exps for exps, m in multiplicities.items() if m >= 2}
+    bases = {}
+    for k, n in enumerate(torus.orders):
+        if n % 2 or not any(exps[k] == n // 2 for exps in wanted - set(bases)):
+            continue
+        d = sum(m for exps, m in multiplicities.items() if exps[k] == n // 2)
+        Q = _eigenspace(ops[k], -1.0, d, rep.tol)
+        for exps, B in _joint_eigenspaces(ops, torus.orders, Q).items():
+            if B.shape[1] != multiplicities.get(exps, 0):
+                raise RuntimeError(
+                    f"eigenspace of character {exps} has dimension {B.shape[1]}, "
+                    f"predicted {multiplicities.get(exps, 0)}"
+                )
+            if exps in wanted and exps not in bases:
+                bases[exps] = _canonical_basis(B)
+    if wanted - set(bases):
+        raise RuntimeError(f"no eigenspace found for characters {sorted(wanted - set(bases))}")
+    _check_eigenstates(rep, torus, ops, bases)
+    return bases
+
+
+def _eigenspace(U: np.ndarray, lam: complex, d: int, tol: float) -> np.ndarray:
+    """An orthonormal basis of the lam-eigenspace of the unitary U, whose
+    dimension is predicted to be d, by two steps of block inverse iteration
+    on d + 1 vectors at the shift lam (1 + 1e-10).  The span then holds the
+    whole eigenspace and one more direction; the directions of least
+    residual |U x - lam x| are the right singular vectors of the residual
+    U X - lam X, and RuntimeError unless exactly d of them have residual
+    <= tol."""
+    dim = len(U)
+    k = min(d + 1, dim)
+    # a fixed start block of irrational phases, in no special position with
+    # respect to any eigenspace (a start that misses part of it fails the
+    # count below instead of going unnoticed)
+    j, c = np.ogrid[1 : dim + 1, 1 : k + 1]
+    X = np.exp(2j * np.pi * (np.sqrt(2) * j * c + np.sqrt(3) * j * j * c))
+    shifted = U - lam * (1 + 1e-10) * np.eye(dim)
+    for _ in range(2):
+        X = np.linalg.qr(np.linalg.solve(shifted, X))[0]
+    _, res, Vh = np.linalg.svd(U @ X - lam * X, full_matrices=False)
+    found = int(np.count_nonzero(res <= tol))
+    if found != d:
+        raise RuntimeError(f"eigenvalue {lam} has multiplicity {found}, predicted {d}")
+    return X @ Vh[k - d :].conj().T
 
 
 def _tie_order(norms: np.ndarray) -> np.ndarray:
@@ -186,19 +265,6 @@ def _tie_order(norms: np.ndarray) -> np.ndarray:
     drops = np.diff(np.take_along_axis(norms, order, axis=-1), axis=-1) < -1e-9
     ties = np.concatenate([np.zeros(drops.shape[:-1] + (1,), np.int64), np.cumsum(drops, axis=-1)], axis=-1)
     return np.take_along_axis(order, np.argsort(ties * norms.shape[-1] + order, axis=-1), axis=-1)
-
-
-def _line_phases(P: np.ndarray) -> np.ndarray:
-    """What ``_orthonormal_range(P[[k]], 1)`` returns, for every row k of P
-    at once: the row's first entry in ``_tie_order``, divided by its
-    modulus.  The moduli and the division use the formulas of
-    ``_orthonormal_range`` (``np.linalg.norm`` along an axis and of a
-    single entry), so the result is the same to the bit."""
-    v = P[np.arange(len(P)), _tie_order(np.sqrt((P.conj() * P).real))[:, 0]]
-    nv = np.sqrt(v.real * v.real + v.imag * v.imag)
-    if np.any(nv <= 1e-8):  # pragma: no cover - a unit vector has an entry >= 1/sqrt(dim)
-        raise RuntimeError("eigenline basis vector vanishes")
-    return v / nv
 
 
 def _orthonormal_range(P: np.ndarray, mult: int) -> np.ndarray:
@@ -254,3 +320,32 @@ def expected_multiplicity(torus: Torus, chi: TorusCharacter) -> int:
         else:
             m *= 1
     return m
+
+
+def trace_multiplicities(torus: Torus, characters) -> np.ndarray:
+    """The multiplicity of each character from the character of the Weil
+    representation, (1/|T|) sum over g of conj(chi(g)) Tr rho(g), with no
+    operator built.
+
+    The generator of block k is the identity off the block and has no
+    fixed vector on it at any nonzero exponent, so an element g is the
+    identity on the sum V_1 of the blocks where its exponent is 0, with
+    idempotent E_1 (from the blocks' ``idempotent``), and g - I is
+    invertible on the rest, V'.  rho restricted to Sp(V_1) x Sp(V') is the
+    tensor product of their Weil representations, so
+    Tr rho(g) = q^(dim V_1 / 2) sigma((-1)^(dim V' / 2) det((g - I)|V')),
+    and det((g - I)|V') = det(g - I + E_1).  The determinants come from one
+    elimination over the F_p matrices of the whole torus, the signs as in
+    ``heiwei.character_forms``."""
+    ctx = torus.space.ctx
+    p, s = ctx.p, torus.stack.shape[1]
+    fixed = np.array(torus.exponents, dtype=np.int64) == 0
+    E = restrict_scalars(ctx, [block.idempotent for block in torus.blocks])
+    X = (torus.stack - np.eye(s, dtype=np.int64) + np.einsum("jk,kab->jab", fixed, E)) % p
+    det, _ = la.stack_det_inv(X, p)
+    if np.any(det == 0):
+        raise RuntimeError("a torus element has a fixed vector outside the blocks where it is trivial")
+    half_fixed = fixed @ np.array([block.degree for block in torus.blocks])
+    sign = la.legendre_mod(p)[(-1) ** ((torus.space.N - half_fixed) * ctx.m) % p * det % p]
+    traces = sign * float(ctx.q) ** half_fixed
+    return (character_values(torus, characters).conj() @ traces).real / torus.order

@@ -14,7 +14,7 @@ call it.  A term with det(g - I) = 0 vanishes at every admissible vector
 and is dropped, so product tori (r >= 2) are summed like any other.
 
 Phases are exact integers (indices of p-th roots of unity), the quadratic
-form of ``heiwei.character_form`` on the F_p coordinates of the vectors;
+form of ``heiwei.character_forms`` on the F_p coordinates of the vectors;
 sums are accumulated in complex doubles.
 """
 
@@ -27,8 +27,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import fqlin as la
-from .heiwei import character_form, prime_coords, trace_form_gram
-from .spectra import TorusCharacter, torus_characters
+from .heiwei import character_forms, prime_coords, trace_form_gram
+from .spectra import TorusCharacter, character_values, torus_characters
 from .symp import SympSpace, Torus, torus_idempotents
 
 
@@ -70,26 +70,26 @@ def c_chi_table(space: SympSpace, torus: Torus, v_list, characters=None):
     p = space.ctx.p
     psi_pow = np.exp(2j * np.pi * np.arange(p) / p)
     C = prime_coords(v_list)
-    identity = torus.identity_matrix()
-    kept, term_rows, singular = [], [], None
-    for gi, g in enumerate(torus.elements):
-        if g == identity:
-            continue
-        sign, _, B = character_form(space, g)
-        if sign is None:
-            singular = g
-            continue
-        kept.append(gi)
-        term_rows.append(sign * psi_pow[((C @ B % p) * C).sum(axis=1) % p])
-    if singular is not None:
+    sign, _, B = character_forms(space, torus.stack)
+    # the identity is the first element and the only one with all exponents 0
+    kept = np.flatnonzero(sign != 0)
+    singular = np.flatnonzero(sign[1:] == 0)
+    if len(singular):
         adm = admissible_mask(torus, C)
         if not adm.all():
             raise ValueError(
-                f"det(g - I) = 0 for torus element {singular}, and "
+                f"det(g - I) = 0 for torus element {torus.elements[singular[0] + 1]}, and "
                 f"{v_list[int(adm.argmin())]} is not admissible"
             )
-    terms = np.stack(term_rows) if term_rows else np.zeros((0, len(v_list)))
-    X = np.stack([chi.values()[kept] for chi in characters])
+    # the phase index c B c of every kept element at every vector, in chunks
+    # of about 2^22 integers
+    idx = np.empty((len(kept), len(C)), dtype=np.int64)
+    step = max(1, (1 << 22) // max(1, C.size))
+    for lo in range(0, len(kept), step):
+        part = kept[lo : lo + step]
+        idx[lo : lo + step] = ((C @ B[part] % p) * C).sum(axis=2) % p
+    terms = sign[kept, None] * psi_pow[idx]
+    X = character_values(torus, characters)[:, kept]
     return X.conj() @ terms, characters
 
 

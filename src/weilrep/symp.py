@@ -22,6 +22,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
@@ -112,6 +113,47 @@ def random_symplectic(space: SympSpace, rng, n_factors=None):
     return g
 
 
+# -- restriction of scalars ----------------------------------------------------
+
+
+@lru_cache(maxsize=64)
+def _power_products(ctx) -> np.ndarray:
+    """Coefficient r of x^t x^k in the power basis of GF(p^m), indexed
+    [t, k, r]."""
+    basis = [ctx.from_int(ctx.p**k) for k in range(ctx.m)]
+    out = np.array([[ctx.serialize(ctx.mul(a, b)) for b in basis] for a in basis], dtype=np.int64)
+    out.setflags(write=False)
+    return out
+
+
+def restrict_scalars(ctx, mats) -> np.ndarray:
+    """The F_p matrices of a stack of n x n matrices over GF(p^m), on the F_p
+    coordinates of ``heiwei.prime_coords`` (component i, power-basis
+    coefficient k at i*m + k): entry (a*m + r, i*m + k) is coefficient r of
+    A[a][i] x^k.  Shape (len(mats), n m, n m); the F_p matrix of a product
+    is the product of the F_p matrices."""
+    A = np.asarray(mats, dtype=np.int64)
+    if ctx.m == 1:
+        return A
+    k, n, m = len(A), A.shape[1], ctx.m
+    R = np.einsum("jait,tkr->jarik", A.reshape(k, n, n, m), _power_products(ctx))
+    return R.reshape(k, n * m, n * m) % ctx.p
+
+
+def field_matrix_keys(ctx, stack) -> list:
+    """The frozen matrices over GF(p^m) (``fqlin.freeze`` layout) of a stack
+    of F_p matrices from ``restrict_scalars``: column i*m of the F_p matrix
+    holds the coefficients of column i."""
+    n, m = stack.shape[1] // ctx.m, ctx.m
+    cols = stack[:, :, ::m].tolist()
+    if m == 1:
+        return [tuple(map(tuple, M)) for M in cols]
+    return [
+        tuple(tuple(tuple(M[a * m + r][i] for r in range(m)) for i in range(n)) for a in range(n))
+        for M in cols
+    ]
+
+
 # -- torus containers ---------------------------------------------------------
 
 
@@ -154,32 +196,26 @@ class Torus:
             self._enumerate()
 
     def _enumerate(self):
+        """Every element as a generator-power product, exponent tuples in
+        lexicographic order.  The products are taken on the F_p matrices
+        (``restrict_scalars``) of the whole group at once, kept as
+        ``stack``, and the frozen keys are read back from that stack."""
         ctx = self.space.ctx
-        size = 1
-        for o in self.orders:
-            size *= o
-        exps = list(itertools.product(*[range(o) for o in self.orders]))
-        self.elements = []
-        self.exponents = []
-        self.index = {}
-        gen_powers = []
+        p = ctx.p
+        s = self.space.dim * ctx.m
+        stack = np.eye(s, dtype=np.int64)[None]
         for g, order in zip(self.generators, self.orders):
-            powers = [la.identity(ctx, self.space.dim)]
+            R = restrict_scalars(ctx, [g])[0]
+            powers = [np.eye(s, dtype=np.int64)]
             for _ in range(order - 1):
-                powers.append(la.mat_mul(ctx, powers[-1], g))
-            gen_powers.append(powers)
-        for e in exps:
-            m = gen_powers[0][e[0]]
-            for powers, ei in zip(gen_powers[1:], e[1:]):
-                m = la.mat_mul(ctx, m, powers[ei])
-            key = la.freeze(m)
-            if key in self.index:
-                raise ValueError("torus generators are not independent")
-            self.index[key] = e
-            self.elements.append(key)
-            self.exponents.append(e)
-        if len(self.elements) != size:
-            raise RuntimeError("torus enumeration missed elements")
+                powers.append(powers[-1] @ R % p)
+            stack = (stack[:, None] @ np.stack(powers)[None] % p).reshape(-1, s, s)
+        self.stack = stack
+        self.elements = field_matrix_keys(ctx, stack)
+        self.exponents = list(itertools.product(*[range(o) for o in self.orders]))
+        self.index = dict(zip(self.elements, self.exponents))
+        if len(self.index) != len(self.elements):
+            raise ValueError("torus generators are not independent")
 
     @property
     def order(self) -> int:
@@ -738,13 +774,6 @@ def _unflat(ctx, c):
     return [ctx.el(c[i : i + m]) for i in range(0, len(c), m)]
 
 
-def _mul_matrix(K, a):
-    """The F_p matrix of multiplication by a on the power basis of K."""
-    return np.array(
-        [K.serialize(K.mul(a, K.from_int(K.p**k))) for k in range(K.m)], dtype=np.int64
-    ).T
-
-
 class SympModuleStructure:
     """The commutative algebra K = Z(T, End V)^theta, the transpose-fixed
     part of the torus algebra GF(q)[T], with its block decomposition, block
@@ -763,17 +792,14 @@ class SympModuleStructure:
     def embed_sl2(self, g_blocks):
         """Global matrix of a tuple of 2 x 2 matrices over the block fields
         acting via the (E, F) bases: on F_p coordinates it is the sum over
-        the blocks of from_coords_mat . [[a, b], [c, d]] . to_coords, each
-        entry its multiplication matrix on the power basis of K_alpha, and
-        column j m of that F_p matrix is column j of the F_q matrix."""
+        the blocks of from_coords_mat . R . to_coords, R the F_p matrix of
+        [[a, b], [c, d]] (``restrict_scalars`` over K_alpha), and column j m
+        of that F_p matrix is column j of the F_q matrix."""
         ctx = self.space.ctx
         m, n = ctx.m, self.space.dim
         total = np.zeros((n * m, n * m), dtype=np.int64)
-        for blk, ((a, b), (c, d)) in zip(self.blocks, g_blocks):
-            K = blk.field
-            act = np.block(
-                [[_mul_matrix(K, a), _mul_matrix(K, b)], [_mul_matrix(K, c), _mul_matrix(K, d)]]
-            )
+        for blk, mat2 in zip(self.blocks, g_blocks):
+            act = restrict_scalars(blk.field, [mat2])[0]
             total += blk.from_coords_mat @ (act @ blk.to_coords % ctx.p) % ctx.p
         return la.transpose([_unflat(ctx, total[:, j * m] % ctx.p) for j in range(n)])
 

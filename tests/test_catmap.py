@@ -1,7 +1,9 @@
 """Lattice automorphisms, genericity, Hecke sweeps, rank statistics."""
 
+import functools
 import math
 import weakref
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -27,10 +29,11 @@ from weilrep.catmap import (
     _qpoly_divmod,
     torus_orbit_minima,
 )
-from weilrep import gfq, symp
+from weilrep import gfq, heiwei, symp
 from weilrep import fqlin as la
 from weilrep.gfq import FieldCtx
-from weilrep.heiwei import max_abs
+from weilrep.heiwei import WeilRep, max_abs
+from weilrep.spectra import decompose, split_quadratic_bases
 from weilrep.sums import orbit_spans_space
 
 
@@ -160,6 +163,28 @@ def test_sp6_seed_is_strongly_generic():
     assert sum(sweep["degree_patterns"].values()) == sweep["n_primes"]
 
 
+def test_one_squarefree_test_per_lattice_automorphism(monkeypatch):
+    """Building a LatticeAutomorphism runs the Fraction squarefree test
+    once, for every seed; factor_over_Q called alone still runs it."""
+    from weilrep import catmap
+
+    calls = []
+    real = catmap.is_squarefree_over_q
+
+    def counting(f):
+        calls.append(f)
+        return real(f)
+
+    monkeypatch.setattr(catmap, "is_squarefree_over_q", counting)
+    for mat in (CAT2_DEFAULT, CAT4_DEFAULT, SP6_SEED, ((1, 0), (0, 1))):
+        calls.clear()
+        LatticeAutomorphism(mat)
+        assert len(calls) == 1, mat
+    calls.clear()
+    assert factor_over_Q(SP6_SEED_CHARPOLY) == [SP6_SEED_CHARPOLY]
+    assert len(calls) == 1
+
+
 def test_ragged_and_empty_matrices_are_not_symplectic():
     assert not is_integer_symplectic([[1, 2], [3]])
     assert not is_integer_symplectic([[1, 0, 0], [0, 1, 0]])
@@ -260,14 +285,47 @@ def test_que_zero_exponent_excluded():
     assert len(hc.vmod) == 48  # p^2 - 1
 
 
+@functools.lru_cache(maxsize=8)
+def _dense(mat, p):
+    """The dense path the experiments took before the character sums, as
+    their test oracle: the explicit Weil representation, ``decompose``,
+    and every eigenstate, multiplicity-1 states first in character order
+    and then the larger eigenspaces in character order, the order of
+    ``HeckeContext.state_wigner``."""
+    A = LatticeAutomorphism(mat)
+    space = symp.SympSpace(FieldCtx(p), A.N)
+    torus = symp.centralizer_torus(space, A.mod_p(space))
+    rep = WeilRep(space)
+    dec = decompose(rep, torus)
+    order = sorted(dec.characters, key=lambda chi: dec.multiplicity(chi) > 1)
+    states, chars, mults = [], [], []
+    for chi in order:
+        B = dec.bases[chi.exponents]
+        for k in range(B.shape[1]):
+            states.append(B[:, k])
+            chars.append(chi)
+            mults.append(B.shape[1])
+    return SimpleNamespace(rep=rep, torus=torus, states=np.stack(states, axis=1),
+                           state_char=chars, state_mult=mults)
+
+
 def test_every_hecke_eigenstate_is_rho_A_eigenstate():
+    """The states of the dense oracle at p = 7 (inert), and the states the
+    context builds for the multiplicity-2 eigenspace at p = 11 (split)."""
     A = LatticeAutomorphism(CAT2_DEFAULT)
-    hc = HeckeContext(A, 7)
-    RA = hc.rep.weil_op(hc.A_mod)
-    for s in range(hc.states.shape[1]):
-        phi = hc.states[:, s]
-        lam = phi.conj() @ (RA @ phi)
-        assert np.linalg.norm(RA @ phi - lam * phi) < 1e-8
+    dense = _dense(CAT2_DEFAULT, 7)
+    hc = HeckeContext(A, 11)
+    mults = {chi.exponents: int(m) for chi, m in zip(hc.characters, hc.mults)}
+    rep = WeilRep(hc.space)
+    bases = split_quadratic_bases(rep, hc.torus, mults)
+    assert [B.shape[1] for B in bases.values()] == [2]
+    for rep, A_mod, states in [(dense.rep, la.freeze(A.mod_p(dense.rep.space)), dense.states),
+                               (rep, hc.A_mod, np.concatenate(list(bases.values()), axis=1))]:
+        RA = rep.weil_op(A_mod)
+        for s in range(states.shape[1]):
+            phi = states[:, s]
+            lam = phi.conj() @ (RA @ phi)
+            assert np.linalg.norm(RA @ phi - lam * phi) < 1e-8
 
 
 def test_statistical_states_p7():
@@ -280,21 +338,23 @@ def test_statistical_states_p7():
 
 def test_density_operators_commute_with_rho_A():
     A = LatticeAutomorphism(CAT2_DEFAULT)
-    hc = HeckeContext(A, 11)
-    RA = hc.rep.weil_op(hc.A_mod)
+    dense = _dense(CAT2_DEFAULT, 11)
+    A_mod = la.freeze(A.mod_p(dense.rep.space))
+    RA = dense.rep.weil_op(A_mod)
     # rebuild one density operator from the eigenstate columns
     import collections
 
     groups = collections.defaultdict(list)
-    exps_A = hc.torus.index[hc.A_mod]
-    L = math.lcm(*hc.torus.orders)
-    for s, chi in enumerate(hc.state_char):
+    exps_A = dense.torus.index[A_mod]
+    L = math.lcm(*dense.torus.orders)
+    for s, chi in enumerate(dense.state_char):
         phase = sum(
-            e * j * (L // n) for e, j, n in zip(chi.exponents, exps_A, hc.torus.orders)
+            e * j * (L // n) for e, j, n in zip(chi.exponents, exps_A, dense.torus.orders)
         ) % L
         groups[phase].append(s)
+    assert len(groups) == statistical_state_experiment(A, 11)["n_eigenspaces"]
     for ids in groups.values():
-        P = sum(np.outer(hc.states[:, s], hc.states[:, s].conj()) for s in ids)
+        P = sum(np.outer(dense.states[:, s], dense.states[:, s].conj()) for s in ids)
         D = P / len(ids)
         assert abs(np.trace(D) - 1) < 1e-10
         assert np.abs(RA @ D - D @ RA).max() < 1e-9
@@ -327,45 +387,62 @@ def _vector_action(rep, mats):
     ]
 
 
-def _que_row_from_table(hc):
-    """The QUE numbers from the full Wigner table, one column per window
-    exponent, as the experiments computed them before the orbit reduction."""
+def _dense_wigner(hc, on_orbits):
+    """(|W|, bound, weight) of the dense oracle's states: on the full Wigner
+    table, one column per admissible window exponent (weight 1), as the
+    experiments read it before the orbit reduction; or, where that table
+    is too large, at the orbit representatives with the orbit weights, as
+    they read it before the character sums."""
+    dense = _dense(hc.A.mat, hc.p)
+    if on_orbits:
+        return dense.rep.wigner_at(dense.states, hc.orbit_reps), hc.orbit_bound, hc.orbit_weight
     adm = hc.admissible
-    W = np.abs(hc.rep.wigner_batch(hc.states)[:, hc.v_index[adm]])
-    bound = hc.xi_bound[adm]
-    ratios = W / (np.array(hc.state_mult)[:, None] * bound[None, :])
+    W = dense.rep.wigner_batch(dense.states)[:, hc.v_index[adm]]
+    return W, hc.xi_bound[adm], np.ones(adm.sum(), dtype=np.int64)
+
+
+def _que_row_from_table(hc, on_orbits=False):
+    """The QUE numbers from the Wigner values of the dense oracle."""
+    dense = _dense(hc.A.mat, hc.p)
+    W, bound, weight = _dense_wigner(hc, on_orbits)
+    W = np.abs(W)
+    ratios = W / (np.array(dense.state_mult)[:, None] * bound[None, :])
     return {
-        "n_eigenstates": hc.states.shape[1],
+        "n_eigenstates": dense.states.shape[1],
         "n_xi": len(hc.vmod),
-        "n_xi_excluded": int((~adm).sum()),
+        "n_xi_excluded": int((~hc.admissible).sum()),
         "max_ratio": float(ratios.max()),
         "max_ratio_plain": float((W.max(axis=0) / bound).max()),
-        "violations": int((ratios > 1 + 1e-9).sum()),
+        "violations": int((ratios > 1 + 1e-9).sum(axis=0) @ weight),
         "max_scaled_wigner": float(W.max() * math.sqrt(hc.p**hc.N)),
     }
 
 
-def _statistical_row_from_table(hc):
-    table = hc.rep.wigner_batch(hc.states)[:, hc.v_index[hc.admissible]]
-    bound = hc.xi_bound[hc.admissible]
+def _statistical_row_from_table(hc, on_orbits=False):
+    """The statistical numbers from the dense oracle.  Its trace deviation
+    is |Tr D - 1| from the state norms; the experiment's reads the
+    multiplicity law instead, so each is checked against 1e-10 and not
+    against the other."""
+    dense = _dense(hc.A.mat, hc.p)
+    table, bound, weight = _dense_wigner(hc, on_orbits)
     exps_A = hc.torus.index[hc.A_mod]
     L = math.lcm(*hc.torus.orders)
     groups = {}
-    for s, chi in enumerate(hc.state_char):
+    for s, chi in enumerate(dense.state_char):
         phase = sum(e * j * (L // n) for e, j, n in zip(chi.exponents, exps_A, hc.torus.orders))
         groups.setdefault(phase % L, []).append(s)
     max_ratio, violations, trace_dev = 0.0, 0, 0.0
     for ids in groups.values():
         ratios = np.abs(table[ids].sum(axis=0) / len(ids)) / bound
         max_ratio = max(max_ratio, float(ratios.max()))
-        violations += int((ratios > 1 + 1e-9).sum())
-        norms = np.linalg.norm(hc.states[:, ids], axis=0) ** 2
+        violations += int((ratios > 1 + 1e-9) @ weight)
+        norms = np.linalg.norm(dense.states[:, ids], axis=0) ** 2
         trace_dev = max(trace_dev, abs(norms.sum() / len(ids) - 1.0))
+    assert trace_dev < 1e-10
     return {
         "n_eigenspaces": len(groups),
         "max_ratio": max_ratio,
         "violations": violations,
-        "trace_deviation": trace_dev,
     }
 
 
@@ -388,12 +465,15 @@ def test_wigner_values_are_constant_on_torus_orbits(mat, p):
     the orbit values are the table's values at every admissible window
     exponent, both to 1e-12."""
     hc = HeckeContext(LatticeAutomorphism(mat), p)
-    table = hc.rep.wigner_batch(hc.states)
-    for perm in _vector_action(hc.rep, hc.torus.generators):
+    dense = _dense(mat, p)
+    table = dense.rep.wigner_batch(dense.states)
+    for perm in _vector_action(dense.rep, hc.torus.generators):
         assert max_abs(table[:, perm] - table) < 1e-12
     adm = hc.admissible
-    assert max_abs(hc.wigner - table[:, hc.orbit_reps]) < 1e-12
-    assert max_abs(hc.wigner[:, hc.xi_orbit[adm]] - table[:, hc.v_index[adm]]) < 1e-12
+    W, mults = hc.state_wigner()
+    assert np.array_equal(mults, dense.state_mult)
+    assert max_abs(W - table[:, hc.orbit_reps]) < 1e-12
+    assert max_abs(W[:, hc.xi_orbit[adm]] - table[:, hc.v_index[adm]]) < 1e-12
     assert np.all(hc.xi_orbit[~adm] == -1)
 
 
@@ -401,7 +481,7 @@ def test_wigner_values_are_constant_on_torus_orbits(mat, p):
 def test_orbit_classes_are_closed_and_weighted_by_the_window(mat, p):
     hc = HeckeContext(LatticeAutomorphism(mat), p)
     labels = torus_orbit_minima(hc.torus)
-    for perm in _vector_action(hc.rep, hc.torus.generators):
+    for perm in _vector_action(WeilRep(hc.space), hc.torus.generators):
         assert np.array_equal(labels[perm], labels)
     assert np.all(labels <= np.arange(len(labels)))
     sizes = np.unique(labels, return_counts=True)[1]
@@ -412,7 +492,7 @@ def test_orbit_classes_are_closed_and_weighted_by_the_window(mat, p):
 
 def test_orbit_minima_match_the_orbit_over_every_torus_element():
     hc = HeckeContext(LatticeAutomorphism(CAT4_DEFAULT), 7)
-    perms = _vector_action(hc.rep, hc.torus.elements)
+    perms = _vector_action(WeilRep(hc.space), hc.torus.elements)
     assert np.array_equal(torus_orbit_minima(hc.torus), np.min(perms, axis=0))
 
 
@@ -453,28 +533,104 @@ def test_orbit_rows_match_the_table_reference(monkeypatch, mat, p, xi_max, tight
     if tight:
         assert que_ref["violations"] > 0
     _assert_rows_agree(hecke_que_experiment(A, p, xi_max), que_ref)
-    _assert_rows_agree(statistical_state_experiment(A, p, xi_max), _statistical_row_from_table(hc))
+    stat = statistical_state_experiment(A, p, xi_max)
+    _assert_rows_agree(stat, _statistical_row_from_table(hc))
+    assert stat["trace_deviation"] < 1e-10
+
+
+def _observable_rows_from_table(A, p, hc):
+    """The observable check from the Wigner values of the dense oracle."""
+    dense = _dense(A.mat, p)
+    rows = []
+    for obs in default_observables(A.N):
+        a0 = complex(obs.get((0,) * (2 * A.N), 0.0))
+        acc = np.full(dense.states.shape[1], a0)
+        rhs = 0.0
+        for xi, coeff in obs.items():
+            if any(x % p for x in xi):
+                k = np.flatnonzero((hc.vmod == np.array(xi) % p).all(axis=1))[0]
+                if not hc.admissible[k]:
+                    rows.append(None)
+                    break
+                acc += coeff * dense.rep.wigner_at(dense.states, hc.v_index[[k]])[:, 0]
+                rhs += abs(coeff) * hc.xi_bound[k]
+        else:
+            lhs = float(np.abs(acc - a0).max())
+            rows.append({"max_deviation": lhs, "bound": rhs, "ok": lhs <= rhs + 1e-9})
+    return rows
+
+
+def _assert_observables_agree(A, p, hc=None):
+    out = observable_bound_check(A, p, context=hc)
+    ref = _observable_rows_from_table(A, p, hc or HeckeContext(A, p))
+    assert len(out["rows"]) == len(ref) == 3
+    for row, want in zip(out["rows"], ref):
+        if want is None:
+            assert row["skipped"] == "inadmissible exponent"
+            continue
+        assert row["max_deviation"] == pytest.approx(want["max_deviation"], rel=1e-12, abs=0)
+        assert row["bound"] == want["bound"]
+        assert row["ok"] == want["ok"]
 
 
 def test_observable_rows_match_the_table_reference():
-    A = LatticeAutomorphism(CAT2_DEFAULT)
-    hc = HeckeContext(A, 7)
-    table = hc.rep.wigner_batch(hc.states)
-    out = observable_bound_check(A, 7)
-    assert len(out["rows"]) == 3
-    for obs, row in zip(default_observables(1), out["rows"]):
-        a0 = complex(obs.get((0, 0), 0.0))
-        acc = np.full(hc.states.shape[1], a0)
-        rhs = 0.0
-        for xi, coeff in obs.items():
-            if any(x % 7 for x in xi):
-                k = next(k for k, v in enumerate(hc.vmod) if tuple(v) == tuple(x % 7 for x in xi))
-                acc += coeff * table[:, hc.v_index[k]]
-                rhs += abs(coeff) * hc.xi_bound[k]
-        lhs = float(np.abs(acc - a0).max())
-        assert row["max_deviation"] == pytest.approx(lhs, rel=1e-12, abs=0)
-        assert row["bound"] == rhs
-        assert row["ok"] == (lhs <= rhs + 1e-9)
+    _assert_observables_agree(LatticeAutomorphism(CAT2_DEFAULT), 7)
+
+
+#: every usable prime of criterion 12, the cat map to 97, and the Sp(6) seed
+DENSE_CASES = (
+    [("cat4", p) for p in (3, 7, 11, 13, 17, 19, 23)]
+    + [("cat2", p) for p in primes_up_to(97)[3:]]
+    + [("sp6", 5), ("sp6", 7)]
+)
+
+
+@pytest.mark.parametrize("name,p", DENSE_CASES, ids=[f"{n}-p{p}" for n, p in DENSE_CASES])
+def test_rows_match_the_dense_oracle(name, p):
+    """QUE, statistical and observable rows from the character sums equal
+    those of the dense representation: integers exactly, floats to 1e-12
+    relative."""
+    mat = {"cat2": CAT2_DEFAULT, "cat4": CAT4_DEFAULT, "sp6": SP6_SEED}[name]
+    A = LatticeAutomorphism(mat)
+    assert skip_reason(A, p) is None
+    hc = HeckeContext(A, p)
+    _assert_rows_agree(hecke_que_experiment(A, p, context=hc), _que_row_from_table(hc, True))
+    stat = statistical_state_experiment(A, p, context=hc)
+    _assert_rows_agree(stat, _statistical_row_from_table(hc, True))
+    assert stat["trace_deviation"] < 1e-10
+    _assert_observables_agree(A, p, hc)
+    _dense.cache_clear()
+
+
+def _count_weil_reps(monkeypatch):
+    built = []
+    real = heiwei.WeilRep.__init__
+
+    def counting(self, *args, **kwargs):
+        built.append(args)
+        real(self, *args, **kwargs)
+
+    monkeypatch.setattr(heiwei.WeilRep, "__init__", counting)
+    return built
+
+
+def test_only_multiplicity_two_eigenspaces_build_a_weil_representation(monkeypatch):
+    """The statistical experiment builds no Weil representation at all.
+    QUE builds none where no character has multiplicity 2 or more (cat4 at
+    p = 23, the Sp(6) seed at p = 5, the cat map at inert p = 7) and one
+    where some has (the cat map at split p = 11)."""
+    built = _count_weil_reps(monkeypatch)
+    cat2, cat4, sp6 = (LatticeAutomorphism(m) for m in (CAT2_DEFAULT, CAT4_DEFAULT, SP6_SEED))
+    for A, p in [(cat2, 7), (cat2, 11), (cat4, 7), (cat4, 11), (sp6, 5)]:
+        statistical_state_experiment(A, p)
+    assert built == []
+    for A, p in [(cat4, 23), (sp6, 5), (cat2, 7)]:
+        hc = HeckeContext(A, p)
+        assert not np.any(hc.mults >= 2)
+        hecke_que_experiment(A, p, context=hc)
+    assert built == []
+    hecke_que_experiment(cat2, 11)
+    assert len(built) == 1
 
 
 # -- one context per prime ----------------------------------------------------------

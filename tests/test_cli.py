@@ -116,6 +116,20 @@ def test_que_cmd_with_matrix_file(tmp_path):
     assert len(skipped) == 1 and skipped[0].startswith("5,")
 
 
+def test_the_sp6_example_file_is_the_seed_and_runs(tmp_path):
+    """matrices/sp6_seed.json, the matrix file of the Sp(6) sweep at
+    p = 11, holds the seed of criterion 11; que reads it (here at p = 5)."""
+    from test_acceptance import SP6_SEED
+
+    from weilrep.cli import _load_matrix
+
+    path = os.path.join(os.path.dirname(__file__), os.pardir, "matrices", "sp6_seed.json")
+    assert _load_matrix(path) == SP6_SEED
+    rc = main(["que", "--A", path, "--min-prime", "5", "--max-prime", "5", "--out", str(tmp_path)])
+    assert rc == 0
+    assert body_of(tmp_path / "que.csv").splitlines()[1].startswith("5,2,156,")
+
+
 def test_que_error_at_one_prime_becomes_an_error_row(tmp_path, monkeypatch):
     from weilrep import catmap
 

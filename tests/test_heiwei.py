@@ -8,9 +8,11 @@ from test_symp import _coords_by_omega_bar, _embed_sl2_by_columns
 
 from weilrep import fqlin as la
 from weilrep.gfq import FieldCtx
+from weilrep import symp
 from weilrep.heiwei import (
     WeilRep,
     character_form,
+    character_forms,
     heisenberg_compose,
     heisenberg_identity,
     heisenberg_inverse,
@@ -20,14 +22,17 @@ from weilrep.heiwei import (
     max_abs,
     prime_coords,
     restrict_to_extension,
+    trace_form_gram,
 )
-from weilrep.sums import c_chi_table
+from weilrep.spectra import torus_characters
+from weilrep.sums import admissible_mask, c_chi_table
 from weilrep.symp import (
     SympSpace,
     assert_symplectic,
     build_maximal_torus,
     module_structure,
     random_symplectic,
+    restrict_scalars,
 )
 
 
@@ -343,8 +348,12 @@ def _dense_intertwiner(rep, ms, bar_reps):
 
 def _restrict_by_omega_bar(rep, ms, n_samples, seed):
     """restrict_to_extension with every block coordinate, psi identity and
-    embedding read off omega_bar one vector at a time; the intertwiner is
-    ``_intertwiner``, checked against ``_dense_intertwiner`` on its own."""
+    embedding read off omega_bar one vector at a time, and the character
+    forms from ``_character_form_oracle``; the intertwiner is
+    ``_intertwiner``, checked against ``_dense_intertwiner`` on its own.  A
+    psi check is the whole row at e_col: its entry at every F_p basis
+    vector u_j against the omega_bar traces at (M e_col, u_j), read through
+    the matrix of omega_bar traces on the F_p basis."""
     ctx, space, blocks = rep.ctx, rep.space, ms.blocks
     bar_reps = [WeilRep(SympSpace(blk.field, 1)) for blk in blocks]
     U = _intertwiner(rep, blocks, bar_reps)
@@ -360,6 +369,15 @@ def _restrict_by_omega_bar(rep, ms, n_samples, seed):
 
     counts = dict.fromkeys(["sc", "sf", "pc", "pf"], 0)
     n = space.dim
+    # sum over the blocks of Tr_{K/F_p} omega_bar on the F_p basis vectors:
+    # by F_p-bilinearity, the form at (M e_col, u_j) is a row of coordinates
+    # times this matrix
+    basis = symp._prime_basis(ctx, n)
+    bar_gram = np.array([
+        [sum(blk.field.trace_to_prime(blk.omega_bar(blk.project(u), blk.project(v))) for blk in blocks)
+         for v in basis]
+        for u in basis
+    ])
     for gkey in ms.torus.elements:
         if gkey == ms.torus.identity_matrix():
             continue
@@ -370,18 +388,14 @@ def _restrict_by_omega_bar(rep, ms, n_samples, seed):
             rhs *= K.legendre(K.neg(det)) if det != K.zero else 0
         if rhs == 0:
             continue
-        sign, M, B = character_form(space, gkey)
+        sign, M, B = _character_form_oracle(space, gkey)
         counts["sc"] += 1
         counts["sf"] += sign != rhs
         for col in range(n):
             v = [ctx.one if i == col else ctx.zero for i in range(n)]
-            w = la.mat_vec(ctx, M, v)
-            rhs_idx = sum(
-                blk.field.trace_to_prime(blk.omega_bar(blk.project(w), blk.project(v)))
-                for blk in blocks
-            )
+            rhs_idx = prime_coords([la.mat_vec(ctx, M, v)])[0] @ bar_gram % ctx.p
             counts["pc"] += 1
-            counts["pf"] += B[col * ctx.m, col * ctx.m] != (ctx.p + 1) // 2 * rhs_idx % ctx.p
+            counts["pf"] += any(B[col * ctx.m] != (ctx.p + 1) // 2 * rhs_idx % ctx.p)
     rng = random.Random(seed)
     tests = [element_blocks(gkey) for gkey in ms.torus.elements]
     tests += [tuple(_random_sl2(blk.field, rng) for blk in blocks) for _ in range(n_samples)]
@@ -418,7 +432,7 @@ def test_trace_gram_matches_the_omega_bar_sums(name):
     ctx, n = rep.ctx, rep.space.dim
     gram = ms.trace_gram()
     for gkey in ms.torus.elements:
-        sign, M, _ = character_form(rep.space, gkey)
+        sign, M, _ = _character_form_oracle(rep.space, gkey)
         if sign is None:
             continue
         for col in range(n):
@@ -443,6 +457,23 @@ def test_trace_gram_matches_the_omega_bar_sums(name):
             assert cu @ blk.trace_gram @ cv % ctx.p == tr
 
 
+def test_psi_identity_sees_a_block_missing_from_the_gram_matrix(monkeypatch):
+    """With the split block left out of the summed Gram matrix, the psi
+    identity of split+inert fails: a split torus element is diagonal on its
+    block, so only the off-diagonal entries of the rows can see it."""
+    rep, ms = _restrict_case("split+inert-q5")
+    assert [blk.name for blk in ms.blocks] == ["split", "inert"]
+    assert restrict_to_extension(rep, ms, n_samples=0)["psi_identity_failures"] == 0
+    monkeypatch.setattr(
+        symp.SympModuleStructure, "trace_gram",
+        lambda self: sum(blk.trace_gram for blk in self.blocks if blk.name != "split") % 5,
+    )
+    rpt = restrict_to_extension(rep, ms, n_samples=0)
+    assert rpt["psi_identity_checked"] == RESTRICT_COUNTS["split+inert-q5"][1]
+    assert rpt["psi_identity_failures"] > 0
+    assert rpt["sigma_identity_failures"] == 0
+
+
 @pytest.mark.parametrize("name", ["irreducible2-q3", "irreducible2-q5", "sl2-gf9"])
 def test_intertwiner_is_bit_identical_to_the_dense_average(name):
     rep, ms = _restrict_case(name)
@@ -465,6 +496,94 @@ def test_restrict_to_extension_reports_match_the_omega_bar_path(name):
 
 
 # -- the F_p Gram kernel against the per-vector field arithmetic it replaced ------
+
+
+def _character_form_oracle(space, g):
+    """(sign, M, B) one element at a time over GF(q): the determinant and
+    inverse of g - I by field elimination, M over GF(q), and B the F_p Gram
+    matrix of Tr((1/2) M^T J); (None, None, None) when det(g - I) = 0."""
+    ctx = space.ctx
+    g = la.thaw(g)
+    n = space.dim
+    gmI = [[ctx.sub(g[i][j], ctx.one if i == j else ctx.zero) for j in range(n)] for i in range(n)]
+    d = la.det(ctx, gmI)
+    if d == ctx.zero:
+        return None, None, None
+    sign = ctx.legendre(ctx.mul(ctx.el((-1) ** space.N), d))
+    M = la.inv(ctx, gmI)
+    MtJ = la.mat_mul(ctx, la.transpose(M), space.gram)
+    return sign, M, trace_form_gram(ctx, MtJ) * ((ctx.p + 1) // 2) % ctx.p
+
+
+def _c_chi_table_oracle(space, torus, vectors):
+    """c_chi_table one torus element at a time, from ``_character_form_oracle``."""
+    p = space.ctx.p
+    psi_pow = np.exp(2j * np.pi * np.arange(p) / p)
+    C = prime_coords(vectors)
+    kept, rows = [], []
+    for gi, g in enumerate(torus.elements):
+        sign, _, B = _character_form_oracle(space, g)
+        if sign is None:
+            continue
+        kept.append(gi)
+        rows.append(sign * psi_pow[((C @ B % p) * C).sum(axis=1) % p])
+    chars = torus_characters(torus)
+    X = np.stack([chi.values()[kept] for chi in chars])
+    return X.conj() @ np.stack(rows)
+
+
+@pytest.mark.parametrize("p", [3, 7, 101, 1048573])
+def test_stack_det_inv_matches_field_elimination(p):
+    """Determinants and inverses of a stack, singular matrices included,
+    equal those of ``fqlin.det`` and ``fqlin.inv`` one matrix at a time,
+    up to the largest supported prime."""
+    ctx = FieldCtx(p)
+    rng = random.Random(p)
+    singular = 0
+    for s in (1, 2, 4, 6):
+        mats = [[[rng.randrange(p) if rng.random() < 0.6 else 0 for _ in range(s)]
+                 for _ in range(s)] for _ in range(40)]
+        det, inv = la.stack_det_inv(np.array(mats), p)
+        singular += int(np.count_nonzero(det == 0))
+        for M, d, Minv in zip(mats, det.tolist(), inv):
+            assert d == la.det(ctx, M)
+            if d:
+                assert Minv.tolist() == la.inv(ctx, M)
+    assert singular > 0
+
+
+SP4_KINDS = [["split", "split"], ["split", "inert"], ["inert", "inert"], [("split", 2)],
+             ["irreducible2"]]
+FORM_CASES = [(p, 1, 2, kind) for p in (5, 7, 11) for kind in SP4_KINDS] + [
+    (q, 2, 1, [kind]) for q in (3, 5) for kind in ("split", "inert")
+]
+
+
+@pytest.mark.parametrize(
+    "p,m,N,kind", FORM_CASES,
+    ids=[f"{p}^{m}-N{N}-" + "+".join(map(str, k)) for p, m, N, k in FORM_CASES],
+)
+def test_character_forms_are_bit_identical_to_the_per_element_loop(p, m, N, kind):
+    """The batched kernel gives every torus element's sign, inverse and Gram
+    matrix, and c_chi_table its table, bit for bit as the per-element field
+    arithmetic does; the one-element call agrees too."""
+    sp = SympSpace(FieldCtx(p, m), N)
+    torus = build_maximal_torus(sp, kind)
+    sign, M, B = character_forms(sp, torus.stack)
+    for k, g in enumerate(torus.elements):
+        want_sign, want_M, want_B = _character_form_oracle(sp, g)
+        one = character_form(sp, g)
+        if want_sign is None:
+            assert sign[k] == 0 and one == (None, None, None)
+            continue
+        assert sign[k] == want_sign == one[0]
+        assert np.array_equal(M[k], restrict_scalars(sp.ctx, [want_M])[0])
+        assert np.array_equal(B[k], want_B) and np.array_equal(one[2], want_B)
+    rng = random.Random(p)
+    vs = [tuple(sp.ctx.from_int(rng.randrange(sp.ctx.q)) for _ in range(2 * N)) for _ in range(60)]
+    vs = [v for v, ok in zip(vs, admissible_mask(torus, prime_coords(vs))) if ok]
+    table, _ = c_chi_table(sp, torus, vs)
+    assert table.tobytes() == _c_chi_table_oracle(sp, torus, vs).tobytes()
 
 
 def _phase_oracle(rep, g, vectors):

@@ -5,12 +5,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from weilrep import spectra
 from weilrep.catmap import CAT2_DEFAULT, CAT4_DEFAULT, LatticeAutomorphism
 from weilrep.gfq import FieldCtx
 from weilrep.heiwei import WeilRep, max_abs
 from weilrep.spectra import (
-    _line_phases,
+    _joint_eigenspaces,
     _orthonormal_range,
     _tie_order,
     decompose,
@@ -18,7 +17,9 @@ from weilrep.spectra import (
     multiplicity_table_rows,
     sigma_block_character,
     sigma_character,
+    split_quadratic_bases,
     torus_characters,
+    trace_multiplicities,
 )
 from weilrep.symp import SympSpace, build_maximal_torus, centralizer_torus
 
@@ -311,11 +312,6 @@ def _same_bits(a, b):
     return a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
-def _line_phases_by_gram_schmidt(P):
-    """The oracle for ``_line_phases``: ``_orthonormal_range`` on each row."""
-    return np.array([_orthonormal_range(P[k : k + 1], 1)[0, 0] for k in range(len(P))])
-
-
 #: steps between neighbouring moduli: below, at and above the 1e-9 tie width
 TIE_STEPS = [0.0, 1e-12, 0.4e-9, 0.7e-9, 1e-9, 1.3e-9, 3e-9, 1e-3, 0.1]
 
@@ -354,25 +350,73 @@ def test_tie_order_matches_the_lexsort_rule_row_by_row(P):
     assert np.array_equal(_tie_order(norms[0]), _tie_order_by_lexsort(norms[0]))
 
 
-@settings(max_examples=300, deadline=None, derandomize=True, database=None)
-@given(tied_rows())
-def test_line_phases_match_gram_schmidt_to_the_bit(P):
-    assert _same_bits(_line_phases(P), _line_phases_by_gram_schmidt(P))
-
-
 @pytest.mark.parametrize(
     "make",
     [lambda: _cat_torus(CAT2_DEFAULT, 97), lambda: _cat4_torus(11), lambda: _cat4_torus(13),
      lambda: setup_rep(3, 1, ["inert"], m=2)],
     ids=["cat2-p97", "cat4-p11", "cat4-p13", "sl2-f9-inert"],
 )
-def test_decompose_bases_match_gram_schmidt_to_the_bit(monkeypatch, make):
+def test_decompose_bases_match_gram_schmidt_to_the_bit(make):
     """Every eigenbasis, of multiplicity 1 or more, is bit-identical to the
-    one the per-character Gram-Schmidt gives."""
+    one the per-character Gram-Schmidt gives on its joint eigenspace."""
     rep, torus = make()
     dec = decompose(rep, torus)
-    monkeypatch.setattr(spectra, "_line_phases", _line_phases_by_gram_schmidt)
-    ref = decompose(rep, torus)
-    assert any(m == 1 for m in dec.multiplicities.values())
-    for exps, B in ref.bases.items():
-        assert _same_bits(dec.bases[exps], B), exps
+    ops = [rep.weil_op(g) for g in torus.generators]
+    spaces = _joint_eigenspaces(ops, torus.orders, np.eye(rep.dim, dtype=np.complex128))
+    assert any(B.shape[1] == 1 for B in spaces.values())
+    for exps, B in spaces.items():
+        assert _same_bits(dec.bases[exps], B @ _orthonormal_range(B.conj().T, B.shape[1])), exps
+
+
+# -- the multiplicity law and the eigenspaces of multiplicity >= 2 ------------------
+
+
+TRACE_CASES = [
+    (3, 1, 2, ["split", "split"]), (3, 1, 2, ["inert", "split"]), (5, 1, 2, ["split", "split"]),
+    (7, 1, 2, ["split", "inert"]), (5, 1, 2, ["inert", "inert"]), (5, 1, 2, ["irreducible2"]),
+    (5, 1, 2, [("split", 2)]), (7, 1, 1, ["split"]), (3, 2, 1, ["split"]), (3, 2, 1, ["inert"]),
+    (3, 1, 3, ["split", "inert", "inert"]),
+]
+
+
+@pytest.mark.parametrize("p,m,N,kind", TRACE_CASES, ids=lambda x: str(x))
+def test_trace_multiplicities_match_decompose(p, m, N, kind):
+    """The multiplicities from the character of rho, singular elements
+    included, equal the dimensions ``decompose`` finds and the predicted
+    ones, to 1e-12."""
+    rep, torus = setup_rep(p, N, kind, m)
+    dec = decompose(rep, torus)
+    chars = torus_characters(torus)
+    found = np.array([dec.multiplicity(chi) for chi in chars])
+    assert np.array_equal(found, [expected_multiplicity(torus, chi) for chi in chars])
+    assert max_abs(trace_multiplicities(torus, chars) - found) < 1e-12
+
+
+SPLIT_CASES = [(5, 1, ["split"]), (7, 1, ["split"]), (5, 2, ["split", "split"]),
+               (7, 2, ["split", "inert"]), (5, 2, [("split", 2)]), (3, 1, ["split"], 2)]
+
+
+@pytest.mark.parametrize("case", SPLIT_CASES, ids=lambda c: "-".join(map(str, c)))
+def test_split_quadratic_bases_equal_the_decomposition(case):
+    """The bases of the multiplicity >= 2 eigenspaces, found from the -1
+    eigenspaces of the split generators alone, equal those of
+    ``decompose`` to 1e-10, and every such character gets one."""
+    rep, torus = setup_rep(*case)
+    dec = decompose(rep, torus)
+    mults = {chi.exponents: dec.multiplicity(chi) for chi in dec.characters}
+    bases = split_quadratic_bases(WeilRep(rep.space), torus, mults)
+    assert set(bases) == {exps for exps, m in mults.items() if m >= 2}
+    for exps, B in bases.items():
+        assert max_abs(B - dec.bases[exps]) < 1e-10, exps
+
+
+def test_split_quadratic_bases_refuse_a_wrong_prediction():
+    rep, torus = setup_rep(5, 2, ["split", "split"])
+    chars = torus_characters(torus)
+    mults = {chi.exponents: expected_multiplicity(torus, chi) for chi in chars}
+    quad = next(exps for exps, m in mults.items() if m == 4)
+    with pytest.raises(RuntimeError, match="predicted"):
+        split_quadratic_bases(rep, torus, {**mults, quad: 2})
+    other = next(exps for exps, m in mults.items() if m == 2 and exps[0] != quad[0])
+    with pytest.raises(RuntimeError, match="predicted"):
+        split_quadratic_bases(rep, torus, {**mults, other: 3})
