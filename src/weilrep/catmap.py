@@ -28,6 +28,7 @@ from .spectra import (
     split_quadratic_bases,
     torus_characters,
     trace_multiplicities,
+    weil_traces,
 )
 from .sums import admissible_mask, c_chi_table
 from .symp import SympSpace, centralizer_torus, trace_factor_degrees, trace_polynomial
@@ -320,6 +321,13 @@ def torus_orbit_minima(torus) -> np.ndarray:
     return labels
 
 
+#: a ``HeckeContext`` for a representation of dimension at most this also
+#: builds the Weil operator of each torus generator and checks its trace
+#: against ``spectra.weil_traces``, the character of rho that the
+#: multiplicities rest on; the operators cost little at these sizes
+OPERATOR_CHECK_DIM = 25
+
+
 class HeckeContext:
     """Everything one prime's experiments share: the Hecke torus, its
     characters with their multiplicities, the masks over the exponent window
@@ -349,7 +357,9 @@ class HeckeContext:
     eigenspace, so its Wigner row is its character's row of ``table``.  The
     eigenspaces of multiplicity 2 or more (quadratic characters of split
     blocks) need a basis; ``state_wigner`` builds them, on first use, from
-    the generator operators (``spectra.split_quadratic_bases``).
+    the generator operators (``spectra.split_quadratic_bases``).  Up to
+    dimension ``OPERATOR_CHECK_DIM`` the build checks the trace of each
+    generator's Weil operator against the character of rho.
     """
 
     def __init__(self, A: LatticeAutomorphism, p: int, xi_max: int | None = None):
@@ -370,6 +380,9 @@ class HeckeContext:
         self.mult_residual = trace_multiplicities(self.torus, self.characters) - self.mults
         if np.abs(self.mult_residual).max() > 1e-6:
             raise RuntimeError("the predicted multiplicities contradict the character of rho")
+        # dimension 3, SL(2, F_3), has no Weil operator
+        if 3 < p**A.N <= OPERATOR_CHECK_DIM:
+            self._check_generator_traces()
         # exponent window
         if xi_max is None:
             xi_max = p
@@ -405,6 +418,15 @@ class HeckeContext:
         reps = self.orbit_reps[:, None] // _index_places(p, A.N) % p
         self.table = c_chi_table(self.space, self.torus, reps, self.characters)[0] / self.torus.order
         self._state_wigner = None
+
+    def _check_generator_traces(self):
+        rep = WeilRep(self.space)
+        traces = weil_traces(self.torus)
+        position = {exps: i for i, exps in enumerate(self.torus.exponents)}
+        for g in self.torus.generators:
+            trace = traces[position[self.torus.index[la.freeze(g)]]]
+            if abs(np.trace(rep.weil_op(g)) - trace) > rep.tol:
+                raise RuntimeError("a generator's Weil operator contradicts the character of rho")
 
     def _support_masks(self):
         masks = []

@@ -324,8 +324,14 @@ def expected_multiplicity(torus: Torus, chi: TorusCharacter) -> int:
 
 def trace_multiplicities(torus: Torus, characters) -> np.ndarray:
     """The multiplicity of each character from the character of the Weil
-    representation, (1/|T|) sum over g of conj(chi(g)) Tr rho(g), with no
-    operator built.
+    representation, (1/|T|) sum over g of conj(chi(g)) Tr rho(g), with the
+    traces from ``weil_traces`` and no operator built."""
+    return (character_values(torus, characters).conj() @ weil_traces(torus)).real / torus.order
+
+
+def weil_traces(torus: Torus) -> np.ndarray:
+    """Tr rho(g) for every element g of the torus, in ``torus.exponents``
+    order, with no operator built.
 
     The generator of block k is the identity off the block and has no
     fixed vector on it at any nonzero exponent, so an element g is the
@@ -347,5 +353,4 @@ def trace_multiplicities(torus: Torus, characters) -> np.ndarray:
         raise RuntimeError("a torus element has a fixed vector outside the blocks where it is trivial")
     half_fixed = fixed @ np.array([block.degree for block in torus.blocks])
     sign = la.legendre_mod(p)[(-1) ** ((torus.space.N - half_fixed) * ctx.m) % p * det % p]
-    traces = sign * float(ctx.q) ** half_fixed
-    return (character_values(torus, characters).conj() @ traces).real / torus.order
+    return sign * float(ctx.q) ** half_fixed

@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 from weilrep.catmap import (
     CAT2_DEFAULT,
     CAT4_DEFAULT,
+    OPERATOR_CHECK_DIM,
     HeckeContext,
     LatticeAutomorphism,
     check_genericity,
@@ -29,7 +30,7 @@ from weilrep.catmap import (
     _qpoly_divmod,
     torus_orbit_minima,
 )
-from weilrep import gfq, heiwei, symp
+from weilrep import catmap, gfq, heiwei, symp
 from weilrep import fqlin as la
 from weilrep.gfq import FieldCtx
 from weilrep.heiwei import WeilRep, max_abs
@@ -615,22 +616,40 @@ def _count_weil_reps(monkeypatch):
 
 
 def test_only_multiplicity_two_eigenspaces_build_a_weil_representation(monkeypatch):
-    """The statistical experiment builds no Weil representation at all.
-    QUE builds none where no character has multiplicity 2 or more (cat4 at
-    p = 23, the Sp(6) seed at p = 5, the cat map at inert p = 7) and one
-    where some has (the cat map at split p = 11)."""
+    """Above ``OPERATOR_CHECK_DIM`` the statistical experiment builds no
+    Weil representation at all.  QUE builds none where no character has
+    multiplicity 2 or more (cat4 at p = 23, the Sp(6) seed at p = 5, the cat
+    map at inert p = 37) and one where some has (the cat map at split
+    p = 29).  At or below the bound the context builds one, for the trace
+    check of the generators, and nothing else does."""
     built = _count_weil_reps(monkeypatch)
     cat2, cat4, sp6 = (LatticeAutomorphism(m) for m in (CAT2_DEFAULT, CAT4_DEFAULT, SP6_SEED))
-    for A, p in [(cat2, 7), (cat2, 11), (cat4, 7), (cat4, 11), (sp6, 5)]:
+    for A, p in [(cat2, 29), (cat2, 37), (cat4, 7), (cat4, 11), (sp6, 5)]:
+        assert p**A.N > OPERATOR_CHECK_DIM
         statistical_state_experiment(A, p)
     assert built == []
-    for A, p in [(cat4, 23), (sp6, 5), (cat2, 7)]:
+    for A, p in [(cat4, 23), (sp6, 5), (cat2, 37)]:
         hc = HeckeContext(A, p)
         assert not np.any(hc.mults >= 2)
         hecke_que_experiment(A, p, context=hc)
     assert built == []
-    hecke_que_experiment(cat2, 11)
+    hecke_que_experiment(cat2, 29)
     assert len(built) == 1
+    for p in (7, 11):
+        assert p <= OPERATOR_CHECK_DIM
+        statistical_state_experiment(cat2, p)
+    assert len(built) == 3
+
+
+def test_small_contexts_check_the_generator_traces(monkeypatch):
+    """The operator check refuses a character of rho that is wrong at a
+    generator."""
+    A = LatticeAutomorphism(CAT2_DEFAULT)
+    HeckeContext(A, 7)
+    real = catmap.weil_traces
+    monkeypatch.setattr(catmap, "weil_traces", lambda torus: -real(torus))
+    with pytest.raises(RuntimeError, match="contradicts the character of rho"):
+        HeckeContext(A, 7)
 
 
 # -- one context per prime ----------------------------------------------------------
