@@ -322,9 +322,9 @@ def torus_orbit_minima(torus) -> np.ndarray:
 
 
 #: a ``HeckeContext`` for a representation of dimension at most this also
-#: builds the Weil operator of each torus generator and checks its trace
-#: against ``spectra.weil_traces``, the character of rho that the
-#: multiplicities rest on; the operators cost little at these sizes
+#: builds the Weil operator U of each torus generator g and checks the trace
+#: of every power U^j, 1 <= j < ord(g), against ``spectra.weil_traces`` at
+#: g^j, the character of rho that the multiplicities rest on
 OPERATOR_CHECK_DIM = 25
 
 
@@ -346,8 +346,8 @@ class HeckeContext:
 
     The projector onto the chi-eigenspace is P_chi = (1/|T|) sum over g of
     conj(chi(g)) rho(g), and Tr(rho(g) pi(v)) is the Heisenberg-Weil
-    character at (g, v), so Tr(P_chi pi(v)) = c_chi(v) / |T| at every
-    admissible v: ``table`` holds these values, one row per character of
+    character at (g, v), so Tr(P_chi pi(v)) = c_chi(v) / |T|: ``table``
+    holds these values at the orbit representatives, one row per character of
     ``characters``, one column per orbit, from ``sums.c_chi_table`` with no
     operator built.  ``mults`` are the predicted multiplicities
     (``spectra.expected_multiplicity``); they must sum to q^N, and
@@ -357,9 +357,11 @@ class HeckeContext:
     eigenspace, so its Wigner row is its character's row of ``table``.  The
     eigenspaces of multiplicity 2 or more (quadratic characters of split
     blocks) need a basis; ``state_wigner`` builds them, on first use, from
-    the generator operators (``spectra.split_quadratic_bases``).  Up to
-    dimension ``OPERATOR_CHECK_DIM`` the build checks the trace of each
-    generator's Weil operator against the character of rho.
+    the generator operators (``spectra.split_quadratic_bases``).  The
+    character of rho and ``table`` come from one kernel call on the torus
+    (``heiwei.torus_character_forms``).  Up to dimension
+    ``OPERATOR_CHECK_DIM`` the build checks the traces of the powers of
+    each generator's Weil operator against the character of rho.
     """
 
     def __init__(self, A: LatticeAutomorphism, p: int, xi_max: int | None = None):
@@ -423,10 +425,13 @@ class HeckeContext:
         rep = WeilRep(self.space)
         traces = weil_traces(self.torus)
         position = {exps: i for i, exps in enumerate(self.torus.exponents)}
-        for g in self.torus.generators:
-            trace = traces[position[self.torus.index[la.freeze(g)]]]
-            if abs(np.trace(rep.weil_op(g)) - trace) > rep.tol:
-                raise RuntimeError("a generator's Weil operator contradicts the character of rho")
+        for k, (g, order) in enumerate(zip(self.torus.generators, self.torus.orders)):
+            power = U = rep.weil_op(g)
+            for j in range(1, order):
+                exps = tuple(j if i == k else 0 for i in range(len(self.torus.orders)))
+                if abs(np.trace(power) - traces[position[exps]]) > rep.tol:
+                    raise RuntimeError(f"generator {k} to the power {j} contradicts the character of rho")
+                power = power @ U
 
     def _support_masks(self):
         masks = []
@@ -561,7 +566,9 @@ def observable_bound_check(A: LatticeAutomorphism, p: int, observables=None, *,
     hc = _context_for(A, p, None, context)
     if observables is None:
         observables = default_observables(A.N)
-    index_of = {tuple(x): k for k, x in enumerate(map(tuple, hc.xi))}
+    # the default window is every exponent in [0, p)^2N but zero, in
+    # row-major order: x sits at its base-p value minus 1
+    place = p ** np.arange(2 * A.N - 1, -1, -1)
     W, _ = hc.state_wigner()
     rows = []
     for obs in observables:
@@ -572,8 +579,8 @@ def observable_bound_check(A: LatticeAutomorphism, p: int, observables=None, *,
         for xi, coeff in obs.items():
             if not any(x % p for x in xi):
                 continue
-            k = index_of.get(tuple(x % p for x in xi))
-            if k is None or not hc.admissible[k]:
+            k = int(np.array(xi) % p @ place) - 1
+            if not hc.admissible[k]:
                 usable = False
                 break
             acc += coeff * W[:, hc.xi_orbit[k]]

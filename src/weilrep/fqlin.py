@@ -322,30 +322,37 @@ def legendre_mod(p: int) -> np.ndarray:
     return symbol
 
 
-def stack_det_inv(X, p: int):
-    """(det, inv) mod p of a stack of square integer matrices with entries
-    in [0, p), by one Gauss-Jordan elimination with row pivoting over the
-    whole stack.  A singular matrix gets det 0 and an inverse that means
-    nothing.  Products are reduced mod p between steps, so p < 2^20 stays
-    exact in int64."""
+def stack_row_reduce(X, p: int):
+    """(pivot, det, E) mod p of a stack of square integer matrices X with
+    entries in [0, p), by one Gauss-Jordan elimination over the whole
+    stack: pivot[k] marks the pivot columns of X[k], det[k] is 0 below
+    full rank, and E[k] is the invertible row operator for which E X[k] is
+    the reduced row echelon form with each row moved to the index of its
+    pivot column.  So E[k] is the inverse at full rank, and its rows at the
+    other indices vanish exactly on the image of X[k].  Products are
+    reduced mod p between steps, so p < 2^20 stays exact in int64."""
     X = np.asarray(X, dtype=np.int64)
     k, s = X.shape[0], X.shape[1]
     aug = np.concatenate([X, np.broadcast_to(np.eye(s, dtype=np.int64), X.shape)], axis=2)
     inverse = inverses_mod(p)
     rows = np.arange(k)
-    pivots = np.empty((k, s), dtype=np.int64)
-    swaps = np.zeros(k, dtype=np.int64)
+    pivot = np.zeros((k, s), dtype=bool)
+    det = np.ones(k, dtype=np.int64)
     for c in range(s):
-        piv = c + np.argmax(aug[:, c:, c] != 0, axis=1)
-        swaps += piv != c
+        # the rows that hold no pivot yet: index c, the indices of the later
+        # columns and those of the earlier columns without a pivot
+        cand = (aug[:, :, c] != 0) & ~pivot
+        found = cand.any(axis=1)
+        # without a pivot, row c swaps with itself and eliminates with a
+        # zero multiplier
+        piv = np.where(found, np.argmax(cand, axis=1), c)
         top = aug[rows, piv]
         aug[rows, piv] = aug[:, c]
-        pivots[:, c] = top[:, c]
-        aug[:, c] = top * inverse[top[:, c], None] % p
-        f = aug[:, :, c, None] * aug[:, None, c]
+        lead = np.where(found, top[:, c], 1)
+        det = np.where(piv != c, -det, det) * lead % p
+        aug[:, c] = top = top * inverse[lead, None] % p
+        f = (aug[:, :, c] * found[:, None])[:, :, None] * top[:, None]
         f[:, c] = 0
         aug = (aug - f) % p
-    det = np.where(swaps % 2, -1, 1) * pivots[:, 0] % p
-    for c in range(1, s):
-        det = det * pivots[:, c] % p
-    return det, aug[:, :, s:]
+        pivot[:, c] = found
+    return pivot, np.where(pivot.all(axis=1), det, 0), aug[:, :, s:]

@@ -7,21 +7,23 @@ v = (a; b), a and b of length N, omega(v, v') = a.b' - b.a':
 
     [pi(a, b, z) f](x) = psi(z + b.x + (1/2) a.b) * f(x + a)
 
-on functions on L = GF(q)^N.  The Weil operator of a group element g with
-det(g - I) != 0 is recovered by expanding in the orthogonal operator basis
-{pi(v, 0)}:
+on functions on L = GF(q)^N.  The Weil operator of every group element g
+is its expansion in the orthogonal operator basis {pi(v, 0)}:
 
     rho(g) = q^(-N) * sum_v  ch(g, v) pi(v, 0),
 
-where ch(g, v) = sigma((-1)^N det(g-I)) psi((1/2) omega((g-I)^(-1) v, v)) is
-the Heisenberg-Weil character.  Non-generic elements are handled by writing
-g as a product of two generic factors.
+where ch(g, v) = Tr(pi(v, 0)* rho(g)) is the Heisenberg-Weil character, in
+the closed form of ``character_forms`` (T. Thomas, "The character of the
+Weil representation", J. London Math. Soc. 2008; Gurevich-Hadani,
+"Quantization of symplectic vector spaces over finite fields",
+J. Symplectic Geom. 2009): sigma((-1)^N det(g-I)) psi((1/2) omega((g-I)^(-1) v, v))
+when det(g - I) != 0, and 0 off Im(g - I) for every g.
 
 Every phase goes through one kernel, by restriction of scalars: a vector
 over GF(p^m) is read as its F_p coordinates (component i, power-basis
 coefficient k at position i*m + k), and Tr(u^T A v) is the F_p-bilinear
 form c(u)^T B c(v) with the integer Gram matrix B of ``trace_form_gram``.
-The character phase is the quadratic form of A = (1/2) (g-I)^(-T) J, the
+The character phase is the quadratic form of A = (1/2) kappa^T J, the
 dot products of the Schroedinger model use A = I.  Phases are integer
 indices into a table of p-th roots of unity; only the final accumulation
 is floating point.
@@ -36,7 +38,7 @@ from functools import lru_cache
 import numpy as np
 
 from . import fqlin as la
-from .symp import SympSpace, assert_symplectic, random_symplectic, restrict_scalars
+from .symp import SympSpace, assert_symplectic, restrict_scalars
 
 
 def max_abs(A) -> float:
@@ -86,40 +88,70 @@ def trace_form_gram(ctx, A) -> np.ndarray:
 
 
 def character_forms(space: SympSpace, stack):
-    """(sign, M, B) for a stack of group elements given by their F_p
-    matrices (``symp.restrict_scalars``; ``Torus.stack`` for a torus), in one
-    elimination mod p over the whole stack (``fqlin.stack_det_inv``):
+    """(trace, K, kappa, B) for a stack of group elements given by their F_p
+    matrices (``symp.restrict_scalars``; ``Torus.stack`` for a torus): the
+    coefficient Tr(pi(v, 0)* rho(g)) of rho(g) is trace[k] psi_p(c B[k] c)
+    where K[k] c = 0 mod p and 0 elsewhere, for c = prime_coords(v).
 
-    - sign[k] = sigma((-1)^N det(g - I)) over GF(q), 0 when det(g - I) = 0.
-      The F_p determinant of g - I is the norm of its GF(q) determinant, and
-      an element of GF(q) is a square exactly when its norm is one in F_p,
-      so sign is the Legendre symbol mod p of (-1)^(N m) det_p(g - I);
-    - M[k] is the F_p matrix of (g - I)^(-1);
-    - B[k] is the Gram matrix of v -> Tr((1/2) omega(M v, v)), that is
-      (1/2) M^T G with G the F_p Gram matrix of Tr omega,
-
-    so that the Heisenberg-Weil character is ch(g, v) = sign * psi_p(c B c)
-    for c = prime_coords(v).  M and B mean nothing where sign is 0."""
+    With X = g - I over F_p, of size n_p = 2 N m, rank R and pivot columns
+    P, G the F_p Gram matrix of Tr omega, beta = (G X)[P, P] and
+    gamma = p^(-1/2) sum_x psi_p(-x^2) (1 when p = 1 mod 4, -i otherwise):
+    trace[k] = p^((n_p - R) / 2) gamma^R sigma_p(2^(-R) det beta) is
+    Tr rho(g); K[k], the rows of the elimination's row operator off the
+    pivot indices, vanishes exactly on Im X; kappa[k], its rows at the pivot
+    indices, has X kappa w = w on Im X; and
+    B[k] = (1/2) kappa^T G is the Gram matrix of
+    v -> Tr((1/2) omega(kappa v, v)), the same for every such kappa.  At
+    R = n_p, kappa = (g - I)^(-1) and the trace is sigma((-1)^N det(g - I))
+    over GF(q), the Legendre symbol of (-1)^(N m) det X mod p (the F_p
+    determinant is the norm of the GF(q) one).  One elimination over the
+    whole stack (``fqlin.stack_row_reduce``) gives every rank, det X and
+    row operator; a second one, over the rank-deficient elements only,
+    gives det beta as that of G X with the rows and columns off P taken
+    from the identity."""
     ctx = space.ctx
     p = ctx.p
     X = np.asarray(stack, dtype=np.int64)
-    X = (X - np.eye(X.shape[1], dtype=np.int64)) % p
-    det, M = la.stack_det_inv(X, p)
-    sign = la.legendre_mod(p)[(-1) ** (space.N * ctx.m) * det % p].astype(np.int64)
+    s = X.shape[1]
+    X = (X - np.eye(s, dtype=np.int64)) % p
+    pivot, det, E = la.stack_row_reduce(X, p)
+    rank = pivot.sum(axis=1)
     G = trace_form_gram(ctx, space.gram)
+    K, kappa = E * ~pivot[:, :, None], E * pivot[:, :, None]
     # 1/2 lies in F_p, so it comes out of the trace as the integer (p+1)/2
-    B = np.swapaxes(M, 1, 2) @ G % p * ((p + 1) // 2) % p
-    return sign, M, B
+    B = np.swapaxes(kappa, 1, 2) @ G % p * ((p + 1) // 2) % p
+    # det G is a nonzero square (a Pfaffian squared), so at R = n_p det X
+    # stands in for det beta = det G det X; at R = 0 beta is empty
+    det_beta = np.where(rank == 0, 1, det)
+    deficient = np.flatnonzero((rank > 0) & (rank < s))
+    if len(deficient):
+        on_P = pivot[deficient, :, None] & pivot[deficient, None, :]
+        beta = np.where(on_P, G @ X[deficient] % p, np.eye(s, dtype=np.int64))
+        det_beta[deficient] = la.stack_row_reduce(beta, p)[1]
+    if np.any(det_beta == 0):
+        raise RuntimeError("the form omega(., (g - I) .) is degenerate on the pivot columns")
+    legendre = la.legendre_mod(p)
+    # gamma^R sigma_p(2^(-R) det beta) as a power of i: gamma = i^3 when p = 3 mod 4
+    quarter = ((3 * (p % 4 == 3) + 1 - legendre[2]) * rank + 1 - legendre[det_beta]) % 4
+    scale = np.where((s - rank) % 2, math.sqrt(p), 1.0) * float(p) ** ((s - rank) // 2)
+    return scale * np.array([1, 1j, -1, -1j])[quarter], K, kappa, B
 
 
 def character_form(space: SympSpace, g):
-    """``character_forms`` of the one element g, given over GF(q):
-    (sign, M, B) with sign an int, or (None, None, None) when
-    det(g - I) = 0."""
-    sign, M, B = character_forms(space, restrict_scalars(space.ctx, [la.thaw(g)]))
-    if sign[0] == 0:
-        return None, None, None
-    return int(sign[0]), M[0], B[0]
+    """``character_forms`` of the one element g, given over GF(q): (trace,
+    K, kappa, B) with trace a complex number."""
+    trace, K, kappa, B = character_forms(space, restrict_scalars(space.ctx, [la.thaw(g)]))
+    return complex(trace[0]), K[0], kappa[0], B[0]
+
+
+def torus_character_forms(torus):
+    """``character_forms`` of ``torus.stack``, from one kernel call per
+    torus: the result is kept on the torus, which does not change once
+    built, for the character sums and the Weil traces to share."""
+    forms = torus.__dict__.get("character_forms")
+    if forms is None:
+        forms = torus.character_forms = character_forms(torus.space, torus.stack)
+    return forms
 
 
 # -- Heisenberg group ----------------------------------------------------------
@@ -158,7 +190,7 @@ class WeilRep:
     recomputation are harmless.
     """
 
-    def __init__(self, space: SympSpace, tol=None, seed: int = 0):
+    def __init__(self, space: SympSpace, tol=None):
         ctx = space.ctx
         if space.gram != la.thaw(_standard_gram_cache(space)):
             raise ValueError("the Schroedinger model needs the standard gram form")
@@ -167,7 +199,6 @@ class WeilRep:
         self.N = space.N
         self.dim = ctx.q**space.N
         self.tol = tol if tol is not None else 1e-9 * self.dim
-        self.seed = seed
         self._cache = {}
         self._half = ctx.inv(ctx.el(2))
         p = ctx.p
@@ -223,40 +254,44 @@ class WeilRep:
 
     # -- character formulas ------------------------------------------------------
 
-    def ch_rho(self, g) -> int:
-        """sigma((-1)^N det(g - I)); errors when g - I is singular."""
-        sign, _, _ = character_form(self.space, g)
-        if sign is None:
-            raise ValueError("character formula undefined: det(g - I) = 0")
-        return sign
+    def ch_rho(self, g) -> complex:
+        """Tr rho(g), for every g (``character_forms``)."""
+        return character_form(self.space, g)[0]
 
     def ch_tau(self, g, h) -> complex:
         """Character of the joint representation at (g, (v, z))."""
-        sign, _, B = character_form(self.space, g)
-        if sign is None:
-            raise ValueError("character formula undefined: det(g - I) = 0")
+        trace, K, _, B = character_form(self.space, g)
         v, z = h
         c = prime_coords([v])[0]
         p = self.ctx.p
-        return sign * self.psi_pow[((c @ B % p) @ c + self.ctx.psi_index(z)) % p]
+        if (K @ c % p).any():
+            return 0j
+        return trace * self.psi_pow[((c @ B % p) @ c + self.ctx.psi_index(z)) % p]
 
     def char_phase_table(self, g):
-        """(sign, idx) of the character over all of V: the character at
-        v is sign * psi_pow[idx[a_idx, b_idx]].  Requires det(g-I) != 0."""
-        sign, _, B = character_form(self.space, g)
-        if sign is None:
-            raise ValueError("character formula undefined: det(g - I) = 0")
+        """(trace, support, idx) of the character over all of V: the
+        coefficient Tr(pi(v, 0)* rho(g)) at v = (a, b) is
+        trace * psi_pow[idx[a_idx, b_idx]] where support[a_idx, b_idx] is
+        True, and 0 elsewhere."""
+        trace, K, _, B = character_form(self.space, g)
         p = self.ctx.p
         Lc = self._Lc
         k = Lc.shape[1]
         qa = ((Lc @ B[:k, :k] % p) * Lc).sum(axis=1)
         qb = ((Lc @ B[k:, k:] % p) * Lc).sum(axis=1)
         cross = (Lc @ ((B[:k, k:] + B[k:, :k].T) % p) % p) @ Lc.T
-        return sign, (qa[:, None] + qb[None, :] + cross) % p
+        # K c(v) = K_a c(a) + K_b c(b) vanishes iff the two halves, read as
+        # base-p numbers, are negatives of each other mod p
+        place = p ** np.arange(len(K))
+        code_a = (Lc @ K[:, :k].T % p) @ place
+        code_b = (-(Lc @ K[:, k:].T) % p) @ place
+        return trace, code_a[:, None] == code_b[None, :], (qa[:, None] + qb[None, :] + cross) % p
 
     # -- Weil operators -----------------------------------------------------------
 
     def weil_op(self, g) -> np.ndarray:
+        """rho(g) = q^(-N) sum_v Tr(pi(v, 0)* rho(g)) pi(v, 0), with the
+        coefficients of ``char_phase_table``."""
         ctx = self.ctx
         if ctx.q == 3 and self.N == 1:
             raise ValueError(
@@ -268,37 +303,18 @@ class WeilRep:
         if cached is not None:
             return cached
         assert_symplectic(self.space, la.thaw(g), "weil_op input")
-        try:
-            sign, idx = self.char_phase_table(g)
-        except ValueError:
-            op = self._weil_op_by_factorization(g)
-        else:
-            W = sign * self.psi_pow[(idx + self.half_ab_idx) % ctx.p]
-            C = W @ self.psi_mat
-            op = np.zeros((self.dim, self.dim), dtype=np.complex128)
-            rows = np.arange(self.dim)
-            for ai in range(self.dim):
-                op[rows, self.shift_table[ai]] = C[ai] / self.dim
+        trace, support, idx = self.char_phase_table(g)
+        W = trace * self.psi_pow[(idx + self.half_ab_idx) % ctx.p]
+        W[~support] = 0
+        C = W @ self.psi_mat
+        op = np.zeros((self.dim, self.dim), dtype=np.complex128)
+        rows = np.arange(self.dim)
+        for ai in range(self.dim):
+            op[rows, self.shift_table[ai]] = C[ai] / self.dim
         if not is_unitary(op, self.tol):
             raise AssertionError("constructed Weil operator is not unitary")
         self._cache[key] = op
         return op
-
-    def _weil_op_by_factorization(self, g):
-        """g = g1 g2 with both factors generic; multiplicativity of the
-        linearization gives rho(g)."""
-        ctx = self.ctx
-        rng = random.Random(self.seed)
-        g = la.thaw(g)
-        for _ in range(64):
-            r = random_symplectic(self.space, rng)
-            if character_form(self.space, r)[0] is None:
-                continue
-            g1 = la.mat_mul(ctx, g, la.inv(ctx, r))
-            if character_form(self.space, g1)[0] is None:
-                continue
-            return self.weil_op(g1) @ self.weil_op(r)
-        raise RuntimeError("no generic factorization found after 64 draws")
 
     # -- batched Wigner values ------------------------------------------------------
 
@@ -425,9 +441,10 @@ def restrict_to_extension(rep: WeilRep, ms, n_samples: int = 50, seed: int = 0):
     of that field.  The block coordinates of every vector come from the
     blocks' integer coordinate maps (``ModBlock.to_coords``), the
     intertwiner adds one entry per vector (``_intertwiner``), and each
-    torus element's blocks are computed once.  The signs and forms of all
-    torus elements come from one ``character_forms`` call.  The sigma
-    identity compares the global sign with the product of the block Legendre
+    torus element's blocks are computed once.  The traces and forms of all
+    torus elements come from one ``torus_character_forms`` call.  The sigma
+    identity compares the global trace, a sign where every block of g - 1 is
+    invertible, with the product of the block Legendre
     symbols of -det(g - 1); the psi identity compares, at each standard
     basis vector e_i, the whole row of the global form B with that of
     (1/2) Tr_{K/F_p}(omega_bar(M e_i, .)) summed over the blocks, read from
@@ -455,7 +472,7 @@ def restrict_to_extension(rep: WeilRep, ms, n_samples: int = 50, seed: int = 0):
     # exact trace-level identities over the torus, from one kernel call
     torus = ms.torus
     element_blocks = [ms.torus_element_blocks(gkey) for gkey in torus.elements]
-    sign, M, B = character_forms(space, torus.stack)
+    trace, _, M, B = torus_character_forms(torus)
     identity = torus.identity_matrix()
     sigma_failures = 0
     kept = []
@@ -471,7 +488,7 @@ def restrict_to_extension(rep: WeilRep, ms, n_samples: int = 50, seed: int = 0):
         if rhs == 0:
             continue
         kept.append(k)
-        if sign[k] != rhs:
+        if trace[k] != rhs:
             sigma_failures += 1
     # psi-level identity at the standard basis vectors e_i (F_p coordinate
     # i*m), as exact indices: the whole row of B at e_i, the form

@@ -18,9 +18,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import fqlin as la
-from .heiwei import WeilRep
-from .symp import Torus, restrict_scalars
+from .heiwei import WeilRep, torus_character_forms
+from .symp import Torus
 
 
 @dataclass(frozen=True)
@@ -331,26 +330,7 @@ def trace_multiplicities(torus: Torus, characters) -> np.ndarray:
 
 def weil_traces(torus: Torus) -> np.ndarray:
     """Tr rho(g) for every element g of the torus, in ``torus.exponents``
-    order, with no operator built.
-
-    The generator of block k is the identity off the block and has no
-    fixed vector on it at any nonzero exponent, so an element g is the
-    identity on the sum V_1 of the blocks where its exponent is 0, with
-    idempotent E_1 (from the blocks' ``idempotent``), and g - I is
-    invertible on the rest, V'.  rho restricted to Sp(V_1) x Sp(V') is the
-    tensor product of their Weil representations, so
-    Tr rho(g) = q^(dim V_1 / 2) sigma((-1)^(dim V' / 2) det((g - I)|V')),
-    and det((g - I)|V') = det(g - I + E_1).  The determinants come from one
-    elimination over the F_p matrices of the whole torus, the signs as in
-    ``heiwei.character_forms``."""
-    ctx = torus.space.ctx
-    p, s = ctx.p, torus.stack.shape[1]
-    fixed = np.array(torus.exponents, dtype=np.int64) == 0
-    E = restrict_scalars(ctx, [block.idempotent for block in torus.blocks])
-    X = (torus.stack - np.eye(s, dtype=np.int64) + np.einsum("jk,kab->jab", fixed, E)) % p
-    det, _ = la.stack_det_inv(X, p)
-    if np.any(det == 0):
-        raise RuntimeError("a torus element has a fixed vector outside the blocks where it is trivial")
-    half_fixed = fixed @ np.array([block.degree for block in torus.blocks])
-    sign = la.legendre_mod(p)[(-1) ** ((torus.space.N - half_fixed) * ctx.m) % p * det % p]
-    return sign * float(ctx.q) ** half_fixed
+    order, with no operator built: the v = 0 coefficient of the
+    Heisenberg-Weil character, from the kernel call that the torus
+    character sums share (``heiwei.torus_character_forms``)."""
+    return torus_character_forms(torus)[0]

@@ -1,17 +1,19 @@
 """The torus character sums
 
-    c_chi(v) = sum over g in T minus I of
-               conj(chi(g)) sigma((-1)^N det(g-I)) psi((1/2) omega((g-I)^(-1) v, v)),
+    c_chi(v) = sum over g in T of conj(chi(g)) Tr(rho(g) pi(v, 0)),
 
 their one-dimensional reductions over the block fields (computed in each
 block's FieldCtx), and sweep reports against the square-root cancellation
 bounds 2^r sqrt(q)^N.
 
+Each term is the Heisenberg-Weil character of ``heiwei.character_forms``,
+0 off Im(g - I): the identity's vanishes at every v != 0, and that of an
+element that is the identity on some block at every admissible vector.
+
 The bound holds for admissible vectors, those outside every proper
 torus-invariant subspace.  ``admissible_mask`` is the one admissibility
 test: the bound sweeps here and the Hecke experiments of ``catmap`` both
-call it.  A term with det(g - I) = 0 vanishes at every admissible vector
-and is dropped, so product tori (r >= 2) are summed like any other.
+call it.
 
 Phases are exact integers (indices of p-th roots of unity), the quadratic
 form of ``heiwei.character_forms`` on the F_p coordinates of the vectors;
@@ -27,15 +29,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import fqlin as la
-from .heiwei import character_forms, prime_coords, trace_form_gram
+from .heiwei import prime_coords, torus_character_forms, trace_form_gram
 from .spectra import TorusCharacter, character_values, torus_characters
 from .symp import SympSpace, Torus, torus_idempotents
-
-
-def c_chi_direct(space: SympSpace, torus: Torus, chi: TorusCharacter, v) -> complex:
-    """One character sum, straight over the torus points."""
-    table, chars = c_chi_table(space, torus, [v], characters=[chi])
-    return complex(table[0, 0])
 
 
 def admissible_mask(torus: Torus, C) -> np.ndarray:
@@ -57,30 +53,19 @@ def admissible_mask(torus: Torus, C) -> np.ndarray:
 
 
 def c_chi_table(space: SympSpace, torus: Torus, v_list, characters=None):
-    """Matrix of c_chi(v) over characters x vectors.
-
-    A non-identity torus element with det(g - I) = 0 is the identity on some
-    block, so its true term Tr(rho(g) pi(v)) vanishes for every admissible
-    v, which has a nonzero component in every block.  Such terms are
-    dropped; ValueError when the torus has one and some vector is not
-    admissible.
-    """
+    """Matrix of c_chi(v) over characters x vectors, from the coefficients
+    of ``heiwei.torus_character_forms``; an element whose term vanishes at
+    every given vector is left out of the sum."""
     if characters is None:
         characters = torus_characters(torus)
     p = space.ctx.p
     psi_pow = np.exp(2j * np.pi * np.arange(p) / p)
     C = prime_coords(v_list)
-    sign, _, B = character_forms(space, torus.stack)
-    # the identity is the first element and the only one with all exponents 0
-    kept = np.flatnonzero(sign != 0)
-    singular = np.flatnonzero(sign[1:] == 0)
-    if len(singular):
-        adm = admissible_mask(torus, C)
-        if not adm.all():
-            raise ValueError(
-                f"det(g - I) = 0 for torus element {torus.elements[singular[0] + 1]}, and "
-                f"{v_list[int(adm.argmin())]} is not admissible"
-            )
+    trace, K, _, B = torus_character_forms(torus)
+    support = np.ones((len(trace), len(C)), dtype=bool)
+    deficient = np.flatnonzero(K.any(axis=(1, 2)))
+    support[deficient] = ~(C @ np.swapaxes(K[deficient], 1, 2) % p).any(axis=2)
+    kept = np.flatnonzero(support.any(axis=1))
     # the phase index c B c of every kept element at every vector, in chunks
     # of about 2^22 integers
     idx = np.empty((len(kept), len(C)), dtype=np.int64)
@@ -88,7 +73,8 @@ def c_chi_table(space: SympSpace, torus: Torus, v_list, characters=None):
     for lo in range(0, len(kept), step):
         part = kept[lo : lo + step]
         idx[lo : lo + step] = ((C @ B[part] % p) * C).sum(axis=2) % p
-    terms = sign[kept, None] * psi_pow[idx]
+    terms = trace[kept, None] * psi_pow[idx]
+    terms[~support[kept]] = 0
     X = character_values(torus, characters)[:, kept]
     return X.conj() @ terms, characters
 

@@ -642,13 +642,21 @@ def test_only_multiplicity_two_eigenspaces_build_a_weil_representation(monkeypat
 
 
 def test_small_contexts_check_the_generator_traces(monkeypatch):
-    """The operator check refuses a character of rho that is wrong at a
-    generator."""
+    """The operator check compares the trace of every power of a generator's
+    Weil operator with the character of rho, so it refuses a character
+    that is wrong at the square of a generator only."""
     A = LatticeAutomorphism(CAT2_DEFAULT)
-    HeckeContext(A, 7)
+    hc = HeckeContext(A, 7)
+    assert hc.torus.orders == [8]
     real = catmap.weil_traces
-    monkeypatch.setattr(catmap, "weil_traces", lambda torus: -real(torus))
-    with pytest.raises(RuntimeError, match="contradicts the character of rho"):
+
+    def wrong_at_the_square(torus):
+        traces = real(torus).copy()
+        traces[torus.exponents.index((2,))] *= -1
+        return traces
+
+    monkeypatch.setattr(catmap, "weil_traces", wrong_at_the_square)
+    with pytest.raises(RuntimeError, match="generator 0 to the power 2 contradicts the character of rho"):
         HeckeContext(A, 7)
 
 

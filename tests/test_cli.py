@@ -39,8 +39,9 @@ def test_verify_bounds_and_determinism(tmp_path):
 
 
 def test_verify_bounds_checks_the_rank_bound_on_product_tori(tmp_path, capsys):
-    """Every Sp(4) kind is checked, the product tori (r = 2) included: their
-    det(g - I) = 0 terms vanish at the admissible vectors and are dropped."""
+    """Every Sp(4) kind is checked, the product tori (r = 2) included: the
+    terms of their elements that are the identity on a block vanish at the
+    admissible vectors."""
     rc = main(["verify-bounds", "--p", "5", "--N", "2", "--torus", "all",
                "--out", str(tmp_path)])
     assert rc == 0

@@ -4,6 +4,8 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from test_symp import _coords_by_omega_bar, _embed_sl2_by_columns
 
 from weilrep import fqlin as la
@@ -33,11 +35,12 @@ from weilrep.symp import (
     module_structure,
     random_symplectic,
     restrict_scalars,
+    transvection,
 )
 
 
-def make_rep(p, N):
-    return WeilRep(SympSpace(FieldCtx(p), N))
+def make_rep(p, N, m=1):
+    return WeilRep(SympSpace(FieldCtx(p, m), N))
 
 
 def test_heisenberg_compose_examples():
@@ -129,8 +132,8 @@ def test_ch_rho_examples():
     minus_I = [[ctx.el(-1), ctx.zero], [ctx.zero, ctx.el(-1)]]
     # sigma(-det(-2I)) = sigma(-4) = sigma(1) = +1
     assert rep.ch_rho(minus_I) == 1
-    with pytest.raises(ValueError):
-        rep.ch_rho(la.identity(ctx, 2))
+    # rank 0: Tr rho(I) = q^N
+    assert rep.ch_rho(la.identity(ctx, 2)) == 5
 
 
 def test_ch_tau_factors_central_part():
@@ -177,32 +180,135 @@ def test_weil_invariants_sampled(p, N):
         gv = tuple(la.mat_vec(ctx, g, list(v)))
         egorov = Rg @ rep.pi_op((v, z)) @ Rg.conj().T - rep.pi_op((gv, z))
         assert max_abs(egorov) < rep.tol
-        try:
-            expected = rep.ch_rho(g)
-        except ValueError:
-            continue
-        assert abs(np.trace(Rg) - expected) < rep.tol
+        assert abs(np.trace(Rg) - rep.ch_rho(g)) < rep.tol
+
+
+def weil_op_by_factorization(rep, g, rng):
+    """rho(g) = rho(g r^-1) rho(r) for a random symplectic r with both
+    factors generic (det(h - I) != 0), where the character formula is
+    sigma((-1)^N det(h - I)) psi((1/2) omega((h - I)^(-1) v, v)): the
+    oracle of ``weil_op`` at elements with det(g - I) = 0."""
+    ctx = rep.ctx
+    g = la.thaw(g)
+    for _ in range(64):
+        r = random_symplectic(rep.space, rng)
+        g1 = la.mat_mul(ctx, g, la.inv(ctx, r))
+        if all(_character_form_oracle(rep.space, h)[0] is not None for h in (r, g1)):
+            return rep.weil_op(g1) @ rep.weil_op(r)
+    raise AssertionError("no generic factorization found after 64 draws")
+
+
+def f_p_rank(space, g):
+    """rank(g - I) over F_p."""
+    ctx = space.ctx
+    X = (restrict_scalars(ctx, [la.thaw(g)]) - np.eye(space.dim * ctx.m, dtype=np.int64)) % ctx.p
+    return int(la.stack_row_reduce(X, ctx.p)[0][0].sum())
+
+
+def assert_matches_the_oracle(rep, g, rng):
+    """weil_op(g) against the factorization oracle, Tr rho(g) against
+    ch_rho(g), and Tr(rho(g) pi(v, z)) against ch_tau at random v and at
+    random v in Im(g - I); at odd rank over p = 3 mod 4 the trace is
+    imaginary."""
+    ctx = rep.ctx
+    R = rep.weil_op(g)
+    assert max_abs(R - weil_op_by_factorization(rep, g, rng)) < rep.tol
+    trace = rep.ch_rho(g)
+    assert abs(np.trace(R) - trace) < rep.tol
+    for _ in range(3):
+        u = [ctx.from_int(rng.randrange(ctx.q)) for _ in range(rep.space.dim)]
+        gu = la.mat_vec(ctx, la.thaw(g), u)
+        for v in (tuple(u), tuple(ctx.sub(a, b) for a, b in zip(gu, u))):
+            h = (v, ctx.from_int(rng.randrange(ctx.q)))
+            assert abs(rep.ch_tau(g, h) - np.einsum("ij,ji->", R, rep.pi_op(h))) < rep.tol
+    rank = f_p_rank(rep.space, g)
+    assert abs(abs(trace) - rep.ctx.p ** ((rep.space.dim * rep.ctx.m - rank) / 2)) < rep.tol
+    if rank % 2 and rep.ctx.p % 4 == 3:
+        assert abs(trace.real) < rep.tol
+    else:
+        assert abs(trace.imag) < rep.tol
+    return rank
+
+
+def product_of_transvections(space, rng, k):
+    """A product of k symplectic transvections along random vectors: g - I
+    has rank at most k over GF(q), and rank k for generic vectors."""
+    ctx = space.ctx
+    g = la.identity(ctx, space.dim)
+    for _ in range(k):
+        u = [ctx.from_int(rng.randrange(ctx.q)) for _ in range(space.dim)]
+        lam = ctx.from_int(rng.randrange(1, ctx.q))
+        g = la.mat_mul(ctx, g, transvection(space, u, lam))
+    return g
+
+
+ORACLE_FIELDS = [(3, 1, 2), (5, 1, 1), (5, 1, 2), (7, 1, 1), (7, 1, 2), (3, 2, 1), (3, 2, 2),
+                 (5, 2, 1), (5, 2, 2)]
+
+
+@pytest.mark.parametrize("p,m,N", ORACLE_FIELDS, ids=[f"{p}^{m}-N{N}" for p, m, N in ORACLE_FIELDS])
+def test_weil_op_matches_the_factorization_oracle_at_every_rank(p, m, N):
+    """Every rank of g - I over F_p, m times its rank over GF(q): from the
+    identity (rank 0) through transvections and their products to generic
+    elements."""
+    rep = make_rep(p, N, m)
+    rng = random.Random(p * 100 + m * 10 + N)
+    for k in range(2 * N + 1):
+        g = product_of_transvections(rep.space, rng, k)
+        while f_p_rank(rep.space, g) != m * k:
+            g = product_of_transvections(rep.space, rng, k)
+        assert assert_matches_the_oracle(rep, g, rng) == m * k
 
 
 def test_weil_op_non_generic_fallback():
-    """Transvections have det(g - I) = 0; the product factorization still
-    yields the right operator (checked through Egorov)."""
+    """Transvections have det(g - I) = 0 and rank 1; their operator equals
+    the factorization oracle's and satisfies Egorov."""
     rep = make_rep(7, 1)
     sp, ctx = rep.space, rep.ctx
-    from weilrep.symp import transvection
-
-    g = transvection(sp, [ctx.one, ctx.zero], ctx.el(2))
-    with pytest.raises(ValueError):
-        rep.ch_rho(g)
-    R = rep.weil_op(g)
-    assert is_unitary(R, rep.tol)
     rng = random.Random(11)
+    g = transvection(sp, [ctx.one, ctx.zero], ctx.el(2))
+    assert assert_matches_the_oracle(rep, g, rng) == 1
+    R = rep.weil_op(g)
     for _ in range(5):
         v = tuple(ctx.from_int(rng.randrange(7)) for _ in range(2))
         gv = tuple(la.mat_vec(ctx, g, list(v)))
         assert max_abs(R @ rep.pi_op((v, ctx.zero)) @ R.conj().T - rep.pi_op((gv, ctx.zero))) < rep.tol
-    # the operator trace is well-defined and recorded even without a formula
-    assert np.isfinite(np.trace(R))
+
+
+TORUS_GENERATOR_CASES = [(p, kind) for p in (3, 5, 7, 11, 13) for kind in
+                         [["split", "split"], ["split", "inert"], ["inert", "inert"],
+                          [("split", 2)], ["irreducible2"]]]
+
+
+@pytest.mark.parametrize(
+    "p,kind", TORUS_GENERATOR_CASES,
+    ids=[f"{p}-" + "+".join(b if isinstance(b, str) else f"{b[0]}{b[1]}" for b in k)
+         for p, k in TORUS_GENERATOR_CASES],
+)
+def test_torus_generator_operators_match_the_factorization_oracle(p, kind):
+    """The generators of every Sp(4) torus kind, singular on the other
+    blocks of a product torus."""
+    rep = make_rep(p, 2)
+    torus = build_maximal_torus(rep.space, kind)
+    rng = random.Random(p)
+    for g in torus.generators:
+        assert_matches_the_oracle(rep, g, rng)
+
+
+@settings(max_examples=25, deadline=None, derandomize=True, database=None)
+@given(st.sampled_from(ORACLE_FIELDS[:7]), st.integers(1, 3), st.integers(0, 2**32))
+def test_weil_op_at_random_singular_elements(field, k, seed):
+    """A random symplectic g with det(g - I) = 0: a product of fewer than
+    2N transvections, conjugated by a random symplectic element."""
+    p, m, N = field
+    rep = make_rep(p, N, m)
+    rng = random.Random(seed)
+    ctx = rep.ctx
+    h = random_symplectic(rep.space, rng)
+    g = product_of_transvections(rep.space, rng, min(k, 2 * N - 1))
+    g = la.mat_mul(ctx, la.mat_mul(ctx, h, g), la.inv(ctx, h))
+    assert f_p_rank(rep.space, g) < 2 * N * m
+    assert_matches_the_oracle(rep, g, rng)
 
 
 def test_weil_refuses_gf3_dim2():
@@ -533,22 +639,30 @@ def _c_chi_table_oracle(space, torus, vectors):
 
 
 @pytest.mark.parametrize("p", [3, 7, 101, 1048573])
-def test_stack_det_inv_matches_field_elimination(p):
-    """Determinants and inverses of a stack, singular matrices included,
-    equal those of ``fqlin.det`` and ``fqlin.inv`` one matrix at a time,
-    up to the largest supported prime."""
+def test_stack_row_reduce_matches_field_elimination(p):
+    """Pivot columns, determinants and row operators of a stack, singular
+    matrices included, agree with ``fqlin.rref``, ``fqlin.det`` and
+    ``fqlin.inv`` one matrix at a time, up to the largest supported prime:
+    E X is the reduced row echelon form with each row at the index of its
+    pivot column, and E is the inverse at full rank."""
     ctx = FieldCtx(p)
     rng = random.Random(p)
     singular = 0
     for s in (1, 2, 4, 6):
         mats = [[[rng.randrange(p) if rng.random() < 0.6 else 0 for _ in range(s)]
                  for _ in range(s)] for _ in range(40)]
-        det, inv = la.stack_det_inv(np.array(mats), p)
+        pivot, det, E = la.stack_row_reduce(np.array(mats), p)
         singular += int(np.count_nonzero(det == 0))
-        for M, d, Minv in zip(mats, det.tolist(), inv):
+        for M, piv, d, Ek in zip(mats, pivot, det.tolist(), E):
+            R, pivots = la.rref(ctx, M)
+            assert np.flatnonzero(piv).tolist() == pivots
+            placed = np.zeros((s, s), dtype=np.int64)
+            for i, c in enumerate(pivots):
+                placed[c] = R[i]
+            assert np.array_equal(Ek @ np.array(M) % p, placed)
             assert d == la.det(ctx, M)
             if d:
-                assert Minv.tolist() == la.inv(ctx, M)
+                assert Ek.tolist() == la.inv(ctx, M)
     assert singular > 0
 
 
@@ -564,21 +678,30 @@ FORM_CASES = [(p, 1, 2, kind) for p in (5, 7, 11) for kind in SP4_KINDS] + [
     ids=[f"{p}^{m}-N{N}-" + "+".join(map(str, k)) for p, m, N, k in FORM_CASES],
 )
 def test_character_forms_are_bit_identical_to_the_per_element_loop(p, m, N, kind):
-    """The batched kernel gives every torus element's sign, inverse and Gram
-    matrix, and c_chi_table its table, bit for bit as the per-element field
-    arithmetic does; the one-element call agrees too."""
+    """The batched kernel gives every torus element with det(g - I) != 0
+    its sign as the trace, the inverse as kappa and the Gram matrix, and
+    c_chi_table its table, bit for bit as the per-element field arithmetic
+    does; the one-element call agrees too.  At the other elements K
+    vanishes exactly on Im X (K X = 0 with rank n_p - R) and X kappa X = X."""
     sp = SympSpace(FieldCtx(p, m), N)
     torus = build_maximal_torus(sp, kind)
-    sign, M, B = character_forms(sp, torus.stack)
+    trace, K, kappa, B = character_forms(sp, torus.stack)
+    s = 2 * N * m
     for k, g in enumerate(torus.elements):
         want_sign, want_M, want_B = _character_form_oracle(sp, g)
         one = character_form(sp, g)
+        assert one[0] == trace[k]
+        assert all(np.array_equal(a, b[k]) for a, b in zip(one[1:], (K, kappa, B)))
         if want_sign is None:
-            assert sign[k] == 0 and one == (None, None, None)
+            X = (torus.stack[k] - np.eye(s, dtype=np.int64)) % p
+            rank = la.stack_row_reduce(X[None], p)[0][0].sum()
+            assert not (K[k] @ X % p).any()
+            assert la.stack_row_reduce(K[k][None], p)[0][0].sum() == s - rank
+            assert np.array_equal(X @ kappa[k] % p @ X % p, X)
             continue
-        assert sign[k] == want_sign == one[0]
-        assert np.array_equal(M[k], restrict_scalars(sp.ctx, [want_M])[0])
-        assert np.array_equal(B[k], want_B) and np.array_equal(one[2], want_B)
+        assert trace[k] == want_sign and not K[k].any()
+        assert np.array_equal(kappa[k], restrict_scalars(sp.ctx, [want_M])[0])
+        assert np.array_equal(B[k], want_B)
     rng = random.Random(p)
     vs = [tuple(sp.ctx.from_int(rng.randrange(sp.ctx.q)) for _ in range(2 * N)) for _ in range(60)]
     vs = [v for v, ok in zip(vs, admissible_mask(torus, prime_coords(vs))) if ok]
@@ -608,7 +731,7 @@ def _phase_oracle(rep, g, vectors):
 def _generic_element(space, rng):
     while True:
         g = random_symplectic(space, rng)
-        if character_form(space, g)[0] is not None:
+        if _character_form_oracle(space, g)[0] is not None:
             return g
 
 
@@ -624,16 +747,17 @@ def test_char_phase_table_matches_per_vector_oracle(p, m, N):
         cells = rng.sample(cells, 1500)
     for _ in range(3):
         g = _generic_element(rep.space, rng)
-        sign, table = rep.char_phase_table(g)
+        trace, support, table = rep.char_phase_table(g)
         want_sign, want = _phase_oracle(rep, g, [rep._L[a] + rep._L[b] for a, b in cells])
-        assert sign == want_sign
+        assert trace == want_sign and support.all()
         assert [int(table[a, b]) for a, b in cells] == want
 
 
 @pytest.mark.parametrize("p,m,N", KERNEL_CASES)
 def test_c_chi_table_phases_match_per_vector_oracle(p, m, N):
     """Every term sign * psi(idx) of c_chi_table, recovered by inverting the
-    character table, is the 2p-th root of unity the oracle predicts."""
+    character table, is the 2p-th root of unity the oracle predicts; the
+    identity's term is q^N at v = 0 and 0 elsewhere."""
     sp = SympSpace(FieldCtx(p, m), N)
     torus = build_maximal_torus(sp, ["inert"] if N == 1 else ["irreducible2"])
     rep = WeilRep(sp)
@@ -646,7 +770,9 @@ def test_c_chi_table_phases_match_per_vector_oracle(p, m, N):
     for h in sorted(rng.sample(range(torus.order), min(torus.order, 60))):
         g = torus.elements[h]
         if g == identity:
-            assert max_abs(terms[h]) < 1e-9
+            # Tr rho(I) pi(v, 0) is q^N at v = 0 and 0 elsewhere
+            zero = tuple([sp.ctx.zero] * (2 * N))
+            assert max_abs(terms[h] - [sp.ctx.q**N * (v == zero) for v in vs]) < 1e-9
             continue
         sign, idx = _phase_oracle(rep, g, vs)
         want = [(2 * i + (0 if sign == 1 else p)) % (2 * p) for i in idx]

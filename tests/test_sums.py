@@ -5,6 +5,7 @@ import random
 
 import numpy as np
 import pytest
+from test_heiwei import weil_op_by_factorization
 
 from weilrep.gfq import FieldCtx
 from weilrep.heiwei import WeilRep, prime_coords
@@ -12,7 +13,6 @@ from weilrep.spectra import decompose, torus_characters
 from weilrep.sums import (
     admissible_mask,
     bound_report,
-    c_chi_direct,
     c_chi_reduced,
     c_chi_table,
     default_vector_range,
@@ -121,21 +121,29 @@ def test_admissible_mask_matches_orbit_span_oracle(p, m, N, kind):
         assert mask.any()
 
 
-def test_c_chi_table_refuses_an_inadmissible_vector_beside_a_singular_term():
-    """split+split has elements that are the identity on one block; their
-    term is known to vanish only at admissible vectors."""
+def test_c_chi_table_is_exact_at_inadmissible_vectors():
+    """split+split has elements that are the identity on one block.  At
+    every inadmissible vector of it, and at v = 0, the table equals
+    sum over g of conj(chi(g)) Tr(rho(g) pi(v, 0)) from dense operators:
+    rho(g) is the product of powers of the generator operators, which the
+    factorization oracle builds from generic factors."""
     sp, torus = setup(5, 2, ["split", "split"])
-    ctx = sp.ctx
-    v = (ctx.one, ctx.zero, ctx.zero, ctx.zero)  # inside one block
-    assert not orbit_spans_space(sp, torus, v)
-    with pytest.raises(ValueError, match="not admissible"):
-        c_chi_table(sp, torus, [v])
-    w = (ctx.one, ctx.one, ctx.one, ctx.el(2))
-    assert orbit_spans_space(sp, torus, w)
-    with pytest.raises(ValueError, match="not admissible"):
-        c_chi_table(sp, torus, [w, v])
-    table, _ = c_chi_table(sp, torus, [w])
-    assert table.shape == (torus.order, 1)
+    rep = WeilRep(sp)
+    rng = random.Random(5)
+    gens = [weil_op_by_factorization(rep, g, rng) for g in torus.generators]
+    ops = [
+        np.linalg.matrix_power(gens[0], j0) @ np.linalg.matrix_power(gens[1], j1)
+        for j0, j1 in torus.exponents
+    ]
+    vs = [(sp.ctx.zero,) * 4] + [
+        v for v in all_nonzero_vectors(sp) if not orbit_spans_space(sp, torus, v)
+    ]
+    assert len(vs) > 100
+    pis = np.stack([rep.pi_op((v, sp.ctx.zero)) for v in vs])
+    traces = np.einsum("gij,vji->gv", np.stack(ops), pis)
+    table, chars = c_chi_table(sp, torus, vs)
+    X = np.stack([chi.values() for chi in chars])
+    assert np.abs(table - X.conj() @ traces).max() < 1e-9
 
 
 @pytest.mark.parametrize(
@@ -144,9 +152,10 @@ def test_c_chi_table_refuses_an_inadmissible_vector_beside_a_singular_term():
     ids=kind_id,
 )
 def test_c_chi_table_drops_singular_terms_as_the_blockwise_sum_does(p, kind):
-    """With the det(g - I) = 0 terms dropped, the direct sum equals the
-    blockwise reduction, which never meets such a term, on 40 seeded
-    (character, admissible vector) pairs."""
+    """The direct sum, whose terms of elements that are the identity on a
+    block vanish at admissible vectors, equals the blockwise reduction,
+    which never meets such a term, on 40 seeded (character, admissible
+    vector) pairs."""
     sp, torus = setup(p, 2, kind)
     ms = module_structure(torus)
     chars = torus_characters(torus)
@@ -168,7 +177,7 @@ def test_reduced_equals_direct_sl2():
     chars = torus_characters(torus)
     for v in list(all_nonzero_vectors(sp))[:12]:
         for chi in chars:
-            d = c_chi_direct(sp, torus, chi, v)
+            d = c_chi_table(sp, torus, [v], [chi])[0][0, 0]
             r = c_chi_reduced(ms, torus, chi, v)
             assert abs(d - r) < 1e-9
 
@@ -188,7 +197,7 @@ def test_reduced_equals_direct_irreducible_sp4(p):
     vs.append(tuple(ctx.el(k + 1) for k in range(4)))
     for chi in chars:
         for v in vs:
-            d = c_chi_direct(sp, torus, chi, v)
+            d = c_chi_table(sp, torus, [v], [chi])[0][0, 0]
             r = c_chi_reduced(ms, torus, chi, v)
             assert abs(d - r) < 1e-8 * math.sqrt(ctx.q**2)
 
@@ -318,7 +327,7 @@ def test_prime_power_base_field():
     chars = torus_characters(torus2)
     v = (ctx.one, ctx.zero, ctx.zero, ctx.zero)
     for chi in chars[:4]:
-        d = c_chi_direct(sp2, torus2, chi, v)
+        d = c_chi_table(sp2, torus2, [v], [chi])[0][0, 0]
         r = c_chi_reduced(ms, torus2, chi, v)
         assert abs(d - r) < 1e-9
         assert abs(d) <= 2 * math.sqrt(81) + 1e-8
