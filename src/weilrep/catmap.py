@@ -330,14 +330,19 @@ OPERATOR_CHECK_DIM = 25
 
 class HeckeContext:
     """Everything one prime's experiments share: the Hecke torus, its
-    characters with their multiplicities, the masks over the exponent window
-    (admissibility from ``sums.admissible_mask``, the one test the bound
-    sweeps use too, and the support of each block), and the Wigner values
-    on torus orbits, read from the torus character sums.
+    characters with their multiplicities, the admissibility mask over the
+    exponent window (``sums.admissible_mask``, the one test the bound sweeps
+    use too), the assembled bound, and the Wigner values on torus orbits,
+    read from the torus character sums.
+
+    Every block idempotent is a sum of the primitive idempotents that
+    ``admissible_mask`` tests, so an admissible vector meets every block,
+    and the assembled per-block bound at it is one scalar, ``bound``, the
+    product over all blocks of 2 sqrt(p^(d_alpha)) / |T_alpha|.
 
     A joint eigenvector phi of T has rho(g) phi = chi(g) phi, and
     rho(g) pi(v) rho(g)^-1 = pi(gv), so W_phi(gv) = W_phi(v); admissibility
-    and the per-block bound are T-invariant too.  So the Wigner values are
+    is T-invariant too.  So the Wigner values are
     needed at one representative per admissible T-orbit that meets the
     window (``orbit_reps``, the least index of the orbit,
     ``torus_orbit_minima``); window entry k reads orbit ``xi_orbit[k]``
@@ -402,21 +407,14 @@ class HeckeContext:
         b_idx = (self.vmod[:, A.N :] * qpow).sum(axis=1)
         self.v_index = a_idx * (p**A.N) + b_idx
         self.admissible = admissible_mask(self.torus, self.vmod)
-        self.block_masks, self.block_factors = self._support_masks()
-        # per-xi assembled bound: product over supporting blocks of
-        # 2 sqrt(p^(N_alpha)) / |T_alpha|
-        bounds = np.ones(len(self.vmod))
-        for mask, circ in zip(self.block_masks.T, self.block_factors):
-            bounds = np.where(mask, bounds * circ, bounds)
-        self.xi_bound = bounds
+        self.bound = math.prod(2 * math.sqrt(p**blk.degree) / blk.order for blk in self.torus.blocks)
         adm = np.flatnonzero(self.admissible)
         labels = torus_orbit_minima(self.torus)[self.v_index[adm]]
-        self.orbit_reps, first, inverse, self.orbit_weight = np.unique(
-            labels, return_index=True, return_inverse=True, return_counts=True
+        self.orbit_reps, inverse, self.orbit_weight = np.unique(
+            labels, return_inverse=True, return_counts=True
         )
         self.xi_orbit = np.full(len(self.v_index), -1, dtype=np.int64)
         self.xi_orbit[adm] = inverse
-        self.orbit_bound = bounds[adm[first]]
         reps = self.orbit_reps[:, None] // _index_places(p, A.N) % p
         self.table = c_chi_table(self.space, self.torus, reps, self.characters)[0] / self.torus.order
         self._state_wigner = None
@@ -432,16 +430,6 @@ class HeckeContext:
                 if abs(np.trace(power) - traces[position[exps]]) > rep.tol:
                     raise RuntimeError(f"generator {k} to the power {j} contradicts the character of rho")
                 power = power @ U
-
-    def _support_masks(self):
-        masks = []
-        factors = []
-        for blk in self.torus.blocks:
-            E = np.array(la.thaw(blk.idempotent), dtype=np.int64)
-            comp = (self.vmod @ E.T) % self.p
-            masks.append(comp.any(axis=1))
-            factors.append(2 * math.sqrt(self.p**blk.degree) / blk.order)
-        return np.stack(masks, axis=1), factors
 
     def state_wigner(self):
         """(W, mult): the Wigner values W_phi at the orbit representatives
@@ -488,8 +476,8 @@ def hecke_que_experiment(A: LatticeAutomorphism, p: int, xi_max: int | None = No
     hc = _context_for(A, p, xi_max, context)
     W, mults = hc.state_wigner()
     W = np.abs(W)
-    bound = hc.orbit_bound
-    ratios_sharp = W / (mults[:, None] * bound[None, :])
+    bound = hc.bound
+    ratios_sharp = W / (mults[:, None] * bound)
     row = {
         "p": p,
         "skipped": None,
@@ -537,7 +525,7 @@ def statistical_state_experiment(A: LatticeAutomorphism, p: int, xi_max: int | N
         ids = present[group == g]
         m_lambda = hc.mults[ids].sum()
         vals = hc.table[ids].sum(axis=0) / m_lambda
-        ratios = np.abs(vals) / hc.orbit_bound
+        ratios = np.abs(vals) / hc.bound
         max_ratio = max(max_ratio, float(ratios.max()))
         violations += int((ratios > 1 + 1e-9) @ hc.orbit_weight)
         # Tr(D) - 1, with the multiplicities the character of rho gives
@@ -584,7 +572,7 @@ def observable_bound_check(A: LatticeAutomorphism, p: int, observables=None, *,
                 usable = False
                 break
             acc += coeff * W[:, hc.xi_orbit[k]]
-            rhs += abs(coeff) * hc.xi_bound[k]
+            rhs += abs(coeff) * hc.bound
         if not usable:
             rows.append({"observable": _obs_name(obs), "skipped": "inadmissible exponent"})
             continue

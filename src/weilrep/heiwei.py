@@ -27,6 +27,10 @@ The character phase is the quadratic form of A = (1/2) kappa^T J, the
 dot products of the Schroedinger model use A = I.  Phases are integer
 indices into a table of p-th roots of unity; only the final accumulation
 is floating point.
+
+Self-reducibility runs through the same kernel: ``restrict_to_extension``
+compares the trace on the torus with the product of the traces on the
+blocks' own tori over their fields (``SympModuleStructure.block_tori``).
 """
 
 from __future__ import annotations
@@ -442,13 +446,13 @@ def restrict_to_extension(rep: WeilRep, ms, n_samples: int = 50, seed: int = 0):
     blocks' integer coordinate maps (``ModBlock.to_coords``), the
     intertwiner adds one entry per vector (``_intertwiner``), and each
     torus element's blocks are computed once.  The traces and forms of all
-    torus elements come from one ``torus_character_forms`` call.  The sigma
-    identity compares the global trace, a sign where every block of g - 1 is
-    invertible, with the product of the block Legendre
-    symbols of -det(g - 1); the psi identity compares, at each standard
-    basis vector e_i, the whole row of the global form B with that of
-    (1/2) Tr_{K/F_p}(omega_bar(M e_i, .)) summed over the blocks, read from
-    the sum of the blocks' F_p Gram matrices
+    torus elements come from one ``torus_character_forms`` call, and those of
+    each block's torus (``SympModuleStructure.block_tori``) from one more.
+    The sigma identity compares, at every element with g - 1 invertible,
+    the global trace with the product of the block traces; the psi identity
+    compares, at each standard basis vector e_i, the whole row of the
+    global form B with that of (1/2) Tr_{K/F_p}(omega_bar(M e_i, .)) summed
+    over the blocks, read from the sum of the blocks' F_p Gram matrices
     (``SympModuleStructure.trace_gram``).
 
     Returns a report with the exact trace-level identity counts over the
@@ -469,27 +473,15 @@ def restrict_to_extension(rep: WeilRep, ms, n_samples: int = 50, seed: int = 0):
         raise RuntimeError(f"block model has dimension {dim_bar}, expected {rep.dim}")
     U = _intertwiner(rep, blocks, bar_reps)
 
-    # exact trace-level identities over the torus, from one kernel call
+    # exact trace-level identities at every g with g - I invertible, where
+    # K vanishes
     torus = ms.torus
     element_blocks = [ms.torus_element_blocks(gkey) for gkey in torus.elements]
-    trace, _, M, B = torus_character_forms(torus)
-    identity = torus.identity_matrix()
-    sigma_failures = 0
-    kept = []
-    for k, (gkey, gb) in enumerate(zip(torus.elements, element_blocks)):
-        if gkey == identity:
-            continue
-        rhs = 1
-        for blk, ((a, b), (c, d)) in zip(blocks, gb):
-            K = blk.field
-            det = K.sub(K.mul(K.sub(a, K.one), K.sub(d, K.one)), K.mul(b, c))
-            # a singular block term zeroes rhs: the formula does not apply
-            rhs *= K.legendre(K.neg(det)) if det != K.zero else 0
-        if rhs == 0:
-            continue
-        kept.append(k)
-        if trace[k] != rhs:
-            sigma_failures += 1
+    trace, K, M, B = torus_character_forms(torus)
+    kept = np.flatnonzero(~K.any(axis=(1, 2)))
+    J = np.array(torus.exponents, dtype=np.int64)[kept]
+    rhs = math.prod(torus_character_forms(T)[0][J[:, k]] for k, T in ms.block_tori())
+    sigma_failures = int(np.count_nonzero(trace[kept] != rhs))
     # psi-level identity at the standard basis vectors e_i (F_p coordinate
     # i*m), as exact indices: the whole row of B at e_i, the form
     # u -> Tr((1/2) omega(M e_i, u)), against the same row of

@@ -27,14 +27,10 @@ class TorusCharacter:
     torus: Torus
     exponents: tuple
 
-    def value_at_exponents(self, exps) -> complex:
-        phase = 0.0
-        for e, j, n in zip(self.exponents, exps, self.torus.orders):
-            phase += e * j / n
-        return complex(np.exp(2j * np.pi * phase))
-
     def __call__(self, g) -> complex:
-        return self.value_at_exponents(self.torus.index[g])
+        exps = self.torus.index[g]
+        phase = sum(e * j / n for e, j, n in zip(self.exponents, exps, self.torus.orders))
+        return complex(np.exp(2j * np.pi * phase))
 
     def values(self) -> np.ndarray:
         """Values over the full element enumeration, in order."""

@@ -2,9 +2,10 @@
 
     c_chi(v) = sum over g in T of conj(chi(g)) Tr(rho(g) pi(v, 0)),
 
-their one-dimensional reductions over the block fields (computed in each
-block's FieldCtx), and sweep reports against the square-root cancellation
-bounds 2^r sqrt(q)^N.
+the same sums as a product over the blocks of the module structure, each
+factor ``c_chi_table`` on the block's own torus over its field K_alpha
+(``c_chi_reduced``: one kernel for both), and sweep reports against the
+square-root cancellation bounds 2^r sqrt(q)^N.
 
 Each term is the Heisenberg-Weil character of ``heiwei.character_forms``,
 0 off Im(g - I): the identity's vanishes at every v != 0, and that of an
@@ -30,7 +31,7 @@ import numpy as np
 
 from . import fqlin as la
 from .heiwei import prime_coords, torus_character_forms, trace_form_gram
-from .spectra import TorusCharacter, character_values, torus_characters
+from .spectra import character_values, torus_characters
 from .symp import SympSpace, Torus, torus_idempotents
 
 
@@ -79,90 +80,27 @@ def c_chi_table(space: SympSpace, torus: Torus, v_list, characters=None):
     return X.conj() @ terms, characters
 
 
-def _block_torus_positions(ms, torus: Torus):
-    """For each module-structure block, the index of the torus generator
-    supported on it."""
-    ctx = torus.space.ctx
-    n = torus.space.dim
-    ident = la.identity(ctx, n)
-    out = []
-    for blk in ms.blocks:
-        found = None
-        for k, gkey in enumerate(torus.generators):
-            g = la.thaw(gkey)
-            moves_this = la.mat_mul(ctx, la.thaw(blk.idempotent), g) != la.mat_mul(
-                ctx, la.thaw(blk.idempotent), ident
-            )
-            if moves_this:
-                if found is not None:
-                    raise ValueError("generator supported on two blocks")
-                found = k
-        if found is None:
-            raise ValueError("no torus generator acts on a block")
-        out.append(found)
-    if sorted(out) != list(range(len(torus.generators))):
-        raise ValueError("block/generator correspondence is not a bijection")
-    return out
+def c_chi_reduced(ms, torus: Torus, v_list, characters=None):
+    """The same table computed blockwise, (table, characters) as from
+    ``c_chi_table``: V = sum of the V_alpha and T = prod of the T_alpha of
+    ``SympModuleStructure.block_tori``, so
 
+        c_chi(v) = prod over alpha of c_{chi_alpha}(v_alpha),
 
-def c_chi_reduced(ms, torus: Torus, chi: TorusCharacter, v) -> complex:
-    """The same sum computed blockwise over the fields K_alpha:
-
-        prod over alpha of  sum over g in T_alpha of
-            conj(chi(g)) sigma_bar(-det_K(g-1)) psi_bar((1/2) omega_bar((g-1)^(-1) v, v))
-
-    with the g = 1 term contributing |K_alpha| when the block component of v
-    vanishes and 0 otherwise.  sigma_bar and psi_bar are the Legendre symbol
-    and the additive character of the block's FieldCtx: psi_bar is
-    psi o Tr_{K/F_q} because Tr_{K/F_p} = Tr_{F_q/F_p} o Tr_{K/F_q}.
-    """
-    positions = _block_torus_positions(ms, torus)
-    total = 1.0 + 0j
-    for bi, (blk, gen_pos) in enumerate(zip(ms.blocks, positions)):
-        K = blk.field
-        half = K.inv(K.el(2))
-        n_a = torus.orders[gen_pos]
-        v_alpha = blk.project(list(v))
-        x, y = blk.coords_sl2(v_alpha)
-        v_is_zero = x == K.zero and y == K.zero
-        gen = torus.generators[gen_pos]
-        ((ga, gb), (gc, gd)) = ms.torus_element_blocks(gen)[bi]
-        cur = ((K.one, K.zero), (K.zero, K.one))
-        block_sum = 0.0 + 0j
-        for j in range(n_a):
-            if j == 0:
-                block_sum += K.q if v_is_zero else 0.0
-            else:
-                ((a, b), (c, d)) = cur
-                am1, dm1 = K.sub(a, K.one), K.sub(d, K.one)
-                det = K.sub(K.mul(am1, dm1), K.mul(b, c))
-                if det == K.zero:
-                    raise RuntimeError("a block generator power has det(g - 1) = 0 on its block")
-                sign = K.legendre(K.neg(det))
-                det_inv = K.inv(det)
-                # (g - 1)^(-1) = adj / det on the (x, y) coordinates
-                wx = K.mul(det_inv, K.sub(K.mul(dm1, x), K.mul(b, y)))
-                wy = K.mul(det_inv, K.sub(K.mul(am1, y), K.mul(c, x)))
-                ob = K.sub(K.mul(wx, y), K.mul(wy, x))
-                exps = tuple(
-                    j if k == gen_pos else 0 for k in range(len(torus.orders))
-                )
-                chival = chi.value_at_exponents(exps)
-                block_sum += chival.conjugate() * sign * K.psi(K.mul(half, ob))
-            # advance cur = gen^(j+1) in SL(2, K_alpha)
-            ((a, b), (c, d)) = cur
-            cur = (
-                (
-                    K.add(K.mul(a, ga), K.mul(b, gc)),
-                    K.add(K.mul(a, gb), K.mul(b, gd)),
-                ),
-                (
-                    K.add(K.mul(c, ga), K.mul(d, gc)),
-                    K.add(K.mul(c, gb), K.mul(d, gd)),
-                ),
-            )
-        total *= block_sum
-    return complex(total)
+    each factor ``c_chi_table`` on SympSpace(K_alpha, 1) at the block
+    coordinates of the vectors (one integer product with
+    ``ModBlock.to_coords``), read at the exponent of chi on the generator
+    that moves the block."""
+    if characters is None:
+        characters = torus_characters(torus)
+    E = np.array([chi.exponents for chi in characters], dtype=np.int64).reshape(len(characters), -1)
+    C = prime_coords(v_list)
+    p = torus.space.ctx.p
+    table = math.prod(
+        c_chi_table(T.space, T, C @ blk.to_coords.T % p)[0][E[:, k]]
+        for blk, (k, T) in zip(ms.blocks, ms.block_tori())
+    )
+    return table, characters
 
 
 def orbit_spans_space(space: SympSpace, torus: Torus, v) -> bool:

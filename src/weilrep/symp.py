@@ -842,6 +842,29 @@ class SympModuleStructure:
         g = la.thaw(g)
         return tuple(blk.element_as_sl2(g) for blk in self.blocks)
 
+    def block_tori(self):
+        """(k, T_alpha) for each block: the index k of the one torus
+        generator that moves the block, and T_alpha, the cyclic torus on
+        SympSpace(K_alpha, 1) generated by that generator's 2 x 2 block.
+        ValueError unless blocks and generators match one to one; this is
+        the one place that pairs them."""
+        torus = self.torus
+        gen_blocks = [self.torus_element_blocks(g) for g in torus.generators]
+        out = []
+        for i, blk in enumerate(self.blocks):
+            K = blk.field
+            one = ((K.one, K.zero), (K.zero, K.one))
+            moving = [k for k, gb in enumerate(gen_blocks) if gb[i] != one]
+            if len(moving) != 1:
+                raise ValueError(f"{len(moving)} torus generators move block {i}, not one")
+            k = moving[0]
+            order = torus.orders[k]
+            info = BlockInfo("split" if blk.name == "split" else "inert", 1, order)
+            out.append((k, Torus(SympSpace(K, 1), [gen_blocks[k][i]], [order], [info])))
+        if sorted(k for k, _ in out) != list(range(len(torus.generators))):
+            raise ValueError("blocks and torus generators do not match one to one")
+        return out
+
 
 def _span_matrices(ctx, coeffs_list, mats, n):
     out = []

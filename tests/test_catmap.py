@@ -389,25 +389,26 @@ def _vector_action(rep, mats):
 
 
 def _dense_wigner(hc, on_orbits):
-    """(|W|, bound, weight) of the dense oracle's states: on the full Wigner
-    table, one column per admissible window exponent (weight 1), as the
+    """(W, weight) of the dense oracle's states: on the full Wigner table,
+    one column per admissible window exponent (weight 1), as the
     experiments read it before the orbit reduction; or, where that table
     is too large, at the orbit representatives with the orbit weights, as
     they read it before the character sums."""
     dense = _dense(hc.A.mat, hc.p)
     if on_orbits:
-        return dense.rep.wigner_at(dense.states, hc.orbit_reps), hc.orbit_bound, hc.orbit_weight
+        return dense.rep.wigner_at(dense.states, hc.orbit_reps), hc.orbit_weight
     adm = hc.admissible
     W = dense.rep.wigner_batch(dense.states)[:, hc.v_index[adm]]
-    return W, hc.xi_bound[adm], np.ones(adm.sum(), dtype=np.int64)
+    return W, np.ones(adm.sum(), dtype=np.int64)
 
 
 def _que_row_from_table(hc, on_orbits=False):
     """The QUE numbers from the Wigner values of the dense oracle."""
     dense = _dense(hc.A.mat, hc.p)
-    W, bound, weight = _dense_wigner(hc, on_orbits)
+    W, weight = _dense_wigner(hc, on_orbits)
     W = np.abs(W)
-    ratios = W / (np.array(dense.state_mult)[:, None] * bound[None, :])
+    bound = hc.bound
+    ratios = W / (np.array(dense.state_mult)[:, None] * bound)
     return {
         "n_eigenstates": dense.states.shape[1],
         "n_xi": len(hc.vmod),
@@ -425,7 +426,7 @@ def _statistical_row_from_table(hc, on_orbits=False):
     multiplicity law instead, so each is checked against 1e-10 and not
     against the other."""
     dense = _dense(hc.A.mat, hc.p)
-    table, bound, weight = _dense_wigner(hc, on_orbits)
+    table, weight = _dense_wigner(hc, on_orbits)
     exps_A = hc.torus.index[hc.A_mod]
     L = math.lcm(*hc.torus.orders)
     groups = {}
@@ -434,7 +435,7 @@ def _statistical_row_from_table(hc, on_orbits=False):
         groups.setdefault(phase % L, []).append(s)
     max_ratio, violations, trace_dev = 0.0, 0, 0.0
     for ids in groups.values():
-        ratios = np.abs(table[ids].sum(axis=0) / len(ids)) / bound
+        ratios = np.abs(table[ids].sum(axis=0) / len(ids)) / hc.bound
         max_ratio = max(max_ratio, float(ratios.max()))
         violations += int((ratios > 1 + 1e-9) @ weight)
         norms = np.linalg.norm(dense.states[:, ids], axis=0) ** 2
@@ -497,16 +498,29 @@ def test_orbit_minima_match_the_orbit_over_every_torus_element():
     assert np.array_equal(torus_orbit_minima(hc.torus), np.min(perms, axis=0))
 
 
-def _tight_bounds(monkeypatch):
-    """Halve every per-block factor, so that many (state, exponent) pairs
-    violate the bound and the violation counts are exercised."""
-    real = HeckeContext._support_masks
+BOUND_CASES = [(CAT2_DEFAULT, 7, None), (CAT2_DEFAULT, 13, None), (CAT4_DEFAULT, 7, None),
+               (CAT4_DEFAULT, 11, None), (CAT4_DEFAULT, 19, None), (CAT2_DEFAULT, 11, 14),
+               (CAT4_DEFAULT, 11, 9), (SP6_SEED, 5, None)]
+BOUND_IDS = ["cat2-p7", "cat2-p13", "cat4-p7", "cat4-p11", "cat4-p19", "cat2-p11-xi14",
+             "cat4-p11-xi9", "sp6-p5"]
 
-    def halved(self):
-        masks, factors = real(self)
-        return masks, [f / 2 for f in factors]
 
-    monkeypatch.setattr(HeckeContext, "_support_masks", halved)
+@pytest.mark.parametrize("mat,p,xi_max", BOUND_CASES, ids=BOUND_IDS)
+def test_admissible_exponents_meet_every_block(mat, p, xi_max):
+    """Every block idempotent is a sum of the primitive idempotents that
+    the admissibility mask tests, so E v != 0 for every block at every
+    admissible window exponent, and the product over the blocks that v
+    meets of 2 sqrt(p^d) / |T_alpha|, taken per exponent in block order,
+    is the context's one bound, exactly."""
+    hc = HeckeContext(LatticeAutomorphism(mat), p, xi_max)
+    V = hc.vmod[hc.admissible]
+    assert len(V) > 0
+    bounds = np.ones(len(V))
+    for blk in hc.torus.blocks:
+        meets = (V @ np.array(la.thaw(blk.idempotent), dtype=np.int64).T % p).any(axis=1)
+        assert meets.all()
+        bounds = np.where(meets, bounds * (2 * math.sqrt(p**blk.degree) / blk.order), bounds)
+    assert np.all(bounds == hc.bound)
 
 
 @pytest.mark.parametrize(
@@ -523,18 +537,21 @@ def _tight_bounds(monkeypatch):
     ids=["cat2-p7", "cat2-p13-xi11", "cat2-p11-xi14", "cat4-p7-tight", "cat4-p11-xi9",
          "cat4-p7-xi10", "cat4-p13"],
 )
-def test_orbit_rows_match_the_table_reference(monkeypatch, mat, p, xi_max, tight):
+def test_orbit_rows_match_the_table_reference(mat, p, xi_max, tight):
     """Window exponents outside [0, p) repeat vectors and a window below p
-    misses some, so violations count window exponents, not orbits."""
-    if tight:
-        _tight_bounds(monkeypatch)
+    misses some, so violations count window exponents, not orbits.  A
+    tight case halves the bound of the context both experiments read, so
+    that many (state, exponent) pairs violate it and the violation counts
+    are exercised."""
     A = LatticeAutomorphism(mat)
     hc = HeckeContext(A, p, xi_max)
+    if tight:
+        hc.bound /= 2
     que_ref = _que_row_from_table(hc)
     if tight:
         assert que_ref["violations"] > 0
-    _assert_rows_agree(hecke_que_experiment(A, p, xi_max), que_ref)
-    stat = statistical_state_experiment(A, p, xi_max)
+    _assert_rows_agree(hecke_que_experiment(A, p, xi_max, context=hc), que_ref)
+    stat = statistical_state_experiment(A, p, xi_max, context=hc)
     _assert_rows_agree(stat, _statistical_row_from_table(hc))
     assert stat["trace_deviation"] < 1e-10
 
@@ -554,7 +571,7 @@ def _observable_rows_from_table(A, p, hc):
                     rows.append(None)
                     break
                 acc += coeff * dense.rep.wigner_at(dense.states, hc.v_index[[k]])[:, 0]
-                rhs += abs(coeff) * hc.xi_bound[k]
+                rhs += abs(coeff) * hc.bound
         else:
             lhs = float(np.abs(acc - a0).max())
             rows.append({"max_deviation": lhs, "bound": rhs, "ok": lhs <= rhs + 1e-9})

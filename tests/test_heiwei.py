@@ -1,16 +1,19 @@
 """Heisenberg and Weil operators, character formulas, self-reducibility."""
 
+import math
 import random
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from test_catmap import SP6_SEED
 from test_symp import _coords_by_omega_bar, _embed_sl2_by_columns
 
 from weilrep import fqlin as la
 from weilrep.gfq import FieldCtx
 from weilrep import symp
+from weilrep.catmap import CAT4_DEFAULT, LatticeAutomorphism
 from weilrep.heiwei import (
     WeilRep,
     character_form,
@@ -24,6 +27,7 @@ from weilrep.heiwei import (
     max_abs,
     prime_coords,
     restrict_to_extension,
+    torus_character_forms,
     trace_form_gram,
 )
 from weilrep.spectra import torus_characters
@@ -32,6 +36,7 @@ from weilrep.symp import (
     SympSpace,
     assert_symplectic,
     build_maximal_torus,
+    centralizer_torus,
     module_structure,
     random_symplectic,
     restrict_scalars,
@@ -601,6 +606,38 @@ def test_restrict_to_extension_reports_match_the_omega_bar_path(name):
     assert rpt["max_operator_distance"] <= rpt["tol"]
 
 
+#: product tori: every two-block kind of Sp(4) at p = 5, 7, the cat4
+#: centralizer tori (split+inert) at p = 11, 19 and the Sp(6) seed's at p = 5
+BLOCK_TRACE_CASES = (
+    [(f"{'+'.join(kind)}-p{p}", p, kind) for p in (5, 7)
+     for kind in (["split", "split"], ["split", "inert"], ["inert", "inert"])]
+    + [(f"cat4-p{p}", p, CAT4_DEFAULT) for p in (11, 19)]
+    + [("sp6-p5", 5, SP6_SEED)]
+)
+
+
+@pytest.mark.parametrize("name,p,kind", BLOCK_TRACE_CASES, ids=[c[0] for c in BLOCK_TRACE_CASES])
+def test_torus_traces_are_bit_equal_to_the_products_of_the_block_traces(name, p, kind):
+    """Tr rho(g) from the one kernel call on the torus equals, to the bit,
+    the product over the blocks of the traces on the block tori of
+    ``block_tori``, at every element: the identity, the elements that are
+    the identity on a block (singular, g - I of every rank) and the
+    regular ones."""
+    if isinstance(kind, list):
+        torus = build_maximal_torus(SympSpace(FieldCtx(p), 2), kind)
+    else:
+        A = LatticeAutomorphism(kind)
+        space = SympSpace(FieldCtx(p), A.N)
+        torus = centralizer_torus(space, A.mod_p(space))
+    ms = module_structure(torus)
+    trace, K, _, _ = torus_character_forms(torus)
+    J = np.array(torus.exponents)
+    blockwise = math.prod(torus_character_forms(T)[0][J[:, k]] for k, T in ms.block_tori())
+    assert np.array_equal(trace, blockwise)
+    # g - I is singular exactly when some generator exponent of g is 0
+    assert K.any(axis=(1, 2)).sum() == torus.order - math.prod(o - 1 for o in torus.orders)
+
+
 # -- the F_p Gram kernel against the per-vector field arithmetic it replaced ------
 
 
@@ -735,7 +772,8 @@ def _generic_element(space, rng):
             return g
 
 
-KERNEL_CASES = [(5, 1, 1), (7, 1, 2), (3, 2, 1), (3, 2, 2), (5, 2, 1), (3, 3, 1), (3, 3, 2)]
+KERNEL_CASES = [(5, 1, 1), (7, 1, 2), (3, 2, 1), (3, 2, 2), (5, 2, 1), (3, 3, 1), (3, 3, 2),
+                (3, 4, 1)]
 
 
 @pytest.mark.parametrize("p,m,N", KERNEL_CASES)

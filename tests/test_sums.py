@@ -152,41 +152,32 @@ def test_c_chi_table_is_exact_at_inadmissible_vectors():
     ids=kind_id,
 )
 def test_c_chi_table_drops_singular_terms_as_the_blockwise_sum_does(p, kind):
-    """The direct sum, whose terms of elements that are the identity on a
-    block vanish at admissible vectors, equals the blockwise reduction,
-    which never meets such a term, on 40 seeded (character, admissible
-    vector) pairs."""
+    """The direct table, which sums the terms of elements that are the
+    identity on a block with the general character, equals the blockwise
+    product over the block tori at every nonzero vector, inadmissible ones
+    included: both are exact there."""
     sp, torus = setup(p, 2, kind)
     ms = module_structure(torus)
-    chars = torus_characters(torus)
-    admissible = [v for v in all_nonzero_vectors(sp) if orbit_spans_space(sp, torus, v)]
-    rng = random.Random(p)
-    pairs = [(rng.choice(chars), rng.choice(admissible)) for _ in range(40)]
-    vs = sorted({v for _, v in pairs})
-    table, table_chars = c_chi_table(sp, torus, vs)
-    row_of = {chi.exponents: k for k, chi in enumerate(table_chars)}
-    for chi, v in pairs:
-        direct = table[row_of[chi.exponents], vs.index(v)]
-        assert abs(direct - c_chi_reduced(ms, torus, chi, v)) < 1e-12
+    vs = list(all_nonzero_vectors(sp))
+    assert not admissible_mask(torus, prime_coords(vs)).all()
+    direct, chars = c_chi_table(sp, torus, vs)
+    reduced, reduced_chars = c_chi_reduced(ms, torus, vs)
+    assert [chi.exponents for chi in reduced_chars] == [chi.exponents for chi in chars]
+    assert np.abs(direct - reduced).max() < 1e-12
 
 
 def test_reduced_equals_direct_sl2():
     """N = 1: the reduction is the direct sum verbatim (K = k)."""
     sp, torus = setup(7, 1, ["inert"])
     ms = module_structure(torus)
-    chars = torus_characters(torus)
-    for v in list(all_nonzero_vectors(sp))[:12]:
-        for chi in chars:
-            d = c_chi_table(sp, torus, [v], [chi])[0][0, 0]
-            r = c_chi_reduced(ms, torus, chi, v)
-            assert abs(d - r) < 1e-9
+    vs = list(all_nonzero_vectors(sp))
+    assert np.abs(c_chi_table(sp, torus, vs)[0] - c_chi_reduced(ms, torus, vs)[0]).max() < 1e-12
 
 
 @pytest.mark.parametrize("p", [3, 5])
 def test_reduced_equals_direct_irreducible_sp4(p):
     sp, torus = setup(p, 2, ["irreducible2"])
     ms = module_structure(torus)
-    chars = torus_characters(torus)
     ctx = sp.ctx
     # a spanning set of vectors
     vs = []
@@ -195,32 +186,35 @@ def test_reduced_equals_direct_irreducible_sp4(p):
         v[i] = ctx.one
         vs.append(tuple(v))
     vs.append(tuple(ctx.el(k + 1) for k in range(4)))
-    for chi in chars:
-        for v in vs:
-            d = c_chi_table(sp, torus, [v], [chi])[0][0, 0]
-            r = c_chi_reduced(ms, torus, chi, v)
-            assert abs(d - r) < 1e-8 * math.sqrt(ctx.q**2)
+    d = c_chi_table(sp, torus, vs)[0]
+    r = c_chi_reduced(ms, torus, vs)[0]
+    assert np.abs(d - r).max() < 1e-8 * math.sqrt(ctx.q**2)
 
 
 def test_reduced_handles_product_torus():
-    """Blockwise evaluation stays defined on product tori where the direct
-    character formula has singular terms, and matches |T| Tr(pi(v) P_chi)."""
+    """The blockwise table of a product torus, whose elements include ones
+    that are the identity on a block, equals |T| Tr(pi(v) P_chi) from the
+    dense projectors, at v = 0 and at admissible and inadmissible
+    vectors."""
     sp, torus = setup(5, 2, ["split", "inert"])
     ms = module_structure(torus)
     rep = WeilRep(sp)
     dec = decompose(rep, torus)
     ctx = sp.ctx
     vs = [
+        tuple([ctx.zero] * 4),
         tuple([ctx.one, ctx.zero, ctx.zero, ctx.zero]),
         tuple([ctx.one, ctx.one, ctx.zero, ctx.one]),
         tuple([ctx.zero, ctx.one, ctx.zero, ctx.el(2)]),
+        tuple([ctx.one, ctx.one, ctx.one, ctx.el(2)]),
     ]
-    for chi in dec.characters:
-        P = dec.projector(chi)
-        for v in vs:
-            lhs = c_chi_reduced(ms, torus, chi, v)
-            rhs = torus.order * np.trace(rep.pi_op((v, ctx.zero)) @ P)
-            assert abs(lhs - rhs) < 1e-8
+    assert admissible_mask(torus, prime_coords(vs[1:])).tolist() == [False] * 3 + [True]
+    table, chars = c_chi_reduced(ms, torus, vs, dec.characters)
+    pis = [rep.pi_op((v, ctx.zero)) for v in vs]
+    want = np.array([
+        [torus.order * np.trace(pi @ dec.projector(chi)) for pi in pis] for chi in chars
+    ])
+    assert np.abs(table - want).max() < 1e-8
 
 
 def test_sharp_bound_irreducible_sp4():
@@ -324,10 +318,9 @@ def test_prime_power_base_field():
     torus2 = build_maximal_torus(sp2, ["irreducible2"])
     assert torus2.order == 82
     ms = module_structure(torus2)
-    chars = torus_characters(torus2)
-    v = (ctx.one, ctx.zero, ctx.zero, ctx.zero)
-    for chi in chars[:4]:
-        d = c_chi_table(sp2, torus2, [v], [chi])[0][0, 0]
-        r = c_chi_reduced(ms, torus2, chi, v)
-        assert abs(d - r) < 1e-9
-        assert abs(d) <= 2 * math.sqrt(81) + 1e-8
+    chars = torus_characters(torus2)[:4]
+    vs = [(ctx.one, ctx.zero, ctx.zero, ctx.zero)]
+    d = c_chi_table(sp2, torus2, vs, chars)[0]
+    r = c_chi_reduced(ms, torus2, vs, chars)[0]
+    assert np.abs(d - r).max() < 1e-9
+    assert np.abs(d).max() <= 2 * math.sqrt(81) + 1e-8

@@ -1,6 +1,7 @@
 """Symplectic spaces, tori, centralizers, and module structures."""
 
 import itertools
+import math
 import random
 
 import pytest
@@ -15,6 +16,7 @@ from weilrep.gfq import FieldCtx, factorize, poly_from_ints
 from weilrep.heiwei import _random_sl2
 from weilrep.symp import (
     BlockInfo,
+    SympModuleStructure,
     SympSpace,
     Torus,
     build_maximal_torus,
@@ -541,6 +543,46 @@ def test_torus_elements_embed_as_sl2_over_K():
         assert K.sub(K.mul(a, d), K.mul(b, c)) == K.one
         # re-embedding recovers the element
         assert la.freeze(ms.embed_sl2(gb)) == gkey
+
+
+@pytest.mark.parametrize(
+    "p,m,kind",
+    [(5, 1, ["split", "inert"]), (7, 1, ["inert", "inert"]), (5, 1, [("split", 2)]),
+     (3, 2, ["irreducible2"])],
+    ids=["split+inert-q5", "inert+inert-q7", "split2-q5", "irreducible2-q9"],
+)
+def test_block_tori_pair_each_block_with_the_generator_that_moves_it(p, m, kind):
+    """Each block torus is cyclic of order |K| -+ 1 over the block field,
+    generated by the block of its generator; every torus element's block
+    lies in it, and the other generators fix the block.  A torus whose
+    generators do not match the blocks one to one is refused."""
+    sp = SympSpace(FieldCtx(p, m), 2)
+    torus = build_maximal_torus(sp, kind)
+    ms = module_structure(torus)
+    pairs = ms.block_tori()
+    assert sorted(k for k, _ in pairs) == list(range(len(torus.generators)))
+    for i, (blk, (k, T)) in enumerate(zip(ms.blocks, pairs)):
+        K = blk.field
+        assert T.space.ctx is K and T.space.N == 1
+        assert T.descriptor_string() == ("split" if blk.name == "split" else "inert")
+        assert T.order == torus.orders[k] == (K.q - 1 if blk.name == "split" else K.q + 1)
+        assert T.generators == [ms.torus_element_blocks(torus.generators[k])[i]]
+        one = ((K.one, K.zero), (K.zero, K.one))
+        for j, g in enumerate(torus.generators):
+            assert (ms.torus_element_blocks(g)[i] == one) == (j != k)
+        assert all(T.contains(ms.torus_element_blocks(g)[i]) for g in torus.elements)
+    if len(ms.blocks) == 2:
+        g0, g1 = (la.thaw(g) for g in torus.generators)
+        both = la.freeze(la.mat_mul(sp.ctx, g0, g1))
+        o0, o1 = torus.orders
+        one_gen = Torus(sp, [both], [math.lcm(o0, o1)], torus.blocks[:1])
+        first_only = Torus(sp, [torus.generators[0]], [o0], torus.blocks[:1])
+        # the same group, generated by g1 and g0 g1: the second moves both blocks
+        two_movers = Torus(sp, [torus.generators[1], both], [o1, o0], torus.blocks[::-1])
+        assert set(two_movers.elements) == set(torus.elements)
+        for bad in (one_gen, first_only, two_movers):
+            with pytest.raises(ValueError):
+                SympModuleStructure(bad, ms.blocks).block_tori()
 
 
 def test_maximality_torus_is_own_centralizer():
