@@ -57,6 +57,7 @@ from .symp import (
     module_structure,
     random_symplectic,
     rank_from_charpoly,
+    restrict_scalars,
     trace_factor_degrees,
     trace_polynomial,
 )
@@ -462,13 +463,18 @@ def cmd_selftest(args) -> int:
         sp = SympSpace(FieldCtx(p), N)
         rep = WeilRep(sp)
         ctx = sp.ctx
-        worst = 0.0
+        samples = []
         for _ in range(n_samples):
             g = random_symplectic(sp, rng)
             h = random_symplectic(sp, rng)
-            Rg, Rh = rep.weil_op(g), rep.weil_op(h)
-            worst = max(worst, max_abs(Rg @ Rh - rep.weil_op(la.mat_mul(ctx, g, h))))
             v = tuple(ctx.from_int(rng.randrange(ctx.q)) for _ in range(2 * N))
+            samples.append((g, h, v))
+        # R_g, R_h and R_gh of every sample from one stack
+        mats = [x for g, h, _ in samples for x in (g, h, la.mat_mul(ctx, g, h))]
+        ops = rep.weil_ops(restrict_scalars(ctx, mats)).reshape(n_samples, 3, rep.dim, rep.dim)
+        worst = 0.0
+        for (g, _, v), (Rg, Rh, Rgh) in zip(samples, ops):
+            worst = max(worst, max_abs(Rg @ Rh - Rgh))
             gv = tuple(la.mat_vec(ctx, g, list(v)))
             egorov = Rg @ rep.pi_op((v, ctx.zero)) @ Rg.conj().T - rep.pi_op((gv, ctx.zero))
             worst = max(worst, max_abs(egorov))

@@ -28,21 +28,32 @@ dot products of the Schroedinger model use A = I.  Phases are integer
 indices into a table of p-th roots of unity; only the final accumulation
 is floating point.
 
+Operators come in stacks: ``WeilRep.weil_ops`` builds the operators of a
+stack of F_p matrices in chunks of at most OP_CHUNK_ENTRIES entries, one
+``char_phase_table`` call and one unitarity check per chunk, after one
+symplectic test of the whole stack (``symp.symplectic_failures``);
+``weil_op`` is its cached one-element case.
+
 Self-reducibility runs through the same kernel: ``restrict_to_extension``
 compares the trace on the torus with the product of the traces on the
-blocks' own tori over their fields (``SympModuleStructure.block_tori``).
+blocks' own tori over their fields (``SympModuleStructure.block_tori``),
+and builds its global test operators with ``weil_ops``, one chunk at a
+time.
 """
 
 from __future__ import annotations
 
 import math
 import random
-from functools import lru_cache
 
 import numpy as np
 
 from . import fqlin as la
-from .symp import SympSpace, assert_symplectic, restrict_scalars
+from .symp import SympSpace, restrict_scalars, symplectic_failures, trace_form_gram
+
+#: operator entries (elements x q^N x q^N) in one chunk of ``WeilRep.weil_ops``;
+#: the chunk's phase tables, coefficients and unitarity products scale with it
+OP_CHUNK_ENTRIES = 2**14
 
 
 def max_abs(A) -> float:
@@ -58,6 +69,13 @@ def is_unitary(U, tol) -> bool:
     return op_dist(U @ U.conj().T, np.eye(U.shape[0])) <= tol
 
 
+def op_chunks(n: int, dim: int) -> list:
+    """Slices of a stack of n operators of size dim x dim, each of at most
+    OP_CHUNK_ENTRIES entries (and at least one operator)."""
+    step = max(1, OP_CHUNK_ENTRIES // dim**2)
+    return [slice(lo, lo + step) for lo in range(0, n, step)]
+
+
 # -- the phase kernel ----------------------------------------------------------
 
 
@@ -65,30 +83,6 @@ def prime_coords(vs) -> np.ndarray:
     """F_p coordinates of vectors over GF(p^m), one row per vector; the
     power-basis coefficient k of component i sits in column i*m + k."""
     return np.asarray(vs, dtype=np.int64).reshape(len(vs), -1)
-
-
-@lru_cache(maxsize=64)
-def _trace_tensor(ctx) -> np.ndarray:
-    """Tr(x^k x^l x^r) over the power basis, indexed [k, l, r]."""
-    basis = [ctx.from_int(ctx.p**k) for k in range(ctx.m)]
-    tr = np.array(
-        [[[ctx.trace_to_prime(ctx.mul(ctx.mul(x, y), z)) for z in basis] for y in basis]
-         for x in basis],
-        dtype=np.int64,
-    )
-    tr.setflags(write=False)
-    return tr
-
-
-def trace_form_gram(ctx, A) -> np.ndarray:
-    """Integer Gram matrix B of the F_p-bilinear form (u, v) -> Tr(u^T A v)
-    for an n x n matrix A over GF(p^m), so that the form is
-    prime_coords(u) . B . prime_coords(v) mod p.  Entry (i*m + k, j*m + l)
-    is Tr(x^k A_ij x^l)."""
-    n = len(A)
-    coeffs = np.asarray(A, dtype=np.int64).reshape(n, n, ctx.m)
-    B = np.einsum("ijr,klr->ikjl", coeffs, _trace_tensor(ctx))
-    return B.reshape(n * ctx.m, n * ctx.m) % ctx.p
 
 
 def character_forms(space: SympSpace, stack):
@@ -272,51 +266,77 @@ class WeilRep:
             return 0j
         return trace * self.psi_pow[((c @ B % p) @ c + self.ctx.psi_index(z)) % p]
 
-    def char_phase_table(self, g):
-        """(trace, support, idx) of the character over all of V: the
-        coefficient Tr(pi(v, 0)* rho(g)) at v = (a, b) is
-        trace * psi_pow[idx[a_idx, b_idx]] where support[a_idx, b_idx] is
-        True, and 0 elsewhere."""
-        trace, K, _, B = character_form(self.space, g)
+    def char_phase_table(self, stack):
+        """(trace, support, idx) of the characters over all of V of a stack
+        of group elements given by their F_p matrices (``character_forms``):
+        the coefficient Tr(pi(v, 0)* rho(g_k)) at v = (a, b) is
+        trace[k] * psi_pow[idx[k, a_idx, b_idx]] where support[k, a_idx, b_idx]
+        is True, and 0 elsewhere.  The form c B c and the support test split
+        into an a part, a b part and a cross term, so no array is larger than
+        len(stack) x q^N x q^N."""
+        trace, K, _, B = character_forms(self.space, stack)
         p = self.ctx.p
         Lc = self._Lc
         k = Lc.shape[1]
-        qa = ((Lc @ B[:k, :k] % p) * Lc).sum(axis=1)
-        qb = ((Lc @ B[k:, k:] % p) * Lc).sum(axis=1)
-        cross = (Lc @ ((B[:k, k:] + B[k:, :k].T) % p) % p) @ Lc.T
+        qa = ((Lc @ B[:, :k, :k] % p) * Lc).sum(axis=2)
+        qb = ((Lc @ B[:, k:, k:] % p) * Lc).sum(axis=2)
+        cross = (Lc @ ((B[:, :k, k:] + np.swapaxes(B[:, k:, :k], 1, 2)) % p) % p) @ Lc.T
         # K c(v) = K_a c(a) + K_b c(b) vanishes iff the two halves, read as
         # base-p numbers, are negatives of each other mod p
-        place = p ** np.arange(len(K))
-        code_a = (Lc @ K[:, :k].T % p) @ place
-        code_b = (-(Lc @ K[:, k:].T) % p) @ place
-        return trace, code_a[:, None] == code_b[None, :], (qa[:, None] + qb[None, :] + cross) % p
+        place = p ** np.arange(K.shape[1])
+        code_a = (Lc @ np.swapaxes(K[:, :, :k], 1, 2) % p) @ place
+        code_b = (-(Lc @ np.swapaxes(K[:, :, k:], 1, 2)) % p) @ place
+        support = code_a[:, :, None] == code_b[:, None, :]
+        return trace, support, (qa[:, :, None] + qb[:, None, :] + cross) % p
 
     # -- Weil operators -----------------------------------------------------------
 
-    def weil_op(self, g) -> np.ndarray:
-        """rho(g) = q^(-N) sum_v Tr(pi(v, 0)* rho(g)) pi(v, 0), with the
-        coefficients of ``char_phase_table``."""
+    def weil_ops(self, stack) -> np.ndarray:
+        """The Weil operators of a stack of group elements given by their F_p
+        matrices (``restrict_scalars``; ``Torus.stack`` for a torus), shape
+        (len(stack), q^N, q^N):
+
+            rho(g) = q^(-N) sum_v Tr(pi(v, 0)* rho(g)) pi(v, 0),
+
+        with the coefficients of ``char_phase_table``.  ValueError names the
+        first member that is not symplectic.  The stack is built in the
+        chunks of ``op_chunks``, each from one ``char_phase_table`` call,
+        with one unitarity check; an element's operator is the same in any
+        chunk."""
         ctx = self.ctx
         if ctx.q == 3 and self.N == 1:
             raise ValueError(
                 "the linearization over GF(3) in dimension 2 is not unique; "
                 "this case is excluded from operator-level computations"
             )
+        stack = np.asarray(stack, dtype=np.int64)
+        bad = symplectic_failures(self.space, stack)
+        if len(bad):
+            raise ValueError(f"stack element {bad[0]} does not preserve the symplectic form")
+        dim = self.dim
+        out = np.empty((len(stack), dim, dim), dtype=np.complex128)
+        rows = np.arange(dim)
+        for chunk in op_chunks(len(stack), dim):
+            trace, support, idx = self.char_phase_table(stack[chunk])
+            W = trace[:, None, None] * self.psi_pow[(idx + self.half_ab_idx) % ctx.p]
+            W[~support] = 0
+            ops = out[chunk]
+            # pi((a, b), 0) has its row-x entry at column shift_table[a, x]
+            ops[:, rows, self.shift_table] = W @ self.psi_mat / dim
+            defect = np.abs(ops @ np.swapaxes(ops.conj(), 1, 2) - np.eye(dim)).max(axis=(1, 2))
+            if np.any(defect > self.tol):
+                k = chunk.start + int(np.argmax(defect > self.tol))
+                raise RuntimeError(f"constructed Weil operator of stack element {k} is not unitary")
+        return out
+
+    def weil_op(self, g) -> np.ndarray:
+        """rho(g) for one group element over GF(q): the one-element case of
+        ``weil_ops``, cached by element."""
         key = la.freeze(g)
         cached = self._cache.get(key)
         if cached is not None:
             return cached
-        assert_symplectic(self.space, la.thaw(g), "weil_op input")
-        trace, support, idx = self.char_phase_table(g)
-        W = trace * self.psi_pow[(idx + self.half_ab_idx) % ctx.p]
-        W[~support] = 0
-        C = W @ self.psi_mat
-        op = np.zeros((self.dim, self.dim), dtype=np.complex128)
-        rows = np.arange(self.dim)
-        for ai in range(self.dim):
-            op[rows, self.shift_table[ai]] = C[ai] / self.dim
-        if not is_unitary(op, self.tol):
-            raise AssertionError("constructed Weil operator is not unitary")
+        op = self.weil_ops(restrict_scalars(self.ctx, [la.thaw(g)]))[0]
         self._cache[key] = op
         return op
 
@@ -445,7 +465,11 @@ def restrict_to_extension(rep: WeilRep, ms, n_samples: int = 50, seed: int = 0):
     of that field.  The block coordinates of every vector come from the
     blocks' integer coordinate maps (``ModBlock.to_coords``), the
     intertwiner adds one entry per vector (``_intertwiner``), and each
-    torus element's blocks are computed once.  The traces and forms of all
+    torus element's blocks are computed once.  The global test operators
+    come from one embedded F_p stack (``embed_sl2_stack``) through
+    ``rep.weil_ops``, one chunk of ``op_chunks`` at a time, and are not kept
+    in ``rep``'s cache; each block operator is one ``weil_op`` call on its
+    block representation.  The traces and forms of all
     torus elements come from one ``torus_character_forms`` call, and those of
     each block's torus (``SympModuleStructure.block_tori``) from one more.
     The sigma identity compares, at every element with g - 1 invertible,
@@ -497,17 +521,15 @@ def restrict_to_extension(rep: WeilRep, ms, n_samples: int = 50, seed: int = 0):
     test_elements = element_blocks + [
         tuple(_random_sl2(blk.field, rng) for blk in blocks) for _ in range(n_samples)
     ]
+    stack = ms.embed_sl2_stack(test_elements)
     max_dist = 0.0
-    for gb in test_elements:
-        bar = None
-        for bar_rep, mat2 in zip(bar_reps, gb):
-            op = bar_rep.weil_op(mat2)
-            bar = op if bar is None else np.kron(bar, op)
-        g_global = ms.embed_sl2(gb)
-        assert_symplectic(space, g_global, "embedded SL(2, K) element")
-        big = rep.weil_op(g_global)
-        dist = max_abs(big - U @ bar @ U.conj().T)
-        max_dist = max(max_dist, dist)
+    for chunk in op_chunks(len(test_elements), rep.dim):
+        for gb, big in zip(test_elements[chunk], rep.weil_ops(stack[chunk])):
+            bar = None
+            for bar_rep, mat2 in zip(bar_reps, gb):
+                op = bar_rep.weil_op(mat2)
+                bar = op if bar is None else np.kron(bar, op)
+            max_dist = max(max_dist, max_abs(big - U @ bar @ U.conj().T))
     return {
         "sigma_identity_checked": len(kept),
         "sigma_identity_failures": sigma_failures,

@@ -30,9 +30,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import fqlin as la
-from .heiwei import prime_coords, torus_character_forms, trace_form_gram
+from .heiwei import prime_coords, torus_character_forms
 from .spectra import character_values, torus_characters
-from .symp import SympSpace, Torus, torus_idempotents
+from .symp import SympSpace, Torus, torus_idempotents, trace_form_gram
 
 
 def admissible_mask(torus: Torus, C) -> np.ndarray:

@@ -72,10 +72,22 @@ def symplectic_transpose(space: SympSpace, R):
     return la.mat_mul(ctx, space.gram_inv, la.mat_mul(ctx, la.transpose(R), space.gram))
 
 
+def symplectic_failures(space: SympSpace, stack) -> np.ndarray:
+    """Indices of the members of a stack of F_p matrices (``restrict_scalars``)
+    that do not preserve the form: X^T G X != G mod p, G the F_p Gram
+    matrix of Tr omega (``trace_form_gram``).  The test is exact for the
+    F_p matrix of a GF(q)-linear map g: Tr(a (omega(gu, gv) - omega(u, v)))
+    vanishes for every a in GF(q) only when omega(gu, gv) = omega(u, v)."""
+    p = space.ctx.p
+    G = trace_form_gram(space.ctx, space.gram)
+    X = np.asarray(stack, dtype=np.int64)
+    XtGX = np.swapaxes(X, 1, 2) @ (G @ X % p) % p
+    return np.flatnonzero((XtGX != G).any(axis=(1, 2)))
+
+
 def is_symplectic(space: SympSpace, g) -> bool:
-    ctx = space.ctx
-    lhs = la.mat_mul(ctx, la.transpose(g), la.mat_mul(ctx, space.gram, g))
-    return lhs == space.gram
+    """``symplectic_failures`` of the one matrix g over GF(q)."""
+    return not len(symplectic_failures(space, restrict_scalars(space.ctx, [la.thaw(g)])))
 
 
 def assert_symplectic(space: SympSpace, g, what="matrix"):
@@ -138,6 +150,31 @@ def restrict_scalars(ctx, mats) -> np.ndarray:
     k, n, m = len(A), A.shape[1], ctx.m
     R = np.einsum("jait,tkr->jarik", A.reshape(k, n, n, m), _power_products(ctx))
     return R.reshape(k, n * m, n * m) % ctx.p
+
+
+@lru_cache(maxsize=64)
+def _trace_tensor(ctx) -> np.ndarray:
+    """Tr(x^k x^l x^r) over the power basis, indexed [k, l, r]."""
+    basis = [ctx.from_int(ctx.p**k) for k in range(ctx.m)]
+    tr = np.array(
+        [[[ctx.trace_to_prime(ctx.mul(ctx.mul(x, y), z)) for z in basis] for y in basis]
+         for x in basis],
+        dtype=np.int64,
+    )
+    tr.setflags(write=False)
+    return tr
+
+
+def trace_form_gram(ctx, A) -> np.ndarray:
+    """Integer Gram matrix B of the F_p-bilinear form (u, v) -> Tr(u^T A v)
+    for an n x n matrix A over GF(p^m), so that the form is
+    c(u) . B . c(v) mod p on the F_p coordinates c of
+    ``heiwei.prime_coords``.  Entry (i*m + k, j*m + l)
+    is Tr(x^k A_ij x^l)."""
+    n = len(A)
+    coeffs = np.asarray(A, dtype=np.int64).reshape(n, n, ctx.m)
+    B = np.einsum("ijr,klr->ikjl", coeffs, _trace_tensor(ctx))
+    return B.reshape(n * ctx.m, n * ctx.m) % ctx.p
 
 
 def field_matrix_keys(ctx, stack) -> list:
@@ -789,19 +826,23 @@ class SympModuleStructure:
     def rank(self) -> int:
         return len(self.blocks)
 
+    def embed_sl2_stack(self, g_blocks_list) -> np.ndarray:
+        """The F_p matrices (``restrict_scalars`` layout) of a list of tuples
+        of 2 x 2 matrices over the block fields acting via the (E, F) bases:
+        the sum over the blocks of from_coords_mat . R . to_coords, R the F_p
+        matrices of the blocks' [[a, b], [c, d]] (``restrict_scalars`` over
+        K_alpha), one integer product per block for the whole list."""
+        p = self.space.ctx.p
+        total = 0
+        for i, blk in enumerate(self.blocks):
+            act = restrict_scalars(blk.field, [gb[i] for gb in g_blocks_list])
+            total = total + blk.from_coords_mat @ (act @ blk.to_coords % p) % p
+        return total % p
+
     def embed_sl2(self, g_blocks):
-        """Global matrix of a tuple of 2 x 2 matrices over the block fields
-        acting via the (E, F) bases: on F_p coordinates it is the sum over
-        the blocks of from_coords_mat . R . to_coords, R the F_p matrix of
-        [[a, b], [c, d]] (``restrict_scalars`` over K_alpha), and column j m
-        of that F_p matrix is column j of the F_q matrix."""
-        ctx = self.space.ctx
-        m, n = ctx.m, self.space.dim
-        total = np.zeros((n * m, n * m), dtype=np.int64)
-        for blk, mat2 in zip(self.blocks, g_blocks):
-            act = restrict_scalars(blk.field, [mat2])[0]
-            total += blk.from_coords_mat @ (act @ blk.to_coords % ctx.p) % ctx.p
-        return la.transpose([_unflat(ctx, total[:, j * m] % ctx.p) for j in range(n)])
+        """``embed_sl2_stack`` of one tuple, read back over GF(q): column j m
+        of the F_p matrix is column j of the GF(q) matrix."""
+        return la.thaw(field_matrix_keys(self.space.ctx, self.embed_sl2_stack([g_blocks]))[0])
 
     def sl2_generators(self):
         """Generators of prod SL(2, K_alpha) as block tuples, for embedding

@@ -11,6 +11,7 @@ from test_catmap import SP6_SEED
 from test_symp import _coords_by_omega_bar, _embed_sl2_by_columns
 
 from weilrep import fqlin as la
+from weilrep import heiwei
 from weilrep.gfq import FieldCtx
 from weilrep import symp
 from weilrep.catmap import CAT4_DEFAULT, LatticeAutomorphism
@@ -606,6 +607,20 @@ def test_restrict_to_extension_reports_match_the_omega_bar_path(name):
     assert rpt["max_operator_distance"] <= rpt["tol"]
 
 
+def test_restrict_to_extension_builds_its_operators_in_chunks_and_caches_none(monkeypatch):
+    """The global operators are built chunk by chunk and kept nowhere: the
+    report is the same with chunks of seven operators as with one chunk,
+    and the global representation's cache stays empty."""
+    rep, ms = _restrict_case("irreducible2-q3")
+    rpt = restrict_to_extension(rep, ms, n_samples=50, seed=0)
+    assert rep._cache == {}
+    assert len(heiwei.op_chunks(rpt["n_operator_tests"], rep.dim)) == 1
+    monkeypatch.setattr(heiwei, "OP_CHUNK_ENTRIES", 7 * rep.dim**2)
+    assert len(heiwei.op_chunks(rpt["n_operator_tests"], rep.dim)) == 9
+    assert restrict_to_extension(rep, ms, n_samples=50, seed=0) == rpt
+    assert rep._cache == {}
+
+
 #: product tori: every two-block kind of Sp(4) at p = 5, 7, the cat4
 #: centralizer tori (split+inert) at p = 11, 19 and the Sp(6) seed's at p = 5
 BLOCK_TRACE_CASES = (
@@ -785,10 +800,89 @@ def test_char_phase_table_matches_per_vector_oracle(p, m, N):
         cells = rng.sample(cells, 1500)
     for _ in range(3):
         g = _generic_element(rep.space, rng)
-        trace, support, table = rep.char_phase_table(g)
+        trace, support, table = rep.char_phase_table(restrict_scalars(rep.ctx, [g]))
         want_sign, want = _phase_oracle(rep, g, [rep._L[a] + rep._L[b] for a, b in cells])
-        assert trace == want_sign and support.all()
-        assert [int(table[a, b]) for a, b in cells] == want
+        assert trace.tolist() == [want_sign] and support.all()
+        assert [int(table[0, a, b]) for a, b in cells] == want
+
+
+def _mixed_elements(rep, rng):
+    """The identity, -I, the torus generators (on a product torus, the
+    identity off their block, so g - I is singular), two torus elements and
+    two random symplectic elements."""
+    ctx, sp = rep.ctx, rep.space
+    n = sp.dim
+    minus_I = [[ctx.neg(ctx.one) if i == j else ctx.zero for j in range(n)] for i in range(n)]
+    torus = build_maximal_torus(sp, ["inert"] if sp.N == 1 else ["split", "inert"])
+    elements = [rng.choice(torus.elements) for _ in range(2)]
+    return ([la.identity(ctx, n), minus_I] + [la.thaw(g) for g in torus.generators + elements]
+            + [random_symplectic(sp, rng) for _ in range(2)])
+
+
+@pytest.mark.parametrize("p,m,N", KERNEL_CASES)
+def test_weil_ops_are_bit_identical_to_one_weil_op_per_element(p, m, N):
+    rep = WeilRep(SympSpace(FieldCtx(p, m), N))
+    mats = _mixed_elements(rep, random.Random(p * 100 + m * 10 + N))
+    ops = rep.weil_ops(restrict_scalars(rep.ctx, mats))
+    assert ops.shape == (len(mats), rep.dim, rep.dim)
+    for g, op in zip(mats, ops):
+        assert op.tobytes() == rep.weil_op(g).tobytes()
+
+
+def test_weil_ops_across_several_chunks_match_one_element_at_a_time(monkeypatch):
+    """With chunks of three operators, eight elements take three
+    ``char_phase_table`` calls and give the operators of eight one-element
+    calls, bit for bit."""
+    rep = make_rep(5, 2)
+    mats = _mixed_elements(rep, random.Random(4))
+    assert len(mats) == 8
+    want = [rep.weil_op(g) for g in mats]
+    calls = []
+    real = WeilRep.char_phase_table
+
+    def counted(self, stack):
+        calls.append(len(stack))
+        return real(self, stack)
+
+    monkeypatch.setattr(heiwei, "OP_CHUNK_ENTRIES", 3 * rep.dim**2)
+    monkeypatch.setattr(WeilRep, "char_phase_table", counted)
+    ops = rep.weil_ops(restrict_scalars(rep.ctx, mats))
+    assert calls == [3, 3, 2]
+    assert all(op.tobytes() == w.tobytes() for op, w in zip(ops, want))
+
+
+def test_weil_ops_names_the_member_that_is_not_symplectic():
+    """2 g scales omega by 4 != 1 over F_5: the first such member is named,
+    and nothing is built or cached."""
+    rep = make_rep(5, 2)
+    ctx = rep.ctx
+    g = random_symplectic(rep.space, random.Random(3))
+    bad = [[ctx.mul(ctx.el(2), x) for x in row] for row in g]
+    stack = restrict_scalars(ctx, [g, la.identity(ctx, 4), bad, g, bad])
+    with pytest.raises(ValueError, match="stack element 2 does not preserve"):
+        rep.weil_ops(stack)
+    with pytest.raises(ValueError, match="stack element 0 does not preserve"):
+        rep.weil_op(bad)
+    assert rep._cache == {}
+
+
+def test_a_doctored_phase_trips_the_unitarity_invariant(monkeypatch):
+    """One phase index moved at one vector in the support of the last
+    element of the stack: its operator is no longer unitary."""
+    rep = make_rep(5, 1)
+    ctx = rep.ctx
+    g = _generic_element(rep.space, random.Random(8))
+    real = WeilRep.char_phase_table
+
+    def doctored(self, stack):
+        trace, support, idx = real(self, stack)
+        idx = idx.copy()
+        idx[-1, 1, 2] = (idx[-1, 1, 2] + 1) % ctx.p
+        return trace, support, idx
+
+    monkeypatch.setattr(WeilRep, "char_phase_table", doctored)
+    with pytest.raises(RuntimeError, match="stack element 1 is not unitary"):
+        rep.weil_ops(restrict_scalars(ctx, [la.identity(ctx, 2), g]))
 
 
 @pytest.mark.parametrize("p,m,N", KERNEL_CASES)

@@ -4,6 +4,7 @@ import itertools
 import math
 import random
 
+import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
@@ -26,6 +27,7 @@ from weilrep.symp import (
     module_structure,
     random_symplectic,
     rank_from_charpoly,
+    restrict_scalars,
     standard_gram,
     symplectic_transpose,
     trace_factor_degrees,
@@ -119,6 +121,49 @@ def test_transvections_are_symplectic():
         assert is_symplectic(sp, transvection(sp, u, lam))
     for _ in range(10):
         assert is_symplectic(sp, random_symplectic(sp, rng))
+
+
+def _is_symplectic_by_lists(space, g):
+    """g^T J g = J by field arithmetic, the oracle of ``is_symplectic``."""
+    ctx = space.ctx
+    return la.mat_mul(ctx, la.transpose(g), la.mat_mul(ctx, space.gram, g)) == space.gram
+
+
+SYMPLECTIC_TEST_CASES = [(p, m, N) for p, m in ((3, 1), (5, 1), (3, 2), (3, 3)) for N in (1, 2, 3)]
+
+
+@pytest.mark.parametrize("p,m,N", SYMPLECTIC_TEST_CASES,
+                         ids=[f"{p}^{m}-N{N}" for p, m, N in SYMPLECTIC_TEST_CASES])
+def test_is_symplectic_matches_the_list_oracle(p, m, N):
+    """The F_p test X^T G X = G against g^T J g = J over GF(q), on the
+    standard form and on a conjugate P^T J P of it: random symplectic g,
+    its multiples c g (symplectic exactly when c^2 = 1, so over GF(p^m)
+    they test that the trace loses nothing), g with one entry moved and
+    random matrices."""
+    ctx = FieldCtx(p, m)
+    n = 2 * N
+    rng = random.Random(p * 100 + m * 10 + N)
+    standard = SympSpace(ctx, N)
+    while True:
+        P = [[ctx.from_int(rng.randrange(ctx.q)) for _ in range(n)] for _ in range(n)]
+        if la.det(ctx, P) != ctx.zero:
+            break
+    P_inv = la.inv(ctx, P)
+    conjugate = SympSpace(ctx, N, la.mat_mul(ctx, la.transpose(P), la.mat_mul(ctx, standard.gram, P)))
+    seen = {True: 0, False: 0}
+    for sp, to_sp in ((standard, lambda g: g), (conjugate, lambda g: la.mat_mul(ctx, P_inv, la.mat_mul(ctx, g, P)))):
+        for _ in range(6):
+            g = to_sp(random_symplectic(standard, rng))
+            c = ctx.from_int(rng.randrange(1, ctx.q))
+            moved = la.thaw(g)
+            i, j = rng.randrange(n), rng.randrange(n)
+            moved[i][j] = ctx.add(moved[i][j], ctx.from_int(rng.randrange(1, ctx.q)))
+            noise = [[ctx.from_int(rng.randrange(ctx.q)) for _ in range(n)] for _ in range(n)]
+            for M in (g, [[ctx.mul(c, x) for x in row] for row in g], moved, noise):
+                want = _is_symplectic_by_lists(sp, M)
+                assert is_symplectic(sp, M) == want
+                seen[want] += 1
+    assert seen[True] >= 12 and seen[False] > 0
 
 
 def test_torus_orders_sl2_f5():
@@ -545,6 +590,20 @@ def test_torus_elements_embed_as_sl2_over_K():
         assert la.freeze(ms.embed_sl2(gb)) == gkey
 
 
+@pytest.mark.parametrize("p", [11, 19])
+def test_torus_elements_of_a_centralizer_torus_embed_back_as_one_stack(p):
+    """The blocks of a cat4 centralizer torus are not spanned by standard
+    basis vectors, so the block terms of ``embed_sl2_stack`` overlap in
+    coordinates; the stack of all torus elements comes back entry for
+    entry as ``Torus.stack``."""
+    A = LatticeAutomorphism(CAT4_DEFAULT)
+    sp = SympSpace(FieldCtx(p), A.N)
+    torus = centralizer_torus(sp, A.mod_p(sp))
+    ms = module_structure(torus)
+    stack = ms.embed_sl2_stack([ms.torus_element_blocks(g) for g in torus.elements])
+    assert np.array_equal(stack, torus.stack)
+
+
 @pytest.mark.parametrize(
     "p,m,kind",
     [(5, 1, ["split", "inert"]), (7, 1, ["inert", "inert"]), (5, 1, [("split", 2)]),
@@ -792,6 +851,8 @@ def test_embed_sl2_matches_the_column_construction_and_is_a_homomorphism(p, m, N
         assert is_symplectic(sp, Gg)
         gh = tuple(_mul2(blk.field, a, b) for blk, a, b in zip(ms.blocks, g, h))
         assert ms.embed_sl2(gh) == la.mat_mul(sp.ctx, Gg, Gh)
+        stack = ms.embed_sl2_stack([g, h, gh])
+        assert np.array_equal(stack, restrict_scalars(sp.ctx, [Gg, Gh, ms.embed_sl2(gh)]))
     for gkey in ms.torus.elements[:20]:
         g = la.thaw(gkey)
         want = []
