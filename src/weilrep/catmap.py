@@ -330,10 +330,11 @@ OPERATOR_CHECK_DIM = 25
 
 class HeckeContext:
     """Everything one prime's experiments share: the Hecke torus, its
-    characters with their multiplicities, the admissibility mask over the
-    exponent window (``sums.admissible_mask``, the one test the bound sweeps
-    use too), the assembled bound, and the Wigner values on torus orbits,
-    read from the torus character sums.
+    characters (``characters``, the exponent rows of
+    ``spectra.torus_characters``) with their multiplicities, the
+    admissibility mask over the exponent window (``sums.admissible_mask``,
+    the one test the bound sweeps use too), the assembled bound, and the
+    Wigner values on torus orbits, read from the torus character sums.
 
     Every block idempotent is a sum of the primitive idempotents that
     ``admissible_mask`` tests, so an admissible vector meets every block,
@@ -352,10 +353,11 @@ class HeckeContext:
     The projector onto the chi-eigenspace is P_chi = (1/|T|) sum over g of
     conj(chi(g)) rho(g), and Tr(rho(g) pi(v)) is the Heisenberg-Weil
     character at (g, v), so Tr(P_chi pi(v)) = c_chi(v) / |T|: ``table``
-    holds these values at the orbit representatives, one row per character of
+    holds these values at the orbit representatives, one row per row of
     ``characters``, one column per orbit, from ``sums.c_chi_table`` with no
     operator built.  ``mults`` are the predicted multiplicities
-    (``spectra.expected_multiplicity``); they must sum to q^N, and
+    (``spectra.expected_multiplicity``), one per row of ``characters``;
+    they must sum to q^N, and
     ``mult_residual`` is each character's deviation from the multiplicity
     the character of rho gives (``spectra.trace_multiplicities``), which
     must stay below 1e-6.  A state of multiplicity 1 is the whole
@@ -381,7 +383,7 @@ class HeckeContext:
         self.A_mod = la.freeze(Amod)
         self.rank = len(self.torus.blocks)
         self.characters = torus_characters(self.torus)
-        self.mults = np.array([expected_multiplicity(self.torus, chi) for chi in self.characters])
+        self.mults = expected_multiplicity(self.torus, self.characters)
         if self.mults.sum() != p**A.N:
             raise RuntimeError(f"predicted multiplicities sum to {self.mults.sum()}, not {p**A.N}")
         self.mult_residual = trace_multiplicities(self.torus, self.characters) - self.mults
@@ -416,7 +418,7 @@ class HeckeContext:
         self.xi_orbit = np.full(len(self.v_index), -1, dtype=np.int64)
         self.xi_orbit[adm] = inverse
         reps = self.orbit_reps[:, None] // _index_places(p, A.N) % p
-        self.table = c_chi_table(self.space, self.torus, reps, self.characters)[0] / self.torus.order
+        self.table = c_chi_table(self.space, self.torus, reps, self.characters) / self.torus.order
         self._state_wigner = None
 
     def _check_generator_traces(self):
@@ -443,9 +445,8 @@ class HeckeContext:
             rows, mult = [self.table[ones]], [self.mults[ones]]
             if np.any(self.mults >= 2):
                 rep = WeilRep(self.space)
-                wanted = {chi.exponents: int(m) for chi, m in zip(self.characters, self.mults)}
-                bases = split_quadratic_bases(rep, self.torus, wanted)
-                for exps, B in sorted(bases.items()):
+                bases = split_quadratic_bases(rep, self.torus, self.mults)
+                for _, B in sorted(bases.items()):
                     rows.append(rep.wigner_at(B, self.orbit_reps))
                     mult.append(np.full(B.shape[1], B.shape[1]))
             self._state_wigner = (np.concatenate(rows), np.concatenate(mult))
@@ -516,8 +517,8 @@ def statistical_state_experiment(A: LatticeAutomorphism, p: int, xi_max: int | N
     exps_A = np.array(hc.torus.index[hc.A_mod])
     orders = np.array(hc.torus.orders)
     L = math.lcm(*hc.torus.orders)
-    E = np.array([hc.characters[c].exponents for c in present])
-    phases, group = np.unique(E @ (exps_A * (L // orders)) % L, return_inverse=True)
+    phase_A = hc.characters[present] @ (exps_A * (L // orders)) % L
+    phases, group = np.unique(phase_A, return_inverse=True)
     max_ratio = 0.0
     violations = 0
     trace_dev = 0.0

@@ -128,10 +128,17 @@ def _config_defaults(args):
     return defaults
 
 
-def _parse_torus_arg(arg: str):
-    if arg == "all":
-        return None
-    return arg.split("+")
+def _torus_kinds(args):
+    """The block lists that --torus names: one list of '+'-joined blocks,
+    or, for "all", every torus kind of SL(2) (N = 1) or Sp(4) (N = 2)."""
+    if args.torus != "all":
+        return [args.torus.split("+")]
+    if args.N not in (1, 2):
+        raise ValueError(
+            f"--torus all lists the tori of N = 1 and N = 2 only, not N = {args.N}; "
+            "name the blocks instead, e.g. --torus irreducible3"
+        )
+    return SL2_KINDS if args.N == 1 else SP4_KINDS
 
 
 def _primes_in(lo, hi):
@@ -143,6 +150,7 @@ def _primes_in(lo, hi):
 
 def cmd_verify_bounds(args) -> int:
     ps = [int(x) for x in args.p.split(",")]
+    kinds = _torus_kinds(args)
     failures = 0
     summaries = []
     config = _config_of(args, subcommand="verify-bounds")
@@ -153,11 +161,6 @@ def cmd_verify_bounds(args) -> int:
     ) as write_rows:
         for p in ps:
             sp = SympSpace(FieldCtx(p, args.m), args.N)
-            kinds = (
-                [_parse_torus_arg(args.torus)]
-                if args.torus != "all"
-                else (SL2_KINDS if args.N == 1 else SP4_KINDS)
-            )
             for kind in kinds:
                 torus = build_maximal_torus(sp, kind)
                 rpt = bound_report(sp, torus, seed=args.seed)
@@ -178,29 +181,21 @@ def cmd_verify_bounds(args) -> int:
 
 def cmd_multiplicities(args) -> int:
     ps = [int(x) for x in args.p.split(",")]
+    kinds = _torus_kinds(args)
     rows = []
     mismatches = 0
     for p in ps:
-        kinds = (
-            [_parse_torus_arg(args.torus)]
-            if args.torus != "all"
-            else (SL2_KINDS if args.N == 1 else SP4_KINDS)
-        )
         sp = SympSpace(FieldCtx(p, args.m), args.N)
         rep = WeilRep(sp)
         for kind in kinds:
             torus = build_maximal_torus(sp, kind)
             dec = decompose(rep, torus)
             rows.extend(multiplicity_table_rows(dec))
-            bad = [
-                chi.exponents
-                for chi in dec.characters
-                if dec.multiplicity(chi) != expected_multiplicity(torus, chi)
-            ]
-            if bad:
+            bad = dec.characters[dec.multiplicities != expected_multiplicity(torus, dec.characters)]
+            if len(bad):
                 mismatches += len(bad)
                 print(f"FAIL multiplicities p={p} torus={torus.descriptor_string()} "
-                      f"mismatch at chi={bad[0]}")
+                      f"mismatch at chi={tuple(bad[0].tolist())}")
             else:
                 print(f"PASS multiplicities p={p} torus={torus.descriptor_string()} "
                       f"({len(dec.characters)} characters)")
@@ -450,10 +445,7 @@ def cmd_selftest(args) -> int:
             torus = build_maximal_torus(sp, [kind])
             failures += _check(f"torus order {kind} SL(2,F_{p})", torus.order == order)
             dec = decompose(rep, torus)
-            ok = all(
-                dec.multiplicity(chi) == expected_multiplicity(torus, chi)
-                for chi in dec.characters
-            )
+            ok = bool((dec.multiplicities == expected_multiplicity(torus, dec.characters)).all())
             failures += _check(f"multiplicities {kind} SL(2,F_{p})", ok)
 
     # representation invariants

@@ -92,8 +92,9 @@ def character_forms(space: SympSpace, stack):
     where K[k] c = 0 mod p and 0 elsewhere, for c = prime_coords(v).
 
     With X = g - I over F_p, of size n_p = 2 N m, rank R and pivot columns
-    P, G the F_p Gram matrix of Tr omega, beta = (G X)[P, P] and
-    gamma = p^(-1/2) sum_x psi_p(-x^2) (1 when p = 1 mod 4, -i otherwise):
+    P, G the F_p Gram matrix of Tr omega (``SympSpace.trace_gram``),
+    beta = (G X)[P, P] and gamma = p^(-1/2) sum_x psi_p(-x^2) (1 when
+    p = 1 mod 4, -i otherwise):
     trace[k] = p^((n_p - R) / 2) gamma^R sigma_p(2^(-R) det beta) is
     Tr rho(g); K[k], the rows of the elimination's row operator off the
     pivot indices, vanishes exactly on Im X; kappa[k], its rows at the pivot
@@ -114,7 +115,7 @@ def character_forms(space: SympSpace, stack):
     X = (X - np.eye(s, dtype=np.int64)) % p
     pivot, det, E = la.stack_row_reduce(X, p)
     rank = pivot.sum(axis=1)
-    G = trace_form_gram(ctx, space.gram)
+    G = space.trace_gram
     K, kappa = E * ~pivot[:, :, None], E * pivot[:, :, None]
     # 1/2 lies in F_p, so it comes out of the trace as the integer (p+1)/2
     B = np.swapaxes(kappa, 1, 2) @ G % p * ((p + 1) // 2) % p

@@ -1,20 +1,20 @@
 """Characters of tori, eigenspace decomposition of the representation
-space, multiplicities and projectors.
+space and multiplicities.
 
-A character of a torus with cyclic factor orders (n_1, ..., n_r) is stored
-as one exponent per factor; its value on the element with exponent tuple
-(j_1, ..., j_r) is the root of unity with phase sum e_k j_k / n_k.
-A character is fixed by its values on the r generators, so the eigenspaces
-are the joint eigenspaces of the r generator Weil operators, found by
-simultaneous diagonalization; multiplicities are their dimensions.  The
-basis of each eigenspace is computed without forming its projector, and
-projectors are formed from the bases on demand only.
+The character group of a torus with cyclic factor orders (n_1, ..., n_r)
+is the integer array of ``torus_characters``: one row of exponents
+(e_1, ..., e_r) per character, in ``Torus.exponents`` order.  The value of
+a row on the element with exponent tuple (j_1, ..., j_r) is the root of
+unity with phase sum e_k j_k / n_k.  A character is fixed by its values
+on the r generators, so the eigenspaces are the joint eigenspaces of the
+r generator Weil operators, found by simultaneous diagonalization;
+multiplicities are their dimensions.  The basis of each eigenspace is
+computed without forming its projector.
 """
 
 from __future__ import annotations
 
-import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -22,94 +22,34 @@ from .heiwei import WeilRep, torus_character_forms
 from .symp import Torus
 
 
-@dataclass(frozen=True)
-class TorusCharacter:
-    torus: Torus
-    exponents: tuple
-
-    def __call__(self, g) -> complex:
-        exps = self.torus.index[g]
-        phase = sum(e * j / n for e, j, n in zip(self.exponents, exps, self.torus.orders))
-        return complex(np.exp(2j * np.pi * phase))
-
-    def values(self) -> np.ndarray:
-        """Values over the full element enumeration, in order."""
-        return character_values(self.torus, [self])[0]
-
-    def is_quadratic(self) -> bool:
-        """All values in {+1, -1} but not all +1."""
-        vals = self.values()
-        real = np.all(np.abs(vals.imag) < 1e-12) and np.all(
-            np.abs(np.abs(vals.real) - 1) < 1e-12
-        )
-        return bool(real and np.any(vals.real < 0))
+def torus_characters(torus: Torus) -> np.ndarray:
+    """The full character group: one row of exponents per character, in
+    ``torus.exponents`` order (lexicographic in the exponents)."""
+    return np.array(torus.exponents, dtype=np.int64).reshape(torus.order, len(torus.orders))
 
 
-def character_values(torus: Torus, characters) -> np.ndarray:
-    """The values of the given characters over the full element
-    enumeration, one row per character."""
-    E = np.array([chi.exponents for chi in characters], dtype=np.int64).reshape(len(characters), -1)
-    J = np.array(torus.exponents, dtype=np.int64)
-    acc = np.zeros((len(characters), len(J)))
+def character_values(torus: Torus, E: np.ndarray) -> np.ndarray:
+    """The values of the characters with exponent rows E over the full
+    element enumeration, one row per character."""
+    J = torus_characters(torus)
+    acc = np.zeros((len(E), len(J)))
     for k, n in enumerate(torus.orders):
         acc = acc + E[:, k, None] * J[None, :, k] / n
     return np.exp(2j * np.pi * acc)
 
 
-def torus_characters(torus: Torus) -> list[TorusCharacter]:
-    """The full character group, ordered lexicographically in exponents."""
-    return [
-        TorusCharacter(torus, exps)
-        for exps in itertools.product(*[range(n) for n in torus.orders])
-    ]
-
-
-def sigma_character(torus: Torus) -> TorusCharacter | None:
-    """The unique quadratic character of a cyclic torus of even order,
-    identified by its values."""
-    if len(torus.orders) == 1 and torus.orders[0] % 2 == 0:
-        return _checked_quadratic(TorusCharacter(torus, (torus.orders[0] // 2,)))
-    return None
-
-
-def sigma_block_character(torus: Torus, alpha: int) -> TorusCharacter | None:
-    """The quadratic character of the alpha-th cyclic block, trivial on the
-    other blocks."""
-    n = torus.orders[alpha]
-    if n % 2:
-        return None
-    exps = tuple(n // 2 if k == alpha else 0 for k in range(len(torus.orders)))
-    return _checked_quadratic(TorusCharacter(torus, exps))
-
-
-def _checked_quadratic(chi: TorusCharacter) -> TorusCharacter:
-    if not chi.is_quadratic():
-        raise RuntimeError(f"character {chi.exponents} is not quadratic")
-    return chi
-
-
 @dataclass
 class EigenDecomposition:
+    """The eigenspaces of a torus, aligned with the rows of ``characters``
+    (``torus_characters``): ``multiplicities[i]`` is the dimension of the
+    eigenspace of row i and ``bases[i]`` its orthonormal basis, one column
+    per vector; the projector onto it is B B*."""
+
     rep: WeilRep
     torus: Torus
-    characters: list[TorusCharacter]
-    multiplicities: dict = field(default_factory=dict)
-    bases: dict = field(default_factory=dict)
-
-    def multiplicity(self, chi: TorusCharacter) -> int:
-        return self.multiplicities[chi.exponents]
-
-    def projector(self, chi: TorusCharacter) -> np.ndarray:
-        """The orthogonal projector B B* onto the chi-eigenspace."""
-        B = self.bases[chi.exponents]
-        return B @ B.conj().T
-
-    def eigenstates(self):
-        """(character, unit eigenvector) pairs over all nonzero spaces."""
-        for chi in self.characters:
-            basis = self.bases[chi.exponents]
-            for k in range(basis.shape[1]):
-                yield chi, basis[:, k]
+    characters: np.ndarray
+    multiplicities: np.ndarray
+    bases: list
 
 
 def decompose(rep: WeilRep, torus: Torus) -> EigenDecomposition:
@@ -127,15 +67,12 @@ def decompose(rep: WeilRep, torus: Torus) -> EigenDecomposition:
     eigenspace only, not on the B that ``eigh`` happened to return."""
     ops = [rep.weil_op(g) for g in torus.generators]
     spaces = _joint_eigenspaces(ops, torus.orders, np.eye(rep.dim, dtype=np.complex128))
-    chars = torus_characters(torus)
-    dec = EigenDecomposition(rep, torus, chars)
+    E = torus_characters(torus)
     empty = np.zeros((rep.dim, 0), dtype=np.complex128)
-    for chi in chars:
-        B = spaces.get(chi.exponents, empty)
-        dec.multiplicities[chi.exponents] = B.shape[1]
-        dec.bases[chi.exponents] = _canonical_basis(B)
-    _check_eigenstates(rep, torus, ops, dec.bases)
-    return dec
+    found = [spaces.get(tuple(exps), empty) for exps in E.tolist()]
+    bases = [_canonical_basis(B) for B in found]
+    _check_eigenstates(rep, torus, ops, E, bases)
+    return EigenDecomposition(rep, torus, E, np.array([B.shape[1] for B in found]), bases)
 
 
 def _joint_eigenspaces(ops, orders, Q) -> dict:
@@ -172,29 +109,30 @@ def _canonical_basis(B: np.ndarray) -> np.ndarray:
     return B @ _orthonormal_range(B.conj().T, B.shape[1])
 
 
-def _check_eigenstates(rep: WeilRep, torus: Torus, ops, bases: dict):
-    """RuntimeError unless every column v of every basis, keyed by its
-    character's exponents, has |U_k v - chi(g_k) v| <= rep.tol for every
-    generator operator U_k."""
-    keys = [exps for exps, B in bases.items() for _ in range(B.shape[1])]
-    if not keys:
+def _check_eigenstates(rep: WeilRep, torus: Torus, ops, E, bases):
+    """RuntimeError unless every column v of every basis, ``bases[i]`` for
+    the character of exponent row ``E[i]``, has |U_k v - chi(g_k) v| <=
+    rep.tol for every generator operator U_k."""
+    rows = np.repeat(np.arange(len(bases)), [B.shape[1] for B in bases])
+    if not len(rows):
         return
-    S = np.concatenate([bases[exps] for exps in dict.fromkeys(keys)], axis=1)
+    S = np.concatenate(bases, axis=1)
     for k, (U, n) in enumerate(zip(ops, torus.orders)):
-        values = np.exp(2j * np.pi * np.array([exps[k] for exps in keys]) / n)
+        values = np.exp(2j * np.pi * E[rows, k] / n)
         resid = np.linalg.norm(U @ S - S * values, axis=0)
         worst = int(np.argmax(resid))
         if resid[worst] > rep.tol:
             raise RuntimeError(
                 f"eigenvector residual {resid[worst]:.3e} exceeds {rep.tol:.3e} "
-                f"at character {keys[worst]}"
+                f"at character {tuple(E[rows[worst]].tolist())}"
             )
 
 
-def split_quadratic_bases(rep: WeilRep, torus: Torus, multiplicities: dict) -> dict:
+def split_quadratic_bases(rep: WeilRep, torus: Torus, mults: np.ndarray) -> dict:
     """The bases ``decompose`` gives, up to rounding, of the eigenspaces of
-    multiplicity 2 or more only, given the predicted multiplicity of every
-    character by its exponents (``expected_multiplicity``).
+    multiplicity 2 or more only, keyed by the character's row of
+    ``torus_characters``, given the predicted multiplicity of every row
+    (``expected_multiplicity``).
 
     Such a character is quadratic on a block of even order n_k, exponent
     n_k / 2, where the generator operator U_k has eigenvalue -1.  For each
@@ -205,24 +143,27 @@ def split_quadratic_bases(rep: WeilRep, torus: Torus, multiplicities: dict) -> d
     only.  RuntimeError when a piece does not have its predicted dimension
     or a character of multiplicity 2 or more is left without a basis."""
     ops = [rep.weil_op(g) for g in torus.generators]
-    wanted = {exps for exps, m in multiplicities.items() if m >= 2}
+    E = torus_characters(torus)
+    wanted = set(np.flatnonzero(mults >= 2).tolist())
     bases = {}
     for k, n in enumerate(torus.orders):
-        if n % 2 or not any(exps[k] == n // 2 for exps in wanted - set(bases)):
+        quadratic = E[:, k] == n // 2
+        if n % 2 or not any(quadratic[i] for i in wanted - set(bases)):
             continue
-        d = sum(m for exps, m in multiplicities.items() if exps[k] == n // 2)
-        Q = _eigenspace(ops[k], -1.0, d, rep.tol)
+        Q = _eigenspace(ops[k], -1.0, int(mults[quadratic].sum()), rep.tol)
         for exps, B in _joint_eigenspaces(ops, torus.orders, Q).items():
-            if B.shape[1] != multiplicities.get(exps, 0):
+            i = int(np.ravel_multi_index(exps, torus.orders))
+            if B.shape[1] != mults[i]:
                 raise RuntimeError(
                     f"eigenspace of character {exps} has dimension {B.shape[1]}, "
-                    f"predicted {multiplicities.get(exps, 0)}"
+                    f"predicted {mults[i]}"
                 )
-            if exps in wanted and exps not in bases:
-                bases[exps] = _canonical_basis(B)
+            if i in wanted and i not in bases:
+                bases[i] = _canonical_basis(B)
     if wanted - set(bases):
-        raise RuntimeError(f"no eigenspace found for characters {sorted(wanted - set(bases))}")
-    _check_eigenstates(rep, torus, ops, bases)
+        missing = [tuple(E[i].tolist()) for i in sorted(wanted - set(bases))]
+        raise RuntimeError(f"no eigenspace found for characters {missing}")
+    _check_eigenstates(rep, torus, ops, E[list(bases)], list(bases.values()))
     return bases
 
 
@@ -287,41 +228,29 @@ def multiplicity_table_rows(dec: EigenDecomposition):
     """CSV rows (p, m, N, torus_descriptor, chi_exponents, multiplicity)."""
     sp = dec.torus.space
     desc = dec.torus.descriptor_string()
-    rows = []
-    for chi in dec.characters:
-        rows.append(
-            (
-                sp.ctx.p,
-                sp.ctx.m,
-                sp.N,
-                desc,
-                ";".join(str(e) for e in chi.exponents),
-                dec.multiplicities[chi.exponents],
-            )
-        )
-    return rows
+    return [
+        (sp.ctx.p, sp.ctx.m, sp.N, desc, ";".join(map(str, exps)), m)
+        for exps, m in zip(dec.characters.tolist(), dec.multiplicities.tolist())
+    ]
 
 
-def expected_multiplicity(torus: Torus, chi: TorusCharacter) -> int:
-    """The predicted dimension: product over blocks of 1 for a non-quadratic
-    factor, 2 for the quadratic character of a split block, 0 for the
-    quadratic character of an inert or irreducible block."""
-    m = 1
-    for k, block in enumerate(torus.blocks):
-        n = torus.orders[k]
-        e = chi.exponents[k]
-        if n % 2 == 0 and e == n // 2:
-            m *= 2 if block.name == "split" else 0
-        else:
-            m *= 1
-    return m
+def expected_multiplicity(torus: Torus, E: np.ndarray) -> np.ndarray:
+    """The predicted dimension of the eigenspace of each exponent row of E:
+    the product over blocks of 1 for a non-quadratic factor, 2 for the
+    quadratic character (exponent n_k / 2) of a split block, 0 for that of
+    an inert or irreducible block."""
+    n = np.array(torus.orders)
+    quadratic = (n % 2 == 0) & (E == n // 2)
+    weight = np.array([2 if block.name == "split" else 0 for block in torus.blocks])
+    return np.where(quadratic, weight, 1).prod(axis=1)
 
 
-def trace_multiplicities(torus: Torus, characters) -> np.ndarray:
-    """The multiplicity of each character from the character of the Weil
-    representation, (1/|T|) sum over g of conj(chi(g)) Tr rho(g), with the
-    traces from ``weil_traces`` and no operator built."""
-    return (character_values(torus, characters).conj() @ weil_traces(torus)).real / torus.order
+def trace_multiplicities(torus: Torus, E: np.ndarray) -> np.ndarray:
+    """The multiplicity of the character of each exponent row of E from the
+    character of the Weil representation, (1/|T|) sum over g of
+    conj(chi(g)) Tr rho(g), with the traces from ``weil_traces`` and no
+    operator built."""
+    return (character_values(torus, E).conj() @ weil_traces(torus)).real / torus.order
 
 
 def weil_traces(torus: Torus) -> np.ndarray:

@@ -53,10 +53,11 @@ def admissible_mask(torus: Torus, C) -> np.ndarray:
     return ok
 
 
-def c_chi_table(space: SympSpace, torus: Torus, v_list, characters=None):
-    """Matrix of c_chi(v) over characters x vectors, from the coefficients
-    of ``heiwei.torus_character_forms``; an element whose term vanishes at
-    every given vector is left out of the sum."""
+def c_chi_table(space: SympSpace, torus: Torus, v_list, characters=None) -> np.ndarray:
+    """Matrix of c_chi(v) over characters x vectors, one row per exponent
+    row of ``characters`` (default: all of ``spectra.torus_characters``),
+    from the coefficients of ``heiwei.torus_character_forms``; an element
+    whose term vanishes at every given vector is left out of the sum."""
     if characters is None:
         characters = torus_characters(torus)
     p = space.ctx.p
@@ -77,30 +78,27 @@ def c_chi_table(space: SympSpace, torus: Torus, v_list, characters=None):
     terms = trace[kept, None] * psi_pow[idx]
     terms[~support[kept]] = 0
     X = character_values(torus, characters)[:, kept]
-    return X.conj() @ terms, characters
+    return X.conj() @ terms
 
 
-def c_chi_reduced(ms, torus: Torus, v_list, characters=None):
-    """The same table computed blockwise, (table, characters) as from
-    ``c_chi_table``: V = sum of the V_alpha and T = prod of the T_alpha of
+def c_chi_reduced(ms, torus: Torus, v_list, characters=None) -> np.ndarray:
+    """The same table as ``c_chi_table``, computed blockwise: V = sum of the
+    V_alpha and T = prod of the T_alpha of
     ``SympModuleStructure.block_tori``, so
 
         c_chi(v) = prod over alpha of c_{chi_alpha}(v_alpha),
 
     each factor ``c_chi_table`` on SympSpace(K_alpha, 1) at the block
     coordinates of the vectors (one integer product with
-    ``ModBlock.to_coords``), read at the exponent of chi on the generator
-    that moves the block."""
-    if characters is None:
-        characters = torus_characters(torus)
-    E = np.array([chi.exponents for chi in characters], dtype=np.int64).reshape(len(characters), -1)
+    ``ModBlock.to_coords``), read at column k of the exponent rows, the
+    exponent of chi on the generator k that moves the block."""
+    E = torus_characters(torus) if characters is None else characters
     C = prime_coords(v_list)
     p = torus.space.ctx.p
-    table = math.prod(
-        c_chi_table(T.space, T, C @ blk.to_coords.T % p)[0][E[:, k]]
+    return math.prod(
+        c_chi_table(T.space, T, C @ blk.to_coords.T % p)[E[:, k]]
         for blk, (k, T) in zip(ms.blocks, ms.block_tori())
     )
-    return table, characters
 
 
 def orbit_spans_space(space: SympSpace, torus: Torus, v) -> bool:
@@ -118,9 +116,10 @@ def orbit_spans_space(space: SympSpace, torus: Torus, v) -> bool:
 class SumRows:
     """The rows of a bound report, one dict per (character, vector) in
     character-major order, built as they are read: a sweep has
-    |T| x |vectors| of them."""
+    |T| x |vectors| of them.  ``chars`` are the exponent rows of the
+    characters (``spectra.torus_characters``)."""
 
-    def __init__(self, chars, vectors, table, bound):
+    def __init__(self, chars: np.ndarray, vectors, table, bound):
         self.chars, self.vectors, self.table = chars, vectors, table
         self.mags = np.abs(table)
         self.ratios = self.mags / bound
@@ -130,9 +129,9 @@ class SumRows:
 
     def __iter__(self):
         cols = (self.table.real, self.table.imag, self.mags, self.ratios)
-        for chi, *row_cols in zip(self.chars, *(c.tolist() for c in cols)):
+        for chi, *row_cols in zip(map(tuple, self.chars.tolist()), *(c.tolist() for c in cols)):
             for v, re, im, a, r in zip(self.vectors, *row_cols):
-                yield {"chi": chi.exponents, "v": v, "re": re, "im": im, "abs": a, "ratio": r}
+                yield {"chi": chi, "v": v, "re": re, "im": im, "abs": a, "ratio": r}
 
 
 @dataclass
@@ -240,13 +239,14 @@ def bound_report(space: SympSpace, torus: Torus, v_list=None, seed: int = 0) -> 
     report.excluded = [v for v, ok in zip(v_list, mask) if not ok]
     if not admissible:
         return report
-    table, chars = c_chi_table(space, torus, admissible)
+    chars = torus_characters(torus)
+    table = c_chi_table(space, torus, admissible, chars)
     report.rows = rows = SumRows(chars, admissible, table, report.bound)
     ci, vi = np.unravel_index(rows.ratios.argmax(), rows.ratios.shape)
     if rows.ratios[ci, vi] > 0:
         report.max_ratio = float(rows.ratios[ci, vi])
         report.argmax = {
-            "chi": list(chars[ci].exponents),
+            "chi": chars[ci].tolist(),
             "v": [ctx.serialize(x) for x in admissible[vi]],
             "abs": float(rows.mags[ci, vi]),
         }

@@ -41,7 +41,9 @@ def standard_gram(ctx, N):
 
 class SympSpace:
     """A 2N-dimensional symplectic space over GF(q) with a fixed Gram matrix
-    (block antidiagonal by default)."""
+    (block antidiagonal by default).  ``trace_gram`` is the read-only F_p
+    Gram matrix of Tr omega (``trace_form_gram``), built once here for the
+    kernels that work over F_p."""
 
     def __init__(self, ctx: FieldCtx, N: int, gram=None):
         self.ctx = ctx
@@ -58,6 +60,8 @@ class SympSpace:
                     raise ValueError("gram matrix must be antisymmetric")
         self.gram = gram
         self.gram_inv = la.inv(ctx, gram)  # raises if degenerate
+        self.trace_gram = trace_form_gram(ctx, gram)
+        self.trace_gram.setflags(write=False)
 
     def omega(self, u, v):
         return la.vec_dot(self.ctx, u, la.mat_vec(self.ctx, self.gram, v))
@@ -75,11 +79,11 @@ def symplectic_transpose(space: SympSpace, R):
 def symplectic_failures(space: SympSpace, stack) -> np.ndarray:
     """Indices of the members of a stack of F_p matrices (``restrict_scalars``)
     that do not preserve the form: X^T G X != G mod p, G the F_p Gram
-    matrix of Tr omega (``trace_form_gram``).  The test is exact for the
+    matrix of Tr omega (``SympSpace.trace_gram``).  The test is exact for the
     F_p matrix of a GF(q)-linear map g: Tr(a (omega(gu, gv) - omega(u, v)))
     vanishes for every a in GF(q) only when omega(gu, gv) = omega(u, v)."""
     p = space.ctx.p
-    G = trace_form_gram(space.ctx, space.gram)
+    G = space.trace_gram
     X = np.asarray(stack, dtype=np.int64)
     XtGX = np.swapaxes(X, 1, 2) @ (G @ X % p) % p
     return np.flatnonzero((XtGX != G).any(axis=(1, 2)))

@@ -59,7 +59,7 @@ def test_criterion_1_two_dimensional_sharp_bound():
                 for v in default_vector_range(sp)
                 if orbit_spans_space(sp, torus, v)
             ]
-            table, _ = c_chi_table(sp, torus, vs)
+            table = c_chi_table(sp, torus, vs)
             top = float(np.abs(table).max())
             if top / (2 * math.sqrt(p)) > worst:
                 worst = top / (2 * math.sqrt(p))
@@ -83,10 +83,10 @@ def test_criterion_2_multiplicity_formulas():
         for kind in ("split", "inert"):
             torus = build_maximal_torus(sp, [kind])
             dec = decompose(rep, torus)
-            for chi in dec.characters:
-                checked += 1
-                if dec.multiplicity(chi) != expected_multiplicity(torus, chi):
-                    mismatches += 1
+            checked += len(dec.characters)
+            mismatches += int(
+                (dec.multiplicities != expected_multiplicity(torus, dec.characters)).sum()
+            )
     sp4_kinds = [
         ["split", "split"],
         ["split", "inert"],
@@ -100,10 +100,10 @@ def test_criterion_2_multiplicity_formulas():
         for kind in sp4_kinds:
             torus = build_maximal_torus(sp, kind)
             dec = decompose(rep, torus)
-            for chi in dec.characters:
-                checked += 1
-                if dec.multiplicity(chi) != expected_multiplicity(torus, chi):
-                    mismatches += 1
+            checked += len(dec.characters)
+            mismatches += int(
+                (dec.multiplicities != expected_multiplicity(torus, dec.characters)).sum()
+            )
     report(
         "2 multiplicity formulas",
         mismatches == 0,

@@ -298,13 +298,13 @@ def _dense(mat, p):
     torus = symp.centralizer_torus(space, A.mod_p(space))
     rep = WeilRep(space)
     dec = decompose(rep, torus)
-    order = sorted(dec.characters, key=lambda chi: dec.multiplicity(chi) > 1)
+    order = sorted(range(len(dec.characters)), key=lambda i: dec.multiplicities[i] > 1)
     states, chars, mults = [], [], []
-    for chi in order:
-        B = dec.bases[chi.exponents]
+    for i in order:
+        B = dec.bases[i]
         for k in range(B.shape[1]):
             states.append(B[:, k])
-            chars.append(chi)
+            chars.append(tuple(dec.characters[i].tolist()))
             mults.append(B.shape[1])
     return SimpleNamespace(rep=rep, torus=torus, states=np.stack(states, axis=1),
                            state_char=chars, state_mult=mults)
@@ -316,9 +316,8 @@ def test_every_hecke_eigenstate_is_rho_A_eigenstate():
     A = LatticeAutomorphism(CAT2_DEFAULT)
     dense = _dense(CAT2_DEFAULT, 7)
     hc = HeckeContext(A, 11)
-    mults = {chi.exponents: int(m) for chi, m in zip(hc.characters, hc.mults)}
     rep = WeilRep(hc.space)
-    bases = split_quadratic_bases(rep, hc.torus, mults)
+    bases = split_quadratic_bases(rep, hc.torus, hc.mults)
     assert [B.shape[1] for B in bases.values()] == [2]
     for rep, A_mod, states in [(dense.rep, la.freeze(A.mod_p(dense.rep.space)), dense.states),
                                (rep, hc.A_mod, np.concatenate(list(bases.values()), axis=1))]:
@@ -350,7 +349,7 @@ def test_density_operators_commute_with_rho_A():
     L = math.lcm(*dense.torus.orders)
     for s, chi in enumerate(dense.state_char):
         phase = sum(
-            e * j * (L // n) for e, j, n in zip(chi.exponents, exps_A, dense.torus.orders)
+            e * j * (L // n) for e, j, n in zip(chi, exps_A, dense.torus.orders)
         ) % L
         groups[phase].append(s)
     assert len(groups) == statistical_state_experiment(A, 11)["n_eigenspaces"]
@@ -431,7 +430,7 @@ def _statistical_row_from_table(hc, on_orbits=False):
     L = math.lcm(*hc.torus.orders)
     groups = {}
     for s, chi in enumerate(dense.state_char):
-        phase = sum(e * j * (L // n) for e, j, n in zip(chi.exponents, exps_A, hc.torus.orders))
+        phase = sum(e * j * (L // n) for e, j, n in zip(chi, exps_A, hc.torus.orders))
         groups.setdefault(phase % L, []).append(s)
     max_ratio, violations, trace_dev = 0.0, 0, 0.0
     for ids in groups.values():

@@ -4,6 +4,7 @@ import concurrent.futures
 import json
 import multiprocessing
 import os
+import re
 
 import pytest
 
@@ -57,6 +58,9 @@ def test_verify_bounds_checks_the_rank_bound_on_product_tori(tmp_path, capsys):
     assert set(summary) == {"config", "reports"}
     assert [r["rank"] for r in summary["reports"]] == [2, 2, 2, 1, 1]
     assert all(r["max_ratio"] <= 1 for r in summary["reports"])
+    # the character columns are integers, not numpy scalars turned into strings
+    assert all(type(e) is int for r in summary["reports"] for e in r["argmax"]["chi"])
+    assert all(re.fullmatch(r"\d+(;\d+)*", row.split(",")[4]) for row in rows)
 
 
 def test_internal_error_exits_3(tmp_path, monkeypatch, capsys):
@@ -81,6 +85,26 @@ def test_multiplicities_cmd(tmp_path):
     lines = body_of(tmp_path / "multiplicities.csv").splitlines()
     assert lines[0] == "p,m,N,torus,chi,multiplicity"
     assert len(lines) == 1 + (4 + 6) + (6 + 8)
+    assert all(re.fullmatch(r"\d+(;\d+)*", line.split(",")[4]) for line in lines[1:])
+
+
+@pytest.mark.parametrize("subcommand,p", [("verify-bounds", "5"), ("multiplicities", "3")])
+def test_torus_all_above_sp4_is_refused_by_name(tmp_path, capsys, subcommand, p):
+    """--torus all lists the tori of N = 1 and 2 only; at N = 3 the refusal
+    names the option, not a block list the user never wrote."""
+    rc = main([subcommand, "--p", p, "--N", "3", "--torus", "all", "--out", str(tmp_path)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "--torus all" in err and "N = 3" in err
+    assert "block dimensions" not in err
+
+
+def test_multiplicities_of_a_named_sp6_torus(tmp_path):
+    rc = main(["multiplicities", "--p", "3", "--N", "3", "--torus", "irreducible3",
+               "--out", str(tmp_path)])
+    assert rc == 0
+    lines = body_of(tmp_path / "multiplicities.csv").splitlines()
+    assert len(lines) == 1 + 28  # |T| = 3^3 + 1
 
 
 def test_multiplicities_cmd_above_dimension_343(tmp_path):

@@ -31,7 +31,7 @@ from weilrep.heiwei import (
     torus_character_forms,
     trace_form_gram,
 )
-from weilrep.spectra import torus_characters
+from weilrep.spectra import character_values, torus_characters
 from weilrep.sums import admissible_mask, c_chi_table
 from weilrep.symp import (
     SympSpace,
@@ -685,8 +685,7 @@ def _c_chi_table_oracle(space, torus, vectors):
             continue
         kept.append(gi)
         rows.append(sign * psi_pow[((C @ B % p) * C).sum(axis=1) % p])
-    chars = torus_characters(torus)
-    X = np.stack([chi.values()[kept] for chi in chars])
+    X = character_values(torus, torus_characters(torus))[:, kept]
     return X.conj() @ np.stack(rows)
 
 
@@ -757,7 +756,7 @@ def test_character_forms_are_bit_identical_to_the_per_element_loop(p, m, N, kind
     rng = random.Random(p)
     vs = [tuple(sp.ctx.from_int(rng.randrange(sp.ctx.q)) for _ in range(2 * N)) for _ in range(60)]
     vs = [v for v, ok in zip(vs, admissible_mask(torus, prime_coords(vs))) if ok]
-    table, _ = c_chi_table(sp, torus, vs)
+    table = c_chi_table(sp, torus, vs)
     assert table.tobytes() == _c_chi_table_oracle(sp, torus, vs).tobytes()
 
 
@@ -895,8 +894,8 @@ def test_c_chi_table_phases_match_per_vector_oracle(p, m, N):
     rep = WeilRep(sp)
     rng = random.Random(7)
     vs = [tuple(sp.ctx.from_int(rng.randrange(sp.ctx.q)) for _ in range(2 * N)) for _ in range(12)]
-    table, chars = c_chi_table(sp, torus, vs)
-    X = np.stack([chi.values() for chi in chars])
+    table = c_chi_table(sp, torus, vs)
+    X = character_values(torus, torus_characters(torus))
     terms = X.T @ table / torus.order  # row h: the term of torus element h
     identity = torus.identity_matrix()
     for h in sorted(rng.sample(range(torus.order), min(torus.order, 60))):

@@ -14,9 +14,8 @@ from weilrep.spectra import (
     _tie_order,
     decompose,
     expected_multiplicity,
+    character_values,
     multiplicity_table_rows,
-    sigma_block_character,
-    sigma_character,
     split_quadratic_bases,
     torus_characters,
     trace_multiplicities,
@@ -30,11 +29,58 @@ def setup_rep(p, N, kind, m=1):
     return WeilRep(sp), torus
 
 
+def _element_columns(torus):
+    """The column of each torus element in ``character_values``."""
+    return {g: j for j, g in enumerate(torus.elements)}
+
+
+def _quadratic_rows(torus, E):
+    """The rows of E whose values are all +1 or -1, but not all +1."""
+    vals = character_values(torus, E)
+    real = np.all(np.abs(vals.imag) < 1e-12, axis=1) & np.all(
+        np.abs(np.abs(vals.real) - 1) < 1e-12, axis=1
+    )
+    return np.flatnonzero(real & np.any(vals.real < 0, axis=1))
+
+
+def _sigma_row(torus, alpha):
+    """The row of ``torus_characters`` of the quadratic character of the
+    alpha-th block, exponent n_alpha / 2 there and 0 elsewhere, checked to
+    be quadratic by its values."""
+    n = torus.orders[alpha]
+    assert n % 2 == 0
+    exps = [n // 2 if k == alpha else 0 for k in range(len(torus.orders))]
+    row = int(np.ravel_multi_index(exps, torus.orders))
+    assert torus_characters(torus)[row].tolist() == exps
+    assert row in _quadratic_rows(torus, torus_characters(torus))
+    return row
+
+
+def _multiplicity_by_product(torus, exps):
+    """The multiplicity law one character at a time: the product over the
+    blocks of 2 (split) or 0 (inert, irreducible) at the quadratic exponent
+    n_k / 2, and 1 at every other exponent."""
+    m = 1
+    for block, n, e in zip(torus.blocks, torus.orders, exps):
+        if n % 2 == 0 and e == n // 2:
+            m *= 2 if block.name == "split" else 0
+    return m
+
+
+def test_characters_are_the_exponent_rows_in_element_order():
+    _, torus = setup_rep(3, 2, ["split", "inert"])
+    E = torus_characters(torus)
+    assert E.dtype == np.int64 and E.shape == (torus.order, 2)
+    assert list(map(tuple, E.tolist())) == torus.exponents
+
+
 def test_character_group_structure():
     _, torus = setup_rep(5, 1, ["inert"])
     chars = torus_characters(torus)
     assert len(chars) == 6
-    for chi in chars:
+    X = character_values(torus, chars)
+    col = _element_columns(torus)
+    for chi in X:
         for g1 in torus.elements:
             for g2 in torus.elements:
                 from weilrep import fqlin as la
@@ -42,51 +88,47 @@ def test_character_group_structure():
                 prod = la.freeze(
                     la.mat_mul(torus.space.ctx, la.thaw(g1), la.thaw(g2))
                 )
-                assert abs(chi(prod) - chi(g1) * chi(g2)) < 1e-10
+                assert abs(chi[col[prod]] - chi[col[g1]] * chi[col[g2]]) < 1e-10
         # values are |T|-th roots of unity
         for g in torus.elements:
-            assert abs(chi(g) ** torus.order - 1) < 1e-9
+            assert abs(chi[col[g]] ** torus.order - 1) < 1e-9
 
 
 def test_sigma_character_inert_sl2_f5():
     _, torus = setup_rep(5, 1, ["inert"])
-    sig = sigma_character(torus)
-    vals = sig.values()
+    sig = _sigma_row(torus, 0)
+    vals = character_values(torus, torus_characters(torus)[[sig]])[0]
     assert np.all(np.abs(np.abs(vals.real) - 1) < 1e-12)
     assert np.any(vals.real < 0)
     # it is the unique quadratic one
-    quad = [c for c in torus_characters(torus) if c.is_quadratic()]
-    assert quad == [sig]
+    assert _quadratic_rows(torus, torus_characters(torus)).tolist() == [sig]
 
 
 def test_multiplicities_sl2_f5_split():
     rep, torus = setup_rep(5, 1, ["split"])
     dec = decompose(rep, torus)
-    mults = sorted(dec.multiplicities.values())
+    mults = sorted(dec.multiplicities.tolist())
     assert mults == [1, 1, 1, 2]
-    sig = sigma_character(torus)
-    assert dec.multiplicity(sig) == 2
+    assert dec.multiplicities[_sigma_row(torus, 0)] == 2
 
 
 def test_multiplicities_sl2_f5_inert():
     rep, torus = setup_rep(5, 1, ["inert"])
     dec = decompose(rep, torus)
-    mults = sorted(dec.multiplicities.values())
+    mults = sorted(dec.multiplicities.tolist())
     assert mults == [0, 1, 1, 1, 1, 1]
-    sig = sigma_character(torus)
-    assert dec.multiplicity(sig) == 0
+    assert dec.multiplicities[_sigma_row(torus, 0)] == 0
 
 
 def test_multiplicities_sp4_f3_inert_inert():
     rep, torus = setup_rep(3, 2, ["inert", "inert"])
     dec = decompose(rep, torus)
-    mults = list(dec.multiplicities.values())
+    mults = dec.multiplicities.tolist()
     assert sorted(mults) == [0] * 7 + [1] * 9
     assert sum(mults) == 9
     # the sigma character of each inert factor never appears
     for alpha in range(2):
-        sig = sigma_block_character(torus, alpha)
-        assert dec.multiplicity(sig) == 0
+        assert dec.multiplicities[_sigma_row(torus, alpha)] == 0
 
 
 def test_multiplicity_law_matches_prediction():
@@ -102,46 +144,65 @@ def test_multiplicity_law_matches_prediction():
     for p, N, kind in cases:
         rep, torus = setup_rep(p, N, kind)
         dec = decompose(rep, torus)
-        for chi in dec.characters:
-            assert dec.multiplicity(chi) == expected_multiplicity(torus, chi), (
-                p,
-                kind,
-                chi.exponents,
-            )
+        predicted = expected_multiplicity(torus, dec.characters)
+        for exps, m, want in zip(dec.characters.tolist(), dec.multiplicities, predicted):
+            assert m == want, (p, kind, exps)
+
+
+SP4_KINDS = [["split", "split"], ["split", "inert"], ["inert", "inert"], [("split", 2)],
+             ["irreducible2"]]
+PRODUCT_FORMULA_CASES = [(p, 1, 2, kind) for p in (5, 7) for kind in SP4_KINDS] + [
+    (3, 2, 1, ["split"]), (3, 2, 1, ["inert"]), (3, 2, 2, ["split", "inert"]),
+    (3, 2, 2, ["irreducible2"]),
+]
+
+
+@pytest.mark.parametrize("p,m,N,kind", PRODUCT_FORMULA_CASES, ids=lambda x: str(x))
+def test_expected_multiplicity_equals_the_per_character_product(p, m, N, kind):
+    """The vectorised multiplicity law equals the product formula taken one
+    character at a time, on every row of the character group."""
+    torus = build_maximal_torus(SympSpace(FieldCtx(p, m), N), kind)
+    E = torus_characters(torus)
+    found = expected_multiplicity(torus, E)
+    assert found.shape == (torus.order,)
+    assert found.tolist() == [_multiplicity_by_product(torus, exps) for exps in E.tolist()]
+    assert found.sum() == p ** (m * N)
 
 
 def test_projector_axioms_and_equivariance():
     rep, torus = setup_rep(5, 1, ["split"])
     dec = decompose(rep, torus)
     dim = rep.dim
+    X = character_values(torus, dec.characters)
+    col = _element_columns(torus)
+    projectors = [B @ B.conj().T for B in dec.bases]
     total = np.zeros((dim, dim), dtype=np.complex128)
-    for chi in dec.characters:
-        P = dec.projector(chi)
+    for chi, P in zip(X, projectors):
         assert max_abs(P @ P - P) < rep.tol
         assert max_abs(P - P.conj().T) < rep.tol
         total += P
         # rho(g) P = chi(g) P on the generators
         for gkey in torus.generators:
             R = rep.weil_op(gkey)
-            assert max_abs(R @ P - chi(gkey) * P) < rep.tol
+            assert max_abs(R @ P - chi[col[gkey]] * P) < rep.tol
     assert max_abs(total - np.eye(dim)) < rep.tol
     # distinct projectors are orthogonal
-    chars = dec.characters
-    for i in range(len(chars)):
-        for j in range(i + 1, len(chars)):
-            Pi = dec.projector(chars[i])
-            Pj = dec.projector(chars[j])
-            assert max_abs(Pi @ Pj) < rep.tol
+    for i in range(len(projectors)):
+        for j in range(i + 1, len(projectors)):
+            assert max_abs(projectors[i] @ projectors[j]) < rep.tol
 
 
 def test_eigenbases_orthonormal_and_eigen():
     rep, torus = setup_rep(7, 1, ["inert"])
     dec = decompose(rep, torus)
-    for chi, phi in dec.eigenstates():
-        assert abs(np.linalg.norm(phi) - 1) < 1e-9
-        for gkey in torus.generators:
-            R = rep.weil_op(gkey)
-            assert max_abs(R @ phi - chi(gkey) * phi) < rep.tol
+    X = character_values(torus, dec.characters)
+    col = _element_columns(torus)
+    for chi, B in zip(X, dec.bases):
+        for phi in B.T:
+            assert abs(np.linalg.norm(phi) - 1) < 1e-9
+            for gkey in torus.generators:
+                R = rep.weil_op(gkey)
+                assert max_abs(R @ phi - chi[col[gkey]] * phi) < rep.tol
 
 
 def test_tensor_consistency_product_torus():
@@ -149,13 +210,13 @@ def test_tensor_consistency_product_torus():
     block multiplicities (tensor factorization)."""
     rep, torus = setup_rep(5, 2, ["split", "split"])
     dec = decompose(rep, torus)
-    for chi in dec.characters:
+    for exps, m in zip(dec.characters.tolist(), dec.multiplicities):
         expected = 1
         for k in range(2):
             n = torus.orders[k]
-            expected *= 2 if (n % 2 == 0 and chi.exponents[k] == n // 2) else 1
-        assert dec.multiplicity(chi) == expected
-    assert sum(dec.multiplicities.values()) == 25
+            expected *= 2 if (n % 2 == 0 and exps[k] == n // 2) else 1
+        assert m == expected
+    assert dec.multiplicities.sum() == 25
 
 
 def test_multiplicity_rows_format():
@@ -176,7 +237,8 @@ def test_character_restriction_sign():
         for kind, sign in (("split", 1), ("inert", -1)):
             sp = SympSpace(FieldCtx(p), 1)
             torus = build_maximal_torus(sp, [kind])
-            sig = sigma_character(torus)
+            sig = character_values(torus, torus_characters(torus)[[_sigma_row(torus, 0)]])[0]
+            col = _element_columns(torus)
             ctx = sp.ctx
             ident = torus.identity_matrix()
             for gkey in torus.elements:
@@ -188,25 +250,23 @@ def test_character_restriction_sign():
                     for i in range(2)
                 ]
                 val = ctx.legendre(ctx.neg(la.det(ctx, gmI)))
-                expect = sign * int(round(sig(gkey).real))
+                expect = sign * int(round(sig[col[gkey]].real))
                 assert val == expect, (p, kind, gkey)
 
 
 def test_multiplicities_sp8_f3_inert_blocks():
     rep, torus = setup_rep(3, 4, ["inert"] * 4)
     dec = decompose(rep, torus)
-    assert sum(dec.multiplicities.values()) == 81
-    for chi in dec.characters:
-        assert dec.multiplicity(chi) == expected_multiplicity(torus, chi)
+    assert dec.multiplicities.sum() == 81
+    assert np.array_equal(dec.multiplicities, expected_multiplicity(torus, dec.characters))
 
 
 def test_multiplicities_sp6_f3():
     for kind in (["irreducible3"], ["split", "irreducible2"]):
         rep, torus = setup_rep(3, 3, kind)
         dec = decompose(rep, torus)
-        assert sum(dec.multiplicities.values()) == 27
-        for chi in dec.characters:
-            assert dec.multiplicity(chi) == expected_multiplicity(torus, chi)
+        assert dec.multiplicities.sum() == 27
+        assert np.array_equal(dec.multiplicities, expected_multiplicity(torus, dec.characters))
 
 
 def test_multiplicities_over_f9_base():
@@ -217,9 +277,8 @@ def test_multiplicities_over_f9_base():
     for kind in ("split", "inert"):
         torus9 = build_maximal_torus(sp, [kind])
         dec = decompose(rep9, torus9)
-        assert sum(dec.multiplicities.values()) == 9
-        for chi in dec.characters:
-            assert dec.multiplicity(chi) == expected_multiplicity(torus9, chi)
+        assert dec.multiplicities.sum() == 9
+        assert np.array_equal(dec.multiplicities, expected_multiplicity(torus9, dec.characters))
 
 
 def _decompose_by_averaging(rep, torus):
@@ -229,15 +288,15 @@ def _decompose_by_averaging(rep, torus):
     Returns {exponents: (multiplicity, projector, basis)}."""
     chars = torus_characters(torus)
     ops = np.stack([rep.weil_op(g) for g in torus.elements])
-    X = np.stack([chi.values() for chi in chars])
+    X = character_values(torus, chars)
     P_all = (X.conj() @ ops.reshape(len(ops), -1)).reshape(len(chars), rep.dim, rep.dim)
     P_all /= torus.order
     out = {}
-    for chi, P in zip(chars, P_all):
+    for exps, P in zip(chars.tolist(), P_all):
         tr = P.trace()
         mult = int(round(tr.real))
         assert abs(tr - mult) < 0.01
-        out[chi.exponents] = (mult, P, _orthonormal_range(P, mult))
+        out[tuple(exps)] = (mult, P, _orthonormal_range(P, mult))
     return out
 
 
@@ -275,12 +334,11 @@ def test_decompose_matches_averaging_oracle(make):
     rep, torus = make()
     dec = decompose(rep, torus)
     ref = _decompose_by_averaging(rep, torus)
-    assert set(ref) == {chi.exponents for chi in dec.characters}
-    for chi in dec.characters:
-        mult, P, B_ref = ref[chi.exponents]
-        assert dec.multiplicity(chi) == mult, chi.exponents
-        assert max_abs(dec.projector(chi) - P) < 1e-12, chi.exponents
-        B = dec.bases[chi.exponents]
+    assert set(ref) == set(map(tuple, dec.characters.tolist()))
+    for exps, m, B in zip(map(tuple, dec.characters.tolist()), dec.multiplicities, dec.bases):
+        mult, P, B_ref = ref[exps]
+        assert m == mult, exps
+        assert max_abs(B @ B.conj().T - P) < 1e-12, exps
         assert B.shape == B_ref.shape
         for k in range(mult):
             phase = np.vdot(B[:, k], B_ref[:, k])
@@ -365,7 +423,8 @@ def test_decompose_bases_match_gram_schmidt_to_the_bit(make):
     spaces = _joint_eigenspaces(ops, torus.orders, np.eye(rep.dim, dtype=np.complex128))
     assert any(B.shape[1] == 1 for B in spaces.values())
     for exps, B in spaces.items():
-        assert _same_bits(dec.bases[exps], B @ _orthonormal_range(B.conj().T, B.shape[1])), exps
+        i = np.ravel_multi_index(exps, torus.orders)
+        assert _same_bits(dec.bases[i], B @ _orthonormal_range(B.conj().T, B.shape[1])), exps
 
 
 # -- the multiplicity law and the eigenspaces of multiplicity >= 2 ------------------
@@ -387,8 +446,8 @@ def test_trace_multiplicities_match_decompose(p, m, N, kind):
     rep, torus = setup_rep(p, N, kind, m)
     dec = decompose(rep, torus)
     chars = torus_characters(torus)
-    found = np.array([dec.multiplicity(chi) for chi in chars])
-    assert np.array_equal(found, [expected_multiplicity(torus, chi) for chi in chars])
+    found = dec.multiplicities
+    assert np.array_equal(found, expected_multiplicity(torus, chars))
     assert max_abs(trace_multiplicities(torus, chars) - found) < 1e-12
 
 
@@ -403,20 +462,24 @@ def test_split_quadratic_bases_equal_the_decomposition(case):
     ``decompose`` to 1e-10, and every such character gets one."""
     rep, torus = setup_rep(*case)
     dec = decompose(rep, torus)
-    mults = {chi.exponents: dec.multiplicity(chi) for chi in dec.characters}
+    mults = dec.multiplicities
     bases = split_quadratic_bases(WeilRep(rep.space), torus, mults)
-    assert set(bases) == {exps for exps, m in mults.items() if m >= 2}
-    for exps, B in bases.items():
-        assert max_abs(B - dec.bases[exps]) < 1e-10, exps
+    assert set(bases) == set(np.flatnonzero(mults >= 2).tolist())
+    for i, B in bases.items():
+        assert max_abs(B - dec.bases[i]) < 1e-10, dec.characters[i]
 
 
 def test_split_quadratic_bases_refuse_a_wrong_prediction():
     rep, torus = setup_rep(5, 2, ["split", "split"])
     chars = torus_characters(torus)
-    mults = {chi.exponents: expected_multiplicity(torus, chi) for chi in chars}
-    quad = next(exps for exps, m in mults.items() if m == 4)
+    mults = expected_multiplicity(torus, chars)
+    quad = next(i for i, m in enumerate(mults) if m == 4)
+    wrong = mults.copy()
+    wrong[quad] = 2
     with pytest.raises(RuntimeError, match="predicted"):
-        split_quadratic_bases(rep, torus, {**mults, quad: 2})
-    other = next(exps for exps, m in mults.items() if m == 2 and exps[0] != quad[0])
+        split_quadratic_bases(rep, torus, wrong)
+    other = next(i for i, m in enumerate(mults) if m == 2 and chars[i, 0] != chars[quad, 0])
+    wrong = mults.copy()
+    wrong[other] = 3
     with pytest.raises(RuntimeError, match="predicted"):
-        split_quadratic_bases(rep, torus, {**mults, other: 3})
+        split_quadratic_bases(rep, torus, wrong)

@@ -9,7 +9,7 @@ from test_heiwei import weil_op_by_factorization
 
 from weilrep.gfq import FieldCtx
 from weilrep.heiwei import WeilRep, prime_coords
-from weilrep.spectra import decompose, torus_characters
+from weilrep.spectra import character_values, decompose, torus_characters
 from weilrep.sums import (
     admissible_mask,
     bound_report,
@@ -46,7 +46,7 @@ def test_sum_over_characters_vanishes():
     for kind in (["split"], ["inert"]):
         sp, torus = setup(7, 1, kind)
         vs = list(all_nonzero_vectors(sp))
-        table, _ = c_chi_table(sp, torus, vs)
+        table = c_chi_table(sp, torus, vs)
         sums = table.sum(axis=0)
         assert np.max(np.abs(sums)) < 1e-9
 
@@ -57,11 +57,11 @@ def test_c_chi_equals_torus_times_wigner():
     rep = WeilRep(sp)
     dec = decompose(rep, torus)
     vs = list(all_nonzero_vectors(sp))
-    table, chars = c_chi_table(sp, torus, vs)
-    for ci, chi in enumerate(chars):
-        if dec.multiplicity(chi) != 1:
+    table = c_chi_table(sp, torus, vs)
+    for ci, (m, B) in enumerate(zip(dec.multiplicities, dec.bases)):
+        if m != 1:
             continue
-        phi = dec.bases[chi.exponents][:, 0]
+        phi = B[:, 0]
         for vi, v in enumerate(vs):
             w = rep.wigner(phi, v)
             assert abs(table[ci, vi] - torus.order * w) < 1e-8
@@ -86,7 +86,7 @@ def test_eigenvector_exclusion_is_necessary():
     ctx = sp.ctx
     v = (ctx.one, ctx.zero)  # eigenvector of the diagonal torus
     assert not orbit_spans_space(sp, torus, v)
-    table, chars = c_chi_table(sp, torus, [v])
+    table = c_chi_table(sp, torus, [v])
     best = np.max(np.abs(table))
     assert best > 2 * math.sqrt(11) + 1e-9
 
@@ -141,8 +141,8 @@ def test_c_chi_table_is_exact_at_inadmissible_vectors():
     assert len(vs) > 100
     pis = np.stack([rep.pi_op((v, sp.ctx.zero)) for v in vs])
     traces = np.einsum("gij,vji->gv", np.stack(ops), pis)
-    table, chars = c_chi_table(sp, torus, vs)
-    X = np.stack([chi.values() for chi in chars])
+    table = c_chi_table(sp, torus, vs)
+    X = character_values(torus, torus_characters(torus))
     assert np.abs(table - X.conj() @ traces).max() < 1e-9
 
 
@@ -160,9 +160,9 @@ def test_c_chi_table_drops_singular_terms_as_the_blockwise_sum_does(p, kind):
     ms = module_structure(torus)
     vs = list(all_nonzero_vectors(sp))
     assert not admissible_mask(torus, prime_coords(vs)).all()
-    direct, chars = c_chi_table(sp, torus, vs)
-    reduced, reduced_chars = c_chi_reduced(ms, torus, vs)
-    assert [chi.exponents for chi in reduced_chars] == [chi.exponents for chi in chars]
+    direct = c_chi_table(sp, torus, vs)
+    reduced = c_chi_reduced(ms, torus, vs)
+    assert direct.shape == reduced.shape == (torus.order, len(vs))
     assert np.abs(direct - reduced).max() < 1e-12
 
 
@@ -171,7 +171,7 @@ def test_reduced_equals_direct_sl2():
     sp, torus = setup(7, 1, ["inert"])
     ms = module_structure(torus)
     vs = list(all_nonzero_vectors(sp))
-    assert np.abs(c_chi_table(sp, torus, vs)[0] - c_chi_reduced(ms, torus, vs)[0]).max() < 1e-12
+    assert np.abs(c_chi_table(sp, torus, vs) - c_chi_reduced(ms, torus, vs)).max() < 1e-12
 
 
 @pytest.mark.parametrize("p", [3, 5])
@@ -186,8 +186,8 @@ def test_reduced_equals_direct_irreducible_sp4(p):
         v[i] = ctx.one
         vs.append(tuple(v))
     vs.append(tuple(ctx.el(k + 1) for k in range(4)))
-    d = c_chi_table(sp, torus, vs)[0]
-    r = c_chi_reduced(ms, torus, vs)[0]
+    d = c_chi_table(sp, torus, vs)
+    r = c_chi_reduced(ms, torus, vs)
     assert np.abs(d - r).max() < 1e-8 * math.sqrt(ctx.q**2)
 
 
@@ -209,10 +209,10 @@ def test_reduced_handles_product_torus():
         tuple([ctx.one, ctx.one, ctx.one, ctx.el(2)]),
     ]
     assert admissible_mask(torus, prime_coords(vs[1:])).tolist() == [False] * 3 + [True]
-    table, chars = c_chi_reduced(ms, torus, vs, dec.characters)
+    table = c_chi_reduced(ms, torus, vs, dec.characters)
     pis = [rep.pi_op((v, ctx.zero)) for v in vs]
     want = np.array([
-        [torus.order * np.trace(pi @ dec.projector(chi)) for pi in pis] for chi in chars
+        [torus.order * np.trace(pi @ B @ B.conj().T) for pi in pis] for B in dec.bases
     ])
     assert np.abs(table - want).max() < 1e-8
 
@@ -272,12 +272,12 @@ def test_bound_report_rows_match_the_table_entry_by_entry():
     vs = list(all_nonzero_vectors(sp))
     admissible = [v for v in vs if orbit_spans_space(sp, torus, v)]
     assert rpt.excluded == [v for v in vs if v not in admissible]
-    table, chars = c_chi_table(sp, torus, admissible)
+    table = c_chi_table(sp, torus, admissible)
     expected = []
-    for ci, chi in enumerate(chars):
+    for ci, chi in enumerate(torus_characters(torus).tolist()):
         for vi, v in enumerate(admissible):
             val = table[ci, vi]
-            expected.append({"chi": chi.exponents, "v": v, "re": val.real, "im": val.imag,
+            expected.append({"chi": tuple(chi), "v": v, "re": val.real, "im": val.imag,
                              "abs": abs(val), "ratio": abs(val) / rpt.bound})
     assert len(rpt.rows) == len(expected) and list(rpt.rows) == expected
     best = max(expected, key=lambda row: row["ratio"])
@@ -300,7 +300,7 @@ def test_triangle_sanity():
     """|c_chi| never exceeds the number of summands (unit modulus terms)."""
     sp, torus = setup(7, 1, ["inert"])
     vs = list(all_nonzero_vectors(sp))
-    table, _ = c_chi_table(sp, torus, vs)
+    table = c_chi_table(sp, torus, vs)
     assert np.abs(table).max() <= torus.order - 1 + 1e-9
 
 
@@ -320,7 +320,7 @@ def test_prime_power_base_field():
     ms = module_structure(torus2)
     chars = torus_characters(torus2)[:4]
     vs = [(ctx.one, ctx.zero, ctx.zero, ctx.zero)]
-    d = c_chi_table(sp2, torus2, vs, chars)[0]
-    r = c_chi_reduced(ms, torus2, vs, chars)[0]
+    d = c_chi_table(sp2, torus2, vs, chars)
+    r = c_chi_reduced(ms, torus2, vs, chars)
     assert np.abs(d - r).max() < 1e-9
     assert np.abs(d).max() <= 2 * math.sqrt(81) + 1e-8

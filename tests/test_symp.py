@@ -40,6 +40,25 @@ def sl2(p):
     return SympSpace(FieldCtx(p), 1)
 
 
+def test_trace_gram_is_built_once_per_space(monkeypatch):
+    """The F_p Gram matrix of Tr omega is the space's read-only attribute:
+    the character kernel and the symplectic test read it and build none."""
+    from weilrep import heiwei, symp
+
+    sp = SympSpace(FieldCtx(3, 2), 2)
+    assert np.array_equal(sp.trace_gram, symp.trace_form_gram(sp.ctx, sp.gram))
+    assert not sp.trace_gram.flags.writeable
+    torus = build_maximal_torus(sp, ["irreducible2"])
+
+    def rebuilt(*args):
+        raise AssertionError("trace_form_gram called again")
+
+    monkeypatch.setattr(symp, "trace_form_gram", rebuilt)
+    monkeypatch.setattr(heiwei, "trace_form_gram", rebuilt)
+    assert len(heiwei.character_forms(sp, torus.stack)[0]) == torus.order
+    assert not len(symp.symplectic_failures(sp, torus.stack))
+
+
 def test_linalg_basics():
     F7 = FieldCtx(7)
     A = [[F7.el(1), F7.el(2)], [F7.el(3), F7.el(4)]]
