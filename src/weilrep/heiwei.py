@@ -37,8 +37,8 @@ symplectic test of the whole stack (``symp.symplectic_failures``);
 Self-reducibility runs through the same kernel: ``restrict_to_extension``
 compares the trace on the torus with the product of the traces on the
 blocks' own tori over their fields (``SympModuleStructure.block_tori``),
-and builds its global test operators with ``weil_ops``, one chunk at a
-time.
+and builds its global test operators and each block's with ``weil_ops``,
+one call per chunk, keeping none past the chunk.
 """
 
 from __future__ import annotations
@@ -469,10 +469,14 @@ def restrict_to_extension(rep: WeilRep, ms, n_samples: int = 50, seed: int = 0):
     torus element's blocks are computed once.  The global test operators
     come from one embedded F_p stack (``embed_sl2_stack``) through
     ``rep.weil_ops``, one chunk of ``op_chunks`` at a time, and are not kept
-    in ``rep``'s cache; each block operator is one ``weil_op`` call on its
-    block representation.  The traces and forms of all
-    torus elements come from one ``torus_character_forms`` call, and those of
-    each block's torus (``SympModuleStructure.block_tori``) from one more.
+    in ``rep``'s cache.  Each block's operators of the same chunk come from
+    one ``weil_ops`` call on its block representation, on the
+    ``restrict_scalars`` stack of the chunk's block matrices; they replace
+    that representation's cache, which the per-element ``weil_op`` reads
+    are served from, so it never holds more than one chunk.  The traces
+    and forms of all torus elements come from one ``torus_character_forms``
+    call, and those of each block's torus
+    (``SympModuleStructure.block_tori``) from one more.
     The sigma identity compares, at every element with g - 1 invertible,
     the global trace with the product of the block traces; the psi identity
     compares, at each standard basis vector e_i, the whole row of the
@@ -525,6 +529,13 @@ def restrict_to_extension(rep: WeilRep, ms, n_samples: int = 50, seed: int = 0):
     stack = ms.embed_sl2_stack(test_elements)
     max_dist = 0.0
     for chunk in op_chunks(len(test_elements), rep.dim):
+        # each block's operators of the chunk from one weil_ops call, kept
+        # as its cache for this chunk only: the reads below stay weil_op
+        # calls, which the benchmark's seed test spies on
+        for i, (blk, bar_rep) in enumerate(zip(blocks, bar_reps)):
+            mats = [gb[i] for gb in test_elements[chunk]]
+            ops = bar_rep.weil_ops(restrict_scalars(blk.field, mats))
+            bar_rep._cache = dict(zip(map(la.freeze, mats), ops))
         for gb, big in zip(test_elements[chunk], rep.weil_ops(stack[chunk])):
             bar = None
             for bar_rep, mat2 in zip(bar_reps, gb):

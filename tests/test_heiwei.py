@@ -621,6 +621,60 @@ def test_restrict_to_extension_builds_its_operators_in_chunks_and_caches_none(mo
     assert rep._cache == {}
 
 
+#: the number of chunks of seven operators of the operator tests: one block
+#: over GF(9), two blocks (the np.kron path), one block over GF(81)
+CHUNKED_CASES = {"irreducible2-q3": 9, "split+inert-q5": 11, "sp4-gf9": 19}
+
+
+@pytest.mark.parametrize("name", list(CHUNKED_CASES))
+def test_restrict_to_extension_builds_block_operators_in_chunks(name, monkeypatch):
+    """With chunks of seven operators, each block representation gets one
+    weil_ops call per chunk, of that chunk's length; its weil_op reads are
+    all served from the cache, which never holds more than one chunk."""
+    rep, ms = _restrict_case(name)
+    n_tests = RESTRICT_COUNTS[name][2]
+    monkeypatch.setattr(heiwei, "OP_CHUNK_ENTRIES", 7 * rep.dim**2)
+    chunks = heiwei.op_chunks(n_tests, rep.dim)
+    assert len(chunks) == CHUNKED_CASES[name]
+    real_ops, real_op = WeilRep.weil_ops, WeilRep.weil_op
+    batches, reads = {}, {}
+
+    def spy_ops(self, stack):
+        if self is not rep:
+            assert len(self._cache) <= 7
+            batches.setdefault(id(self), []).append(len(stack))
+        return real_ops(self, stack)
+
+    def spy_op(self, g):
+        assert la.freeze(g) in self._cache
+        before = len(self._cache)
+        op = real_op(self, g)
+        assert len(self._cache) == before <= 7
+        reads[id(self)] = reads.get(id(self), 0) + 1
+        return op
+
+    monkeypatch.setattr(WeilRep, "weil_ops", spy_ops)
+    monkeypatch.setattr(WeilRep, "weil_op", spy_op)
+    restrict_to_extension(rep, ms, n_samples=50, seed=0)
+    assert len(batches) == len(ms.blocks)
+    for lengths in batches.values():
+        assert lengths == [len(range(n_tests)[c]) for c in chunks]
+    assert reads == dict.fromkeys(batches, n_tests)
+
+
+@pytest.mark.parametrize("name", list(CHUNKED_CASES))
+def test_restrict_to_extension_reports_match_the_omega_bar_path_over_several_chunks(
+    name, monkeypatch
+):
+    """The bit-for-bit match with the omega_bar path, whose block operators
+    are one weil_op call each, holds when the operator tests run in chunks
+    of seven operators."""
+    rep, _ = _restrict_case(name)
+    monkeypatch.setattr(heiwei, "OP_CHUNK_ENTRIES", 7 * rep.dim**2)
+    assert len(heiwei.op_chunks(RESTRICT_COUNTS[name][2], rep.dim)) == CHUNKED_CASES[name]
+    test_restrict_to_extension_reports_match_the_omega_bar_path(name)
+
+
 #: product tori: every two-block kind of Sp(4) at p = 5, 7, the cat4
 #: centralizer tori (split+inert) at p = 11, 19 and the Sp(6) seed's at p = 5
 BLOCK_TRACE_CASES = (
