@@ -98,21 +98,6 @@ def vec_dot(ctx, u, v):
     return acc
 
 
-def mat_pow(ctx, A, e: int):
-    n = len(A)
-    result = identity(ctx, n)
-    base = [row[:] for row in A]
-    if e < 0:
-        base = inv(ctx, base)
-        e = -e
-    while e:
-        if e & 1:
-            result = mat_mul(ctx, result, base)
-        base = mat_mul(ctx, base, base)
-        e >>= 1
-    return result
-
-
 def mat_eval_poly(ctx, f, A):
     """f(A) for a coefficient list f (constant term first)."""
     n = len(A)
@@ -277,17 +262,29 @@ def matrix_min_poly(ctx, A, unit=None):
 
     ``unit`` (default the identity) is the identity of a subalgebra holding
     A, such as an idempotent e with A = e A; the powers are then unit A^k and
-    the result is the minimal polynomial of A within that subalgebra."""
+    the result is the minimal polynomial of A within that subalgebra.
+
+    One incremental elimination: each new power, flattened, is reduced
+    against the earlier ones, each kept as (pivot, reduced row, the
+    combination of powers it is).  The first power that reduces to zero
+    gives the dependency, its carried combination."""
     n = len(A)
-    vecs = []  # flattened powers of A
+    rows = []
     cur = identity(ctx, n) if unit is None else unit
-    for _ in range(n * n + 1):
-        vecs.append([x for row in cur for x in row])
-        # first dependency: solve vecs[:-1]^T c = vecs[-1]
-        if len(vecs) > 1:
-            c = solve(ctx, transpose(vecs[:-1]), vecs[-1])
-            if c is not None:
-                return [ctx.neg(ci) for ci in c] + [ctx.one]
+    for k in range(n * n + 1):
+        v = [x for row in cur for x in row]
+        comb = [ctx.zero] * k + [ctx.one]  # v as a combination of the powers
+        for pivot, r, c in rows:
+            f = v[pivot]
+            if f != ctx.zero:
+                v = [ctx.sub(a, ctx.mul(f, b)) for a, b in zip(v, r)]
+                for i, b in enumerate(c):
+                    comb[i] = ctx.sub(comb[i], ctx.mul(f, b))
+        pivot = next((i for i, x in enumerate(v) if x != ctx.zero), None)
+        if pivot is None:
+            return comb
+        scale = ctx.inv(v[pivot])
+        rows.append((pivot, [ctx.mul(scale, x) for x in v], [ctx.mul(scale, x) for x in comb]))
         cur = mat_mul(ctx, cur, A)
     raise RuntimeError("no minimal polynomial found")  # pragma: no cover
 

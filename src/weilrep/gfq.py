@@ -381,6 +381,13 @@ def subfield_embedding(small: FieldCtx, big: FieldCtx) -> SubfieldEmbedding:
     return SubfieldEmbedding(small, big)
 
 
+@lru_cache(maxsize=None)
+def extension_field(p: int, m: int) -> FieldCtx:
+    """GF(p^m) with the default modulus, one instance per process: the
+    search for its modulus and for its generator runs once per field."""
+    return FieldCtx(p, m)
+
+
 # -- generic polynomials over a FieldCtx --------------------------------------
 # Coefficient lists, constant term first; [] is the zero polynomial.
 
@@ -627,8 +634,8 @@ def factor_poly(ctx, f):
 
     Distinct-degree splitting, then seeded equal-degree splitting; every
     factor is re-checked irreducible.  ValueError unless f is monic,
-    squarefree and of degree >= 1: callers with repeated factors test
-    ``is_squarefree`` first.
+    squarefree and of degree >= 1: a caller whose input may have repeated
+    factors turns that ValueError into its own error.
     """
     f = poly_trim(ctx, list(f))
     if poly_deg(f) < 1:

@@ -13,8 +13,8 @@ to exponent tuples directly.
 In the module structure every block field K_alpha is a plain FieldCtx, so
 one arithmetic serves all fields; a block keeps only what the field cannot
 know, the F_q-linear isomorphism ``ModBlock.mat`` onto its matrices, the
-relative trace down to F_q, and the integer matrices of its coordinates
-v_alpha = x E + y F on F_p coordinates.
+form omega_bar as one integer tensor on F_p coordinates, and the integer
+matrices of its coordinates v_alpha = x E + y F read from that tensor.
 """
 
 from __future__ import annotations
@@ -418,7 +418,7 @@ def _norm_one_block_generator(space: SympSpace, d: int):
     """Generator of the norm-one group of GF(q^(2d)) / GF(q^d) realized as a
     2d x 2d symplectic matrix in standard local coordinates."""
     ctx = space.ctx
-    big = FieldCtx(ctx.p, ctx.m * 2 * d)
+    big = gfq.extension_field(ctx.p, ctx.m * 2 * d)
     emb = gfq.subfield_embedding(ctx, big)
     Q = ctx.q**d
     c = big.pow(big.generator, Q - 1)  # order exactly Q + 1
@@ -497,12 +497,25 @@ def build_maximal_torus(space: SympSpace, kind) -> Torus:
 
 
 def _assert_order(ctx, g, order):
-    ident = la.identity(ctx, len(g))
-    if la.mat_pow(ctx, g, order) != ident:
+    """AssertionError unless g^order = I and g^(order/r) != I for every
+    prime r | order, by repeated squaring of the F_p matrix of g
+    (``restrict_scalars``)."""
+    R = restrict_scalars(ctx, [g])[0]
+    ident = np.eye(len(R), dtype=np.int64)
+
+    def is_identity(e):
+        acc, base = ident, R
+        while e:
+            if e & 1:
+                acc = acc @ base % ctx.p
+            base = base @ base % ctx.p
+            e >>= 1
+        return np.array_equal(acc, ident)
+
+    if not is_identity(order):
         raise AssertionError("generator order too large")
-    for r, _ in factorize(order):
-        if la.mat_pow(ctx, g, order // r) == ident:
-            raise AssertionError("generator order too small")
+    if any(is_identity(order // r) for r, _ in factorize(order)):
+        raise AssertionError("generator order too small")
 
 
 # -- centralizer tori ---------------------------------------------------------
@@ -576,9 +589,10 @@ def centralizer_torus(space: SympSpace, A) -> Torus:
     A = la.thaw(A)
     assert_symplectic(space, A, "centralizer input")
     cp = la.charpoly(ctx, A)
-    if not gfq.is_squarefree(ctx, cp):
-        raise ValueError("degenerate centralizer: characteristic polynomial not squarefree")
-    factors = gfq.factor_poly(ctx, cp)
+    try:
+        factors = gfq.factor_poly(ctx, cp)
+    except ValueError:
+        raise ValueError("degenerate centralizer: characteristic polynomial not squarefree") from None
     classes = _pair_factor_classes(ctx, factors)
     generators, orders, infos = [], [], []
     x = [ctx.zero, ctx.one]
@@ -655,12 +669,14 @@ def torus_idempotents(torus: Torus):
     for gkey in torus.generators:
         g = la.thaw(gkey)
         mp = la.matrix_min_poly(ctx, g)
-        if not gfq.is_squarefree(ctx, mp):
-            raise RuntimeError("torus generator is not semisimple")
+        try:
+            factors = gfq.factor_poly(ctx, mp)
+        except ValueError:
+            raise RuntimeError("torus generator is not semisimple") from None
         idems = [
             (la.mat_eval_poly(ctx, _crt_lift_general(ctx, mp, {tuple(f): [ctx.one]}), g),
              gfq.poly_deg(f))
-            for f in gfq.factor_poly(ctx, mp)
+            for f in factors
         ]
         pieces = [
             (la.mat_mul(ctx, E, e), math.lcm(deg, d)) for E, deg in pieces for e, d in idems
@@ -669,51 +685,36 @@ def torus_idempotents(torus: Torus):
     return pieces
 
 
-def centralizer_algebra(space: SympSpace, mats):
-    """Basis of the algebra of matrices commuting with every matrix in
-    ``mats``, as a list of matrices: the test oracle of the line test in
-    ``module_structure``."""
-    ctx = space.ctx
-    n = space.dim
-    rows = []
-    for g in mats:
-        g = la.thaw(g)
-        for i in range(n):
-            for j in range(n):
-                row = [ctx.zero] * (n * n)
-                for k in range(n):
-                    row[k * n + j] = ctx.add(row[k * n + j], g[i][k])
-                    row[i * n + k] = ctx.sub(row[i * n + k], g[k][j])
-                rows.append(row)
-    basis = la.nullspace(ctx, rows)
-    return [[vec[i * n : (i + 1) * n] for i in range(n)] for vec in basis]
-
-
 # -- module structure ----------------------------------------------------------
 
 
 class ModBlock:
     """One summand V_alpha of the module structure.
 
-    Its field K_alpha is a FieldCtx (``field``); ``mat`` is the F_q-linear
-    ring isomorphism from K_alpha onto the block's fixed algebra, the only
-    link between field elements and matrices.  The block also holds the
-    distinguished K-basis (E, F) with omega_bar(E, F) = 1.
+    Its field K_alpha is a FieldCtx (``field``, from
+    ``gfq.extension_field``); ``mat`` is the F_q-linear ring isomorphism
+    from K_alpha onto the block's fixed algebra, the only link between field
+    elements and matrices.  The block also holds the distinguished K-basis
+    (E, F) with omega_bar(E, F) = 1.
 
-    The coordinates v_alpha = x E + y F are read through two integer
-    matrices on F_p coordinates, by the restriction of scalars of
-    ``heiwei.prime_coords`` (power-basis coefficient k of component i at
-    i*m + k; for (x, y), the coefficients of x and then those of y):
-    ``to_coords`` (2 [K:F_p] x 2N m) sends v to (x, y) and is built from
-    ``omega_bar`` on the F_p basis of V; ``from_coords_mat`` (2N m x
-    2 [K:F_p]) sends (x, y) back to x E + y F and is built from the
-    power-basis matrices applied to E and F.  ``omega_bar`` stays their
-    definition.  ``trace_gram`` is the F_p Gram matrix of
-    (u, v) -> Tr_{K/F_p} omega_bar(u_alpha, v_alpha); the validation of the
-    module structure fills it."""
+    omega_bar is one integer tensor ``omega_tensor`` on the F_p coordinates
+    c of ``heiwei.prime_coords`` (power-basis coefficient k of component i
+    at i*m + k): coefficient j of omega_bar(u, v) is
+    c(u) . omega_tensor[j] . c(v) mod p (``_omega_bar_tensor``).  Every map
+    of the block is read from it on the whole F_p basis at once:
+    ``to_coords`` (2 [K:F_p] x 2N m) sends v to the coordinates (x, y) of
+    v_alpha = x E + y F, the coefficients of x and then those of y, as the
+    rows omega_bar(., F) and omega_bar(E, .); ``from_coords_mat``
+    (2N m x 2 [K:F_p]) sends (x, y) back to x E + y F, from the F_p matrices
+    of mat(x^k) applied to E and F.  ``field_traces`` [r, j] is
+    Tr_{K/F_p}(x^r x^j), x^r the power basis of GF(q) in K_alpha, and
+    ``trace_gram``, the F_p Gram matrix of
+    (u, v) -> Tr_{K/F_p} omega_bar(u_alpha, v_alpha), is its row r = 0
+    applied to the tensor; the validation of the module structure fills
+    it."""
 
     def __init__(self, space, idempotent, field, powers, v_basis, name):
-        ctx = space.ctx
+        ctx, p = space.ctx, space.ctx.p
         self.space = space
         self.idempotent = idempotent
         self.field = field
@@ -723,30 +724,27 @@ class ModBlock:
         self._powers = powers  # mat(x^k) for the power basis x^k of K_alpha
         # Tr_{K/F_p}(x^k x^l) and its inverse, which recovers omega_bar from
         # its F_p traces
-        xs = [field.from_int(field.p**k) for k in range(field.m)]
+        xs = [field.from_int(p**k) for k in range(field.m)]
         gram = [[field.trace_to_prime(field.mul(a, b)) for b in xs] for a in xs]
         self._trace_dual = la.inv(field.prime_field, gram)
-        self._half = ctx.inv(ctx.el(2))
+        emb = gfq.subfield_embedding(ctx, field)
+        base = [field.serialize(emb.up(ctx.from_int(p**r))) for r in range(ctx.m)]
+        self.field_traces = np.array(base, dtype=np.int64) @ np.array(gram, dtype=np.int64) % p
+        R = restrict_scalars(ctx, powers)
+        self.omega_tensor = _omega_bar_tensor(space, R, self._trace_dual)
         E = v_basis[0]
-        F = None
         for cand in v_basis[1:]:
             c = self.omega_bar(E, cand)
             if c != field.zero:
                 F = la.mat_vec(ctx, self.mat(field.inv(c)), cand)
                 break
-        if F is None:  # pragma: no cover - nondegeneracy of omega_bar
+        else:  # pragma: no cover - nondegeneracy of omega_bar
             raise ValueError("no symplectic partner in block")
         self.E = E
         self.F = F
-        if self.omega_bar(self.E, self.F) != field.one:
-            raise RuntimeError("symplectic partner is not normalized")
-        cols = []
-        for e in _prime_basis(ctx, space.dim):
-            e = self.project(e)
-            cols.append(field.serialize(self.omega_bar(e, F)) + field.serialize(self.omega_bar(E, e)))
-        self.to_coords = np.array(cols, dtype=np.int64).T
-        images = [la.mat_vec(ctx, X, w) for w in (E, F) for X in powers]
-        self.from_coords_mat = np.array(images, dtype=np.int64).reshape(len(images), -1).T
+        cE, cF = (np.asarray(w, dtype=np.int64).reshape(-1) for w in (E, F))
+        self.to_coords = np.concatenate([self.omega_tensor @ cF, cE @ self.omega_tensor]) % p
+        self.from_coords_mat = np.concatenate([R @ cE, R @ cF]).T % p
         self.trace_gram = None
 
     def mat(self, a):
@@ -755,25 +753,13 @@ class ModBlock:
         coeffs = [ctx.el(c) for c in self.field.serialize(a)]
         return _span_matrices(ctx, [coeffs], self._powers, self.space.dim)[0]
 
-    def trace(self, a):
-        """Tr_{K_alpha / F_q}(a): half the trace of mat(a), since V_alpha is
-        free of rank 2 over K_alpha."""
-        ctx = self.space.ctx
-        return ctx.mul(self._half, la.trace(ctx, self.mat(a)))
-
-    def project(self, v):
-        return la.mat_vec(self.space.ctx, la.thaw(self.idempotent), v)
-
     def omega_bar(self, u, v):
-        """The K_alpha-valued form: the w in K_alpha with
-        Tr_{K/F_q}(a w) = omega(mat(a) u, v) for every a, found from its
-        F_p traces against the power basis of K_alpha."""
-        ctx = self.space.ctx
-        traces = [
-            ctx.trace_to_prime(self.space.omega(la.mat_vec(ctx, X, u), v))
-            for X in self._powers
-        ]
-        return self.field.el(la.mat_vec(self.field.prime_field, self._trace_dual, traces))
+        """The K_alpha-valued form, the w in K_alpha with
+        Tr_{K/F_q}(a w) = omega(mat(a) u, v) for every a, read from
+        ``omega_tensor`` at the F_p coordinates of u and v."""
+        p = self.field.p
+        cu, cv = (np.asarray(w, dtype=np.int64).reshape(-1) for w in (u, v))
+        return self.field.el(self.omega_tensor @ cv % p @ cu % p)
 
     def coords_sl2(self, v):
         """(x, y) in K_alpha with v_alpha = x E + y F, through ``to_coords``."""
@@ -797,16 +783,19 @@ class ModBlock:
         return ((a, b), (c, d))
 
 
-def _prime_basis(ctx, n):
-    """The F_p basis of GF(q)^n in the order of the F_p coordinates: the
-    vector at position i*m + k has component i = x^k, the others 0."""
-    out = []
-    for i in range(n):
-        for k in range(ctx.m):
-            v = [ctx.zero] * n
-            v[i] = ctx.from_int(ctx.p**k)
-            out.append(v)
-    return out
+def _omega_bar_tensor(space, R, trace_dual) -> np.ndarray:
+    """The tensor of omega_bar on F_p coordinates, shape
+    ([K:F_p], 2N m, 2N m): Omega[j] = sum_k D[j, k] R_k^T G mod p, for R_k
+    the F_p matrix (``restrict_scalars``) of mat(x^k), G the F_p Gram
+    matrix of Tr omega (``SympSpace.trace_gram``) and D = ``trace_dual``.
+    c(u) . R_k^T G . c(v) is Tr omega(mat(x^k) u, v), which is
+    Tr_{K/F_p}(x^k omega_bar(u, v)), and D turns these traces into the
+    power-basis coefficients of omega_bar(u, v).  Each Omega[j] is
+    supported on the block: mat(x^k) is, and the symplectic transpose fixes
+    the block idempotent."""
+    p = space.ctx.p
+    RtG = np.swapaxes(R, 1, 2) @ space.trace_gram % p
+    return np.einsum("jk,kst->jst", np.array(trace_dual, dtype=np.int64), RtG) % p
 
 
 def _unflat(ctx, c):
@@ -847,34 +836,6 @@ class SympModuleStructure:
         """``embed_sl2_stack`` of one tuple, read back over GF(q): column j m
         of the F_p matrix is column j of the GF(q) matrix."""
         return la.thaw(field_matrix_keys(self.space.ctx, self.embed_sl2_stack([g_blocks]))[0])
-
-    def sl2_generators(self):
-        """Generators of prod SL(2, K_alpha) as block tuples, for embedding
-        tests: elementary unipotents over the power basis of each K_alpha
-        plus the Weyl element."""
-        gens = []
-        for i, blk in enumerate(self.blocks):
-            K = blk.field
-            for k in range(K.m):
-                xk = K.from_int(K.p**k)
-                for mat2 in (
-                    ((K.one, xk), (K.zero, K.one)),
-                    ((K.one, K.zero), (xk, K.one)),
-                ):
-                    gens.append(self._one_block(i, mat2))
-            weyl = ((K.zero, K.one), (K.neg(K.one), K.zero))
-            gens.append(self._one_block(i, weyl))
-        return gens
-
-    def _one_block(self, i, mat2):
-        out = []
-        for j, blk in enumerate(self.blocks):
-            K = blk.field
-            if j == i:
-                out.append(mat2)
-            else:
-                out.append(((K.one, K.zero), (K.zero, K.one)))
-        return tuple(out)
 
     def trace_gram(self):
         """The F_p Gram matrix of (u, v) -> sum over the blocks of
@@ -1009,12 +970,13 @@ def _block_field(ctx, unit, theta, minpoly, n):
     generated by theta, whose minimal polynomial there, of degree d, is
     ``minpoly``.
 
-    The field is GF(q^d) with the default modulus (the base field itself
-    when d = 1).  The isomorphism sends theta to the least-encoding root of
+    The field is GF(q^d) with the default modulus, from
+    ``gfq.extension_field`` (the base field itself when d = 1).  The
+    isomorphism sends theta to the least-encoding root of
     its minimal polynomial, and is GF(q)-linear through
     ``gfq.subfield_embedding``."""
     d = gfq.poly_deg(minpoly)
-    K = ctx if d == 1 else FieldCtx(ctx.p, ctx.m * d)
+    K = ctx if d == 1 else gfq.extension_field(ctx.p, ctx.m * d)
     emb = gfq.subfield_embedding(ctx, K)
     root = gfq.poly_roots(K, [emb.up(c) for c in minpoly])[0]
     theta_pows, root_pows = [unit], [K.one]
@@ -1035,37 +997,40 @@ def _block_field(ctx, unit, theta, minpoly, n):
 
 
 def _validate_module_structure(ms: SympModuleStructure):
+    """Three identities of the blocks' omega_bar tensors, each on every pair
+    of F_p basis vectors at once; AssertionError names the one that fails.
+
+    - (E, F) is a K-basis of each block: ``to_coords`` reads back the (x, y)
+      of x E + y F.
+    - The relative traces of omega_bar sum to omega over GF(q): for each
+      x^r of the power basis of GF(q), the ``field_traces`` row r applied to
+      the tensors gives Tr_{K/F_p}(x^r omega_bar) = Tr(x^r Tr_{K/F_q}
+      omega_bar), and the sum over the blocks must be the Gram matrix of
+      Tr(x^r omega).  Row r = 0 of each block fills its ``trace_gram``.
+    - omega_bar is invariant under every torus generator g:
+      R_g^T Omega[j] R_g = Omega[j] for the F_p matrix R_g of g."""
     space = ms.space
-    ctx = space.ctx
-    basis = _prime_basis(ctx, space.dim)
-    # Tr(omega_bar) recovers omega on every pair of F_p basis vectors; the
-    # F_p traces of the same omega_bar values fill each block's trace_gram
+    ctx, p = space.ctx, space.ctx.p
     for blk in ms.blocks:
-        blk.trace_gram = np.zeros((len(basis), len(basis)), dtype=np.int64)
-    for s, u in enumerate(basis):
-        for t, v in enumerate(basis):
-            acc = ctx.zero
-            for blk in ms.blocks:
-                ob = blk.omega_bar(blk.project(u), blk.project(v))
-                acc = ctx.add(acc, blk.trace(ob))
-                blk.trace_gram[s, t] = blk.field.trace_to_prime(ob)
-            if acc != space.omega(u, v):
-                raise AssertionError("trace of omega_bar does not recover omega")
-    # omega_bar is invariant under every torus generator
-    for gkey in ms.torus.generators:
-        g = la.thaw(gkey)
-        for blk in ms.blocks:
-            for u in blk.v_basis:
-                for v in blk.v_basis:
-                    lhs = blk.omega_bar(la.mat_vec(ctx, g, u), la.mat_vec(ctx, g, v))
-                    if lhs != blk.omega_bar(u, v):
-                        raise AssertionError("omega_bar is not torus-invariant")
-    # V_alpha is free of rank 2 over K_alpha via the (E, F) basis: reading
-    # the coordinates of x E + y F gives back (x, y)
-    for blk in ms.blocks:
-        round_trip = blk.to_coords @ blk.from_coords_mat % ctx.p
+        round_trip = blk.to_coords @ blk.from_coords_mat % p
         if not np.array_equal(round_trip, np.eye(len(round_trip), dtype=np.int64)):
             raise AssertionError("(E, F) is not a K-basis of the block")
+    total = 0
+    for blk in ms.blocks:
+        traced = np.einsum("rj,jst->rst", blk.field_traces, blk.omega_tensor) % p
+        blk.trace_gram = traced[0]
+        total = total + traced
+    want = [
+        trace_form_gram(ctx, [[ctx.mul(ctx.from_int(p**r), x) for x in row] for row in space.gram])
+        for r in range(ctx.m)
+    ]
+    if not np.array_equal(total % p, want):
+        raise AssertionError("trace of omega_bar does not recover omega")
+    gens = restrict_scalars(ctx, ms.torus.generators)[:, None]
+    for blk in ms.blocks:
+        moved = np.swapaxes(gens, 2, 3) @ (blk.omega_tensor @ gens % p) % p
+        if (moved != blk.omega_tensor).any():
+            raise AssertionError("omega_bar is not torus-invariant")
 
 
 # -- symplectic rank -----------------------------------------------------------

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from test_catmap import SP6_SEED
-from test_symp import _coords_by_omega_bar, _embed_sl2_by_columns
+from test_symp import _coords_by_omega_bar, _embed_sl2_by_columns, _omega_bar_oracle, _prime_basis
 
 from weilrep import fqlin as la
 from weilrep import heiwei
@@ -431,14 +431,13 @@ def _restrict_case(name):
 def _dense_intertwiner(rep, ms, bar_reps):
     """The intertwiner as the dense average of q^(2N) outer products of the
     columns of pi(v, 0) and of the Kronecker product of the block operators,
-    block coordinates read off omega_bar."""
+    block coordinates read off the omega_bar oracle."""
     ctx = rep.ctx
 
     def bar_pi_of_v(v):
         out = None
         for blk, bar_rep in zip(ms.blocks, bar_reps):
-            w = blk.project(list(v))
-            x, y = blk.omega_bar(w, blk.F), blk.omega_bar(blk.E, w)
+            x, y = _coords_by_omega_bar(blk, list(v))
             op = bar_rep.pi_op(((x, y), blk.field.zero))
             out = op if out is None else np.kron(out, op)
         return out
@@ -460,7 +459,8 @@ def _dense_intertwiner(rep, ms, bar_reps):
 
 def _restrict_by_omega_bar(rep, ms, n_samples, seed):
     """restrict_to_extension with every block coordinate, psi identity and
-    embedding read off omega_bar one vector at a time, and the character
+    embedding read off the trace-and-solve omega_bar oracle of the tests
+    (``_omega_bar_oracle``) one vector at a time, and the character
     forms from ``_character_form_oracle``; the intertwiner is
     ``_intertwiner``, checked against ``_dense_intertwiner`` on its own.  A
     psi check is the whole row at e_col: its entry at every F_p basis
@@ -484,10 +484,9 @@ def _restrict_by_omega_bar(rep, ms, n_samples, seed):
     # sum over the blocks of Tr_{K/F_p} omega_bar on the F_p basis vectors:
     # by F_p-bilinearity, the form at (M e_col, u_j) is a row of coordinates
     # times this matrix
-    basis = symp._prime_basis(ctx, n)
+    basis = _prime_basis(ctx, n)
     bar_gram = np.array([
-        [sum(blk.field.trace_to_prime(blk.omega_bar(blk.project(u), blk.project(v))) for blk in blocks)
-         for v in basis]
+        [sum(blk.field.trace_to_prime(_omega_bar_oracle(blk, u, v)) for blk in blocks) for v in basis]
         for u in basis
     ])
     for gkey in ms.torus.elements:
@@ -536,7 +535,9 @@ def test_trace_gram_matches_the_omega_bar_sums(name):
     """The summed block Gram matrix gives, at every torus element g and
     column, the sum over the blocks of Tr_{K/F_p} omega_bar(M e_col, e_col)
     with M = (g - I)^(-1), and on random pairs the sum over the blocks of
-    their omega_bar traces; each block's Gram matrix gives its own.  The
+    their omega_bar traces, both from the trace-and-solve oracle, not from
+    the tensor the Gram matrices come from; each block's Gram matrix gives
+    its own.  The
     random pairs matter: a split torus element is diagonal on its block,
     so omega(M e_col, e_col) = 0 there and the columns alone cannot tell
     whether the block was summed."""
@@ -551,8 +552,7 @@ def test_trace_gram_matches_the_omega_bar_sums(name):
             v = [ctx.one if i == col else ctx.zero for i in range(n)]
             w = la.mat_vec(ctx, M, v)
             want = sum(
-                blk.field.trace_to_prime(blk.omega_bar(blk.project(w), blk.project(v)))
-                for blk in ms.blocks
+                blk.field.trace_to_prime(_omega_bar_oracle(blk, w, v)) for blk in ms.blocks
             ) % ctx.p
             cw, cv = prime_coords([w, v])
             assert cw @ gram @ cv % ctx.p == want
@@ -560,10 +560,7 @@ def test_trace_gram_matches_the_omega_bar_sums(name):
     for _ in range(20):
         u, v = ([ctx.from_int(rng.randrange(ctx.q)) for _ in range(n)] for _ in range(2))
         cu, cv = prime_coords([u, v])
-        traces = [
-            blk.field.trace_to_prime(blk.omega_bar(blk.project(u), blk.project(v)))
-            for blk in ms.blocks
-        ]
+        traces = [blk.field.trace_to_prime(_omega_bar_oracle(blk, u, v)) for blk in ms.blocks]
         assert cu @ gram @ cv % ctx.p == sum(traces) % ctx.p
         for blk, tr in zip(ms.blocks, traces):
             assert cu @ blk.trace_gram @ cv % ctx.p == tr

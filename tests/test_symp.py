@@ -1,5 +1,7 @@
 """Symplectic spaces, tori, centralizers, and module structures."""
 
+import dataclasses
+import functools
 import itertools
 import math
 import random
@@ -10,7 +12,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from weilrep import fqlin as la
-from weilrep import gfq
+from weilrep import gfq, symp
 from weilrep.catmap import CAT4_DEFAULT, LatticeAutomorphism, is_integer_symplectic, primes_up_to
 from weilrep.cli import SL2_KINDS, SP4_KINDS
 from weilrep.gfq import FieldCtx, factorize, poly_from_ints
@@ -21,7 +23,6 @@ from weilrep.symp import (
     SympSpace,
     Torus,
     build_maximal_torus,
-    centralizer_algebra,
     centralizer_torus,
     is_symplectic,
     module_structure,
@@ -38,6 +39,38 @@ from weilrep.symp import (
 
 def sl2(p):
     return SympSpace(FieldCtx(p), 1)
+
+
+def _mat_pow(ctx, A, e):
+    """A^e for e >= 0 by square and multiply over GF(q) lists, the oracle
+    of the order check on the F_p matrix."""
+    result, base = la.identity(ctx, len(A)), la.thaw(A)
+    while e:
+        if e & 1:
+            result = la.mat_mul(ctx, result, base)
+        base = la.mat_mul(ctx, base, base)
+        e >>= 1
+    return result
+
+
+def centralizer_algebra(space, mats):
+    """Basis of the algebra of matrices commuting with every matrix in
+    ``mats``, as a list of matrices: the oracle of the line test in
+    ``module_structure``."""
+    ctx = space.ctx
+    n = space.dim
+    rows = []
+    for g in mats:
+        g = la.thaw(g)
+        for i in range(n):
+            for j in range(n):
+                row = [ctx.zero] * (n * n)
+                for k in range(n):
+                    row[k * n + j] = ctx.add(row[k * n + j], g[i][k])
+                    row[i * n + k] = ctx.sub(row[i * n + k], g[k][j])
+                rows.append(row)
+    basis = la.nullspace(ctx, rows)
+    return [[vec[i * n : (i + 1) * n] for i in range(n)] for vec in basis]
 
 
 def test_trace_gram_is_built_once_per_space(monkeypatch):
@@ -92,6 +125,65 @@ def test_min_poly_of_companion_is_charpoly():
     F5 = FieldCtx(5)
     A = [[F5.zero, F5.el(-2)], [F5.one, F5.el(3)]]
     assert la.matrix_min_poly(F5, A) == la.charpoly(F5, A)
+
+
+def _min_poly_by_solve(ctx, A, unit=None):
+    """The oracle of ``fqlin.matrix_min_poly``: at each degree, a fresh
+    solve of the new power over all the earlier ones."""
+    n = len(A)
+    vecs = []  # flattened powers of A
+    cur = la.identity(ctx, n) if unit is None else unit
+    for _ in range(n * n + 1):
+        vecs.append([x for row in cur for x in row])
+        if len(vecs) > 1:
+            c = la.solve(ctx, la.transpose(vecs[:-1]), vecs[-1])
+            if c is not None:
+                return [ctx.neg(ci) for ci in c] + [ctx.one]
+        cur = la.mat_mul(ctx, cur, A)
+    raise AssertionError("no minimal polynomial")
+
+
+def _random_invertible(ctx, n, rng):
+    while True:
+        P = [[ctx.from_int(rng.randrange(ctx.q)) for _ in range(n)] for _ in range(n)]
+        if la.det(ctx, P) != ctx.zero:
+            return P
+
+
+@pytest.mark.parametrize("p,m", [(3, 1), (5, 1), (7, 1), (3, 2), (5, 2), (3, 3)],
+                         ids=["3", "5", "7", "9", "25", "27"])
+def test_min_poly_matches_the_solve_at_every_degree(p, m):
+    """The incremental elimination gives the polynomial of a fresh solve
+    per degree, for n <= 4: on random matrices, on conjugates of diagonal
+    matrices with repeated eigenvalues (minimal polynomial of lower degree
+    than the characteristic one), on nilpotent and scalar matrices, and
+    within the subalgebra of an idempotent."""
+    ctx = FieldCtx(p, m)
+    rng = random.Random(p * 10 + m)
+    degrees = set()
+    for n in range(1, 5):
+        for _ in range(4):
+            P = _random_invertible(ctx, n, rng)
+            P_inv = la.inv(ctx, P)
+            vals = [ctx.from_int(rng.randrange(min(ctx.q, 2))) for _ in range(n)]
+            D = [[vals[i] if i == j else ctx.zero for j in range(n)] for i in range(n)]
+            upper = [[ctx.from_int(rng.randrange(ctx.q)) if j > i else ctx.zero for j in range(n)]
+                     for i in range(n)]
+            # an idempotent of rank ceil(n/2), the unit of the subalgebra e M e
+            e = la.mat_mul(ctx, P, la.mat_mul(ctx, [[ctx.one if i == j < (n + 1) // 2 else ctx.zero
+                                                     for j in range(n)] for i in range(n)], P_inv))
+            B = [[ctx.from_int(rng.randrange(ctx.q)) for _ in range(n)] for _ in range(n)]
+            for A, unit in (
+                (B, None),
+                (la.mat_mul(ctx, P, la.mat_mul(ctx, D, P_inv)), None),
+                (upper, None),
+                ([[ctx.el(3) if i == j else ctx.zero for j in range(n)] for i in range(n)], None),
+                (la.mat_mul(ctx, e, la.mat_mul(ctx, B, e)), e),
+            ):
+                want = _min_poly_by_solve(ctx, A, unit)
+                assert la.matrix_min_poly(ctx, A, unit) == want
+                degrees.add(gfq.poly_deg(want))
+    assert degrees == {1, 2, 3, 4}
 
 
 def test_gram_validation():
@@ -307,9 +399,9 @@ def assert_centralizer_invariants(sp, A, torus):
     for gkey, order, e in zip(torus.generators, torus.orders, idems):
         g = la.thaw(gkey)
         assert is_symplectic(sp, g)
-        assert la.mat_pow(ctx, g, order) == ident
+        assert _mat_pow(ctx, g, order) == ident
         for r, _ in factorize(order):
-            assert la.mat_pow(ctx, g, order // r) != ident
+            assert _mat_pow(ctx, g, order // r) != ident
         off_block = [[ctx.sub(a, b) for a, b in zip(ra, rb)] for ra, rb in zip(ident, e)]
         assert la.mat_mul(ctx, g, off_block) == off_block
     total = zero
@@ -377,6 +469,31 @@ def test_centralizer_rejects_non_regular():
     ctx = sp.ctx
     with pytest.raises(ValueError):
         centralizer_torus(sp, la.identity(ctx, 2))
+
+
+def test_centralizer_refuses_a_characteristic_polynomial_with_a_repeated_factor():
+    """The one squarefree test inside ``gfq.factor_poly`` becomes the
+    centralizer's own error: a transvection and -I have characteristic
+    polynomial (x - 1)^2 and (x + 1)^2."""
+    sp = sl2(7)
+    ctx = sp.ctx
+    minus_I = [[ctx.el(-1), ctx.zero], [ctx.zero, ctx.el(-1)]]
+    for A in (transvection(sp, [ctx.one, ctx.zero], ctx.one), minus_I):
+        with pytest.raises(ValueError, match="^degenerate centralizer: characteristic polynomial not squarefree$"):
+            centralizer_torus(sp, A)
+
+
+def test_torus_idempotents_refuse_a_generator_that_is_not_semisimple():
+    """A unipotent generator, minimal polynomial (x - 1)^2, is refused with
+    the layer's own error, not the ValueError of ``gfq.factor_poly``."""
+    sp = sl2(5)
+    ctx = sp.ctx
+    u = transvection(sp, [ctx.one, ctx.zero], ctx.one)
+    torus = Torus(sp, [la.freeze(u)], [5], [BlockInfo("split", 1, 5)])
+    assert torus.order == 5
+    for build in (symp.torus_idempotents, module_structure):
+        with pytest.raises(RuntimeError, match="^torus generator is not semisimple$"):
+            build(torus)
 
 
 def test_centralizer_equals_brute_force_commutant_in_sp():
@@ -503,7 +620,8 @@ def test_module_structure_sl2_split_is_base_field():
     for i in range(2):
         for j in range(2):
             ob = blk.omega_bar(I[i], I[j])
-            assert blk.trace(ob) == sp.omega(I[i], I[j])
+            assert ob == _omega_bar_oracle(blk, I[i], I[j])
+            assert _relative_trace(blk, ob) == sp.omega(I[i], I[j])
 
 
 def test_module_structure_inert_sl2_f5():
@@ -547,7 +665,7 @@ def test_module_structure_requires_maximal_torus():
 def _squares_subgroup(torus):
     """The subgroup generated by the squares of the torus generators."""
     ctx = torus.space.ctx
-    gens = [la.freeze(la.mat_pow(ctx, la.thaw(g), 2)) for g in torus.generators]
+    gens = [la.freeze(_mat_pow(ctx, g, 2)) for g in torus.generators]
     return Torus(torus.space, gens, [o // 2 for o in torus.orders], torus.blocks)
 
 
@@ -561,7 +679,7 @@ def test_module_structure_is_refused_exactly_when_the_commutant_is_too_big():
     for p in (3, 5):
         for N, kinds in ((1, SL2_KINDS), (2, SP4_KINDS)):
             sp = SympSpace(FieldCtx(p), N)
-            minus_I = la.freeze(la.mat_pow(sp.ctx, sp.gram, 2))  # J^2 = -I
+            minus_I = la.freeze(_mat_pow(sp.ctx, sp.gram, 2))  # J^2 = -I
             tori.append((Torus(sp, [minus_I], [2], [BlockInfo("split", 1, 2)]), False))
             for kind in kinds:
                 torus = build_maximal_torus(sp, kind)
@@ -584,13 +702,30 @@ def test_module_structure_is_refused_exactly_when_the_commutant_is_too_big():
     assert outcomes == {True, False}
 
 
+def _sl2_generators(ms):
+    """Generators of prod SL(2, K_alpha) as block tuples: on one block an
+    elementary unipotent over the power basis of K_alpha or the Weyl
+    element, the identity on the others."""
+    ones = [((blk.field.one, blk.field.zero), (blk.field.zero, blk.field.one)) for blk in ms.blocks]
+    gens = []
+    for i, blk in enumerate(ms.blocks):
+        K = blk.field
+        mats = []
+        for k in range(K.m):
+            xk = K.from_int(K.p**k)
+            mats += [((K.one, xk), (K.zero, K.one)), ((K.one, K.zero), (xk, K.one))]
+        mats.append(((K.zero, K.one), (K.neg(K.one), K.zero)))
+        gens += [tuple(ones[:i] + [mat2] + ones[i + 1 :]) for mat2 in mats]
+    return gens
+
+
 def test_sl2_embedding_lands_in_sp():
     """Every K-linear symplectomorphism embeds into Sp(V, omega)."""
     for p, kind, N in [(3, ["irreducible2"], 2), (5, ["split", "inert"], 2), (7, ["inert"], 1)]:
         sp = SympSpace(FieldCtx(p), N)
         torus = build_maximal_torus(sp, kind)
         ms = module_structure(torus)
-        for gb in ms.sl2_generators():
+        for gb in _sl2_generators(ms):
             g = ms.embed_sl2(gb)
             assert is_symplectic(sp, g)
 
@@ -750,8 +885,8 @@ def test_block_mat_is_a_ring_isomorphism_onto_the_fixed_algebra(p, m, kind):
             scaled = [[ctx.mul(c, x) for x in row] for row in blk.mat(a)]
             assert blk.mat(K.mul(emb.up(c), a)) == scaled
             # the relative trace is GF(q)-linear and Tr(1) = d
-            assert blk.trace(K.add(a, b)) == ctx.add(blk.trace(a), blk.trace(b))
-        assert blk.trace(K.one) == ctx.el(blk.degree)
+            assert _relative_trace(blk, K.add(a, b)) == ctx.add(_relative_trace(blk, a), _relative_trace(blk, b))
+        assert _relative_trace(blk, K.one) == ctx.el(blk.degree)
 
 
 def test_module_structure_sp6_irreducible_degree_3():
@@ -797,10 +932,50 @@ def _random_vector(ctx, n, rng):
     return [ctx.from_int(rng.randrange(ctx.q)) for _ in range(n)]
 
 
+def _project(blk, v):
+    """v_alpha, by the block idempotent."""
+    return la.mat_vec(blk.space.ctx, la.thaw(blk.idempotent), v)
+
+
+def _prime_basis(ctx, n):
+    """The F_p basis of GF(q)^n in the order of the F_p coordinates: the
+    vector at position i*m + k has component i = x^k, the others 0."""
+    out = []
+    for i in range(n):
+        for k in range(ctx.m):
+            v = [ctx.zero] * n
+            v[i] = ctx.from_int(ctx.p**k)
+            out.append(v)
+    return out
+
+
+def _relative_trace(blk, a):
+    """Tr_{K_alpha / F_q}(a): half the trace of mat(a), since V_alpha is free
+    of rank 2 over K_alpha."""
+    ctx = blk.space.ctx
+    return ctx.mul(ctx.inv(ctx.el(2)), la.trace(ctx, blk.mat(a)))
+
+
+@functools.lru_cache(maxsize=None)
+def _field_trace_gram(K):
+    xs = [K.from_int(K.p**k) for k in range(K.m)]
+    return [[K.trace_to_prime(K.mul(a, b)) for b in xs] for a in xs]
+
+
+def _omega_bar_oracle(blk, u, v):
+    """omega_bar(u_alpha, v_alpha) by trace and solve over GF(q) lists, the
+    oracle of the block's tensor: the w in K_alpha whose F_p traces
+    Tr_{K/F_p}(x^k w) are Tr omega(mat(x^k) u_alpha, v_alpha), solved
+    against Tr_{K/F_p}(x^k x^l) for the power basis x^k of K_alpha."""
+    ctx, K = blk.space.ctx, blk.field
+    u, v = _project(blk, u), _project(blk, v)
+    traces = [ctx.trace_to_prime(blk.space.omega(la.mat_vec(ctx, X, u), v)) for X in blk._powers]
+    return K.el(la.solve(K.prime_field, _field_trace_gram(K), traces))
+
+
 def _coords_by_omega_bar(blk, v):
-    """(x, y) with v_alpha = x E + y F, read off omega_bar."""
-    w = blk.project(v)
-    return blk.omega_bar(w, blk.F), blk.omega_bar(blk.E, w)
+    """(x, y) with v_alpha = x E + y F, read off the omega_bar oracle."""
+    return _omega_bar_oracle(blk, v, blk.F), _omega_bar_oracle(blk, blk.E, v)
 
 
 def _from_coords_by_mat(blk, x, y):
@@ -852,7 +1027,7 @@ def test_coordinate_maps_match_omega_bar(p, m, N, kind):
             v = _random_vector(ctx, sp.dim, rng)
             x, y = blk.coords_sl2(v)
             assert (x, y) == _coords_by_omega_bar(blk, v)
-            assert blk.from_coords(x, y) == blk.project(v)
+            assert blk.from_coords(x, y) == _project(blk, v)
             x, y = K.from_int(rng.randrange(K.q)), K.from_int(rng.randrange(K.q))
             assert blk.from_coords(x, y) == _from_coords_by_mat(blk, x, y)
             assert blk.coords_sl2(blk.from_coords(x, y)) == (x, y)
@@ -880,3 +1055,151 @@ def test_embed_sl2_matches_the_column_construction_and_is_a_homomorphism(p, m, N
             b, d = _coords_by_omega_bar(blk, la.mat_vec(sp.ctx, g, blk.F))
             want.append(((a, b), (c, d)))
         assert ms.torus_element_blocks(gkey) == tuple(want)
+
+
+@pytest.mark.parametrize("p,m,N,kind", MAP_CASES)
+def test_omega_bar_tensor_matches_the_trace_and_solve_oracle(p, m, N, kind):
+    """On every pair of F_p basis vectors, and on random pairs left
+    unprojected, omega_bar read from the tensor is the oracle's value, and
+    each block's trace_gram entry is its absolute trace."""
+    sp, ms = _map_case(p, m, N, kind)
+    ctx = sp.ctx
+    basis = _prime_basis(ctx, sp.dim)
+    rng = random.Random(p * 100 + m * 10 + N + 2)
+    for blk in ms.blocks:
+        K = blk.field
+        assert blk.omega_tensor.shape == (K.m, sp.dim * ctx.m, sp.dim * ctx.m)
+        for s, u in enumerate(basis):
+            for t, v in enumerate(basis):
+                ob = blk.omega_bar(u, v)
+                assert ob == _omega_bar_oracle(blk, u, v)
+                assert blk.trace_gram[s, t] == K.trace_to_prime(ob)
+        for _ in range(10):
+            u, v = _random_vector(ctx, sp.dim, rng), _random_vector(ctx, sp.dim, rng)
+            assert blk.omega_bar(u, v) == _omega_bar_oracle(blk, u, v)
+
+
+# -- each identity of the module-structure validation sees its own fault ---------
+
+MUTATION_CASES = [(3, 1, 2, ["irreducible2"]), (5, 1, 2, ["split", "inert"]), (3, 2, 2, ["irreducible2"])]
+MUTATION_IDS = ["irreducible2-q3", "split+inert-q5", "irreducible2-q9"]
+
+
+@pytest.mark.parametrize("p,m,N,kind", MUTATION_CASES, ids=MUTATION_IDS)
+def test_validation_sees_one_doctored_tensor_entry(p, m, N, kind, monkeypatch):
+    """One entry of each block's tensor moved by one before the partner F
+    and the coordinate maps are read from it: coefficient 0 at (a, a), a
+    the first F_p coordinate of E, so that omega_bar(E, E) is no longer 0
+    and the (E, F) round trip fails.  E is the first nonzero column of the
+    block idempotent, the F_p matrix R_0 of mat(1)."""
+    sp = SympSpace(FieldCtx(p, m), N)
+    torus = build_maximal_torus(sp, kind)
+    real = symp._omega_bar_tensor
+
+    def doctored(space, R, trace_dual):
+        out = real(space, R, trace_dual).copy()
+        cE = R[0][:, np.flatnonzero(R[0].any(axis=0))[0]]
+        a = np.flatnonzero(cE)[0]
+        out[0, a, a] = (out[0, a, a] + 1) % space.ctx.p
+        return out
+
+    monkeypatch.setattr(symp, "_omega_bar_tensor", doctored)
+    with pytest.raises(AssertionError, match=r"^\(E, F\) is not a K-basis of the block$"):
+        module_structure(torus)
+
+
+@pytest.mark.parametrize("p,m,N,kind", MUTATION_CASES, ids=MUTATION_IDS)
+def test_validation_sees_one_doctored_block_trace(p, m, N, kind):
+    """One entry of one block's field traces moved by one: the traces of
+    omega_bar no longer sum to omega.  The undoctored structure passes."""
+    sp = SympSpace(FieldCtx(p, m), N)
+    ms = module_structure(build_maximal_torus(sp, kind))
+    symp._validate_module_structure(ms)
+    for blk in ms.blocks:
+        for r, j in itertools.product(range(m), range(blk.field.m)):
+            saved = blk.field_traces
+            blk.field_traces = saved.copy()
+            blk.field_traces[r, j] = (saved[r, j] + 1) % p
+            with pytest.raises(AssertionError, match="^trace of omega_bar does not recover omega$"):
+                symp._validate_module_structure(ms)
+            blk.field_traces = saved
+    symp._validate_module_structure(ms)
+
+
+@pytest.mark.parametrize("p,m,N,kind", MUTATION_CASES, ids=MUTATION_IDS)
+def test_validation_sees_a_generator_from_outside_the_torus(p, m, N, kind):
+    """Each torus generator in turn replaced by a random symplectic matrix
+    outside the torus: omega_bar is not invariant under it."""
+    sp = SympSpace(FieldCtx(p, m), N)
+    ms = module_structure(build_maximal_torus(sp, kind))
+    rng = random.Random(p * 10 + m)
+    for k in range(len(ms.torus.generators)):
+        g = la.freeze(random_symplectic(sp, rng))
+        assert not ms.torus.contains(g)
+        gens = list(ms.torus.generators)
+        gens[k] = g
+        foreign = SympModuleStructure(dataclasses.replace(ms.torus, generators=gens), ms.blocks)
+        with pytest.raises(AssertionError, match="^omega_bar is not torus-invariant$"):
+            symp._validate_module_structure(foreign)
+
+
+def _order_verdict_by_lists(ctx, g, order):
+    """The message the order check raises, or None, from powers over GF(q)
+    lists: the oracle of ``symp._assert_order``."""
+    ident = la.identity(ctx, len(g))
+    if _mat_pow(ctx, g, order) != ident:
+        return "generator order too large"
+    if any(_mat_pow(ctx, g, order // r) == ident for r, _ in factorize(order)):
+        return "generator order too small"
+    return None
+
+
+@pytest.mark.parametrize(
+    "p,m,N,kind",
+    [(5, 1, 1, ["split"]), (5, 1, 2, ["split", "inert"]), (3, 1, 2, ["irreducible2"]),
+     (3, 1, 2, [("split", 2)]), (3, 2, 1, ["inert"]), (3, 2, 2, ["irreducible2"])],
+)
+def test_order_check_on_the_prime_field_matrix_matches_the_list_powers(p, m, N, kind):
+    """The order check by squaring the F_p matrix gives the verdict of the
+    GF(q) powers for the exact order n (passes), 2n (too small) and n/2
+    (too large)."""
+    sp = SympSpace(FieldCtx(p, m), N)
+    torus = build_maximal_torus(sp, kind)
+    for g, n in zip(torus.generators, torus.orders):
+        for declared, want in ((n, None), (2 * n, "generator order too small"),
+                               (n // 2, "generator order too large")):
+            assert _order_verdict_by_lists(sp.ctx, g, declared) == want
+            try:
+                symp._assert_order(sp.ctx, la.thaw(g), declared)
+                got = None
+            except AssertionError as exc:
+                got = str(exc)
+            assert got == want
+
+
+def test_extension_fields_are_built_once_per_process(monkeypatch):
+    """The norm-one generator's GF(q^(2d)) and the block field GF(q^d) come
+    from the one cached constructor: building the same module structure
+    twice searches for each modulus and each generator once."""
+    moduli, generators = [], []
+    real_find, real_generator = gfq.find_irreducible, gfq.FieldCtx.generator.fget
+
+    def find(ctx, d):
+        moduli.append((ctx.q, d))
+        return real_find(ctx, d)
+
+    def generator(ctx):
+        if ctx._generator is None:
+            generators.append(ctx.q)
+        return real_generator(ctx)
+
+    monkeypatch.setattr(gfq, "find_irreducible", find)
+    monkeypatch.setattr(gfq.FieldCtx, "generator", property(generator))
+    gfq.extension_field.cache_clear()
+    fields = []
+    for _ in range(2):
+        ms = module_structure(build_maximal_torus(SympSpace(FieldCtx(3), 2), ["irreducible2"]))
+        fields.append(ms.blocks[0].field)
+    assert fields[0] is fields[1] is gfq.extension_field(3, 2)
+    assert sorted(moduli) == [(3, 2), (3, 4)]
+    assert generators == [81]
