@@ -418,18 +418,19 @@ class HeckeContext:
         self.xi_orbit = np.full(len(self.v_index), -1, dtype=np.int64)
         self.xi_orbit[adm] = inverse
         reps = self.orbit_reps[:, None] // _index_places(p, A.N) % p
-        self.table = c_chi_table(self.space, self.torus, reps, self.characters) / self.torus.order
+        self.table = c_chi_table(self.space, self.torus, reps) / self.torus.order
         self._state_wigner = None
 
     def _check_generator_traces(self):
         rep = WeilRep(self.space)
         traces = weil_traces(self.torus)
-        position = {exps: i for i, exps in enumerate(self.torus.exponents)}
-        for k, (g, order) in enumerate(zip(self.torus.generators, self.torus.orders)):
+        orders = self.torus.orders
+        for k, (g, order) in enumerate(zip(self.torus.generators, orders)):
+            # g^j has exponent row j e_k, at row j * prod(orders[k+1:])
+            stride = math.prod(orders[k + 1 :])
             power = U = rep.weil_op(g)
             for j in range(1, order):
-                exps = tuple(j if i == k else 0 for i in range(len(self.torus.orders)))
-                if abs(np.trace(power) - traces[position[exps]]) > rep.tol:
+                if abs(np.trace(power) - traces[j * stride]) > rep.tol:
                     raise RuntimeError(f"generator {k} to the power {j} contradicts the character of rho")
                 power = power @ U
 
@@ -514,7 +515,7 @@ def statistical_state_experiment(A: LatticeAutomorphism, p: int, xi_max: int | N
     # these cut the eigenspaces, and the density operator of an eigenspace
     # is D = (1/m) sum of the P_chi, so Tr(D pi(v)) is a sum of table rows
     present = np.flatnonzero(hc.mults)
-    exps_A = np.array(hc.torus.index[hc.A_mod])
+    exps_A = hc.torus.exponents_of(hc.A_mod)
     orders = np.array(hc.torus.orders)
     L = math.lcm(*hc.torus.orders)
     phase_A = hc.characters[present] @ (exps_A * (L // orders)) % L

@@ -306,25 +306,7 @@ class FieldCtx:
         return self._psi_table[self.trace_to_prime(a)]
 
 
-# -- relative trace and norm, subfield embeddings ------------------------------
-
-
-def trace_norm(ctx_big: FieldCtx, ctx_small: FieldCtx, a):
-    """Relative trace and norm of ``a`` from ctx_big down to ctx_small.
-
-    Both results are returned as elements of the small field.
-    """
-    emb = subfield_embedding(ctx_small, ctx_big)
-    d = ctx_big.m // ctx_small.m
-    qs = ctx_small.q
-    tr = a
-    nm = a
-    cur = a
-    for _ in range(d - 1):
-        cur = ctx_big.pow(cur, qs)
-        tr = ctx_big.add(tr, cur)
-        nm = ctx_big.mul(nm, cur)
-    return emb.down(tr), emb.down(nm)
+# -- subfield embeddings -------------------------------------------------------
 
 
 class SubfieldEmbedding:

@@ -60,15 +60,6 @@ def max_abs(A) -> float:
     return float(np.max(np.abs(A))) if np.size(A) else 0.0
 
 
-def op_dist(A, B) -> float:
-    return max_abs(np.asarray(A) - np.asarray(B))
-
-
-def is_unitary(U, tol) -> bool:
-    U = np.asarray(U)
-    return op_dist(U @ U.conj().T, np.eye(U.shape[0])) <= tol
-
-
 def op_chunks(n: int, dim: int) -> list:
     """Slices of a stack of n operators of size dim x dim, each of at most
     OP_CHUNK_ENTRIES entries (and at least one operator)."""
@@ -136,13 +127,6 @@ def character_forms(space: SympSpace, stack):
     return scale * np.array([1, 1j, -1, -1j])[quarter], K, kappa, B
 
 
-def character_form(space: SympSpace, g):
-    """``character_forms`` of the one element g, given over GF(q): (trace,
-    K, kappa, B) with trace a complex number."""
-    trace, K, kappa, B = character_forms(space, restrict_scalars(space.ctx, [la.thaw(g)]))
-    return complex(trace[0]), K[0], kappa[0], B[0]
-
-
 def torus_character_forms(torus):
     """``character_forms`` of ``torus.stack``, from one kernel call per
     torus: the result is kept on the torus, which does not change once
@@ -151,30 +135,6 @@ def torus_character_forms(torus):
     if forms is None:
         forms = torus.character_forms = character_forms(torus.space, torus.stack)
     return forms
-
-
-# -- Heisenberg group ----------------------------------------------------------
-
-
-def heisenberg_compose(space: SympSpace, h1, h2):
-    """(v, z)(v', z') = (v + v', z + z' + (1/2) omega(v, v'))."""
-    ctx = space.ctx
-    v1, z1 = h1
-    v2, z2 = h2
-    v = tuple(ctx.add(a, b) for a, b in zip(v1, v2))
-    half = ctx.inv(ctx.el(2))
-    z = ctx.add(ctx.add(z1, z2), ctx.mul(half, space.omega(list(v1), list(v2))))
-    return (v, z)
-
-
-def heisenberg_identity(space: SympSpace):
-    return (tuple([space.ctx.zero] * space.dim), space.ctx.zero)
-
-
-def heisenberg_inverse(space: SympSpace, h):
-    ctx = space.ctx
-    v, z = h
-    return (tuple(ctx.neg(a) for a in v), ctx.neg(z))
 
 
 class WeilRep:
@@ -199,7 +159,6 @@ class WeilRep:
         self.dim = ctx.q**space.N
         self.tol = tol if tol is not None else 1e-9 * self.dim
         self._cache = {}
-        self._half = ctx.inv(ctx.el(2))
         p = ctx.p
         self.psi_pow = np.exp(2j * np.pi * np.arange(p) / p)
         # component tuples of L = GF(q)^N, indexed by base-q encodings
@@ -217,9 +176,6 @@ class WeilRep:
         self.psi_mat = self.psi_pow[dot_idx]
         self.half_ab_idx = (p + 1) // 2 * dot_idx % p  # [a_idx, b_idx]
 
-    def mul_half(self, a):
-        return self.ctx.mul(self._half, a)
-
     # -- vectors and indices ---------------------------------------------------
 
     def split_v(self, v):
@@ -228,11 +184,6 @@ class WeilRep:
     def v_index(self, v) -> int:
         a, b = self.split_v(v)
         return self._Lindex[a] * self.dim + self._Lindex[b]
-
-    def all_vectors(self):
-        for a in self._L:
-            for b in self._L:
-                yield a + b
 
     # -- Heisenberg operators ---------------------------------------------------
 
@@ -252,20 +203,6 @@ class WeilRep:
         return out
 
     # -- character formulas ------------------------------------------------------
-
-    def ch_rho(self, g) -> complex:
-        """Tr rho(g), for every g (``character_forms``)."""
-        return character_form(self.space, g)[0]
-
-    def ch_tau(self, g, h) -> complex:
-        """Character of the joint representation at (g, (v, z))."""
-        trace, K, _, B = character_form(self.space, g)
-        v, z = h
-        c = prime_coords([v])[0]
-        p = self.ctx.p
-        if (K @ c % p).any():
-            return 0j
-        return trace * self.psi_pow[((c @ B % p) @ c + self.ctx.psi_index(z)) % p]
 
     def char_phase_table(self, stack):
         """(trace, support, idx) of the characters over all of V of a stack
@@ -383,14 +320,6 @@ class WeilRep:
             out[:, ai * dim : (ai + 1) * dim] = T.T
         return out
 
-    def wigner(self, phi, v) -> complex:
-        """<phi | pi(v, 0) phi> for a unit vector phi."""
-        phi = np.asarray(phi, dtype=np.complex128)
-        if abs(np.linalg.norm(phi) - 1.0) > self.tol:
-            raise ValueError("wigner expects a unit vector")
-        h = (tuple(v), self.ctx.zero)
-        return complex(phi.conj() @ (self.pi_op(h) @ phi))
-
 
 def _standard_gram_cache(space):
     from .symp import standard_gram
@@ -465,8 +394,10 @@ def restrict_to_extension(rep: WeilRep, ms, n_samples: int = 50, seed: int = 0):
     block's FieldCtx, and block coordinates and test elements are elements
     of that field.  The block coordinates of every vector come from the
     blocks' integer coordinate maps (``ModBlock.to_coords``), the
-    intertwiner adds one entry per vector (``_intertwiner``), and each
-    torus element's blocks are computed once.  The global test operators
+    intertwiner adds one entry per vector (``_intertwiner``), and the
+    block matrices of all torus elements come from one integer product per
+    block on ``torus.stack`` (``SympModuleStructure.block_matrices``), in
+    the order of ``torus.exponents``.  The global test operators
     come from one embedded F_p stack (``embed_sl2_stack``) through
     ``rep.weil_ops``, one chunk of ``op_chunks`` at a time, and are not kept
     in ``rep``'s cache.  Each block's operators of the same chunk come from
@@ -505,10 +436,10 @@ def restrict_to_extension(rep: WeilRep, ms, n_samples: int = 50, seed: int = 0):
     # exact trace-level identities at every g with g - I invertible, where
     # K vanishes
     torus = ms.torus
-    element_blocks = [ms.torus_element_blocks(gkey) for gkey in torus.elements]
+    element_blocks = ms.block_matrices(torus.stack)
     trace, K, M, B = torus_character_forms(torus)
     kept = np.flatnonzero(~K.any(axis=(1, 2)))
-    J = np.array(torus.exponents, dtype=np.int64)[kept]
+    J = torus.exponents[kept]
     rhs = math.prod(torus_character_forms(T)[0][J[:, k]] for k, T in ms.block_tori())
     sigma_failures = int(np.count_nonzero(trace[kept] != rhs))
     # psi-level identity at the standard basis vectors e_i (F_p coordinate

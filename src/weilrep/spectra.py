@@ -2,14 +2,15 @@
 space and multiplicities.
 
 The character group of a torus with cyclic factor orders (n_1, ..., n_r)
-is the integer array of ``torus_characters``: one row of exponents
-(e_1, ..., e_r) per character, in ``Torus.exponents`` order.  The value of
-a row on the element with exponent tuple (j_1, ..., j_r) is the root of
-unity with phase sum e_k j_k / n_k.  A character is fixed by its values
-on the r generators, so the eigenspaces are the joint eigenspaces of the
-r generator Weil operators, found by simultaneous diagonalization;
-multiplicities are their dimensions.  The basis of each eigenspace is
-computed without forming its projector.
+is the integer array of ``torus_characters``, ``Torus.exponents`` itself:
+one row of exponents (e_1, ..., e_r) per character, and the same row
+(j_1, ..., j_r) names the element at that position of ``Torus.stack``.
+The value of a row on the element with exponent row (j_1, ..., j_r) is
+the root of unity with phase sum e_k j_k / n_k.  A character is fixed by
+its values on the r generators, so the eigenspaces are the joint
+eigenspaces of the r generator Weil operators, found by simultaneous
+diagonalization; multiplicities are their dimensions.  The basis of each
+eigenspace is computed without forming its projector.
 """
 
 from __future__ import annotations
@@ -23,9 +24,10 @@ from .symp import Torus
 
 
 def torus_characters(torus: Torus) -> np.ndarray:
-    """The full character group: one row of exponents per character, in
-    ``torus.exponents`` order (lexicographic in the exponents)."""
-    return np.array(torus.exponents, dtype=np.int64).reshape(torus.order, len(torus.orders))
+    """The full character group: one row of exponents per character, the
+    read-only array ``torus.exponents`` itself (character rows and element
+    rows share one lexicographic order)."""
+    return torus.exponents
 
 
 def character_values(torus: Torus, E: np.ndarray) -> np.ndarray:

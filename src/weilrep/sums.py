@@ -32,7 +32,7 @@ import numpy as np
 from . import fqlin as la
 from .heiwei import prime_coords, torus_character_forms
 from .spectra import character_values, torus_characters
-from .symp import SympSpace, Torus, torus_idempotents, trace_form_gram
+from .symp import SympSpace, Torus, field_matrix_keys, torus_idempotents, trace_form_gram
 
 
 def admissible_mask(torus: Torus, C) -> np.ndarray:
@@ -53,13 +53,11 @@ def admissible_mask(torus: Torus, C) -> np.ndarray:
     return ok
 
 
-def c_chi_table(space: SympSpace, torus: Torus, v_list, characters=None) -> np.ndarray:
+def c_chi_table(space: SympSpace, torus: Torus, v_list) -> np.ndarray:
     """Matrix of c_chi(v) over characters x vectors, one row per exponent
-    row of ``characters`` (default: all of ``spectra.torus_characters``),
-    from the coefficients of ``heiwei.torus_character_forms``; an element
-    whose term vanishes at every given vector is left out of the sum."""
-    if characters is None:
-        characters = torus_characters(torus)
+    row of ``spectra.torus_characters``, from the coefficients of
+    ``heiwei.torus_character_forms``; an element whose term vanishes at
+    every given vector is left out of the sum."""
     p = space.ctx.p
     psi_pow = np.exp(2j * np.pi * np.arange(p) / p)
     C = prime_coords(v_list)
@@ -77,11 +75,11 @@ def c_chi_table(space: SympSpace, torus: Torus, v_list, characters=None) -> np.n
         idx[lo : lo + step] = ((C @ B[part] % p) * C).sum(axis=2) % p
     terms = trace[kept, None] * psi_pow[idx]
     terms[~support[kept]] = 0
-    X = character_values(torus, characters)[:, kept]
+    X = character_values(torus, torus_characters(torus))[:, kept]
     return X.conj() @ terms
 
 
-def c_chi_reduced(ms, torus: Torus, v_list, characters=None) -> np.ndarray:
+def c_chi_reduced(ms, torus: Torus, v_list) -> np.ndarray:
     """The same table as ``c_chi_table``, computed blockwise: V = sum of the
     V_alpha and T = prod of the T_alpha of
     ``SympModuleStructure.block_tori``, so
@@ -92,7 +90,7 @@ def c_chi_reduced(ms, torus: Torus, v_list, characters=None) -> np.ndarray:
     coordinates of the vectors (one integer product with
     ``ModBlock.to_coords``), read at column k of the exponent rows, the
     exponent of chi on the generator k that moves the block."""
-    E = torus_characters(torus) if characters is None else characters
+    E = torus_characters(torus)
     C = prime_coords(v_list)
     p = torus.space.ctx.p
     return math.prod(
@@ -103,11 +101,12 @@ def c_chi_reduced(ms, torus: Torus, v_list, characters=None) -> np.ndarray:
 
 def orbit_spans_space(space: SympSpace, torus: Torus, v) -> bool:
     """Whether the torus orbit of v spans V (v avoids every proper invariant
-    subspace), by exact ranks: the test oracle of ``admissible_mask``."""
+    subspace), by exact ranks: the test oracle of ``admissible_mask``.
+    The torus elements are read back over GF(q) one at a time."""
     ctx = space.ctx
     rows = []
-    for g in torus.elements:
-        rows.append(la.mat_vec(ctx, la.thaw(g), list(v)))
+    for R in torus.stack:
+        rows.append(la.mat_vec(ctx, field_matrix_keys(ctx, R[None])[0], list(v)))
         if len(rows) % space.dim == 0 and la.rank(ctx, rows) == space.dim:
             return True
     return la.rank(ctx, rows) == space.dim
@@ -240,7 +239,7 @@ def bound_report(space: SympSpace, torus: Torus, v_list=None, seed: int = 0) -> 
     if not admissible:
         return report
     chars = torus_characters(torus)
-    table = c_chi_table(space, torus, admissible, chars)
+    table = c_chi_table(space, torus, admissible)
     report.rows = rows = SumRows(chars, admissible, table, report.bound)
     ci, vi = np.unravel_index(rows.ratios.argmax(), rows.ratios.shape)
     if rows.ratios[ci, vi] > 0:

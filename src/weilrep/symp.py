@@ -6,22 +6,27 @@ A torus here is always stored as a product of cyclic blocks, one per
 irreducible piece of the underlying module: a split block of degree d is a
 copy of GF(q^d)^* acting on a Lagrangian pair, an irreducible block of
 degree d is the norm-one group of GF(q^(2d)) over GF(q^d) acting by
-multiplication operators ("inert" for d = 1).  Elements are enumerated as
-generator powers, so character theory and spectral decompositions can refer
-to exponent tuples directly.
+multiplication operators ("inert" for d = 1).  A torus is its F_p stack:
+the F_p matrix (``restrict_scalars``) of every element, the generator-power
+products in the order of the integer exponent rows ``Torus.exponents``, so
+character theory and spectral decompositions refer to exponent rows
+directly.  A matrix over GF(q) is found in the torus by comparing its F_p
+matrix with the stack (``Torus.exponents_of``).
 
 In the module structure every block field K_alpha is a plain FieldCtx, so
 one arithmetic serves all fields; a block keeps only what the field cannot
 know, the F_q-linear isomorphism ``ModBlock.mat`` onto its matrices, the
 form omega_bar as one integer tensor on F_p coordinates, and the integer
-matrices of its coordinates v_alpha = x E + y F read from that tensor.
+matrices of its coordinates v_alpha = x E + y F read from that tensor.  The
+2 x 2 matrices over the K_alpha of a stack of torus elements come from one
+integer product per block (``SympModuleStructure.block_matrices``).
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -184,7 +189,8 @@ def trace_form_gram(ctx, A) -> np.ndarray:
 def field_matrix_keys(ctx, stack) -> list:
     """The frozen matrices over GF(p^m) (``fqlin.freeze`` layout) of a stack
     of F_p matrices from ``restrict_scalars``: column i*m of the F_p matrix
-    holds the coefficients of column i."""
+    holds the coefficients of column i.  A Python loop over every entry: the
+    kernels read the F_p stack itself."""
     n, m = stack.shape[1] // ctx.m, ctx.m
     cols = stack[:, :, ::m].tolist()
     if m == 1:
@@ -224,23 +230,23 @@ class BlockInfo:
 
 @dataclass
 class Torus:
+    """A product of cyclic groups in Sp(2N, GF(q)), one generator per block.
+
+    ``stack`` holds the F_p matrix (``restrict_scalars``) of every element,
+    shape (|T|, 2N m, 2N m), and row k of the int64 array ``exponents``,
+    shape (|T|, r), is the exponent row (j_1, ..., j_r) of stack member k,
+    the product of the generator powers g_i^(j_i).  The rows run in
+    ``itertools.product`` order, lexicographic in the exponents.  Both
+    arrays are read-only: the torus does not change once built.
+    ValueError unless the generators are independent, that is unless the
+    stack members are distinct."""
+
     space: SympSpace
     generators: list
     orders: list[int]
     blocks: list[BlockInfo]
-    elements: list = field(default_factory=list)
-    exponents: list = field(default_factory=list)
-    index: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        if not self.elements:
-            self._enumerate()
-
-    def _enumerate(self):
-        """Every element as a generator-power product, exponent tuples in
-        lexicographic order.  The products are taken on the F_p matrices
-        (``restrict_scalars``) of the whole group at once, kept as
-        ``stack``, and the frozen keys are read back from that stack."""
         ctx = self.space.ctx
         p = ctx.p
         s = self.space.dim * ctx.m
@@ -251,22 +257,27 @@ class Torus:
             for _ in range(order - 1):
                 powers.append(powers[-1] @ R % p)
             stack = (stack[:, None] @ np.stack(powers)[None] % p).reshape(-1, s, s)
-        self.stack = stack
-        self.elements = field_matrix_keys(ctx, stack)
-        self.exponents = list(itertools.product(*[range(o) for o in self.orders]))
-        self.index = dict(zip(self.elements, self.exponents))
-        if len(self.index) != len(self.elements):
+        if len({row.tobytes() for row in stack.reshape(len(stack), -1)}) != len(stack):
             raise ValueError("torus generators are not independent")
+        r = len(self.orders)
+        self.stack = stack
+        self.exponents = np.indices(self.orders, dtype=np.int64).reshape(r, -1).T
+        self.stack.setflags(write=False)
+        self.exponents.setflags(write=False)
 
     @property
     def order(self) -> int:
-        return len(self.elements)
+        return len(self.stack)
 
-    def identity_matrix(self):
-        return la.freeze(la.identity(self.space.ctx, self.space.dim))
-
-    def contains(self, mat) -> bool:
-        return la.freeze(mat) in self.index
+    def exponents_of(self, mat) -> np.ndarray:
+        """The exponent row of a matrix over GF(q) in the torus: the row of
+        ``exponents`` at the stack member equal to its F_p matrix.
+        KeyError when the matrix is not a torus element."""
+        R = restrict_scalars(self.space.ctx, [la.thaw(mat)])[0]
+        hits = np.flatnonzero((self.stack == R).all(axis=(1, 2)))
+        if not len(hits):
+            raise KeyError("matrix is not an element of the torus")
+        return self.exponents[hits[0]]
 
     def descriptor(self):
         return {
@@ -635,8 +646,10 @@ def centralizer_torus(space: SympSpace, A) -> Torus:
         orders.append(order)
         infos.append(BlockInfo(name, d, order, la.freeze(e)))
     torus = Torus(space, generators, orders, infos)
-    if not torus.contains(A):
-        raise AssertionError("input element missing from its own centralizer torus")
+    try:
+        torus.exponents_of(A)
+    except KeyError:
+        raise AssertionError("input element missing from its own centralizer torus") from None
     return torus
 
 
@@ -761,27 +774,6 @@ class ModBlock:
         cu, cv = (np.asarray(w, dtype=np.int64).reshape(-1) for w in (u, v))
         return self.field.el(self.omega_tensor @ cv % p @ cu % p)
 
-    def coords_sl2(self, v):
-        """(x, y) in K_alpha with v_alpha = x E + y F, through ``to_coords``."""
-        K = self.field
-        c = self.to_coords @ np.asarray(v, dtype=np.int64).reshape(-1) % K.p
-        return K.el(c[: K.m]), K.el(c[K.m :])
-
-    def from_coords(self, x, y):
-        """x E + y F, through ``from_coords_mat``."""
-        K = self.field
-        c = self.from_coords_mat @ np.array(K.serialize(x) + K.serialize(y)) % K.p
-        return _unflat(self.space.ctx, c)
-
-    def element_as_sl2(self, g):
-        """The 2 x 2 matrix over K_alpha of a block-preserving K-linear map."""
-        ctx = self.space.ctx
-        gE = la.mat_vec(ctx, g, self.E)
-        gF = la.mat_vec(ctx, g, self.F)
-        a, c = self.coords_sl2(gE)
-        b, d = self.coords_sl2(gF)
-        return ((a, b), (c, d))
-
 
 def _omega_bar_tensor(space, R, trace_dual) -> np.ndarray:
     """The tensor of omega_bar on F_p coordinates, shape
@@ -796,12 +788,6 @@ def _omega_bar_tensor(space, R, trace_dual) -> np.ndarray:
     p = space.ctx.p
     RtG = np.swapaxes(R, 1, 2) @ space.trace_gram % p
     return np.einsum("jk,kst->jst", np.array(trace_dual, dtype=np.int64), RtG) % p
-
-
-def _unflat(ctx, c):
-    """The vector over GF(p^m) with F_p coordinates c."""
-    m = ctx.m
-    return [ctx.el(c[i : i + m]) for i in range(0, len(c), m)]
 
 
 class SympModuleStructure:
@@ -832,21 +818,25 @@ class SympModuleStructure:
             total = total + blk.from_coords_mat @ (act @ blk.to_coords % p) % p
         return total % p
 
-    def embed_sl2(self, g_blocks):
-        """``embed_sl2_stack`` of one tuple, read back over GF(q): column j m
-        of the F_p matrix is column j of the GF(q) matrix."""
-        return la.thaw(field_matrix_keys(self.space.ctx, self.embed_sl2_stack([g_blocks]))[0])
-
     def trace_gram(self):
         """The F_p Gram matrix of (u, v) -> sum over the blocks of
         Tr_{K_alpha/F_p} omega_bar(u_alpha, v_alpha), on the F_p
         coordinates of ``ModBlock.to_coords``."""
         return sum(blk.trace_gram for blk in self.blocks) % self.space.ctx.p
 
-    def torus_element_blocks(self, g):
-        """Block 2 x 2 matrices over the K_alpha of a torus element."""
-        g = la.thaw(g)
-        return tuple(blk.element_as_sl2(g) for blk in self.blocks)
+    def block_matrices(self, stack) -> list:
+        """The 2 x 2 matrices over the K_alpha of a stack of torus elements
+        given by their F_p matrices (``Torus.stack`` layout), one tuple of
+        frozen block matrices per element.  For each block,
+        to_coords . R . from_coords_mat is the F_p matrix over K_alpha
+        (``restrict_scalars`` layout) of the action on (x, y) of
+        v_alpha = x E + y F, one integer product for the whole stack; its
+        columns 0 and [K_alpha:F_p] are (a, c) and (b, d)."""
+        p = self.space.ctx.p
+        return list(zip(*(
+            field_matrix_keys(blk.field, blk.to_coords @ stack @ blk.from_coords_mat % p)
+            for blk in self.blocks
+        )))
 
     def block_tori(self):
         """(k, T_alpha) for each block: the index k of the one torus
@@ -855,7 +845,7 @@ class SympModuleStructure:
         ValueError unless blocks and generators match one to one; this is
         the one place that pairs them."""
         torus = self.torus
-        gen_blocks = [self.torus_element_blocks(g) for g in torus.generators]
+        gen_blocks = self.block_matrices(restrict_scalars(self.space.ctx, torus.generators))
         out = []
         for i, blk in enumerate(self.blocks):
             K = blk.field
@@ -938,9 +928,9 @@ def module_structure(torus: Torus) -> SympModuleStructure:
         if len(v_basis) % 2:
             raise AssertionError("odd-dimensional block")
         d = len(v_basis) // 2
-        for gkey in torus.elements:
+        for R in torus.stack:
             # t + t^-1 is fixed by the symplectic transpose, which inverts t
-            g = la.thaw(gkey)
+            g = la.thaw(field_matrix_keys(ctx, R[None])[0])
             theta = la.mat_mul(ctx, e, la.mat_add(ctx, g, symplectic_transpose(space, g)))
             minpoly = la.matrix_min_poly(ctx, theta, unit=e)
             if gfq.poly_deg(minpoly) == d:

@@ -21,6 +21,7 @@ import random
 
 import numpy as np
 import pytest
+from test_heiwei import all_vectors, ch_rho, wigner
 
 from weilrep import fqlin as la
 from weilrep.catmap import (
@@ -190,7 +191,7 @@ def test_criterion_6_representation_invariants():
             if val > tol:
                 failures += 1
 
-        vs = list(rep.all_vectors())
+        vs = list(all_vectors(rep))
         for _ in range(100):
             g = random_symplectic(sp, rng)
             h = random_symplectic(sp, rng)
@@ -201,7 +202,7 @@ def test_criterion_6_representation_invariants():
             z = ctx.from_int(rng.randrange(ctx.q))
             gv = tuple(la.mat_vec(ctx, g, list(v)))
             track(max_abs(Rg @ rep.pi_op((v, z)) @ Rg.conj().T - rep.pi_op((gv, z))))
-            track(abs(np.trace(Rg) - rep.ch_rho(g)))
+            track(abs(np.trace(Rg) - ch_rho(rep, g)))
             v1 = vs[rng.randrange(len(vs))]
             v2 = vs[rng.randrange(len(vs))]
             inner = np.trace(
@@ -215,7 +216,7 @@ def test_criterion_6_representation_invariants():
                 [rng.gauss(0, 1) + 1j * rng.gauss(0, 1) for _ in range(rep.dim)]
             )
             phi /= np.linalg.norm(phi)
-            total = sum(abs(rep.wigner(phi, v)) ** 2 for v in vs)
+            total = sum(abs(wigner(rep, phi, v)) ** 2 for v in vs)
             track(abs(total - rep.dim) / rep.dim)
     report(
         "6 representation invariants",

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from test_symp import _element_keys
 
 from weilrep.catmap import (
     CAT2_DEFAULT,
@@ -345,7 +346,7 @@ def test_density_operators_commute_with_rho_A():
     import collections
 
     groups = collections.defaultdict(list)
-    exps_A = dense.torus.index[A_mod]
+    exps_A = dense.torus.exponents_of(A_mod)
     L = math.lcm(*dense.torus.orders)
     for s, chi in enumerate(dense.state_char):
         phase = sum(
@@ -372,9 +373,9 @@ def test_observable_bound_p7():
 
 
 def _vector_action(rep, mats):
-    """For each matrix g, the permutation v -> gv of the indices of
-    ``rep.all_vectors()``, found by lookup of the image rows."""
-    vs = list(rep.all_vectors())
+    """For each matrix g, the permutation v -> gv of the vector indices
+    a_idx * q^N + b_idx, found by lookup of the image rows."""
+    vs = [a + b for a in rep._L for b in rep._L]
     assert all(rep.v_index(v) == i for i, v in enumerate(vs))
     C = np.array(vs, dtype=np.int64)
     p = rep.ctx.p
@@ -426,7 +427,7 @@ def _statistical_row_from_table(hc, on_orbits=False):
     against the other."""
     dense = _dense(hc.A.mat, hc.p)
     table, weight = _dense_wigner(hc, on_orbits)
-    exps_A = hc.torus.index[hc.A_mod]
+    exps_A = hc.torus.exponents_of(hc.A_mod)
     L = math.lcm(*hc.torus.orders)
     groups = {}
     for s, chi in enumerate(dense.state_char):
@@ -493,7 +494,7 @@ def test_orbit_classes_are_closed_and_weighted_by_the_window(mat, p):
 
 def test_orbit_minima_match_the_orbit_over_every_torus_element():
     hc = HeckeContext(LatticeAutomorphism(CAT4_DEFAULT), 7)
-    perms = _vector_action(WeilRep(hc.space), hc.torus.elements)
+    perms = _vector_action(WeilRep(hc.space), _element_keys(hc.torus))
     assert np.array_equal(torus_orbit_minima(hc.torus), np.min(perms, axis=0))
 
 
@@ -668,7 +669,7 @@ def test_small_contexts_check_the_generator_traces(monkeypatch):
 
     def wrong_at_the_square(torus):
         traces = real(torus).copy()
-        traces[torus.exponents.index((2,))] *= -1
+        traces[np.ravel_multi_index((2,), torus.orders)] *= -1
         return traces
 
     monkeypatch.setattr(catmap, "weil_traces", wrong_at_the_square)

@@ -27,8 +27,23 @@ from weilrep.gfq import (
     poly_sub,
     reciprocal_dual,
     subfield_embedding,
-    trace_norm,
 )
+
+
+def trace_norm(ctx_big: FieldCtx, ctx_small: FieldCtx, a):
+    """Relative trace and norm of ``a`` from ctx_big down to ctx_small,
+    both as elements of the small field, from the Frobenius orbit of a."""
+    emb = subfield_embedding(ctx_small, ctx_big)
+    d = ctx_big.m // ctx_small.m
+    qs = ctx_small.q
+    tr = a
+    nm = a
+    cur = a
+    for _ in range(d - 1):
+        cur = ctx_big.pow(cur, qs)
+        tr = ctx_big.add(tr, cur)
+        nm = ctx_big.mul(nm, cur)
+    return emb.down(tr), emb.down(nm)
 
 
 def test_is_prime_small():

@@ -8,7 +8,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from test_catmap import SP6_SEED
-from test_symp import _coords_by_omega_bar, _embed_sl2_by_columns, _omega_bar_oracle, _prime_basis
+from test_symp import (
+    _coords_by_omega_bar,
+    _element_keys,
+    _embed_sl2_by_columns,
+    _omega_bar_oracle,
+    _prime_basis,
+)
 
 from weilrep import fqlin as la
 from weilrep import heiwei
@@ -17,12 +23,7 @@ from weilrep import symp
 from weilrep.catmap import CAT4_DEFAULT, LatticeAutomorphism
 from weilrep.heiwei import (
     WeilRep,
-    character_form,
     character_forms,
-    heisenberg_compose,
-    heisenberg_identity,
-    heisenberg_inverse,
-    is_unitary,
     _intertwiner,
     _random_sl2,
     max_abs,
@@ -47,6 +48,76 @@ from weilrep.symp import (
 
 def make_rep(p, N, m=1):
     return WeilRep(SympSpace(FieldCtx(p, m), N))
+
+
+# -- oracles: the Heisenberg group, unitarity and one-element characters -------
+
+
+def heisenberg_compose(space: SympSpace, h1, h2):
+    """(v, z)(v', z') = (v + v', z + z' + (1/2) omega(v, v'))."""
+    ctx = space.ctx
+    v1, z1 = h1
+    v2, z2 = h2
+    v = tuple(ctx.add(a, b) for a, b in zip(v1, v2))
+    z = ctx.add(ctx.add(z1, z2), mul_half(ctx, space.omega(list(v1), list(v2))))
+    return (v, z)
+
+
+def heisenberg_identity(space: SympSpace):
+    return (tuple([space.ctx.zero] * space.dim), space.ctx.zero)
+
+
+def heisenberg_inverse(space: SympSpace, h):
+    ctx = space.ctx
+    v, z = h
+    return (tuple(ctx.neg(a) for a in v), ctx.neg(z))
+
+
+def mul_half(ctx, a):
+    return ctx.mul(ctx.inv(ctx.el(2)), a)
+
+
+def is_unitary(U, tol) -> bool:
+    U = np.asarray(U)
+    return max_abs(U @ U.conj().T - np.eye(U.shape[0])) <= tol
+
+
+def all_vectors(rep: WeilRep):
+    """Every v = (a, b) of V, in the order a_idx * q^N + b_idx."""
+    for a in rep._L:
+        for b in rep._L:
+            yield a + b
+
+
+def character_form(space: SympSpace, g):
+    """``character_forms`` of the one element g, given over GF(q): (trace,
+    K, kappa, B) with trace a complex number."""
+    trace, K, kappa, B = character_forms(space, restrict_scalars(space.ctx, [la.thaw(g)]))
+    return complex(trace[0]), K[0], kappa[0], B[0]
+
+
+def ch_rho(rep: WeilRep, g) -> complex:
+    """Tr rho(g), for every g (``character_forms``)."""
+    return character_form(rep.space, g)[0]
+
+
+def ch_tau(rep: WeilRep, g, h) -> complex:
+    """Character of the joint representation at (g, (v, z))."""
+    trace, K, _, B = character_form(rep.space, g)
+    v, z = h
+    c = prime_coords([v])[0]
+    p = rep.ctx.p
+    if (K @ c % p).any():
+        return 0j
+    return trace * rep.psi_pow[((c @ B % p) @ c + rep.ctx.psi_index(z)) % p]
+
+
+def wigner(rep: WeilRep, phi, v) -> complex:
+    """<phi | pi(v, 0) phi> for a unit vector phi."""
+    phi = np.asarray(phi, dtype=np.complex128)
+    if abs(np.linalg.norm(phi) - 1.0) > rep.tol:
+        raise ValueError("wigner expects a unit vector")
+    return complex(phi.conj() @ (rep.pi_op((tuple(v), rep.ctx.zero)) @ phi))
 
 
 def test_heisenberg_compose_examples():
@@ -113,7 +184,7 @@ def test_pi_multiplication_rule():
         v = tuple(ctx.from_int(rng.randrange(5)) for _ in range(4))
         w = tuple(ctx.from_int(rng.randrange(5)) for _ in range(4))
         lhs = rep.pi_op((v, ctx.zero)) @ rep.pi_op((w, ctx.zero))
-        phase = ctx.psi(rep.mul_half(rep.space.omega(list(v), list(w))))
+        phase = ctx.psi(mul_half(rep.ctx, rep.space.omega(list(v), list(w))))
         vw = tuple(ctx.add(a, b) for a, b in zip(v, w))
         assert max_abs(lhs - phase * rep.pi_op((vw, ctx.zero))) < 1e-12
 
@@ -121,7 +192,7 @@ def test_pi_multiplication_rule():
 def test_operator_basis_orthogonality():
     rep = make_rep(5, 1)
     ctx = rep.ctx
-    vs = list(rep.all_vectors())
+    vs = list(all_vectors(rep))
     for v in vs:
         for w in vs:
             val = np.trace(rep.pi_op((v, ctx.zero)) @ rep.pi_op((w, ctx.zero)).conj().T)
@@ -134,12 +205,12 @@ def test_ch_rho_examples():
     ctx = rep.ctx
     g = [[ctx.el(2), ctx.zero], [ctx.zero, ctx.el(3)]]
     # det(g - I) = 1 * 2 = 2, sigma(-2) = sigma(3) = -1
-    assert rep.ch_rho(g) == -1
+    assert ch_rho(rep, g) == -1
     minus_I = [[ctx.el(-1), ctx.zero], [ctx.zero, ctx.el(-1)]]
     # sigma(-det(-2I)) = sigma(-4) = sigma(1) = +1
-    assert rep.ch_rho(minus_I) == 1
+    assert ch_rho(rep, minus_I) == 1
     # rank 0: Tr rho(I) = q^N
-    assert rep.ch_rho(la.identity(ctx, 2)) == 5
+    assert ch_rho(rep, la.identity(ctx, 2)) == 5
 
 
 def test_ch_tau_factors_central_part():
@@ -148,8 +219,8 @@ def test_ch_tau_factors_central_part():
     g = [[ctx.el(2), ctx.zero], [ctx.zero, ctx.el(3)]]
     zero_v = (ctx.zero, ctx.zero)
     for z in range(5):
-        val = rep.ch_tau(g, (zero_v, ctx.el(z)))
-        assert abs(val - rep.ch_rho(g) * ctx.psi(ctx.el(z))) < 1e-12
+        val = ch_tau(rep, g, (zero_v, ctx.el(z)))
+        assert abs(val - ch_rho(rep, g) * ctx.psi(ctx.el(z))) < 1e-12
 
 
 def test_weil_identity_and_minus_I():
@@ -186,7 +257,7 @@ def test_weil_invariants_sampled(p, N):
         gv = tuple(la.mat_vec(ctx, g, list(v)))
         egorov = Rg @ rep.pi_op((v, z)) @ Rg.conj().T - rep.pi_op((gv, z))
         assert max_abs(egorov) < rep.tol
-        assert abs(np.trace(Rg) - rep.ch_rho(g)) < rep.tol
+        assert abs(np.trace(Rg) - ch_rho(rep, g)) < rep.tol
 
 
 def weil_op_by_factorization(rep, g, rng):
@@ -219,14 +290,14 @@ def assert_matches_the_oracle(rep, g, rng):
     ctx = rep.ctx
     R = rep.weil_op(g)
     assert max_abs(R - weil_op_by_factorization(rep, g, rng)) < rep.tol
-    trace = rep.ch_rho(g)
+    trace = ch_rho(rep, g)
     assert abs(np.trace(R) - trace) < rep.tol
     for _ in range(3):
         u = [ctx.from_int(rng.randrange(ctx.q)) for _ in range(rep.space.dim)]
         gu = la.mat_vec(ctx, la.thaw(g), u)
         for v in (tuple(u), tuple(ctx.sub(a, b) for a, b in zip(gu, u))):
             h = (v, ctx.from_int(rng.randrange(ctx.q)))
-            assert abs(rep.ch_tau(g, h) - np.einsum("ij,ji->", R, rep.pi_op(h))) < rep.tol
+            assert abs(ch_tau(rep, g, h) - np.einsum("ij,ji->", R, rep.pi_op(h))) < rep.tol
     rank = f_p_rank(rep.space, g)
     assert abs(abs(trace) - rep.ctx.p ** ((rep.space.dim * rep.ctx.m - rank) / 2)) < rep.tol
     if rank % 2 and rep.ctx.p % 4 == 3:
@@ -330,10 +401,10 @@ def test_wigner_basics():
     phi = np.array([rng.random() + 1j * rng.random() for _ in range(5)])
     phi /= np.linalg.norm(phi)
     zero_v = (ctx.zero, ctx.zero)
-    assert abs(rep.wigner(phi, zero_v) - 1.0) < 1e-12
+    assert abs(wigner(rep, phi, zero_v) - 1.0) < 1e-12
     total = 0.0
-    for v in rep.all_vectors():
-        w = rep.wigner(phi, v)
+    for v in all_vectors(rep):
+        w = wigner(rep, phi, v)
         assert abs(w) <= 1 + 1e-12
         total += abs(w) ** 2
     # Parseval over the operator basis
@@ -352,7 +423,7 @@ def test_wigner_batch_matches_pointwise():
         for ai in range(7):
             for bi in range(7):
                 v = rep._L[ai] + rep._L[bi]
-                direct = rep.wigner(states[:, s], v)
+                direct = wigner(rep, states[:, s], v)
                 assert abs(batch[s, ai * 7 + bi] - direct) < 1e-10
 
 
@@ -446,7 +517,7 @@ def _dense_intertwiner(rep, ms, bar_reps):
     for i in range(rep.dim):
         for j in range(dim_bar):
             U = np.zeros((rep.dim, dim_bar), dtype=np.complex128)
-            for v in rep.all_vectors():
+            for v in all_vectors(rep):
                 big = rep.pi_op((v, ctx.zero))
                 U += np.outer(big[:, i], bar_pi_of_v(v)[:, j].conj())
             gram = U.conj().T @ U
@@ -489,8 +560,9 @@ def _restrict_by_omega_bar(rep, ms, n_samples, seed):
         [sum(blk.field.trace_to_prime(_omega_bar_oracle(blk, u, v)) for blk in blocks) for v in basis]
         for u in basis
     ])
-    for gkey in ms.torus.elements:
-        if gkey == ms.torus.identity_matrix():
+    identity = la.freeze(la.identity(ctx, n))
+    for gkey in _element_keys(ms.torus):
+        if gkey == identity:
             continue
         rhs = 1
         for blk, ((a, b), (c, d)) in zip(blocks, element_blocks(gkey)):
@@ -508,7 +580,7 @@ def _restrict_by_omega_bar(rep, ms, n_samples, seed):
             counts["pc"] += 1
             counts["pf"] += any(B[col * ctx.m] != (ctx.p + 1) // 2 * rhs_idx % ctx.p)
     rng = random.Random(seed)
-    tests = [element_blocks(gkey) for gkey in ms.torus.elements]
+    tests = [element_blocks(gkey) for gkey in _element_keys(ms.torus)]
     tests += [tuple(_random_sl2(blk.field, rng) for blk in blocks) for _ in range(n_samples)]
     max_dist = 0.0
     for gb in tests:
@@ -544,7 +616,7 @@ def test_trace_gram_matches_the_omega_bar_sums(name):
     rep, ms = _restrict_case(name)
     ctx, n = rep.ctx, rep.space.dim
     gram = ms.trace_gram()
-    for gkey in ms.torus.elements:
+    for gkey in _element_keys(ms.torus):
         sign, M, _ = _character_form_oracle(rep.space, gkey)
         if sign is None:
             continue
@@ -730,7 +802,7 @@ def _c_chi_table_oracle(space, torus, vectors):
     psi_pow = np.exp(2j * np.pi * np.arange(p) / p)
     C = prime_coords(vectors)
     kept, rows = [], []
-    for gi, g in enumerate(torus.elements):
+    for gi, g in enumerate(_element_keys(torus)):
         sign, _, B = _character_form_oracle(space, g)
         if sign is None:
             continue
@@ -789,7 +861,7 @@ def test_character_forms_are_bit_identical_to_the_per_element_loop(p, m, N, kind
     torus = build_maximal_torus(sp, kind)
     trace, K, kappa, B = character_forms(sp, torus.stack)
     s = 2 * N * m
-    for k, g in enumerate(torus.elements):
+    for k, g in enumerate(_element_keys(torus)):
         want_sign, want_M, want_B = _character_form_oracle(sp, g)
         one = character_form(sp, g)
         assert one[0] == trace[k]
@@ -826,7 +898,7 @@ def _phase_oracle(rep, g, vectors):
     idx = []
     for v in vectors:
         w = la.mat_vec(ctx, M, list(v))
-        idx.append(ctx.psi_index(rep.mul_half(space.omega(w, list(v)))))
+        idx.append(ctx.psi_index(mul_half(rep.ctx, space.omega(w, list(v)))))
     return sign, idx
 
 
@@ -864,7 +936,8 @@ def _mixed_elements(rep, rng):
     n = sp.dim
     minus_I = [[ctx.neg(ctx.one) if i == j else ctx.zero for j in range(n)] for i in range(n)]
     torus = build_maximal_torus(sp, ["inert"] if sp.N == 1 else ["split", "inert"])
-    elements = [rng.choice(torus.elements) for _ in range(2)]
+    keys = _element_keys(torus)
+    elements = [rng.choice(keys) for _ in range(2)]
     return ([la.identity(ctx, n), minus_I] + [la.thaw(g) for g in torus.generators + elements]
             + [random_symplectic(sp, rng) for _ in range(2)])
 
@@ -948,9 +1021,10 @@ def test_c_chi_table_phases_match_per_vector_oracle(p, m, N):
     table = c_chi_table(sp, torus, vs)
     X = character_values(torus, torus_characters(torus))
     terms = X.T @ table / torus.order  # row h: the term of torus element h
-    identity = torus.identity_matrix()
+    identity = la.freeze(la.identity(sp.ctx, 2 * N))
+    elements = _element_keys(torus)
     for h in sorted(rng.sample(range(torus.order), min(torus.order, 60))):
-        g = torus.elements[h]
+        g = elements[h]
         if g == identity:
             # Tr rho(I) pi(v, 0) is q^N at v = 0 and 0 elsewhere
             zero = tuple([sp.ctx.zero] * (2 * N))
@@ -977,7 +1051,7 @@ def _tables_oracle(rep):
             for u, v in zip(a, x):
                 d = ctx.add(d, ctx.mul(u, v))
             dot_idx[ai, xi] = ctx.psi_index(d)
-            half_idx[ai, xi] = ctx.psi_index(rep.mul_half(d))
+            half_idx[ai, xi] = ctx.psi_index(mul_half(rep.ctx, d))
     return shift, rep.psi_pow[dot_idx], half_idx.T
 
 

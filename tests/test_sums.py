@@ -5,7 +5,7 @@ import random
 
 import numpy as np
 import pytest
-from test_heiwei import weil_op_by_factorization
+from test_heiwei import weil_op_by_factorization, wigner
 
 from weilrep.gfq import FieldCtx
 from weilrep.heiwei import WeilRep, prime_coords
@@ -63,7 +63,7 @@ def test_c_chi_equals_torus_times_wigner():
             continue
         phi = B[:, 0]
         for vi, v in enumerate(vs):
-            w = rep.wigner(phi, v)
+            w = wigner(rep, phi, v)
             assert abs(table[ci, vi] - torus.order * w) < 1e-8
 
 
@@ -209,7 +209,8 @@ def test_reduced_handles_product_torus():
         tuple([ctx.one, ctx.one, ctx.one, ctx.el(2)]),
     ]
     assert admissible_mask(torus, prime_coords(vs[1:])).tolist() == [False] * 3 + [True]
-    table = c_chi_reduced(ms, torus, vs, dec.characters)
+    assert dec.characters is torus_characters(torus)
+    table = c_chi_reduced(ms, torus, vs)
     pis = [rep.pi_op((v, ctx.zero)) for v in vs]
     want = np.array([
         [torus.order * np.trace(pi @ B @ B.conj().T) for pi in pis] for B in dec.bases
@@ -318,9 +319,8 @@ def test_prime_power_base_field():
     torus2 = build_maximal_torus(sp2, ["irreducible2"])
     assert torus2.order == 82
     ms = module_structure(torus2)
-    chars = torus_characters(torus2)[:4]
     vs = [(ctx.one, ctx.zero, ctx.zero, ctx.zero)]
-    d = c_chi_table(sp2, torus2, vs, chars)
-    r = c_chi_reduced(ms, torus2, vs, chars)
+    d = c_chi_table(sp2, torus2, vs)[:4]
+    r = c_chi_reduced(ms, torus2, vs)[:4]
     assert np.abs(d - r).max() < 1e-9
     assert np.abs(d).max() <= 2 * math.sqrt(81) + 1e-8
