@@ -12,6 +12,7 @@ parallelize over p and reports merge by simple concatenation.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass, field
@@ -296,23 +297,46 @@ def _index_places(p: int, N: int) -> np.ndarray:
     return p ** np.concatenate([np.arange(N, 2 * N), np.arange(N)])
 
 
+def _grid_index(values: np.ndarray, p: int, N: int) -> np.ndarray:
+    """The vector index a_idx * p^N + b_idx at every point of the grid
+    values^(2N), in C order, for the coordinate values ``values`` in
+    [0, p): one broadcast sum of the 2N place-weighted axes."""
+    n = 2 * N
+    index = np.zeros((1,) * n, dtype=np.int64)
+    for j, place in enumerate(_index_places(p, N).tolist()):
+        index = index + (values * place).reshape((-1,) + (1,) * (n - 1 - j))
+    return index.reshape(-1)
+
+
 def torus_orbit_minima(torus) -> np.ndarray:
     """For every v in F_p^2N, by its index a_idx * p^N + b_idx
     (``WeilRep.v_index``), the least index over its orbit under a torus
     over the prime field F_p.
 
-    For each generator g the permutation v -> gv is built by index
-    arithmetic, and the minimum over the g-cycle by pointer doubling: after
-    k rounds a label is the minimum over v, gv, ..., g^(2^k - 1) v.  T is
-    the product of its cyclic generator groups, so one pass per generator
-    gives the minimum over the T-orbit."""
+    For each generator g the permutation v -> gv is built on the index
+    grid, coordinate (gv)_i as one broadcast sum over the axes of
+    g_ij v_j mod p, and the minimum over the g-cycle by pointer doubling:
+    after k rounds a label is the minimum over v, gv, ..., g^(2^k - 1) v.
+    T is the product of its cyclic generator groups, so one pass per
+    generator gives the minimum over the T-orbit."""
     p = torus.space.ctx.p
     n = torus.space.dim
+    N = n // 2
     labels = np.arange(p**n, dtype=np.int64)
-    place = _index_places(p, n // 2)
-    coords = labels[:, None] // place % p
+    place = _index_places(p, N)
+    # the index grid (p,)^n in C order: coordinate j, of place value
+    # p^(e_j), runs along the axis with e_j axes after it
+    trailing = [(1,) * e for e in np.concatenate([np.arange(N, n), np.arange(N)]).tolist()]
+    values = np.arange(p, dtype=np.int64)
     for g, order in zip(torus.generators, torus.orders):
-        step = (coords @ np.array(la.thaw(g), dtype=np.int64).T % p) @ place
+        G = np.array(la.thaw(g), dtype=np.int64)
+        step = np.zeros((p,) * n, dtype=np.int64)
+        for i in range(n):
+            image = np.zeros((1,) * n, dtype=np.int64)
+            for j in range(n):
+                image = image + (G[i, j] * values % p).reshape((p,) + trailing[j])
+            step += image % p * place[i]
+        step = step.reshape(-1)
         span = 1
         while span < order:
             labels = np.minimum(labels, labels[step])
@@ -343,12 +367,16 @@ class HeckeContext:
 
     A joint eigenvector phi of T has rho(g) phi = chi(g) phi, and
     rho(g) pi(v) rho(g)^-1 = pi(gv), so W_phi(gv) = W_phi(v); admissibility
-    is T-invariant too.  So the Wigner values are
-    needed at one representative per admissible T-orbit that meets the
-    window (``orbit_reps``, the least index of the orbit,
-    ``torus_orbit_minima``); window entry k reads orbit ``xi_orbit[k]``
-    (-1 when not admissible), and ``orbit_weight`` counts the admissible
-    window exponents of each orbit.
+    is T-invariant too, since every idempotent E commutes with T and
+    E t v != 0 exactly when E v != 0.  The window entries, by their vector
+    indices (``v_index``, from one broadcast over the window grid; ``vmod``
+    gives their coordinates on demand), are labelled by their T-orbit
+    (``torus_orbit_minima``, the least index of the orbit), and
+    ``admissible_mask`` runs once per distinct label.  The Wigner values
+    are needed at one representative per admissible orbit that meets the
+    window (``orbit_reps``); window entry k reads orbit ``xi_orbit[k]``
+    (-1 when not admissible), and ``orbit_weight`` counts the window
+    entries of each orbit (a ``bincount`` of the labels).
 
     The projector onto the chi-eigenspace is P_chi = (1/|T|) sum over g of
     conj(chi(g)) rho(g), and Tr(rho(g) pi(v)) is the Heisenberg-Weil
@@ -364,7 +392,8 @@ class HeckeContext:
     eigenspace, so its Wigner row is its character's row of ``table``.  The
     eigenspaces of multiplicity 2 or more (quadratic characters of split
     blocks) need a basis; ``state_wigner`` builds them, on first use, from
-    the generator operators (``spectra.split_quadratic_bases``).  The
+    the generator operators (``spectra.split_quadratic_bases``), and reads
+    all their Wigner values with one ``WeilRep.wigner_at`` call.  The
     character of rho and ``table`` come from one kernel call on the torus
     (``heiwei.torus_character_forms``).  Up to dimension
     ``OPERATOR_CHECK_DIM`` the build checks the traces of the powers of
@@ -392,34 +421,34 @@ class HeckeContext:
         # dimension 3, SL(2, F_3), has no Weil operator
         if 3 < p**A.N <= OPERATOR_CHECK_DIM:
             self._check_generator_traces()
-        # exponent window
+        # exponent window, by vector index; v = 0 is the one index 0
         if xi_max is None:
             xi_max = p
         self.xi_max = xi_max
-        n = 2 * A.N
-        XI = np.indices((xi_max,) * n).reshape(n, -1).T
-        Vmod = XI % p if xi_max > p else XI
-        nonzero = Vmod.any(axis=1)
-        self.xi = XI[nonzero]
-        # a window inside [0, p) is its own reduction: one array serves both
-        self.vmod = Vmod[nonzero] if xi_max > p else self.xi
-        del XI, Vmod
-        qpow = p ** np.arange(A.N, dtype=np.int64)
-        a_idx = (self.vmod[:, : A.N] * qpow).sum(axis=1)
-        b_idx = (self.vmod[:, A.N :] * qpow).sum(axis=1)
-        self.v_index = a_idx * (p**A.N) + b_idx
-        self.admissible = admissible_mask(self.torus, self.vmod)
+        index = _grid_index(np.arange(xi_max, dtype=np.int64) % p, p, A.N)
+        self.v_index = index[index != 0]
+        del index
         self.bound = math.prod(2 * math.sqrt(p**blk.degree) / blk.order for blk in self.torus.blocks)
-        adm = np.flatnonzero(self.admissible)
-        labels = torus_orbit_minima(self.torus)[self.v_index[adm]]
-        self.orbit_reps, inverse, self.orbit_weight = np.unique(
-            labels, return_inverse=True, return_counts=True
-        )
-        self.xi_orbit = np.full(len(self.v_index), -1, dtype=np.int64)
-        self.xi_orbit[adm] = inverse
-        reps = self.orbit_reps[:, None] // _index_places(p, A.N) % p
-        self.table = c_chi_table(self.space, self.torus, reps) / self.torus.order
+        # admissibility is T-invariant: test one vector per orbit
+        labels = torus_orbit_minima(self.torus)[self.v_index]
+        counts = np.bincount(labels)
+        classes = np.flatnonzero(counts)
+        coords = classes[:, None] // _index_places(p, A.N) % p
+        ok = admissible_mask(self.torus, coords)
+        self.orbit_reps = classes[ok]
+        self.orbit_weight = counts[self.orbit_reps]
+        position = np.full(len(counts), -1, dtype=np.int64)
+        position[self.orbit_reps] = np.arange(len(self.orbit_reps))
+        self.xi_orbit = position[labels]
+        self.admissible = self.xi_orbit >= 0
+        self.table = c_chi_table(self.space, self.torus, coords[ok]) / self.torus.order
         self._state_wigner = None
+
+    @functools.cached_property
+    def vmod(self) -> np.ndarray:
+        """The window exponents reduced mod p, one coordinate row per entry
+        of ``v_index``."""
+        return self.v_index[:, None] // _index_places(self.p, self.N) % self.p
 
     def _check_generator_traces(self):
         rep = WeilRep(self.space)
@@ -446,10 +475,9 @@ class HeckeContext:
             rows, mult = [self.table[ones]], [self.mults[ones]]
             if np.any(self.mults >= 2):
                 rep = WeilRep(self.space)
-                bases = split_quadratic_bases(rep, self.torus, self.mults)
-                for _, B in sorted(bases.items()):
-                    rows.append(rep.wigner_at(B, self.orbit_reps))
-                    mult.append(np.full(B.shape[1], B.shape[1]))
+                bases = [B for _, B in sorted(split_quadratic_bases(rep, self.torus, self.mults).items())]
+                rows.append(rep.wigner_at(np.concatenate(bases, axis=1), self.orbit_reps))
+                mult.extend(np.full(B.shape[1], B.shape[1]) for B in bases)
             self._state_wigner = (np.concatenate(rows), np.concatenate(mult))
         return self._state_wigner
 
@@ -487,7 +515,7 @@ def hecke_que_experiment(A: LatticeAutomorphism, p: int, xi_max: int | None = No
         "torus_order": hc.torus.order,
         "torus": hc.torus.descriptor_string(),
         "n_eigenstates": len(W),
-        "n_xi": len(hc.vmod),
+        "n_xi": len(hc.v_index),
         "n_xi_excluded": int((~hc.admissible).sum()),
         "max_ratio": float(ratios_sharp.max()),
         "max_ratio_plain": float((W.max(axis=0) / bound).max()),
@@ -519,27 +547,29 @@ def statistical_state_experiment(A: LatticeAutomorphism, p: int, xi_max: int | N
     orders = np.array(hc.torus.orders)
     L = math.lcm(*hc.torus.orders)
     phase_A = hc.characters[present] @ (exps_A * (L // orders)) % L
-    phases, group = np.unique(phase_A, return_inverse=True)
-    max_ratio = 0.0
-    violations = 0
-    trace_dev = 0.0
-    for g in range(len(phases)):
-        ids = present[group == g]
-        m_lambda = hc.mults[ids].sum()
-        vals = hc.table[ids].sum(axis=0) / m_lambda
-        ratios = np.abs(vals) / hc.bound
-        max_ratio = max(max_ratio, float(ratios.max()))
-        violations += int((ratios > 1 + 1e-9) @ hc.orbit_weight)
-        # Tr(D) - 1, with the multiplicities the character of rho gives
-        trace_dev = max(trace_dev, abs(hc.mult_residual[ids].sum() / m_lambda))
+    # the eigenspaces are the runs of equal phase; a stable sort keeps each
+    # run's characters in row order.  Each run's rows go to one slab of a
+    # zero-padded array, whose sum over the slab adds them in that order
+    order = np.argsort(phase_A, kind="stable")
+    ids = present[order]
+    starts = np.flatnonzero(np.diff(phase_A[order], prepend=-1))
+    run = np.repeat(np.arange(len(starts)), np.diff(starts, append=len(ids)))
+    slot = np.arange(len(ids)) - starts[run]
+    slabs = np.zeros((len(starts), slot.max() + 1, hc.table.shape[1]), dtype=np.complex128)
+    slabs[run, slot] = hc.table[ids]
+    m_lambda = np.add.reduceat(hc.mults[ids], starts)
+    vals = slabs.sum(axis=1) / m_lambda[:, None]
+    ratios = np.abs(vals) / hc.bound
+    # Tr(D) - 1, with the multiplicities the character of rho gives
+    trace_dev = np.abs(np.add.reduceat(hc.mult_residual[ids], starts) / m_lambda).max()
     return {
         "p": p,
         "skipped": None,
         "r_p": hc.rank,
         "torus_order": hc.torus.order,
-        "n_eigenspaces": len(phases),
-        "max_ratio": max_ratio,
-        "violations": violations,
+        "n_eigenspaces": len(starts),
+        "max_ratio": float(ratios.max()),
+        "violations": int(((ratios > 1 + 1e-9) @ hc.orbit_weight).sum()),
         "trace_deviation": float(trace_dev),
     }
 

@@ -6,7 +6,10 @@ is the integer array of ``torus_characters``, ``Torus.exponents`` itself:
 one row of exponents (e_1, ..., e_r) per character, and the same row
 (j_1, ..., j_r) names the element at that position of ``Torus.stack``.
 The value of a row on the element with exponent row (j_1, ..., j_r) is
-the root of unity with phase sum e_k j_k / n_k.  A character is fixed by
+the root of unity with phase sum e_k j_k / n_k, so the sums over the
+torus of conj(chi(g)) f(g), for every character at once, are one
+r-dimensional DFT of f over Z/n_1 x ... x Z/n_r (``np.fft.fftn``, whose
+output runs in the same lexicographic order).  A character is fixed by
 its values on the r generators, so the eigenspaces are the joint
 eigenspaces of the r generator Weil operators, found by simultaneous
 diagonalization; multiplicities are their dimensions.  The basis of each
@@ -28,16 +31,6 @@ def torus_characters(torus: Torus) -> np.ndarray:
     read-only array ``torus.exponents`` itself (character rows and element
     rows share one lexicographic order)."""
     return torus.exponents
-
-
-def character_values(torus: Torus, E: np.ndarray) -> np.ndarray:
-    """The values of the characters with exponent rows E over the full
-    element enumeration, one row per character."""
-    J = torus_characters(torus)
-    acc = np.zeros((len(E), len(J)))
-    for k, n in enumerate(torus.orders):
-        acc = acc + E[:, k, None] * J[None, :, k] / n
-    return np.exp(2j * np.pi * acc)
 
 
 @dataclass
@@ -251,8 +244,10 @@ def trace_multiplicities(torus: Torus, E: np.ndarray) -> np.ndarray:
     """The multiplicity of the character of each exponent row of E from the
     character of the Weil representation, (1/|T|) sum over g of
     conj(chi(g)) Tr rho(g), with the traces from ``weil_traces`` and no
-    operator built."""
-    return (character_values(torus, E).conj() @ weil_traces(torus)).real / torus.order
+    operator built.  The sums over all characters are one DFT of the
+    traces over the exponent grid Z/n_1 x ... x Z/n_r."""
+    sums = np.fft.fftn(weil_traces(torus).reshape(torus.orders)).real / torus.order
+    return sums[tuple(E.T)]
 
 
 def weil_traces(torus: Torus) -> np.ndarray:

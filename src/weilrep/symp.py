@@ -252,11 +252,13 @@ class Torus:
         s = self.space.dim * ctx.m
         stack = np.eye(s, dtype=np.int64)[None]
         for g, order in zip(self.generators, self.orders):
+            # powers 0..k-1 by doubling: the next ones are R^k times these
             R = restrict_scalars(ctx, [g])[0]
-            powers = [np.eye(s, dtype=np.int64)]
-            for _ in range(order - 1):
-                powers.append(powers[-1] @ R % p)
-            stack = (stack[:, None] @ np.stack(powers)[None] % p).reshape(-1, s, s)
+            powers = np.eye(s, dtype=np.int64)[None]
+            while len(powers) < order:
+                powers = np.concatenate([powers, powers[: order - len(powers)] @ R % p])
+                R = R @ R % p
+            stack = (stack[:, None] @ powers[None] % p).reshape(-1, s, s)
         if len({row.tobytes() for row in stack.reshape(len(stack), -1)}) != len(stack):
             raise ValueError("torus generators are not independent")
         r = len(self.orders)

@@ -36,7 +36,7 @@ from weilrep import fqlin as la
 from weilrep.gfq import FieldCtx
 from weilrep.heiwei import WeilRep, max_abs
 from weilrep.spectra import decompose, split_quadratic_bases
-from weilrep.sums import orbit_spans_space
+from weilrep.sums import admissible_mask, orbit_spans_space
 
 
 def test_primes_up_to():
@@ -492,8 +492,9 @@ def test_orbit_classes_are_closed_and_weighted_by_the_window(mat, p):
     assert hc.orbit_weight.sum() == hc.admissible.sum()
 
 
-def test_orbit_minima_match_the_orbit_over_every_torus_element():
-    hc = HeckeContext(LatticeAutomorphism(CAT4_DEFAULT), 7)
+@pytest.mark.parametrize("mat,p", [(CAT4_DEFAULT, 7), (SP6_SEED, 5)], ids=["cat4-p7", "sp6-p5"])
+def test_orbit_minima_match_the_orbit_over_every_torus_element(mat, p):
+    hc = HeckeContext(LatticeAutomorphism(mat), p)
     perms = _vector_action(WeilRep(hc.space), _element_keys(hc.torus))
     assert np.array_equal(torus_orbit_minima(hc.torus), np.min(perms, axis=0))
 
@@ -521,6 +522,35 @@ def test_admissible_exponents_meet_every_block(mat, p, xi_max):
         assert meets.all()
         bounds = np.where(meets, bounds * (2 * math.sqrt(p**blk.degree) / blk.order), bounds)
     assert np.all(bounds == hc.bound)
+
+
+WINDOW_CASES = BOUND_CASES + [(CAT4_DEFAULT, p, None) for p in (3, 13, 31)]
+WINDOW_IDS = BOUND_IDS + ["cat4-p3", "cat4-p13", "cat4-p31"]
+
+
+@pytest.mark.parametrize("mat,p,xi_max", WINDOW_CASES, ids=WINDOW_IDS)
+def test_orbit_admissibility_matches_the_per_vector_mask(mat, p, xi_max):
+    """The window indices from the broadcast grid are the per-vector base-p
+    sums of the reduced exponents, in window order; admissibility tested on
+    one vector per orbit is the per-vector ``admissible_mask``; and the orbit
+    representatives, weights and window map are those of ``np.unique`` on
+    the orbit labels of the admissible window entries."""
+    A = LatticeAutomorphism(mat)
+    hc = HeckeContext(A, p, xi_max)
+    n, N = 2 * A.N, A.N
+    XI = np.indices((xi_max or p,) * n).reshape(n, -1).T % p
+    vmod = XI[XI.any(axis=1)]
+    qpow = p ** np.arange(N)
+    assert np.array_equal(hc.v_index, (vmod[:, :N] @ qpow) * p**N + vmod[:, N:] @ qpow)
+    assert np.array_equal(hc.vmod, vmod)
+    mask = admissible_mask(hc.torus, vmod)
+    assert np.array_equal(hc.admissible, mask)
+    labels = torus_orbit_minima(hc.torus)[hc.v_index[mask]]
+    reps, inverse, weight = np.unique(labels, return_inverse=True, return_counts=True)
+    assert np.array_equal(hc.orbit_reps, reps)
+    assert np.array_equal(hc.orbit_weight, weight)
+    assert np.array_equal(hc.xi_orbit[mask], inverse)
+    assert np.all(hc.xi_orbit[~mask] == -1)
 
 
 @pytest.mark.parametrize(

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from test_catmap import SP6_SEED
+from test_spectra import character_values
 from test_symp import (
     _coords_by_omega_bar,
     _element_keys,
@@ -32,7 +33,7 @@ from weilrep.heiwei import (
     torus_character_forms,
     trace_form_gram,
 )
-from weilrep.spectra import character_values, torus_characters
+from weilrep.spectra import torus_characters
 from weilrep.sums import admissible_mask, c_chi_table
 from weilrep.symp import (
     SympSpace,
@@ -853,9 +854,10 @@ FORM_CASES = [(p, 1, 2, kind) for p in (5, 7, 11) for kind in SP4_KINDS] + [
 )
 def test_character_forms_are_bit_identical_to_the_per_element_loop(p, m, N, kind):
     """The batched kernel gives every torus element with det(g - I) != 0
-    its sign as the trace, the inverse as kappa and the Gram matrix, and
-    c_chi_table its table, bit for bit as the per-element field arithmetic
-    does; the one-element call agrees too.  At the other elements K
+    its sign as the trace, the inverse as kappa and the Gram matrix bit for
+    bit as the per-element field arithmetic does, and c_chi_table its table
+    to 1e-12 of the largest entry (the DFT sums in another order than the
+    oracle's character matrix); the one-element call agrees too.  At the other elements K
     vanishes exactly on Im X (K X = 0 with rank n_p - R) and X kappa X = X."""
     sp = SympSpace(FieldCtx(p, m), N)
     torus = build_maximal_torus(sp, kind)
@@ -880,7 +882,8 @@ def test_character_forms_are_bit_identical_to_the_per_element_loop(p, m, N, kind
     vs = [tuple(sp.ctx.from_int(rng.randrange(sp.ctx.q)) for _ in range(2 * N)) for _ in range(60)]
     vs = [v for v, ok in zip(vs, admissible_mask(torus, prime_coords(vs))) if ok]
     table = c_chi_table(sp, torus, vs)
-    assert table.tobytes() == _c_chi_table_oracle(sp, torus, vs).tobytes()
+    oracle = _c_chi_table_oracle(sp, torus, vs)
+    assert max_abs(table - oracle) <= 1e-12 * max_abs(oracle)
 
 
 def _phase_oracle(rep, g, vectors):

@@ -15,13 +15,24 @@ from weilrep.spectra import (
     _tie_order,
     decompose,
     expected_multiplicity,
-    character_values,
     multiplicity_table_rows,
     split_quadratic_bases,
     torus_characters,
     trace_multiplicities,
 )
 from weilrep.symp import SympSpace, build_maximal_torus, centralizer_torus
+
+
+def character_values(torus, E):
+    """The values of the characters with exponent rows E over the full
+    element enumeration, one row per character: the dense |E| x |T| matrix
+    that the DFTs of ``sums.c_chi_table`` and ``trace_multiplicities``
+    stand for."""
+    J = torus_characters(torus)
+    acc = np.zeros((len(E), len(J)))
+    for k, n in enumerate(torus.orders):
+        acc = acc + E[:, k, None] * J[None, :, k] / n
+    return np.exp(2j * np.pi * acc)
 
 
 def setup_rep(p, N, kind, m=1):

@@ -5,11 +5,13 @@ import random
 
 import numpy as np
 import pytest
-from test_heiwei import weil_op_by_factorization, wigner
+from test_heiwei import FORM_CASES, weil_op_by_factorization, wigner
+from test_spectra import character_values
 
 from weilrep.gfq import FieldCtx
-from weilrep.heiwei import WeilRep, prime_coords
-from weilrep.spectra import character_values, decompose, torus_characters
+from weilrep import sums
+from weilrep.heiwei import WeilRep, prime_coords, torus_character_forms
+from weilrep.spectra import decompose, torus_characters, trace_multiplicities, weil_traces
 from weilrep.sums import (
     admissible_mask,
     bound_report,
@@ -324,3 +326,104 @@ def test_prime_power_base_field():
     r = c_chi_reduced(ms, torus2, vs)[:4]
     assert np.abs(d - r).max() < 1e-9
     assert np.abs(d).max() <= 2 * math.sqrt(81) + 1e-8
+
+
+# -- the DFT and float64 kernels against the dense sums ----------------------------
+
+
+def _dense_c_chi_table(space, torus, vs):
+    """c_chi_table by the dense sums: int64 phase indices c B c and supports
+    K c = 0 per element, and the |T| x |T| character matrix."""
+    p = space.ctx.p
+    C = prime_coords(vs)
+    trace, K, _, B = torus_character_forms(torus)
+    idx = ((C @ B % p) * C).sum(axis=2) % p
+    support = ~(C @ np.swapaxes(K, 1, 2) % p).any(axis=2)
+    terms = np.where(support, trace[:, None] * np.exp(2j * np.pi * idx / p), 0)
+    return character_values(torus, torus_characters(torus)).conj() @ terms
+
+
+def _oracle_vectors(sp, count=1500, seed=0):
+    """Every nonzero vector of a small space; otherwise the nonzero vectors
+    of weight 1, which lie in one block of a coordinate product torus, and
+    ``count`` random others."""
+    ctx, n = sp.ctx, sp.dim
+    if ctx.q**n <= 2500:
+        return list(all_nonzero_vectors(sp))
+    vs = [tuple(ctx.from_int(a) if k == i else ctx.zero for k in range(n))
+          for i in range(n) for a in range(1, ctx.q)]
+    rng = random.Random(seed)
+    vs += [tuple(ctx.from_int(rng.randrange(ctx.q)) for _ in range(n)) for _ in range(count)]
+    return vs
+
+
+DFT_CASES = FORM_CASES + [(5, 1, 3, ["split", "irreducible2"])]
+
+
+@pytest.mark.parametrize(
+    "p,m,N,kind", DFT_CASES,
+    ids=[f"{p}^{m}-N{N}-" + "+".join(map(str, k)) for p, m, N, k in DFT_CASES],
+)
+def test_c_chi_table_matches_the_dense_character_sum(p, m, N, kind):
+    """The DFT over the exponent grid with float64 phase and support
+    products gives the dense sum to 1e-12 of its largest entry, at
+    admissible and inadmissible vectors; the product tori among the cases
+    have singular elements, whose terms vanish off Im(g - I)."""
+    sp = SympSpace(FieldCtx(p, m), N)
+    torus = build_maximal_torus(sp, kind)
+    vs = _oracle_vectors(sp)
+    want = _dense_c_chi_table(sp, torus, vs)
+    got = c_chi_table(sp, torus, vs)
+    assert got.shape == want.shape
+    assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+    if len(torus.blocks) > 1:
+        _, K, _, _ = torus_character_forms(torus)
+        assert K.any(axis=(1, 2)).sum() > 1
+        assert not admissible_mask(torus, prime_coords(vs)).all()
+
+
+def test_c_chi_table_refuses_phase_products_past_float64():
+    """n^2 (p - 1)^2 < 2^53 keeps the float64 products exact: at the largest
+    prime 2n = 90 coordinates pass the check (and go on to read the torus,
+    here none), 2n = 92 raise ValueError before any torus is read."""
+    ctx = FieldCtx(1048573)
+    with pytest.raises(AttributeError):
+        c_chi_table(SympSpace(ctx, 45), None, np.ones((1, 90), dtype=np.int64))
+    with pytest.raises(ValueError, match="not exact in float64"):
+        c_chi_table(SympSpace(ctx, 46), None, np.ones((1, 92), dtype=np.int64))
+
+
+@pytest.mark.parametrize(
+    "p,m,N,kind", DFT_CASES,
+    ids=[f"{p}^{m}-N{N}-" + "+".join(map(str, k)) for p, m, N, k in DFT_CASES],
+)
+def test_trace_multiplicities_match_the_dense_sum(p, m, N, kind):
+    """The DFT of the Weil traces gives (1/|T|) sum of conj(chi) Tr rho to
+    1e-12, for the whole group and for a subset of rows in any order."""
+    torus = build_maximal_torus(SympSpace(FieldCtx(p, m), N), kind)
+    E = torus_characters(torus)
+    for rows in (E, E[::-3]):
+        dense = (character_values(torus, rows).conj() @ weil_traces(torus)).real / torus.order
+        assert np.abs(trace_multiplicities(torus, rows) - dense).max() < 1e-12
+
+
+def test_bound_report_witness_is_stable_under_rounding(monkeypatch):
+    """The witness is the first (chi, v) in character-major order within
+    1e-9 of the largest ratio: raising a later tied entry by 1e-12 of
+    itself leaves it, raising it by 1e-6 moves it there."""
+    sp, torus = setup(5, 2, ["split", "inert"])
+    vs = [v for v in all_nonzero_vectors(sp) if orbit_spans_space(sp, torus, v)]
+    table = c_chi_table(sp, torus, vs)
+    ratios = np.abs(table)
+    tied = np.flatnonzero(ratios.ravel() >= ratios.max() * (1 - 1e-9))
+    assert len(tied) > 1
+    first, last = (np.unravel_index(k, table.shape) for k in tied[[0, -1]])
+    chars = torus_characters(torus)
+    for scale, want in ((1 + 1e-12, first), (1 + 1e-6, last)):
+        doctored = table.copy()
+        doctored[last] *= scale
+        monkeypatch.setattr(sums, "c_chi_table", lambda *args, t=doctored: t)
+        rpt = bound_report(sp, torus, vs)
+        assert rpt.argmax["chi"] == chars[want[0]].tolist()
+        assert rpt.argmax["v"] == [sp.ctx.serialize(x) for x in vs[want[1]]]
+        assert rpt.max_ratio == np.abs(doctored).max() / rpt.bound

@@ -378,6 +378,36 @@ def test_enumeration_matches_the_identity_products(p, m, kinds):
     assert [tuple(torus.exponents_of(g).tolist()) for g in elements] == exps
 
 
+def _sequential_stack(torus):
+    """The stack by order - 1 sequential F_p products per generator."""
+    ctx = torus.space.ctx
+    s = torus.space.dim * ctx.m
+    stack = np.eye(s, dtype=np.int64)[None]
+    for g, order in zip(torus.generators, torus.orders):
+        R = restrict_scalars(ctx, [g])[0]
+        powers = [np.eye(s, dtype=np.int64)]
+        for _ in range(order - 1):
+            powers.append(powers[-1] @ R % ctx.p)
+        stack = (stack[:, None] @ np.stack(powers)[None] % ctx.p).reshape(-1, s, s)
+    return stack
+
+
+@pytest.mark.parametrize(
+    "p,m,N,kinds",
+    [(7, 1, 1, ["inert"]), (5, 1, 2, ["split", "inert"]), (3, 1, 3, ["inert", "split", "inert"]),
+     (3, 2, 2, ["split", "inert"]), (3, 3, 2, ["irreducible2"]), (5, 1, 3, [("split", 3)]),
+     (5, 1, 3, ["split", "irreducible2"])],
+    ids=["r1-f7", "r2-f5", "r3-f3", "r2-f9", "irr2-f27", "split3-f5", "split+irr2-f5"],
+)
+def test_doubling_stack_is_the_sequential_one(p, m, N, kinds):
+    """The stack built by doubling (powers 0..k-1 times R^k per step) is
+    bit for bit the stack of sequential products, at orders that are and
+    are not powers of two."""
+    torus = build_maximal_torus(SympSpace(FieldCtx(p, m), N), kinds)
+    want = _sequential_stack(torus)
+    assert torus.stack.dtype == want.dtype and torus.stack.tobytes() == want.tobytes()
+
+
 def test_dependent_generators_are_refused():
     """Two equal generators, or a generator and its square, repeat stack
     members: the torus is refused with the independence message."""
