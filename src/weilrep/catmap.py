@@ -326,7 +326,7 @@ def torus_orbit_minima(torus) -> np.ndarray:
     place = _index_places(p, N)
     # the index grid (p,)^n in C order: coordinate j, of place value
     # p^(e_j), runs along the axis with e_j axes after it
-    trailing = [(1,) * e for e in np.concatenate([np.arange(N, n), np.arange(N)]).tolist()]
+    trailing = [(1,) * e for e in [*range(N, n), *range(N)]]
     values = np.arange(p, dtype=np.int64)
     for g, order in zip(torus.generators, torus.orders):
         G = np.array(la.thaw(g), dtype=np.int64)
