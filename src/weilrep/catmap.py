@@ -23,7 +23,7 @@ import numpy as np
 from . import fqlin as la
 from . import gfq
 from .gfq import FieldCtx
-from .heiwei import WeilRep
+from .heiwei import WeilRep, index_places
 from .spectra import (
     expected_multiplicity,
     split_quadratic_bases,
@@ -290,20 +290,14 @@ def skip_reason(A: LatticeAutomorphism, p: int) -> str | None:
     return None
 
 
-def _index_places(p: int, N: int) -> np.ndarray:
-    """The place value of each coordinate in the vector index
-    a_idx * p^N + b_idx: coordinate j < N is a_j with place value
-    p^(N + j), b_j has p^j."""
-    return p ** np.concatenate([np.arange(N, 2 * N), np.arange(N)])
-
-
 def _grid_index(values: np.ndarray, p: int, N: int) -> np.ndarray:
-    """The vector index a_idx * p^N + b_idx at every point of the grid
-    values^(2N), in C order, for the coordinate values ``values`` in
-    [0, p): one broadcast sum of the 2N place-weighted axes."""
+    """The vector index a_idx * p^N + b_idx (``heiwei.index_places``) at
+    every point of the grid values^(2N), in C order, for the coordinate
+    values ``values`` in [0, p): one broadcast sum of the 2N place-weighted
+    axes."""
     n = 2 * N
     index = np.zeros((1,) * n, dtype=np.int64)
-    for j, place in enumerate(_index_places(p, N).tolist()):
+    for j, place in enumerate(index_places(p, N).tolist()):
         index = index + (values * place).reshape((-1,) + (1,) * (n - 1 - j))
     return index.reshape(-1)
 
@@ -323,7 +317,7 @@ def torus_orbit_minima(torus) -> np.ndarray:
     n = torus.space.dim
     N = n // 2
     labels = np.arange(p**n, dtype=np.int64)
-    place = _index_places(p, N)
+    place = index_places(p, N)
     # the index grid (p,)^n in C order: coordinate j, of place value
     # p^(e_j), runs along the axis with e_j axes after it
     trailing = [(1,) * e for e in [*range(N, n), *range(N)]]
@@ -397,11 +391,17 @@ class HeckeContext:
     character of rho and ``table`` come from one kernel call on the torus
     (``heiwei.torus_character_forms``).  Up to dimension
     ``OPERATOR_CHECK_DIM`` the build checks the traces of the powers of
-    each generator's Weil operator against the character of rho.
+    each generator's Weil operator against the character of rho.  A window
+    [0, xi_max)^2N with xi_max < 2 has no nonzero exponent: ValueError.
     """
 
     def __init__(self, A: LatticeAutomorphism, p: int, xi_max: int | None = None):
+        if xi_max is None:
+            xi_max = p
+        if xi_max < 2:
+            raise ValueError(f"the exponent window [0, {xi_max})^{2 * A.N} has no nonzero exponent")
         self.A = A
+        self.xi_max = xi_max
         self.p = p
         self.N = A.N
         ctx = FieldCtx(p)
@@ -422,9 +422,6 @@ class HeckeContext:
         if 3 < p**A.N <= OPERATOR_CHECK_DIM:
             self._check_generator_traces()
         # exponent window, by vector index; v = 0 is the one index 0
-        if xi_max is None:
-            xi_max = p
-        self.xi_max = xi_max
         index = _grid_index(np.arange(xi_max, dtype=np.int64) % p, p, A.N)
         self.v_index = index[index != 0]
         del index
@@ -433,7 +430,7 @@ class HeckeContext:
         labels = torus_orbit_minima(self.torus)[self.v_index]
         counts = np.bincount(labels)
         classes = np.flatnonzero(counts)
-        coords = classes[:, None] // _index_places(p, A.N) % p
+        coords = classes[:, None] // index_places(p, A.N) % p
         ok = admissible_mask(self.torus, coords)
         self.orbit_reps = classes[ok]
         self.orbit_weight = counts[self.orbit_reps]
@@ -448,7 +445,7 @@ class HeckeContext:
     def vmod(self) -> np.ndarray:
         """The window exponents reduced mod p, one coordinate row per entry
         of ``v_index``."""
-        return self.v_index[:, None] // _index_places(self.p, self.N) % self.p
+        return self.v_index[:, None] // index_places(self.p, self.N) % self.p
 
     def _check_generator_traces(self):
         rep = WeilRep(self.space)

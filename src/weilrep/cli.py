@@ -288,6 +288,11 @@ def _resolve_matrix(args):
 
 
 def _run_prime_sweep(args, statistical: bool) -> int:
+    if args.xi_max is not None and args.xi_max < 2:
+        raise ValueError(
+            f"--xi-max (or xi_window.max_coeff) is {args.xi_max}: the exponent window "
+            "[0, xi_max)^2N has a nonzero exponent only when xi_max >= 2"
+        )
     mat = _resolve_matrix(args)
     A = LatticeAutomorphism(mat)
     if not A.generic:

@@ -76,13 +76,13 @@ def factorize(n: int) -> list[tuple[int, int]]:
 class FieldCtx:
     """Arithmetic context for GF(p^m), p an odd prime.
 
-    The extension is realized as GF(p)[x]/(modulus).  When no modulus is
-    given, the monic irreducible polynomial of degree m whose non-leading
-    coefficient vector encodes to the smallest base-p integer is used, so
-    serialized elements are comparable across runs.
+    The extension is realized as GF(p)[x]/(modulus), the monic irreducible
+    polynomial of degree m whose non-leading coefficient vector encodes to
+    the smallest base-p integer, so serialized elements are comparable
+    across runs.
     """
 
-    def __init__(self, p: int, m: int = 1, modulus=None):
+    def __init__(self, p: int, m: int = 1):
         if p < 3 or not is_prime(p):
             raise ValueError(f"p = {p} is not an odd prime")
         if p >= 1 << 20:
@@ -99,15 +99,7 @@ class FieldCtx:
             self.one = 1
         else:
             prime = self.prime_field = FieldCtx(p, 1)
-            if modulus is None:
-                modulus = tuple(find_irreducible(prime, m))
-            else:
-                modulus = tuple(int(c) % p for c in modulus)
-                if len(modulus) != m + 1 or modulus[-1] != 1:
-                    raise ValueError("modulus must be monic of degree m")
-                if not is_irreducible(prime, list(modulus)):
-                    raise ValueError("modulus is not irreducible over GF(p)")
-            self.modulus = modulus
+            self.modulus = modulus = tuple(find_irreducible(prime, m))
             self.zero = (0,) * m
             self.one = (1,) + (0,) * (m - 1)
             # x^(m+j) mod modulus for j = 0..m-2, used to fold products

@@ -72,8 +72,19 @@ def op_chunks(n: int, dim: int) -> list:
 
 def prime_coords(vs) -> np.ndarray:
     """F_p coordinates of vectors over GF(p^m), one row per vector; the
-    power-basis coefficient k of component i sits in column i*m + k."""
-    return np.asarray(vs, dtype=np.int64).reshape(len(vs), -1)
+    power-basis coefficient k of component i sits in column i*m + k.  An
+    empty array of rows keeps its width."""
+    C = np.asarray(vs, dtype=np.int64)
+    return C.reshape(len(C), math.prod(C.shape[1:]))
+
+
+def index_places(p: int, k: int) -> np.ndarray:
+    """The place value of each F_p coordinate (``prime_coords``) of
+    v = (a, b) in its index a_idx * p^k + b_idx, where a and b have k F_p
+    coordinates each and a_idx, b_idx are the base-p numbers whose digits
+    they are: coordinate j < k, of a, has place value p^(k + j), and
+    coordinate k + j, of b, has p^j."""
+    return p ** np.concatenate([np.arange(k, 2 * k), np.arange(k)])
 
 
 def character_forms(space: SympSpace, stack):
@@ -141,15 +152,15 @@ class WeilRep:
     """Heisenberg and Weil operators on the q^N-dimensional Schroedinger
     space attached to a standard symplectic space.
 
-    Operators are dense complex matrices; ``tol`` (default 1e-9 * q^N)
-    is the max-norm comparison tolerance used by the internal sanity
-    checks.  Computed Weil operators are cached by group element; the cache
-    is the only mutable state, and since insertion is a single dict
-    assignment of an idempotent value, concurrent readers plus redundant
-    recomputation are harmless.
+    Operators are dense complex matrices; ``tol`` = 1e-9 * q^N is the
+    max-norm comparison tolerance used by the internal sanity checks.
+    Computed Weil operators are cached by group element; the cache is the
+    only mutable state, and since insertion is a single dict assignment of
+    an idempotent value, concurrent readers plus redundant recomputation are
+    harmless.
     """
 
-    def __init__(self, space: SympSpace, tol=None):
+    def __init__(self, space: SympSpace):
         ctx = space.ctx
         if space.gram != la.thaw(_standard_gram_cache(space)):
             raise ValueError("the Schroedinger model needs the standard gram form")
@@ -157,20 +168,18 @@ class WeilRep:
         self.ctx = ctx
         self.N = space.N
         self.dim = ctx.q**space.N
-        self.tol = tol if tol is not None else 1e-9 * self.dim
+        self.tol = 1e-9 * self.dim
         self._cache = {}
         p = ctx.p
         self.psi_pow = np.exp(2j * np.pi * np.arange(p) / p)
-        # component tuples of L = GF(q)^N, indexed by base-q encodings
-        self._L = [
-            tuple(ctx.from_int((n // ctx.q**i) % ctx.q) for i in range(space.N))
-            for n in range(self.dim)
-        ]
-        self._Lindex = {x: i for i, x in enumerate(self._L)}
-        # the F_p coordinates of L[n] are the base-p digits of n
-        self._Lc = prime_coords(self._L)
+        # the F_p coordinates of the n-th element of L = GF(q)^N are the
+        # base-p digits of n
+        k = space.N * ctx.m
+        place = p ** np.arange(k)
+        self._Lc = np.arange(self.dim)[:, None] // place % p
+        self._places = index_places(p, k)
         digit_sums = (self._Lc[:, None, :] + self._Lc[None, :, :]) % p
-        self.shift_table = digit_sums @ (p ** np.arange(self._Lc.shape[1]))
+        self.shift_table = digit_sums @ place
         dot = trace_form_gram(ctx, la.identity(ctx, space.N))
         dot_idx = (self._Lc @ dot % p) @ self._Lc.T % p
         self.psi_mat = self.psi_pow[dot_idx]
@@ -178,21 +187,19 @@ class WeilRep:
 
     # -- vectors and indices ---------------------------------------------------
 
-    def split_v(self, v):
-        return tuple(v[: self.N]), tuple(v[self.N :])
-
     def v_index(self, v) -> int:
-        a, b = self.split_v(v)
-        return self._Lindex[a] * self.dim + self._Lindex[b]
+        """The index a_idx * q^N + b_idx of a vector given over GF(q) or by
+        its F_p coordinate row (``index_places``)."""
+        return int(prime_coords([v])[0] @ self._places)
 
     # -- Heisenberg operators ---------------------------------------------------
 
     def pi_op(self, h) -> np.ndarray:
-        """Unitary of a Heisenberg element (v, z)."""
+        """Unitary of a Heisenberg element (v, z), v over GF(q) or as its
+        F_p coordinate row."""
         ctx = self.ctx
         v, z = h
-        a, b = self.split_v(v)
-        ai, bi = self._Lindex[a], self._Lindex[b]
+        ai, bi = divmod(self.v_index(v), self.dim)
         zi = ctx.psi_index(z)
         phases = (
             self.psi_mat[bi, :]

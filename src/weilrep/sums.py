@@ -127,11 +127,14 @@ def c_chi_reduced(ms, torus: Torus, v_list) -> np.ndarray:
 def orbit_spans_space(space: SympSpace, torus: Torus, v) -> bool:
     """Whether the torus orbit of v spans V (v avoids every proper invariant
     subspace), by exact ranks: the test oracle of ``admissible_mask``.
-    The torus elements are read back over GF(q) one at a time."""
+    v is a tuple over GF(q) or an F_p coordinate row; each component is
+    read back with ``FieldCtx.el``, and the torus elements over GF(q) one
+    at a time."""
     ctx = space.ctx
+    v = [ctx.el(x) for x in np.reshape(v, (space.dim, ctx.m)).tolist()]
     rows = []
     for R in torus.stack:
-        rows.append(la.mat_vec(ctx, field_matrix_keys(ctx, R[None])[0], list(v)))
+        rows.append(la.mat_vec(ctx, field_matrix_keys(ctx, R[None])[0], v))
         if len(rows) % space.dim == 0 and la.rank(ctx, rows) == space.dim:
             return True
     return la.rank(ctx, rows) == space.dim
@@ -141,9 +144,11 @@ class SumRows:
     """The rows of a bound report, one dict per (character, vector) in
     character-major order, built as they are read: a sweep has
     |T| x |vectors| of them.  ``chars`` are the exponent rows of the
-    characters (``spectra.torus_characters``)."""
+    characters (``spectra.torus_characters``), ``vectors`` the F_p
+    coordinate rows of the vectors (``heiwei.prime_coords``); a row's
+    ``"v"`` is its vector's row as a tuple."""
 
-    def __init__(self, chars: np.ndarray, vectors, table, bound):
+    def __init__(self, chars: np.ndarray, vectors: np.ndarray, table, bound):
         self.chars, self.vectors, self.table = chars, vectors, table
         self.mags = np.abs(table)
         self.ratios = self.mags / bound
@@ -151,19 +156,28 @@ class SumRows:
     def __len__(self):
         return self.table.size
 
-    def __iter__(self):
+    def by_character(self, chi_labels):
+        """(chi label, re, im, abs, ratio) per character, for one label per
+        character, each value column a list over the vectors."""
         cols = (self.table.real, self.table.imag, self.mags, self.ratios)
-        for chi, *row_cols in zip(map(tuple, self.chars.tolist()), *(c.tolist() for c in cols)):
-            for v, re, im, a, r in zip(self.vectors, *row_cols):
+        return zip(chi_labels, *(c.tolist() for c in cols))
+
+    def __iter__(self):
+        vs = list(map(tuple, self.vectors.tolist()))
+        for chi, *cols in self.by_character(map(tuple, self.chars.tolist())):
+            for v, re, im, a, r in zip(vs, *cols):
                 yield {"chi": chi, "v": v, "re": re, "im": im, "abs": a, "ratio": r}
 
 
 @dataclass
 class SumReport:
+    """A bound sweep over one torus.  ``excluded`` holds the F_p coordinate
+    rows of the vectors that ``admissible_mask`` rejects."""
+
     space: SympSpace
     torus: Torus
     rows: SumRows | list = field(default_factory=list)
-    excluded: list = field(default_factory=list)
+    excluded: np.ndarray | None = None
     seed: int | None = None
     rank: int = 0
     bound: float = 0.0
@@ -172,25 +186,20 @@ class SumReport:
     argmax: dict | None = None
 
     def csv_rows(self):
-        """The formatted CSV rows, yielded one at a time."""
-        ctx = self.space.ctx
-        desc = self.torus.descriptor_string()
-        for row in self.rows:
-            yield (
-                ctx.p,
-                ctx.m,
-                self.space.N,
-                desc,
-                ";".join(str(e) for e in row["chi"]),
-                ";".join(
-                    ",".join(str(c) for c in ctx.serialize(x)) for x in row["v"]
-                ),
-                f"{row['re']:.12g}",
-                f"{row['im']:.12g}",
-                f"{row['abs']:.12g}",
-                f"{self.bound:.12g}",
-                f"{row['ratio']:.12g}",
-            )
+        """The formatted CSV rows, yielded one at a time.  Each character
+        and each vector is formatted once: a vector as its components'
+        power-basis coefficients, components joined by ';'."""
+        if not self.rows:
+            return
+        ctx, rows = self.space.ctx, self.rows
+        head = (ctx.p, ctx.m, self.space.N, self.torus.descriptor_string())
+        bound = f"{self.bound:.12g}"
+        chis = (";".join(map(str, chi)) for chi in rows.chars.tolist())
+        components = rows.vectors.reshape(len(rows.vectors), self.space.dim, ctx.m).tolist()
+        vs = [";".join(",".join(map(str, x)) for x in v) for v in components]
+        for chi, *cols in rows.by_character(chis):
+            for v, re, im, a, r in zip(vs, *cols):
+                yield (*head, chi, v, f"{re:.12g}", f"{im:.12g}", f"{a:.12g}", bound, f"{r:.12g}")
 
     def summary(self):
         return {
@@ -209,61 +218,63 @@ class SumReport:
         }
 
 
-def default_vector_range(space: SympSpace, seed: int = 0):
-    """Every nonzero vector when the space is small (at most 6561 vectors),
-    otherwise all nonzero vectors of Hamming weight at most 2 followed by
-    4096 distinct others drawn with the given seed, capped at every nonzero
-    vector."""
+def default_vector_range(space: SympSpace, seed: int = 0) -> np.ndarray:
+    """F_p coordinate rows (``heiwei.prime_coords``) of every nonzero vector
+    when the space is small (at most 6561 vectors), otherwise of all nonzero
+    vectors of Hamming weight at most 2 followed by 4096 distinct others
+    drawn with the given seed, capped at every nonzero vector.
+
+    A vector is its encoding sum of x_i q^i, x_i the base-p encoding of
+    component i, so the base-p digit i m + k of the encoding is coefficient
+    k of component i: the encodings are all of 1 .. q^2N - 1, or the
+    weight-2 ones in the order (i <= j, x_i, x_j) then the draws, each kept
+    at its first occurrence.  ValueError when the encodings do not fit in
+    int64, where they would wrap."""
     ctx = space.ctx
-    n = space.dim
-    total = ctx.q**n
+    q, n = ctx.q, space.dim
+    total = q**n
+    if total > 2**63:
+        raise ValueError(f"the encodings of GF({q})^{n} do not fit in int64")
     if total <= 6561:
-        vs = []
-        for enc in range(1, total):
-            vs.append(
-                tuple(ctx.from_int((enc // ctx.q**i) % ctx.q) for i in range(n))
-            )
-        return vs
-    rng = random.Random(seed)
-    seen = set()
-    out = []
-    for i in range(n):
-        for j in range(i, n):
-            for a in range(ctx.q):
-                for b in range(ctx.q):
-                    v = [ctx.zero] * n
-                    v[i] = ctx.from_int(a)
-                    v[j] = ctx.from_int(b)
-                    v = tuple(v)
-                    if any(x != ctx.zero for x in v) and v not in seen:
-                        seen.add(v)
-                        out.append(v)
-    target = min(len(out) + 4096, total - 1)
-    while len(out) < target:
-        v = tuple(ctx.from_int(rng.randrange(ctx.q)) for _ in range(n))
-        if any(x != ctx.zero for x in v) and v not in seen:
-            seen.add(v)
-            out.append(v)
-    return out
+        encodings = np.arange(1, total)
+    else:
+        digit = np.arange(q, dtype=np.int64)
+        # x_i = a, x_j = b; at i = j the component is b
+        low = [(digit[:, None] * (q**i if j > i else 0) + digit * q**j).ravel()
+               for i in range(n) for j in range(i, n)]
+        chosen = dict.fromkeys(np.concatenate(low).tolist())
+        del chosen[0]
+        rng = random.Random(seed)
+        target = min(len(chosen) + 4096, total - 1)
+        while len(chosen) < target:
+            enc = sum(rng.randrange(q) * q**i for i in range(n))
+            if enc:
+                chosen[enc] = None
+        encodings = np.fromiter(chosen, dtype=np.int64, count=len(chosen))
+    return encodings[:, None] // ctx.p ** np.arange(n * ctx.m) % ctx.p
 
 
 def bound_report(space: SympSpace, torus: Torus, v_list=None, seed: int = 0) -> SumReport:
     """Evaluate |c_chi(v)| against 2^r sqrt(q)^N over all characters and the
-    given (or default) vectors; vectors that ``admissible_mask`` rejects are
-    excluded from the bound assertion and reported separately.  The worst
-    witness ``argmax`` is the first (chi, v), in character-major order,
-    whose ratio is within 1e-9 relative of the largest."""
+    given (or default) vectors, tuples over GF(q) or F_p coordinate rows;
+    vectors that ``admissible_mask`` rejects are excluded from the bound
+    assertion and reported separately.  The worst witness ``argmax`` is the
+    first (chi, v), in character-major order, whose ratio is within 1e-9
+    relative of the largest."""
     ctx = space.ctx
     if v_list is None:
-        v_list = default_vector_range(space, seed)
+        C = default_vector_range(space, seed)
+    else:
+        # ValueError for rows of another width; an empty list gets the width
+        C = prime_coords(v_list).reshape(len(v_list), space.dim * ctx.m)
     report = SumReport(space, torus, seed=seed)
     report.rank = len(torus.blocks)
     report.bound = 2**report.rank * math.sqrt(ctx.q**space.N)
     report.es_bound = 2**space.N * math.sqrt(ctx.q**space.N)
-    mask = admissible_mask(torus, prime_coords(v_list)) if v_list else []
-    admissible = [v for v, ok in zip(v_list, mask) if ok]
-    report.excluded = [v for v, ok in zip(v_list, mask) if not ok]
-    if not admissible:
+    mask = admissible_mask(torus, C)
+    admissible = C[mask]
+    report.excluded = C[~mask]
+    if not len(admissible):
         return report
     chars = torus_characters(torus)
     table = c_chi_table(space, torus, admissible)
@@ -277,7 +288,7 @@ def bound_report(space: SympSpace, torus: Torus, v_list=None, seed: int = 0) -> 
         report.max_ratio = float(best)
         report.argmax = {
             "chi": chars[ci].tolist(),
-            "v": [ctx.serialize(x) for x in admissible[vi]],
+            "v": admissible[vi].reshape(space.dim, ctx.m).tolist(),
             "abs": float(rows.mags[ci, vi]),
         }
     return report

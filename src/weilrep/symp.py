@@ -118,13 +118,11 @@ def transvection(space: SympSpace, u, lam):
     return T
 
 
-def random_symplectic(space: SympSpace, rng, n_factors=None):
-    """Product of random symplectic transvections."""
+def random_symplectic(space: SympSpace, rng):
+    """Product of 2N + 1 random symplectic transvections."""
     ctx = space.ctx
-    if n_factors is None:
-        n_factors = space.dim + 1
     g = la.identity(ctx, space.dim)
-    for _ in range(n_factors):
+    for _ in range(space.dim + 1):
         while True:
             u = [ctx.from_int(rng.randrange(ctx.q)) for _ in range(space.dim)]
             if any(x != ctx.zero for x in u):
@@ -212,17 +210,14 @@ class BlockInfo:
     degree: d, so the block has dimension 2d and its field of definition
             K_alpha has degree d over the base field
     order:  q^d - 1 (split) or q^d + 1 (inert/irreducible)
-    idempotent: projector matrix onto the block subspace (frozen), or None
-            for descriptors read off a characteristic polynomial
 
-    ``module_structure`` reads none of these fields: it finds the blocks
-    again from the torus algebra alone.
+    ``module_structure`` reads none of these fields: it finds the blocks,
+    and their idempotents, again from the torus algebra alone.
     """
 
     name: str
     degree: int
     order: int
-    idempotent: tuple | None = None
 
     def descriptor(self):
         return {"type": self.name, "degree": self.degree}
@@ -499,13 +494,9 @@ def build_maximal_torus(space: SympSpace, kind) -> Torus:
         g = _scatter_block(space, local, pairs)
         assert_symplectic(space, g, f"{name} block generator")
         _assert_order(ctx, g, order)
-        e = la.zeros(ctx, space.dim, space.dim)
-        for i in pairs:
-            e[i][i] = ctx.one
-            e[space.N + i][space.N + i] = ctx.one
         generators.append(la.freeze(g))
         orders.append(order)
-        infos.append(BlockInfo(name, d, order, la.freeze(e)))
+        infos.append(BlockInfo(name, d, order))
     return Torus(space, generators, orders, infos)
 
 
@@ -633,20 +624,15 @@ def centralizer_torus(space: SympSpace, A) -> Torus:
             w = gfq.poly_inverse_mod(ctx, theta_gamma, partner)
             residues = {tuple(f): gamma, tuple(partner): w}
             name = "split"
-        # the generator is the identity off its block; the idempotent cuts
-        # out the block subspace
+        # the generator is the identity off its block
         keys = [tuple(g) for g in factors]
         lift = _crt_lift_general(ctx, cp, {k: residues.get(k, [ctx.one]) for k in keys})
         g = la.mat_eval_poly(ctx, lift, A)
         assert_symplectic(space, g, "centralizer generator")
         _assert_order(ctx, g, order)
-        idem_poly = _crt_lift_general(
-            ctx, cp, {k: [ctx.one] if k in residues else [ctx.zero] for k in keys}
-        )
-        e = la.mat_eval_poly(ctx, idem_poly, A)
         generators.append(la.freeze(g))
         orders.append(order)
-        infos.append(BlockInfo(name, d, order, la.freeze(e)))
+        infos.append(BlockInfo(name, d, order))
     torus = Torus(space, generators, orders, infos)
     try:
         torus.exponents_of(A)

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from test_symp import _element_keys
+from test_symp import _element_keys, gfq_vectors
 
 from weilrep.catmap import (
     CAT2_DEFAULT,
@@ -375,7 +375,8 @@ def test_observable_bound_p7():
 def _vector_action(rep, mats):
     """For each matrix g, the permutation v -> gv of the vector indices
     a_idx * q^N + b_idx, found by lookup of the image rows."""
-    vs = [a + b for a in rep._L for b in rep._L]
+    L = gfq_vectors(rep.ctx, rep.N)
+    vs = [a + b for a in L for b in L]
     assert all(rep.v_index(v) == i for i, v in enumerate(vs))
     C = np.array(vs, dtype=np.int64)
     p = rep.ctx.p
@@ -524,10 +525,13 @@ def test_admissible_exponents_meet_every_block(mat, p, xi_max):
     V = hc.vmod[hc.admissible]
     assert len(V) > 0
     bounds = np.ones(len(V))
-    for blk in hc.torus.blocks:
+    ms = symp.module_structure(hc.torus)
+    # the blocks in the order of the generators that move them, which is
+    # the order of the torus blocks
+    for (_, T), blk in sorted(zip(ms.block_tori(), ms.blocks), key=lambda pair: pair[0][0]):
         meets = (V @ np.array(la.thaw(blk.idempotent), dtype=np.int64).T % p).any(axis=1)
         assert meets.all()
-        bounds = np.where(meets, bounds * (2 * math.sqrt(p**blk.degree) / blk.order), bounds)
+        bounds = np.where(meets, bounds * (2 * math.sqrt(p**blk.degree) / T.order), bounds)
     assert np.all(bounds == hc.bound)
 
 
@@ -921,3 +925,9 @@ def test_rank_paths_agree_at_experiment_primes():
         _, r_cheap = rank_from_charpoly(ctx, cp)
         ms = module_structure(hc.torus)
         assert r_cheap == ms.rank == hc.rank
+
+
+@pytest.mark.parametrize("xi_max", [1, 0, -3])
+def test_hecke_context_refuses_a_window_without_a_nonzero_exponent(xi_max):
+    with pytest.raises(ValueError, match="no nonzero exponent"):
+        HeckeContext(LatticeAutomorphism(CAT2_DEFAULT), 7, xi_max)

@@ -287,6 +287,29 @@ def test_explicit_flags_win_over_the_config_file(tmp_path, subcommand):
         assert data["sweep"]["max_prime"] == 11
 
 
+@pytest.mark.parametrize("subcommand", ["que", "statistical"])
+@pytest.mark.parametrize("xi_max", [1, 0])
+@pytest.mark.parametrize("from_config", [False, True])
+def test_an_exponent_window_without_a_nonzero_exponent_is_refused(
+    tmp_path, capsys, subcommand, xi_max, from_config
+):
+    """[0, xi_max)^2N with xi_max < 2 holds only v = 0: the sweep exits 2,
+    naming --xi-max, before any prime runs, whether the flag or the config
+    file's xi_window.max_coeff sets it."""
+    argv = [subcommand, "--A", "cat2", "--max-prime", "11", "--out", str(tmp_path)]
+    if from_config:
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"xi_window": {"max_coeff": xi_max}}))
+        argv += ["--config", str(cfg)]
+    else:
+        argv += ["--xi-max", str(xi_max)]
+    assert main(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("invalid configuration: --xi-max")
+    assert not list(tmp_path.glob("*.csv"))
+
+
 def test_missing_A_and_config_is_error(tmp_path):
     assert main(["que", "--out", str(tmp_path)]) == 2
 

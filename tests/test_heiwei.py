@@ -15,6 +15,7 @@ from test_symp import (
     _embed_sl2_by_columns,
     _omega_bar_oracle,
     _prime_basis,
+    gfq_vectors,
 )
 
 from weilrep import fqlin as la
@@ -85,8 +86,9 @@ def is_unitary(U, tol) -> bool:
 
 def all_vectors(rep: WeilRep):
     """Every v = (a, b) of V, in the order a_idx * q^N + b_idx."""
-    for a in rep._L:
-        for b in rep._L:
+    L = gfq_vectors(rep.ctx, rep.N)
+    for a in L:
+        for b in L:
             yield a + b
 
 
@@ -420,10 +422,11 @@ def test_wigner_batch_matches_pointwise():
     )
     states /= np.linalg.norm(states, axis=0, keepdims=True)
     batch = rep.wigner_batch(states)
+    L = gfq_vectors(rep.ctx, rep.N)
     for s in range(3):
         for ai in range(7):
             for bi in range(7):
-                v = rep._L[ai] + rep._L[bi]
+                v = L[ai] + L[bi]
                 direct = wigner(rep, states[:, s], v)
                 assert abs(batch[s, ai * 7 + bi] - direct) < 1e-10
 
@@ -923,10 +926,11 @@ def test_char_phase_table_matches_per_vector_oracle(p, m, N):
     cells = [(ai, bi) for ai in range(rep.dim) for bi in range(rep.dim)]
     if len(cells) > 4096:
         cells = rng.sample(cells, 1500)
+    L = gfq_vectors(rep.ctx, rep.N)
     for _ in range(3):
         g = _generic_element(rep.space, rng)
         trace, support, table = rep.char_phase_table(restrict_scalars(rep.ctx, [g]))
-        want_sign, want = _phase_oracle(rep, g, [rep._L[a] + rep._L[b] for a, b in cells])
+        want_sign, want = _phase_oracle(rep, g, [L[a] + L[b] for a, b in cells])
         assert trace.tolist() == [want_sign] and support.all()
         assert [int(table[0, a, b]) for a, b in cells] == want
 
@@ -1042,7 +1046,7 @@ def test_c_chi_table_phases_match_per_vector_oracle(p, m, N):
 
 def _tables_oracle(rep):
     """shift_table, psi_mat and half_ab_idx by the double loops over L x L."""
-    ctx, L = rep.ctx, rep._L
+    ctx, L = rep.ctx, gfq_vectors(rep.ctx, rep.N)
     index = {x: i for i, x in enumerate(L)}
     shift = np.empty((rep.dim, rep.dim), dtype=np.int64)
     dot_idx = np.empty((rep.dim, rep.dim), dtype=np.int64)
@@ -1065,3 +1069,40 @@ def test_weilrep_tables_match_double_loop(p, m, N):
     assert np.array_equal(rep.shift_table, shift)
     assert np.array_equal(rep.psi_mat, psi_mat)
     assert np.array_equal(rep.half_ab_idx, half_ab)
+
+
+@pytest.mark.parametrize("p,m,N", [(5, 1, 1), (3, 1, 2), (3, 2, 1), (3, 3, 1)])
+def test_v_index_and_pi_op_match_the_gfq_tuple_table(p, m, N):
+    """v_index and pi_op read a vector as a tuple over GF(q) or as its F_p
+    coordinate row alike.  The index is the position in the table of
+    (a, b) over L x L, and pi((a, b), z) sends f to
+    x -> psi(z + b.x + (1/2) a.b) f(x + a), with every sum, product and
+    psi taken over GF(q)."""
+    rep = WeilRep(SympSpace(FieldCtx(p, m), N))
+    ctx = rep.ctx
+    L = gfq_vectors(rep.ctx, rep.N)
+    index = {x: i for i, x in enumerate(L)}
+
+    def dot(u, w):
+        total = ctx.zero
+        for x, y in zip(u, w):
+            total = ctx.add(total, ctx.mul(x, y))
+        return total
+
+    rng = random.Random(p * 100 + m * 10 + N)
+    z_values = [ctx.zero, ctx.from_int(rng.randrange(1, ctx.q))]
+    for ai, a in enumerate(L):
+        for bi, b in enumerate(L):
+            v = a + b
+            row = prime_coords([v])[0]
+            assert rep.v_index(v) == rep.v_index(row) == ai * rep.dim + bi
+            if rng.random() > 0.2:
+                continue
+            z = rng.choice(z_values)
+            want = np.zeros((rep.dim, rep.dim), dtype=np.complex128)
+            for xi, x in enumerate(L):
+                shifted = index[tuple(ctx.add(s, t) for s, t in zip(x, a))]
+                phase = ctx.add(ctx.add(z, dot(b, x)), mul_half(ctx, dot(a, b)))
+                want[xi, shifted] = ctx.psi(phase)
+            assert max_abs(rep.pi_op((v, z)) - want) < 1e-12
+            assert np.array_equal(rep.pi_op((row, z)), rep.pi_op((v, z)))

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from test_heiwei import FORM_CASES, weil_op_by_factorization, wigner
 from test_spectra import character_values
+from test_symp import gfq_vectors
 
 from weilrep.gfq import FieldCtx
 from weilrep import sums
@@ -78,7 +79,7 @@ def test_two_dimensional_bound_exhaustive_f7():
         assert rpt.rows
     # the split torus excludes its eigenvectors
     rpt = bound_report(sp_split, torus_split)
-    assert rpt.excluded
+    assert len(rpt.excluded)
 
 
 def test_eigenvector_exclusion_is_necessary():
@@ -110,13 +111,17 @@ SP4_KINDS = (
 )
 def test_admissible_mask_matches_orbit_span_oracle(p, m, N, kind):
     """The idempotent mask against the exact orbit rank on every nonzero
-    vector.  Over GF(3) the split blocks of split+split and split+inert
-    have torus order 2 (the element -1), so no orbit spans V."""
+    vector, given as a tuple over GF(q) and, over GF(9), as its F_p
+    coordinate row too.  Over GF(3) the split blocks of split+split and
+    split+inert have torus order 2 (the element -1), so no orbit spans V."""
     sp = SympSpace(FieldCtx(p, m), N)
     torus = build_maximal_torus(sp, kind)
     vs = list(all_nonzero_vectors(sp))
     mask = admissible_mask(torus, prime_coords(vs))
     assert mask.tolist() == [orbit_spans_space(sp, torus, v) for v in vs]
+    if m > 1:
+        # the oracle reads an F_p coordinate row as it reads a tuple
+        assert mask.tolist() == [orbit_spans_space(sp, torus, c) for c in prime_coords(vs)]
     if (p, N) == (3, 2) and kind[0] == "split" and len(kind) == 2:
         assert not mask.any()
     else:
@@ -239,6 +244,31 @@ def test_bound_report_empty_vrange():
     rpt = bound_report(sp, torus, v_list=[])
     assert rpt.rows == []
     assert rpt.max_ratio == 0.0
+    assert rpt.excluded.shape == (0, 2)
+    assert list(rpt.csv_rows()) == []
+
+
+def test_bound_report_with_no_admissible_vector():
+    """The split torus of SL(2, F_3) is {1, -1}: no orbit spans V, so the
+    report has no rows and every nonzero vector is excluded."""
+    sp, torus = setup(3, 1, ["split"])
+    assert torus.order == 2
+    rpt = bound_report(sp, torus)
+    assert not rpt.rows and list(rpt.csv_rows()) == []
+    assert np.array_equal(rpt.excluded, default_vector_range(sp))
+    assert len(rpt.excluded) == 8
+    summary = rpt.summary()
+    assert (summary["n_rows"], summary["n_excluded"], summary["argmax"]) == (0, 8, None)
+
+
+def test_c_chi_table_of_no_vectors_is_empty():
+    """An empty array of F_p rows keeps its width through ``prime_coords``,
+    so the table of no vectors is one empty column per character."""
+    sp, torus = setup(5, 2, ["split", "inert"])
+    C = np.zeros((0, 4), dtype=np.int64)
+    assert prime_coords(C).shape == (0, 4)
+    assert c_chi_table(sp, torus, C).shape == (torus.order, 0)
+    assert admissible_mask(torus, C).shape == (0,)
 
 
 def test_default_vector_range_small_space_exhaustive():
@@ -252,18 +282,103 @@ def test_default_vector_range_caps_at_every_nonzero_vector():
     one of its nonzero vectors has weight at most 2."""
     sp = SympSpace(FieldCtx(5, 3), 1)
     vs = default_vector_range(sp)
-    assert len(vs) == len(set(vs)) == 125**2 - 1
+    assert len(vs) == len(np.unique(vs, axis=0)) == 125**2 - 1
 
 
 def test_default_vector_range_samples_distinct_nonzero_vectors():
     sp = SympSpace(FieldCtx(11), 2)
     vs = default_vector_range(sp, seed=5)
     low_weight = 4 * 10 + 6 * 10**2  # nonzero vectors of weight <= 2 in GF(11)^4
-    assert len(vs) == len(set(vs)) == low_weight + 4096
+    assert len(vs) == len(np.unique(vs, axis=0)) == low_weight + 4096
     assert all(any(x != 0 for x in v) for v in vs)
     assert all(sum(x != 0 for x in v) <= 2 for v in vs[:low_weight])
-    assert default_vector_range(sp, seed=5) == vs
-    assert default_vector_range(sp, seed=6) != vs
+    assert np.array_equal(default_vector_range(sp, seed=5), vs)
+    assert not np.array_equal(default_vector_range(sp, seed=6), vs)
+
+
+def _default_vector_range_oracle(space, seed=0):
+    """``default_vector_range`` as tuples over GF(q): every nonzero vector
+    by its encoding, or the weight-2 vectors, then the draws, built one
+    element at a time and each kept at its first occurrence."""
+    ctx = space.ctx
+    n = space.dim
+    total = ctx.q**n
+    if total <= 6561:
+        return gfq_vectors(ctx, n)[1:]
+    rng = random.Random(seed)
+    seen = set()
+    out = []
+    for i in range(n):
+        for j in range(i, n):
+            for a in range(ctx.q):
+                for b in range(ctx.q):
+                    v = [ctx.zero] * n
+                    v[i] = ctx.from_int(a)
+                    v[j] = ctx.from_int(b)
+                    v = tuple(v)
+                    if any(x != ctx.zero for x in v) and v not in seen:
+                        seen.add(v)
+                        out.append(v)
+    target = min(len(out) + 4096, total - 1)
+    while len(out) < target:
+        v = tuple(ctx.from_int(rng.randrange(ctx.q)) for _ in range(n))
+        if any(x != ctx.zero for x in v) and v not in seen:
+            seen.add(v)
+            out.append(v)
+    return out
+
+
+RANGE_CASES = [(5, 1, 2), (3, 2, 2), (3, 2, 1), (11, 1, 2), (13, 1, 2), (5, 1, 3), (7, 1, 3),
+               (3, 3, 2), (5, 3, 1), (3, 1, 19)]
+
+
+@pytest.mark.parametrize("p,m,N", RANGE_CASES, ids=[f"{p}^{m}-N{N}" for p, m, N in RANGE_CASES])
+def test_default_vector_range_matches_the_tuple_oracle(p, m, N):
+    """The F_p rows are the oracle's tuples over GF(q), in the same order,
+    in the exhaustive branch (q^2N <= 6561) and the sampled one, for
+    several seeds."""
+    sp = SympSpace(FieldCtx(p, m), N)
+    for seed in (0, 5, 17):
+        rows = default_vector_range(sp, seed)
+        assert rows.dtype == np.int64 and rows.shape[1] == 2 * N * m
+        assert np.array_equal(rows, prime_coords(_default_vector_range_oracle(sp, seed)))
+        if sp.ctx.q ** (2 * N) <= 6561:
+            break
+
+
+def test_default_vector_range_refuses_encodings_past_int64():
+    """3^38 < 2^63 < 3^40: GF(3)^38 is the largest space over F_3 whose
+    encodings fit (it is a case of the oracle test), GF(3)^40 raises."""
+    with pytest.raises(ValueError, match="int64"):
+        default_vector_range(SympSpace(FieldCtx(3), 20))
+
+
+@pytest.mark.parametrize(
+    "p,m,N,kind,step", [(5, 3, 1, ["split"], 97), (11, 1, 2, ["split", "inert"], 23)],
+    ids=["gf125-split", "f11-split+inert"],
+)
+def test_csv_rows_match_the_per_row_formatting(p, m, N, kind, step):
+    """The CSV text, each vector and character formatted once, against the
+    rows formatted one dict at a time with each component read back over
+    GF(q) and serialized, on vectors of the sampled branch."""
+    sp = SympSpace(FieldCtx(p, m), N)
+    ctx = sp.ctx
+    torus = build_maximal_torus(sp, kind)
+    vs = default_vector_range(sp, seed=3)[::step]
+    rpt = bound_report(sp, torus, vs)
+    assert len(rpt.rows) > 1000 and len(rpt.excluded) > 0
+    want = []
+    for row in rpt.rows:
+        v = [ctx.el(x) for x in np.reshape(row["v"], (sp.dim, m)).tolist()]
+        want.append((
+            p, m, N, torus.descriptor_string(),
+            ";".join(str(e) for e in row["chi"]),
+            ";".join(",".join(str(c) for c in ctx.serialize(x)) for x in v),
+            f"{row['re']:.12g}", f"{row['im']:.12g}", f"{row['abs']:.12g}",
+            f"{rpt.bound:.12g}", f"{row['ratio']:.12g}",
+        ))
+    got = list(rpt.csv_rows())
+    assert [",".join(map(str, r)) for r in got] == [",".join(map(str, r)) for r in want]
 
 
 def test_bound_report_rows_match_the_table_entry_by_entry():
@@ -274,7 +389,7 @@ def test_bound_report_rows_match_the_table_entry_by_entry():
     rpt = bound_report(sp, torus)
     vs = list(all_nonzero_vectors(sp))
     admissible = [v for v in vs if orbit_spans_space(sp, torus, v)]
-    assert rpt.excluded == [v for v in vs if v not in admissible]
+    assert rpt.excluded.tolist() == [list(v) for v in vs if v not in admissible]
     table = c_chi_table(sp, torus, admissible)
     expected = []
     for ci, chi in enumerate(torus_characters(torus).tolist()):
@@ -427,3 +542,9 @@ def test_bound_report_witness_is_stable_under_rounding(monkeypatch):
         assert rpt.argmax["chi"] == chars[want[0]].tolist()
         assert rpt.argmax["v"] == [sp.ctx.serialize(x) for x in vs[want[1]]]
         assert rpt.max_ratio == np.abs(doctored).max() / rpt.bound
+
+
+def test_bound_report_refuses_vectors_of_another_width():
+    sp, torus = setup(5, 2, ["split", "inert"])
+    with pytest.raises(ValueError):
+        bound_report(sp, torus, [(1, 2, 3)])

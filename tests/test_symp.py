@@ -42,6 +42,13 @@ def sl2(p):
     return SympSpace(FieldCtx(p), 1)
 
 
+def gfq_vectors(ctx, n) -> list:
+    """Every vector of GF(q)^n as a tuple over GF(q), in the order of its
+    encoding sum of x_i q^i, x_i the base-p encoding of component i."""
+    return [tuple(ctx.from_int(enc // ctx.q**i % ctx.q) for i in range(n))
+            for enc in range(ctx.q**n)]
+
+
 def _element_keys(torus):
     """The frozen GF(q) matrix of every torus element, in ``exponents``
     order, read back from ``Torus.stack``."""
@@ -475,13 +482,17 @@ def test_centralizer_torus_split_case():
 
 def assert_centralizer_invariants(sp, A, torus):
     """Generators symplectic, of exact order, and the identity off their
-    block; block idempotents orthogonal and summing to I; A in T."""
+    block; block idempotents orthogonal and summing to I; A in T.  The
+    idempotents are those of ``module_structure``, each paired with the
+    generator that moves its block, and that generator's order, by
+    ``block_tori``."""
     ctx = sp.ctx
     ident = la.identity(ctx, sp.dim)
     zero = la.zeros(ctx, sp.dim, sp.dim)
-    idems = [la.thaw(blk.idempotent) for blk in torus.blocks]
-    for gkey, order, e in zip(torus.generators, torus.orders, idems):
-        g = la.thaw(gkey)
+    ms = module_structure(torus)
+    idems = [la.thaw(blk.idempotent) for blk in ms.blocks]
+    for (k, T), e in zip(ms.block_tori(), idems):
+        g, order = la.thaw(torus.generators[k]), T.order
         assert is_symplectic(sp, g)
         assert _mat_pow(ctx, g, order) == ident
         for r, _ in factorize(order):
