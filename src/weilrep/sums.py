@@ -226,10 +226,10 @@ def default_vector_range(space: SympSpace, seed: int = 0) -> np.ndarray:
 
     A vector is its encoding sum of x_i q^i, x_i the base-p encoding of
     component i, so the base-p digit i m + k of the encoding is coefficient
-    k of component i: the encodings are all of 1 .. q^2N - 1, or the
-    weight-2 ones in the order (i <= j, x_i, x_j) then the draws, each kept
-    at its first occurrence.  ValueError when the encodings do not fit in
-    int64, where they would wrap."""
+    k of component i: the encodings are all of 1 .. q^2N - 1, or those of
+    weight at most 2 in the order (i <= j, x_i, x_j) and then the draws,
+    each kept at its first occurrence.  ValueError when the encodings do
+    not fit in int64, where they would wrap."""
     ctx = space.ctx
     q, n = ctx.q, space.dim
     total = q**n

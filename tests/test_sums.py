@@ -37,10 +37,7 @@ def kind_id(val):
 
 
 def all_nonzero_vectors(sp):
-    ctx = sp.ctx
-    n = sp.dim
-    for enc in range(1, ctx.q**n):
-        yield tuple(ctx.from_int((enc // ctx.q**i) % ctx.q) for i in range(n))
+    return gfq_vectors(sp.ctx, sp.dim)[1:]
 
 
 def test_sum_over_characters_vanishes():
@@ -304,7 +301,7 @@ def _default_vector_range_oracle(space, seed=0):
     n = space.dim
     total = ctx.q**n
     if total <= 6561:
-        return gfq_vectors(ctx, n)[1:]
+        return all_nonzero_vectors(space)
     rng = random.Random(seed)
     seen = set()
     out = []
