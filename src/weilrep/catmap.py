@@ -2,9 +2,12 @@
 integer symplectic matrices, Hecke tori mod p, eigenstate and statistical
 bound experiments, and the prime-sweep statistics of the symplectic rank.
 
-Genericity is decided exactly over Q for every size 2N: the characteristic
-polynomial is factored by ``factor_over_Q``, which reuses the GF(p)
-factorization of ``gfq.factor_poly``.
+Genericity is decided exactly over Q for every size 2N from one integer,
+the discriminant of the characteristic polynomial (``discriminant``): it
+is nonzero exactly for a regular element, its prime divisors are the
+skipped primes, and the factoring prime of ``factor_over_Q``, which reuses
+the GF(p) factorization of ``gfq.factor_poly``, is the least one past the
+coefficient bound that does not divide it.
 
 Every experiment works prime by prime and is pure in its inputs, so sweeps
 parallelize over p and reports merge by simple concatenation.
@@ -16,7 +19,6 @@ import functools
 import itertools
 import math
 from dataclasses import dataclass, field
-from fractions import Fraction
 
 import numpy as np
 
@@ -32,7 +34,7 @@ from .spectra import (
     weil_traces,
 )
 from .sums import admissible_mask, c_chi_table
-from .symp import SympSpace, centralizer_torus, trace_factor_degrees, trace_polynomial
+from .symp import SympSpace, centralizer_torus, standard_gram, trace_factor_degrees, trace_polynomial
 
 #: a strongly generic element of Sp(4, Z): characteristic polynomial
 #: x^4 - 2x^3 - 2x^2 - 2x + 1, irreducible over Q, whose trace resolvent
@@ -60,31 +62,34 @@ def primes_up_to(n: int) -> list[int]:
     return [int(p) for p in np.flatnonzero(sieve)]
 
 
-def _int_J(N: int):
-    J = [[0] * (2 * N) for _ in range(2 * N)]
-    for i in range(N):
-        J[i][N + i] = 1
-        J[N + i][i] = -1
-    return J
-
-
 def is_integer_symplectic(mat) -> bool:
     n = len(mat)
     if n == 0 or n % 2 or any(len(row) != n for row in mat):
         return False
-    J = _int_J(n // 2)
+    J = standard_gram(la.INT_RING, n // 2)
     lhs = la.mat_mul(la.INT_RING, la.mat_mul(la.INT_RING, la.transpose(mat), J), mat)
     return lhs == J
 
 
-# -- rational polynomial helpers ------------------------------------------------
+# -- integer polynomials ---------------------------------------------------------
 
 
-def _qpoly_trim(f):
-    f = list(f)
-    while f and f[-1] == 0:
-        f.pop()
-    return f
+def discriminant(f) -> int:
+    """The discriminant of a monic integer polynomial of degree n >= 1
+    (coefficient list, constant term first), exactly: (-1)^(n(n-1)/2)
+    Res(f, f'), with Res(f, f') the determinant of the (2n-1) x (2n-1)
+    Sylvester matrix of f and f' (von zur Gathen and Gerhard, "Modern
+    Computer Algebra", 6.3).  The matrix has odd size, so its determinant is
+    -1 times the constant term of its division-free characteristic
+    polynomial (``fqlin.charpoly``).  f is squarefree over Q exactly when the
+    discriminant is nonzero, and mod a prime p exactly when p does not
+    divide it."""
+    n = len(f) - 1
+    df = [i * c for i, c in enumerate(f)][1:]
+    rows = [[0] * k + f[::-1] + [0] * (n - 2 - k) for k in range(n - 1)]
+    rows += [[0] * k + df[::-1] + [0] * (n - 1 - k) for k in range(n)]
+    det = -la.charpoly(la.INT_RING, rows)[0]
+    return -det if n * (n - 1) // 2 % 2 else det
 
 
 def _monic_quotient(f, g):
@@ -104,84 +109,46 @@ def _monic_quotient(f, g):
     return None if any(f[:dg]) else q
 
 
-def _qpoly_divmod(f, g):
-    """Division with remainder over Q, for any nonzero divisor g."""
-    f = [Fraction(c) for c in f]
-    g = [Fraction(c) for c in g]
-    q = [Fraction(0)] * max(len(f) - len(g) + 1, 0)
-    while len(f) >= len(g) and any(f):
-        f = _qpoly_trim(f)
-        if len(f) < len(g):
-            break
-        c = f[-1] / g[-1]
-        sh = len(f) - len(g)
-        q[sh] = c
-        for i, gc in enumerate(g):
-            f[sh + i] -= c * gc
-        f = f[:-1]
-    return q, _qpoly_trim(f)
-
-
-def _qpoly_gcd(f, g):
-    f, g = _qpoly_trim(f), _qpoly_trim(g)
-    while g:
-        f, g = g, _qpoly_divmod(f, g)[1]
-    if f:
-        lead = f[-1]
-        f = [c / lead for c in f]
-    return f
-
-
-def int_poly_derivative(f):
-    return [i * c for i, c in enumerate(f)][1:]
-
-
-def is_squarefree_over_q(f) -> bool:
-    return len(_qpoly_gcd(f, int_poly_derivative(f))) <= 1
-
-
 def factor_over_Q(f):
     """The monic irreducible integer factors of a monic squarefree integer
     polynomial of any degree, sorted as coefficient lists (constant term
     first).  By Gauss's lemma the rational factors of a monic integer
-    polynomial are monic integer polynomials.
+    polynomial are monic integer polynomials.  ValueError unless f is
+    monic with nonzero ``discriminant``; see ``_factor_monic_squarefree``.
+    """
+    f = gfq.poly_trim(la.INT_RING, [int(c) for c in f])
+    if not f or f[-1] != 1:
+        raise ValueError("factor_over_Q expects a monic polynomial")
+    disc = discriminant(f)
+    if disc == 0:
+        raise ValueError("factor_over_Q expects a squarefree polynomial")
+    return _factor_monic_squarefree(f, disc)
+
+
+def _factor_monic_squarefree(f, disc):
+    """``factor_over_Q`` for a trimmed monic integer coefficient list of
+    nonzero discriminant ``disc``.
 
     Big-prime method (von zur Gathen and Gerhard, "Modern Computer
     Algebra", 15.2).  A factor of degree at most n - 1 has every
     coefficient at most B = C(n-1, floor((n-1)/2)) ceil(||f||_2) in
-    absolute value (Mignotte), so at the least prime P > 2B where f stays
-    squarefree it is the product of a set of the monic irreducible factors
-    of f over GF(P) (``gfq.factor_poly``), read with coefficients in
-    (-P/2, P/2).  Sets are tried smallest first and kept when their product
-    divides f exactly (``_monic_quotient``: the product is monic, so the
-    division stays in integers), so each kept product is irreducible.  ValueError
-    unless f is monic and squarefree, and when P reaches the 2^20 bound of
-    ``FieldCtx``.
-    """
-    f = [int(c) for c in _qpoly_trim(f)]
-    if not f or f[-1] != 1:
-        raise ValueError("factor_over_Q expects a monic polynomial")
-    if not is_squarefree_over_q(f):
-        raise ValueError("factor_over_Q expects a squarefree polynomial")
-    return _factor_monic_squarefree(f)
-
-
-def _factor_monic_squarefree(f):
-    """``factor_over_Q`` for a trimmed monic integer coefficient list that
-    the caller has already found squarefree."""
+    absolute value (Mignotte), so at the least prime P > 2B that does not
+    divide ``disc``, where f stays squarefree, it is the product of a set
+    of the monic irreducible factors of f over GF(P) (``gfq.factor_poly``),
+    read with coefficients in (-P/2, P/2).  Sets are tried smallest first
+    and kept when their product divides f exactly (``_monic_quotient``: the
+    product is monic, so the division stays in integers), so each kept
+    product is irreducible.  ValueError when P reaches the 2^20 bound of
+    ``FieldCtx``."""
     n = len(f) - 1
     if n <= 1:
         return [f] if n else []
     norm = math.isqrt(sum(c * c for c in f) - 1) + 1  # ceil(||f||_2)
-    P = 2 * math.comb(n - 1, (n - 1) // 2) * norm
-    while True:
+    P = 2 * math.comb(n - 1, (n - 1) // 2) * norm + 1
+    while not gfq.is_prime(P) or disc % P == 0:
         P += 1
-        if gfq.is_prime(P):
-            ctx = FieldCtx(P)
-            f_mod = gfq.poly_from_ints(ctx, f)
-            if gfq.is_squarefree(ctx, f_mod):
-                break
-    mods = gfq.factor_poly(ctx, f_mod)
+    ctx = FieldCtx(P)
+    mods = gfq.factor_poly(ctx, gfq.poly_from_ints(ctx, f))
     factors = []
     k = 1
     while 2 * k <= len(mods):
@@ -201,30 +168,23 @@ def _factor_monic_squarefree(f):
     return sorted(factors + [f])
 
 
-def _reciprocal_int(f):
-    if f[0] == 0:
-        raise ValueError("zero constant term")
-    rev = list(reversed(f))
-    if rev[-1] < 0:
-        rev = [-c for c in rev]
-    # normalize to monic over Q; factors of monic reciprocal polys stay monic
-    if rev[-1] != 1:
-        if any(c % rev[-1] for c in rev):
-            return None
-        rev = [c // rev[-1] for c in rev]
-    return rev
-
-
 @dataclass
 class LatticeAutomorphism:
     """An element of Sp(2N, Z) with its integral characteristic polynomial
-    and genericity flags."""
+    cp, its discriminant ``disc`` and genericity flags: regular means cp
+    squarefree over Q (disc != 0); strongly generic means cp irreducible
+    over Q; generic means regular with every rational irreducible factor g
+    equal to its own reciprocal (no invariant rational isotropic
+    subspace).  g(0) = +-1, as g divides cp and cp(0) = 1, so the
+    reciprocal x^deg(g) g(1/x) / g(0) is g exactly when the reversed
+    coefficients are g(0) g."""
 
     mat: tuple
-    charpoly: list[int] = field(default_factory=list)
-    regular: bool = False
-    strongly_generic: bool = False
-    generic: bool = False
+    charpoly: list[int] = field(init=False)
+    disc: int = field(init=False)
+    regular: bool = field(init=False)
+    strongly_generic: bool = field(default=False, init=False)
+    generic: bool = field(default=False, init=False)
 
     def __post_init__(self):
         mat = [list(row) for row in self.mat]
@@ -232,10 +192,12 @@ class LatticeAutomorphism:
             raise ValueError("matrix is not a square integer symplectic matrix")
         self.mat = tuple(tuple(int(x) for x in row) for row in mat)
         self.charpoly = la.charpoly(la.INT_RING, mat)
-        flags = check_genericity_from_charpoly(self.charpoly)
-        self.regular = flags["regular"]
-        self.strongly_generic = flags["strongly_generic"]
-        self.generic = flags["generic"]
+        self.disc = discriminant(self.charpoly)
+        self.regular = self.disc != 0
+        if self.regular:
+            factors = _factor_monic_squarefree(self.charpoly, self.disc)
+            self.strongly_generic = len(factors) == 1
+            self.generic = all(g[::-1] == [g[0] * c for c in g] for g in factors)
 
     @property
     def N(self) -> int:
@@ -247,11 +209,8 @@ class LatticeAutomorphism:
 
 
 def check_genericity(mat) -> dict:
-    """Genericity flags of an integer symplectic matrix: regular means
-    squarefree characteristic polynomial over Q; strongly generic means
-    irreducible over Q; generic means regular with every rational
-    irreducible factor equal to its own reciprocal (no invariant rational
-    isotropic subspace)."""
+    """The genericity flags of an integer symplectic matrix
+    (``LatticeAutomorphism``) and its characteristic polynomial."""
     A = LatticeAutomorphism(tuple(tuple(row) for row in mat))
     return {
         "regular": A.regular,
@@ -261,31 +220,18 @@ def check_genericity(mat) -> dict:
     }
 
 
-def check_genericity_from_charpoly(cp) -> dict:
-    """Genericity flags of a monic integer characteristic polynomial; the
-    squarefree test runs once, and the factorization does not repeat it."""
-    if not is_squarefree_over_q(cp):
-        return {"regular": False, "strongly_generic": False, "generic": False}
-    factors = _factor_monic_squarefree(cp)
-    return {
-        "regular": True,
-        "strongly_generic": len(factors) == 1,
-        "generic": all(_reciprocal_int(g) == g for g in factors),
-    }
-
-
 # -- per-prime experiment core ---------------------------------------------------
 
 
 def skip_reason(A: LatticeAutomorphism, p: int) -> str | None:
+    """Why prime p is left out of A's sweeps, or None.  The
+    characteristic polynomial is monic, so it stays squarefree mod p
+    exactly when p does not divide ``A.disc``."""
     if p == 2:
         return "p = 2 (odd characteristic only)"
     if p == 3 and A.N == 1:
         return "p = 3 with dim V = 2 (linearization not unique)"
-    ctx = FieldCtx(p)
-    cp = [ctx.el(c) for c in A.charpoly]
-    cp = gfq.poly_trim(ctx, cp)
-    if not gfq.is_squarefree(ctx, cp):
+    if A.disc % p == 0:
         return "p divides disc(charpoly)"
     return None
 
@@ -318,9 +264,9 @@ def torus_orbit_minima(torus) -> np.ndarray:
     N = n // 2
     labels = np.arange(p**n, dtype=np.int64)
     place = index_places(p, N)
-    # the index grid (p,)^n in C order: coordinate j, of place value
-    # p^(e_j), runs along the axis with e_j axes after it
-    trailing = [(1,) * e for e in [*range(N, n), *range(N)]]
+    # the index grid (p,)^n in C order: coordinate j runs along the axis
+    # whose rank is that of its place value, largest first
+    axis = (place > place[:, None]).sum(axis=1)
     values = np.arange(p, dtype=np.int64)
     for g, order in zip(torus.generators, torus.orders):
         G = np.array(la.thaw(g), dtype=np.int64)
@@ -328,7 +274,7 @@ def torus_orbit_minima(torus) -> np.ndarray:
         for i in range(n):
             image = np.zeros((1,) * n, dtype=np.int64)
             for j in range(n):
-                image = image + (G[i, j] * values % p).reshape((p,) + trailing[j])
+                image = image + (G[i, j] * values % p).reshape((p,) + (1,) * (n - 1 - axis[j]))
             step += image % p * place[i]
         step = step.reshape(-1)
         span = 1

@@ -150,7 +150,7 @@ def torus_character_forms(torus):
 
 class WeilRep:
     """Heisenberg and Weil operators on the q^N-dimensional Schroedinger
-    space attached to a standard symplectic space.
+    space attached to a symplectic space.
 
     Operators are dense complex matrices; ``tol`` = 1e-9 * q^N is the
     max-norm comparison tolerance used by the internal sanity checks.
@@ -162,8 +162,6 @@ class WeilRep:
 
     def __init__(self, space: SympSpace):
         ctx = space.ctx
-        if space.gram != la.thaw(_standard_gram_cache(space)):
-            raise ValueError("the Schroedinger model needs the standard gram form")
         self.space = space
         self.ctx = ctx
         self.N = space.N
@@ -326,12 +324,6 @@ class WeilRep:
             T *= self.psi_pow[self.half_ab_idx[ai]][:, None]
             out[:, ai * dim : (ai + 1) * dim] = T.T
         return out
-
-
-def _standard_gram_cache(space):
-    from .symp import standard_gram
-
-    return la.freeze(standard_gram(space.ctx, space.N))
 
 
 # -- restriction to SL(2) over the extension fields ----------------------------

@@ -45,26 +45,17 @@ def standard_gram(ctx, N):
 
 
 class SympSpace:
-    """A 2N-dimensional symplectic space over GF(q) with a fixed Gram matrix
-    (block antidiagonal by default).  ``trace_gram`` is the read-only F_p
-    Gram matrix of Tr omega (``trace_form_gram``), built once here for the
-    kernels that work over F_p."""
+    """A 2N-dimensional symplectic space over GF(q) with the standard Gram
+    matrix [[0, I], [-I, 0]] (``standard_gram``).  ``trace_gram`` is the
+    read-only F_p Gram matrix of Tr omega (``trace_form_gram``), built once
+    here for the kernels that work over F_p."""
 
-    def __init__(self, ctx: FieldCtx, N: int, gram=None):
+    def __init__(self, ctx: FieldCtx, N: int):
         self.ctx = ctx
         self.N = N
         self.dim = 2 * N
-        if gram is None:
-            gram = standard_gram(ctx, N)
-        gram = la.thaw(gram)
-        for i in range(self.dim):
-            if gram[i][i] != ctx.zero:
-                raise ValueError("gram matrix must have zero diagonal")
-            for j in range(self.dim):
-                if gram[i][j] != ctx.neg(gram[j][i]):
-                    raise ValueError("gram matrix must be antisymmetric")
-        self.gram = gram
-        self.gram_inv = la.inv(ctx, gram)  # raises if degenerate
+        self.gram = gram = standard_gram(ctx, N)
+        self.gram_inv = la.inv(ctx, gram)
         self.trace_gram = trace_form_gram(ctx, gram)
         self.trace_gram.setflags(write=False)
 
@@ -456,8 +447,6 @@ def _normalize_kind(space: SympSpace, kind):
                 if entry.startswith(prefix) and entry[len(prefix):].isdigit():
                     name, degree = prefix, int(entry[len(prefix):])
                     break
-        elif isinstance(entry, dict):
-            name, degree = entry["type"], int(entry.get("degree", 1))
         else:
             name, degree = entry[0], int(entry[1])
         if name == "irr":
@@ -478,7 +467,7 @@ def build_maximal_torus(space: SympSpace, kind) -> Torus:
     """Maximal torus of the prescribed symplectic type.
 
     ``kind`` is a list of block descriptors: 'split', 'inert',
-    'irreducible<d>', ('split', d), or {'type': ..., 'degree': ...}.
+    'irreducible<d>' (or 'irr<d>'), or a pair such as ('split', d).
     """
     blocks = _normalize_kind(space, kind)
     ctx = space.ctx

@@ -3,6 +3,7 @@
 import functools
 import math
 import weakref
+from fractions import Fraction
 from types import SimpleNamespace
 
 import numpy as np
@@ -19,6 +20,7 @@ from weilrep.catmap import (
     LatticeAutomorphism,
     check_genericity,
     default_observables,
+    discriminant,
     factor_over_Q,
     hecke_que_experiment,
     is_integer_symplectic,
@@ -28,7 +30,6 @@ from weilrep.catmap import (
     skip_reason,
     statistical_state_experiment,
     _monic_quotient,
-    _qpoly_divmod,
     torus_orbit_minima,
 )
 from weilrep import catmap, gfq, heiwei, symp
@@ -37,6 +38,7 @@ from weilrep.gfq import FieldCtx
 from weilrep.heiwei import WeilRep, max_abs
 from weilrep.spectra import decompose, split_quadratic_bases
 from weilrep.sums import admissible_mask, orbit_spans_space
+from weilrep.symp import trace_polynomial
 
 
 def test_primes_up_to():
@@ -59,6 +61,40 @@ def test_factor_over_Q():
     # product of two irreducible quadratics
     f = np.polynomial.polynomial.polymul([1, 0, 1], [2, 1, 1])
     assert factor_over_Q([int(c) for c in f]) == sorted([[1, 0, 1], [2, 1, 1]])
+
+
+def _qpoly_trim(f):
+    f = list(f)
+    while f and f[-1] == 0:
+        f.pop()
+    return f
+
+
+def _qpoly_divmod(f, g):
+    """Division with remainder over Q by Fraction arithmetic, for any
+    nonzero divisor g: the oracle of the integer polynomial code."""
+    f = [Fraction(c) for c in f]
+    g = [Fraction(c) for c in g]
+    q = [Fraction(0)] * max(len(f) - len(g) + 1, 0)
+    while len(f) >= len(g) and any(f):
+        f = _qpoly_trim(f)
+        if len(f) < len(g):
+            break
+        c = f[-1] / g[-1]
+        sh = len(f) - len(g)
+        q[sh] = c
+        for i, gc in enumerate(g):
+            f[sh + i] -= c * gc
+        f = f[:-1]
+    return q, _qpoly_trim(f)
+
+
+def _is_squarefree_by_fraction_gcd(f):
+    """gcd(f, f') over Q by the Euclidean algorithm is a constant."""
+    f, g = _qpoly_trim(f), _qpoly_trim([i * c for i, c in enumerate(f)][1:])
+    while g:
+        f, g = g, _qpoly_divmod(f, g)[1]
+    return len(f) <= 1
 
 
 _monic = st.lists(st.integers(-9, 9), max_size=4).map(lambda c: c + [1])
@@ -138,20 +174,78 @@ def test_factor_over_Q_cat2_times_cat4_and_the_sp6_seed():
     assert factor_over_Q(SP6_SEED_CHARPOLY) == [SP6_SEED_CHARPOLY]
 
 
-@pytest.mark.parametrize(
-    "f",
-    [
-        [1, 0, 2],  # 2x^2 + 1
-        [1, 1, -1],  # -x^2 + x + 1
-        [],  # the zero polynomial
-        [1, 2, 1],  # (x + 1)^2
-        [0, 0, 1, 1],  # x^2 (x + 1)
-        [1, 2, 1, -2, -2, 0, 1],  # (x^3 - x - 1)^2
-    ],
-)
+NON_MONIC = [
+    [1, 0, 2],  # 2x^2 + 1
+    [1, 1, -1],  # -x^2 + x + 1
+    [],  # the zero polynomial
+]
+NON_SQUAREFREE = [
+    [1, 2, 1],  # (x + 1)^2
+    [0, 0, 1, 1],  # x^2 (x + 1)
+    [1, 2, 1, -2, -2, 0, 1],  # (x^3 - x - 1)^2
+]
+
+
+@pytest.mark.parametrize("f", NON_MONIC + NON_SQUAREFREE)
 def test_factor_over_Q_refuses_non_monic_and_non_squarefree_input(f):
     with pytest.raises(ValueError):
         factor_over_Q(f)
+
+
+def test_discriminant_closed_forms():
+    """b^2 - 4c for x^2 + bx + c, -4c^3 - 27d^2 for x^3 + cx + d and
+    b^2c^2 - 4c^3 - 4b^3d - 27d^2 + 18bcd for x^3 + bx^2 + cx + d; 1 for a
+    linear polynomial."""
+    for b, c, d in [(0, 0, 0), (-3, 1, 0), (2, 1, 5), (7, -4, -11), (1, 1, 1)]:
+        assert discriminant([c, b, 1]) == b * b - 4 * c
+        assert discriminant([d, c, 0, 1]) == -4 * c**3 - 27 * d * d
+        assert discriminant([d, c, b, 1]) == (
+            b * b * c * c - 4 * c**3 - 4 * b**3 * d - 27 * d * d + 18 * b * c * d
+        )
+        assert discriminant([d, 1]) == 1
+    # the non-squarefree inputs that factor_over_Q refuses
+    assert all(discriminant(f) == 0 for f in NON_SQUAREFREE)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(_monic, min_size=1, max_size=3), st.booleans())
+def test_discriminant_vanishes_exactly_off_the_squarefree(factors, square):
+    """disc(f) == 0 exactly when the Fraction gcd of f and f' is not a
+    constant; ``square`` plants a repeated factor."""
+    f = [1]
+    for h in factors + factors[:1] * square:
+        f = [int(c) for c in np.polynomial.polynomial.polymul(f, h)]
+    assert (discriminant(f) != 0) == _is_squarefree_by_fraction_gcd(f)
+
+
+def _poly_at(f, x):
+    return sum(c * x**i for i, c in enumerate(f))
+
+
+@pytest.mark.parametrize("mat,disc", [(CAT2_DEFAULT, 5), (CAT4_DEFAULT, -6400), (SP6_SEED, 596189889)])
+def test_disc_is_the_trace_polynomial_product(mat, disc):
+    """disc(cp) = h(2) h(-2) disc(h)^2 for the trace polynomial h of cp."""
+    A = LatticeAutomorphism(mat)
+    h = trace_polynomial(A.charpoly)
+    assert A.disc == disc == _poly_at(h, 2) * _poly_at(h, -2) * discriminant(h) ** 2
+
+
+@pytest.mark.parametrize("mat", [CAT2_DEFAULT, CAT4_DEFAULT, SP6_SEED])
+def test_skip_reason_is_the_squarefree_test_mod_p(mat):
+    """At every odd p up to 3000, p is skipped for its discriminant exactly
+    when the characteristic polynomial is not squarefree over GF(p)."""
+    A = LatticeAutomorphism(mat)
+    for p in primes_up_to(3000)[1:]:
+        ctx = FieldCtx(p)
+        squarefree = gfq.is_squarefree(ctx, gfq.poly_from_ints(ctx, A.charpoly))
+        assert (skip_reason(A, p) == "p divides disc(charpoly)") == (not squarefree), p
+
+
+@pytest.mark.parametrize("mat,skipped", [(CAT4_DEFAULT, [5]), (SP6_SEED, [3, 2713])])
+def test_rank_sweep_skips_the_odd_divisors_of_disc(mat, skipped):
+    A = LatticeAutomorphism(mat)
+    assert [p for p in primes_up_to(3000)[1:] if A.disc % p == 0] == skipped
+    assert rank_density_sweep(A, 3000)["skipped"] == skipped
 
 
 def test_sp6_seed_is_strongly_generic():
@@ -166,18 +260,17 @@ def test_sp6_seed_is_strongly_generic():
 
 
 def test_one_squarefree_test_per_lattice_automorphism(monkeypatch):
-    """Building a LatticeAutomorphism runs the Fraction squarefree test
-    once, for every seed; factor_over_Q called alone still runs it."""
-    from weilrep import catmap
-
+    """Building a LatticeAutomorphism computes the discriminant once, for
+    every seed, and the factorization reuses it; factor_over_Q called alone
+    computes it once too."""
     calls = []
-    real = catmap.is_squarefree_over_q
+    real = catmap.discriminant
 
     def counting(f):
         calls.append(f)
         return real(f)
 
-    monkeypatch.setattr(catmap, "is_squarefree_over_q", counting)
+    monkeypatch.setattr(catmap, "discriminant", counting)
     for mat in (CAT2_DEFAULT, CAT4_DEFAULT, SP6_SEED, ((1, 0), (0, 1))):
         calls.clear()
         LatticeAutomorphism(mat)
