@@ -4,10 +4,12 @@ bound experiments, and the prime-sweep statistics of the symplectic rank.
 
 Genericity is decided exactly over Q for every size 2N from one integer,
 the discriminant of the characteristic polynomial (``discriminant``): it
-is nonzero exactly for a regular element, its prime divisors are the
-skipped primes, and the factoring prime of ``factor_over_Q``, which reuses
-the GF(p) factorization of ``gfq.factor_poly``, is the least one past the
-coefficient bound that does not divide it.
+is nonzero exactly for a regular element, its odd prime divisors are the
+primes that the Hecke experiments (``skip_reason``) and the rank sweep
+(``rank_density_sweep``) skip, and the factoring prime of
+``factor_over_Q``, which reuses the GF(p) factorization of
+``gfq.factor_poly``, is the least one past the coefficient bound that does
+not divide it.
 
 Every experiment works prime by prime and is pure in its inputs, so sweeps
 parallelize over p and reports merge by simple concatenation.
@@ -39,7 +41,7 @@ from .symp import SympSpace, centralizer_torus, standard_gram, trace_factor_degr
 #: a strongly generic element of Sp(4, Z): characteristic polynomial
 #: x^4 - 2x^3 - 2x^2 - 2x + 1, irreducible over Q, whose trace resolvent
 #: y^2 - 2y - 4 has nonsquare discriminant 20, so the rank statistics follow
-#: the order-two Galois group (validated by check_genericity at run time)
+#: the order-two Galois group (``LatticeAutomorphism`` recomputes the flags)
 CAT4_DEFAULT = (
     (0, 0, 1, 0),
     (0, 1, -2, 0),
@@ -206,18 +208,6 @@ class LatticeAutomorphism:
     def mod_p(self, space: SympSpace):
         ctx = space.ctx
         return [[ctx.el(x) for x in row] for row in self.mat]
-
-
-def check_genericity(mat) -> dict:
-    """The genericity flags of an integer symplectic matrix
-    (``LatticeAutomorphism``) and its characteristic polynomial."""
-    A = LatticeAutomorphism(tuple(tuple(row) for row in mat))
-    return {
-        "regular": A.regular,
-        "strongly_generic": A.strongly_generic,
-        "generic": A.generic,
-        "charpoly": A.charpoly,
-    }
 
 
 # -- per-prime experiment core ---------------------------------------------------
@@ -592,9 +582,10 @@ def rank_density_sweep(A: LatticeAutomorphism, max_prime: int):
     polynomial is built once; at each prime the factor degrees of h mod p
     (``symp.trace_factor_degrees``) give the rank, their number, and the
     cycle type of Frobenius, counted in ``degree_patterns`` under the
-    comma-joined sorted degrees.  p is skipped exactly when the
-    characteristic polynomial is not squarefree mod p.  No representation
-    is built."""
+    comma-joined sorted degrees.  An odd p is skipped exactly when it
+    divides ``A.disc``, the primes at which the characteristic polynomial
+    is not squarefree mod p (as in ``skip_reason``).  No representation is
+    built."""
     if not A.regular:
         raise ValueError("rank sweep needs a regular element")
     h = trace_polynomial(A.charpoly)
@@ -604,13 +595,11 @@ def rank_density_sweep(A: LatticeAutomorphism, max_prime: int):
     skipped = []
     used = 0
     half_limit = max_prime // 2
-    for p in primes_up_to(max_prime):
-        if p == 2:
-            continue
-        degrees = trace_factor_degrees(FieldCtx(p), h)
-        if degrees is None:
+    for p in primes_up_to(max_prime)[1:]:
+        if A.disc % p == 0:
             skipped.append(p)
             continue
+        degrees = trace_factor_degrees(FieldCtx(p), h)
         r = len(degrees)
         key = ",".join(map(str, degrees))
         patterns[key] = patterns.get(key, 0) + 1

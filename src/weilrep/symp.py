@@ -55,7 +55,6 @@ class SympSpace:
         self.N = N
         self.dim = 2 * N
         self.gram = gram = standard_gram(ctx, N)
-        self.gram_inv = la.inv(ctx, gram)
         self.trace_gram = trace_form_gram(ctx, gram)
         self.trace_gram.setflags(write=False)
 
@@ -67,9 +66,10 @@ class SympSpace:
 
 
 def symplectic_transpose(space: SympSpace, R):
-    """R^t with omega(Rv, u) = omega(v, R^t u); equals gram^-1 R^T gram."""
+    """R^t with omega(Rv, u) = omega(v, R^t u); equals J^-1 R^T J, and
+    J^-1 = J^T for the standard Gram matrix J."""
     ctx = space.ctx
-    return la.mat_mul(ctx, space.gram_inv, la.mat_mul(ctx, la.transpose(R), space.gram))
+    return la.mat_mul(ctx, la.transpose(space.gram), la.mat_mul(ctx, la.transpose(R), space.gram))
 
 
 def symplectic_failures(space: SympSpace, stack) -> np.ndarray:
@@ -532,52 +532,53 @@ def _order_test(ctx, c, order, mod):
     return True
 
 
-def _pair_factor_classes(ctx, factors):
-    """Group the distinct irreducible factors into self-dual singletons and
-    dual pairs under f -> reciprocal of f."""
-    polys = [tuple(f) for f in factors]
+def _block_classes(ctx, factors):
+    """(BlockInfo, f, partner) per block of the distinct irreducible
+    factors of a squarefree characteristic polynomial: a self-dual f of
+    degree 2d is an inert (d = 1) or irreducible block, partner None; a
+    dual pair, f the one of smaller ``gfq.poly_to_key``, is a split block of
+    degree deg f.  ValueError at eigenvalue +-1 or without closure."""
+    lookup = {tuple(f) for f in factors}
     seen = set()
     classes = []
-    lookup = set(polys)
-    for f in polys:
-        if f in seen:
+    for f in factors:
+        if tuple(f) in seen:
             continue
-        fd = tuple(gfq.reciprocal_dual(ctx, list(f)))
+        fd = gfq.reciprocal_dual(ctx, f)
         if fd == f:
-            if gfq.poly_deg(list(f)) == 1:
-                raise ValueError(
-                    "eigenvalue +1 or -1: element is not regular inside Sp"
-                )
-            classes.append(("I", f, None))
-            seen.add(f)
+            if gfq.poly_deg(f) == 1:
+                raise ValueError("eigenvalue +1 or -1: element is not regular inside Sp")
+            d = gfq.poly_deg(f) // 2
+            info = BlockInfo("inert" if d == 1 else "irreducible", d, ctx.q**d + 1)
+            classes.append((info, f, None))
         else:
-            if fd not in lookup:
+            if tuple(fd) not in lookup:
                 raise ValueError("factor set is not closed under duality")
-            rep, other = (f, fd) if gfq.poly_to_key(ctx, list(f)) <= gfq.poly_to_key(ctx, list(fd)) else (fd, f)
-            if rep in seen:
-                continue
-            classes.append(("II", rep, other))
-            seen.add(rep)
-            seen.add(other)
+            if gfq.poly_to_key(ctx, fd) < gfq.poly_to_key(ctx, f):
+                f, fd = fd, f
+            d = gfq.poly_deg(f)
+            classes.append((BlockInfo("split", d, ctx.q**d - 1), f, fd))
+            seen.add(tuple(fd))
+        seen.add(tuple(f))
     return classes
 
 
-def _norm_one_residue(ctx, f, d):
-    """A generator of the norm-one group of GF(q)[x]/f, for f self-dual
-    irreducible of degree 2d: c = r^(Q - 1), Q = q^d, for the least
-    encoding r with c of order Q + 1.  A constant r lies in F_q^*, so
-    r^(Q - 1) = 1: the search starts at the first non-constant encoding."""
-    Q = ctx.q**d
-    for enc in range(ctx.q, ctx.q ** (2 * d)):
-        c = gfq.poly_pow_mod(ctx, gfq.poly_from_encoding(ctx, enc), Q - 1, f)
-        if _order_test(ctx, c, Q + 1, f):
+def _least_unit(ctx, f, power, order, start):
+    """r^power mod f for the least encoding r >= start below q^deg(f) whose
+    power has order exactly ``order`` in GF(q)[x]/f (``_order_test``)."""
+    for enc in range(start, ctx.q ** gfq.poly_deg(f)):
+        c = gfq.poly_pow_mod(ctx, gfq.poly_from_encoding(ctx, enc), power, f)
+        if _order_test(ctx, c, order, f):
             return c
-    raise RuntimeError("no norm-one generator found")  # pragma: no cover
+    raise RuntimeError("no unit generator found")  # pragma: no cover
 
 
 def centralizer_torus(space: SympSpace, A) -> Torus:
     """The full commutant of a regular symplectic element inside Sp, as a
-    torus of norm-one elements of the algebra GF(q)[A]."""
+    torus of norm-one elements of GF(q)[A], one generator per block of
+    ``_block_classes``: on a split pair (f, f*) a primitive gamma mod f and
+    1/gamma(1/x) mod f*; on a self-dual f, r^(Q - 1), Q = q^d, searched from
+    r = x, since a constant r in F_q^* has r^(Q - 1) = 1."""
     ctx = space.ctx
     A = la.thaw(A)
     assert_symplectic(space, A, "centralizer input")
@@ -586,43 +587,26 @@ def centralizer_torus(space: SympSpace, A) -> Torus:
         factors = gfq.factor_poly(ctx, cp)
     except ValueError:
         raise ValueError("degenerate centralizer: characteristic polynomial not squarefree") from None
-    classes = _pair_factor_classes(ctx, factors)
-    generators, orders, infos = [], [], []
-    x = [ctx.zero, ctx.one]
-    for typ, f, partner in classes:
-        f = list(f)
-        if typ == "I":
-            d = gfq.poly_deg(f) // 2
-            residues = {tuple(f): _norm_one_residue(ctx, f, d)}
-            order = ctx.q**d + 1
-            name = "inert" if d == 1 else "irreducible"
+    generators, infos = [], []
+    for info, f, partner in _block_classes(ctx, factors):
+        if partner is None:
+            Q = ctx.q**info.degree
+            residues = {tuple(f): _least_unit(ctx, f, Q - 1, info.order, ctx.q)}
         else:
-            partner = list(partner)
-            d = gfq.poly_deg(f)
-            order = ctx.q**d - 1
-            gamma = None
-            for enc in range(2, ctx.q**d):
-                r = gfq.poly_from_encoding(ctx, enc)
-                if _order_test(ctx, gfq.poly_mod(ctx, r, f), order, f):
-                    gamma = gfq.poly_mod(ctx, r, f)
-                    break
-            if gamma is None:  # pragma: no cover
-                raise RuntimeError("no unit generator found")
-            xinv = gfq.poly_inverse_mod(ctx, x, partner)
+            gamma = _least_unit(ctx, f, 1, info.order, 2)
+            xinv = gfq.poly_inverse_mod(ctx, [ctx.zero, ctx.one], partner)
             theta_gamma = _poly_compose_mod(ctx, gamma, xinv, partner)
             w = gfq.poly_inverse_mod(ctx, theta_gamma, partner)
             residues = {tuple(f): gamma, tuple(partner): w}
-            name = "split"
         # the generator is the identity off its block
-        keys = [tuple(g) for g in factors]
-        lift = _crt_lift_general(ctx, cp, {k: residues.get(k, [ctx.one]) for k in keys})
+        targets = {tuple(g): residues.get(tuple(g), [ctx.one]) for g in factors}
+        lift = _crt_lift_general(ctx, cp, targets)
         g = la.mat_eval_poly(ctx, lift, A)
         assert_symplectic(space, g, "centralizer generator")
-        _assert_order(ctx, g, order)
+        _assert_order(ctx, g, info.order)
         generators.append(la.freeze(g))
-        orders.append(order)
-        infos.append(BlockInfo(name, d, order))
-    torus = Torus(space, generators, orders, infos)
+        infos.append(info)
+    torus = Torus(space, generators, [info.order for info in infos], infos)
     try:
         torus.exponents_of(A)
     except KeyError:
@@ -1004,20 +988,12 @@ def _validate_module_structure(ms: SympModuleStructure):
 
 
 def rank_from_charpoly(ctx, cp):
-    """Block descriptors and symplectic rank read off a squarefree
-    characteristic polynomial: factor mod p, pair every irreducible factor
-    with its reciprocal dual, count the classes.  ValueError (from
-    ``gfq.factor_poly``) when cp is not squarefree."""
-    factors = gfq.factor_poly(ctx, cp)
-    classes = _pair_factor_classes(ctx, factors)
-    blocks = []
-    for typ, f, _ in classes:
-        if typ == "I":
-            d = gfq.poly_deg(list(f)) // 2
-            blocks.append(BlockInfo("inert" if d == 1 else "irreducible", d, ctx.q**d + 1))
-        else:
-            d = gfq.poly_deg(list(f))
-            blocks.append(BlockInfo("split", d, ctx.q**d - 1))
+    """The blocks (``BlockInfo``, from ``_block_classes``) and symplectic
+    rank read off a squarefree characteristic polynomial: factor mod p,
+    pair every irreducible factor with its reciprocal dual, count the
+    classes.  ValueError (from ``gfq.factor_poly``) when cp is not
+    squarefree."""
+    blocks = [info for info, _, _ in _block_classes(ctx, gfq.factor_poly(ctx, cp))]
     return blocks, len(blocks)
 
 
@@ -1049,27 +1025,19 @@ def trace_polynomial(cp):
 
 def trace_factor_degrees(ctx, h):
     """The sorted degrees of the irreducible factors of the integer trace
-    polynomial h over GF(q), or None when the characteristic polynomial
-    x^N h(x + 1/x) of a regular element is not squarefree over GF(q).
+    polynomial h over GF(q).  Precondition: the characteristic polynomial
+    x^N h(x + 1/x) of the regular element is squarefree over GF(q), that
+    is p does not divide its discriminant (``catmap.skip_reason``); the
+    degrees of a non-squarefree reduction mean nothing.
 
     The degrees are the cycle type of Frobenius on the roots of h, and
     their number is the symplectic rank: every irreducible factor of h
     gives exactly one block, a split dual pair or a self-dual factor.  They
     are read off the distinct-degree decomposition, deg(g)/d factors of
-    degree d in each part g; no factor is split further.  The
-    characteristic polynomial is squarefree exactly when h is and
-    h(2) h(-2) != 0: x = 1/x only at x = +-1.
+    degree d in each part g; no factor is split further.
     """
-    f = gfq.poly_from_ints(ctx, h)
-    two = ctx.el(2)
-    if (
-        gfq.poly_eval(ctx, f, two) == ctx.zero
-        or gfq.poly_eval(ctx, f, ctx.neg(two)) == ctx.zero
-        or not gfq.is_squarefree(ctx, f)
-    ):
-        return None
     return tuple(
         d
-        for g, d in gfq.distinct_degree_decomposition(ctx, f)
+        for g, d in gfq.distinct_degree_decomposition(ctx, gfq.poly_from_ints(ctx, h))
         for _ in range(gfq.poly_deg(g) // d)
     )

@@ -18,7 +18,6 @@ from weilrep.catmap import (
     OPERATOR_CHECK_DIM,
     HeckeContext,
     LatticeAutomorphism,
-    check_genericity,
     default_observables,
     discriminant,
     factor_over_Q,
@@ -140,6 +139,21 @@ SP6_SEED = (
     (0, 0, -1, -1, 0, 3),
 )
 SP6_SEED_CHARPOLY = [1, -3, -7, 21, -7, -3, 1]
+
+#: the Sp(8, Z) seed [[0, I], [-I, S]] with S = [[0, -1, 1, -2],
+#: [-1, -2, 2, -2], [1, 2, 0, 2], [-2, -2, 2, -2]]: trace polynomial
+#: t^4 + 4t^3 - 14t^2 + 6t + 4, irreducible over Q
+SP8_SEED = (
+    (0, 0, 0, 0, 1, 0, 0, 0),
+    (0, 0, 0, 0, 0, 1, 0, 0),
+    (0, 0, 0, 0, 0, 0, 1, 0),
+    (0, 0, 0, 0, 0, 0, 0, 1),
+    (-1, 0, 0, 0, 0, -1, 1, -2),
+    (0, -1, 0, 0, -1, -2, 2, -2),
+    (0, 0, -1, 0, 1, 2, 0, 2),
+    (0, 0, 0, -1, -2, -2, 2, -2),
+)
+SP8_SEED_DISC = -(2**15) * 5 * 7**4 * 101**2
 
 
 def _cyclotomic(d):
@@ -290,14 +304,14 @@ def test_ragged_and_empty_matrices_are_not_symplectic():
 
 def test_genericity_flags():
     # the cat map is hyperbolic, hence strongly generic
-    flags = check_genericity(CAT2_DEFAULT)
-    assert flags["regular"] and flags["strongly_generic"] and flags["generic"]
+    A = LatticeAutomorphism(CAT2_DEFAULT)
+    assert A.regular and A.strongly_generic and A.generic
     # the Weyl element is generic but not ergodic
-    flags = check_genericity(((0, 1), (-1, 0)))
-    assert flags["generic"] and flags["strongly_generic"]
+    A = LatticeAutomorphism(((0, 1), (-1, 0)))
+    assert A.generic and A.strongly_generic
     # the identity is not regular
-    flags = check_genericity(((1, 0), (0, 1)))
-    assert not flags["regular"] and not flags["generic"]
+    A = LatticeAutomorphism(((1, 0), (0, 1)))
+    assert not A.regular and not A.generic
     # diag(B, B^-T) with det B = -1 preserves two Lagrangians: regular,
     # but the invariant isotropic subspaces kill genericity
     mat = (
@@ -306,10 +320,10 @@ def test_genericity_flags():
         (0, 0, 0, 1),
         (0, 0, 1, -1),
     )
-    flags = check_genericity(mat)
-    assert flags["regular"]
-    assert not flags["generic"]
-    assert not flags["strongly_generic"]
+    A = LatticeAutomorphism(mat)
+    assert A.regular
+    assert not A.generic
+    assert not A.strongly_generic
 
 
 def test_cat4_default_is_strongly_generic():
@@ -872,17 +886,6 @@ def test_a_context_for_another_prime_window_or_matrix_is_refused():
 # -- the norm-one generator search ---------------------------------------------------
 
 
-def _norm_one_residue_from_two(ctx, f, d):
-    """The oracle for ``symp._norm_one_residue``: the search from encoding
-    2, which also tries every constant."""
-    Q = ctx.q**d
-    for enc in range(2, ctx.q ** (2 * d)):
-        c = gfq.poly_pow_mod(ctx, gfq.poly_from_encoding(ctx, enc), Q - 1, f)
-        if symp._order_test(ctx, c, Q + 1, f):
-            return c
-    raise AssertionError("no norm-one generator")
-
-
 def _count_order_tests(monkeypatch):
     """Record the order of every generator order test."""
     calls = []
@@ -899,8 +902,15 @@ def _count_order_tests(monkeypatch):
 def test_norm_one_search_skips_the_constants(monkeypatch):
     """The search from the first non-constant encoding finds the
     generators the search from encoding 2 finds, with fewer order tests
-    (counted over the whole centralizer, split blocks included)."""
+    (counted over the whole centralizer, split blocks included).  The
+    oracle is ``symp._least_unit`` with every search started at 2, which
+    also tries every constant in the norm-one search."""
     calls = _count_order_tests(monkeypatch)
+    least_unit = symp._least_unit
+
+    def least_unit_from_two(ctx, f, power, order, start):
+        return least_unit(ctx, f, power, order, 2)
+
     cases = [(CAT2_DEFAULT, p) for p in primes_up_to(97)]
     cases += [(CAT4_DEFAULT, p) for p in primes_up_to(31)] + [(SP6_SEED, 5), (SP6_SEED, 7)]
     tests = {}
@@ -913,7 +923,7 @@ def test_norm_one_search_skips_the_constants(monkeypatch):
         torus = symp.centralizer_torus(space, A.mod_p(space))
         n_new = len(calls)
         with monkeypatch.context() as m:
-            m.setattr(symp, "_norm_one_residue", _norm_one_residue_from_two)
+            m.setattr(symp, "_least_unit", least_unit_from_two)
             calls.clear()
             oracle = symp.centralizer_torus(space, A.mod_p(space))
         assert torus.generators == oracle.generators, (mat, p)
@@ -922,6 +932,33 @@ def test_norm_one_search_skips_the_constants(monkeypatch):
     assert tests[(1, 97)] == (97, 2)
     assert tests[(2, 31)] == (34, 5)
     assert {(3, 5), (3, 7)} <= set(tests)
+
+
+@pytest.mark.parametrize(
+    "mat,ps",
+    [
+        (CAT2_DEFAULT, primes_up_to(97)),
+        (CAT4_DEFAULT, primes_up_to(31)),
+        (SP6_SEED, primes_up_to(13)),
+        (SP8_SEED, [3, 11]),
+    ],
+)
+def test_charpoly_blocks_are_the_centralizer_blocks(mat, ps):
+    """The blocks read off the characteristic polynomial mod p are those
+    of the centralizer torus, at every usable prime: both come from
+    ``symp._block_classes``."""
+    A = LatticeAutomorphism(mat)
+    n_usable = 0
+    for p in ps:
+        if skip_reason(A, p) is not None:
+            continue
+        space = symp.SympSpace(FieldCtx(p), A.N)
+        blocks, r = symp.rank_from_charpoly(space.ctx, gfq.poly_from_ints(space.ctx, A.charpoly))
+        torus = symp.centralizer_torus(space, A.mod_p(space))
+        assert blocks == torus.blocks and r == len(torus.orders), p
+        assert torus.orders == [b.order for b in blocks], p
+        n_usable += 1
+    assert n_usable >= 2
 
 
 def test_split_prime_excludes_eigen_directions():

@@ -17,8 +17,8 @@ def body_of(path):
         return "".join(line for line in fh if not line.startswith("#"))
 
 
-def test_selftest_quick(tmp_path):
-    assert main(["selftest", "--quick", "--out", str(tmp_path)]) == 0
+def test_selftest_quick():
+    assert main(["selftest", "--quick"]) == 0
 
 
 def test_verify_bounds_and_determinism(tmp_path):
@@ -124,9 +124,35 @@ def test_self_reducibility_cmd(tmp_path):
 
 
 def test_options_no_code_reads_are_refused(tmp_path):
-    """--jobs belongs to the two prime sweeps; the rank sweep takes no window."""
+    """--jobs belongs to the two prime sweeps; the rank sweep takes no window;
+    --seed belongs to the commands that draw samples; selftest writes no
+    files."""
     assert main(["self-reducibility", "--jobs", "2", "--out", str(tmp_path)]) == 2
     assert main(["rank-density", "--xi-max", "3", "--out", str(tmp_path)]) == 2
+    for argv in (
+        ["multiplicities", "--p", "5"],
+        ["que", "--A", "cat2", "--max-prime", "5"],
+        ["statistical", "--A", "cat2", "--max-prime", "5"],
+        ["rank-density", "--A", "cat2", "--max-prime", "50"],
+    ):
+        assert main(argv + ["--seed", "1", "--out", str(tmp_path)]) == 2, argv[0]
+    assert main(["selftest", "--quick", "--out", str(tmp_path)]) == 2
+    assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize(
+    "argv,flag",
+    [
+        (["self-reducibility", "--p", "3", "--N", "2", "--samples", "-1"], "--samples"),
+        (["que", "--A", "cat4", "--min-prime", "7", "--max-prime", "7", "--jobs", "0"], "--jobs"),
+    ],
+)
+def test_out_of_range_counts_are_refused_by_name(tmp_path, capsys, argv, flag):
+    """A negative sample count or fewer than one worker exits 2, naming the
+    flag, before any work starts."""
+    assert main(argv + ["--out", str(tmp_path)]) == 2
+    assert f"argument {flag}: must be at least" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
 
 
 def test_que_cmd_with_matrix_file(tmp_path):
@@ -153,6 +179,25 @@ def test_the_sp6_example_file_is_the_seed_and_runs(tmp_path):
     rc = main(["que", "--A", path, "--min-prime", "5", "--max-prime", "5", "--out", str(tmp_path)])
     assert rc == 0
     assert body_of(tmp_path / "que.csv").splitlines()[1].startswith("5,2,156,")
+
+
+def test_the_sp8_example_file_is_the_seed_and_runs(tmp_path):
+    """matrices/sp8_seed.json holds the Sp(8) seed; its discriminant
+    -2^15 5 7^4 101^2 makes the rank sweep skip 5, 7 and 101, and que reads
+    it at p = 3, where its Hecke torus is irreducible4 (|T| = 82)."""
+    from test_catmap import SP8_SEED, SP8_SEED_DISC
+
+    from weilrep.catmap import LatticeAutomorphism, rank_density_sweep
+    from weilrep.cli import _load_matrix
+
+    path = os.path.join(os.path.dirname(__file__), os.pardir, "matrices", "sp8_seed.json")
+    assert _load_matrix(path) == SP8_SEED
+    A = LatticeAutomorphism(SP8_SEED)
+    assert A.disc == SP8_SEED_DISC and A.strongly_generic and A.generic
+    assert rank_density_sweep(A, 3000)["skipped"] == [5, 7, 101]
+    rc = main(["que", "--A", path, "--min-prime", "3", "--max-prime", "3", "--out", str(tmp_path)])
+    assert rc == 0
+    assert body_of(tmp_path / "que.csv").splitlines()[1].startswith("3,1,82,")
 
 
 def test_que_error_at_one_prime_becomes_an_error_row(tmp_path, monkeypatch):
@@ -230,11 +275,11 @@ def test_spawned_workers_get_one_blas_thread_and_the_environment_is_restored(mon
     assert not any(name in os.environ for name in BLAS_THREAD_VARS[1:])
 
 
-def test_selftest_quick_runtime(tmp_path):
+def test_selftest_quick_runtime():
     import time
 
     t0 = time.time()
-    assert main(["selftest", "--quick", "--out", str(tmp_path)]) == 0
+    assert main(["selftest", "--quick"]) == 0
     assert time.time() - t0 < 60
 
 
@@ -253,14 +298,13 @@ def test_config_file_interface(tmp_path):
         "A": [[2, 1], [1, 1]],
         "primes": {"max": 11},
         "xi_window": {"max_coeff": 7},
-        "seed": 9,
     }))
     rc = main(["que", "--config", str(cfg), "--jobs", "1", "--out", str(tmp_path)])
     assert rc == 0
     data = json.loads((tmp_path / "que_summary.json").read_text())
     assert data["config"]["max_prime"] == 11
     assert data["config"]["xi_max"] == 7
-    assert data["config"]["seed"] == 9
+    assert "seed" not in data["config"]
     ps = [r["p"] for r in data["rows"]]
     assert max(ps) == 11
 
@@ -268,17 +312,15 @@ def test_config_file_interface(tmp_path):
 @pytest.mark.parametrize("subcommand", ["que", "rank-density"])
 def test_explicit_flags_win_over_the_config_file(tmp_path, subcommand):
     cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"primes": {"max": 13}, "seed": 4,
-                               "xi_window": {"max_coeff": 3}}))
+    cfg.write_text(json.dumps({"primes": {"max": 13}, "xi_window": {"max_coeff": 3}}))
     argv = [subcommand, "--A", "cat2", "--config", str(cfg), "--max-prime", "11",
-            "--seed", "9", "--out", str(tmp_path)]
+            "--out", str(tmp_path)]
     if subcommand == "que":
         argv += ["--xi-max", "5", "--jobs", "1"]
     assert main(argv) == 0
     name = "que_summary.json" if subcommand == "que" else "rank_density.json"
     data = json.loads((tmp_path / name).read_text())
     assert data["config"]["max_prime"] == 11
-    assert data["config"]["seed"] == 9
     if subcommand == "que":
         assert data["config"]["xi_max"] == 5
         assert max(r["p"] for r in data["rows"]) == 11

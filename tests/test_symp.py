@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 from weilrep import fqlin as la
 from weilrep import gfq, symp
-from weilrep.catmap import CAT4_DEFAULT, LatticeAutomorphism, is_integer_symplectic, primes_up_to
+from weilrep.catmap import CAT4_DEFAULT, LatticeAutomorphism, discriminant, is_integer_symplectic, primes_up_to
 from weilrep.cli import SL2_KINDS, SP4_KINDS
 from weilrep.gfq import FieldCtx, factorize, poly_from_ints
 from weilrep.heiwei import _random_sl2
@@ -660,20 +660,23 @@ def test_trace_polynomial():
 
 @pytest.mark.parametrize("cp", [CAT2_CHARPOLY, CAT4_CHARPOLY, SP6_CHARPOLY])
 def test_trace_polynomial_rank_matches_full_factorization(cp):
-    """At every odd prime up to 3000, a prime is skipped exactly when the
-    characteristic polynomial is not squarefree, and otherwise the factor
-    count of the trace polynomial is the rank of the full factorization,
-    and its factor degrees those of the full factorization of h."""
+    """At every odd prime up to 3000, p divides disc(cp) exactly when the
+    characteristic polynomial is not squarefree over GF(p), and otherwise
+    the factor count of the trace polynomial is the rank of the full
+    factorization, and its factor degrees those of the full factorization
+    of h."""
     h = trace_polynomial(cp)
+    disc = discriminant(cp)
     n_skipped = 0
     for p in primes_up_to(3000)[1:]:
         ctx = FieldCtx(p)
         f = poly_from_ints(ctx, cp)
-        degrees = trace_factor_degrees(ctx, h)
-        if not gfq.is_squarefree(ctx, f):
-            assert degrees is None, p
+        if disc % p == 0:
+            assert not gfq.is_squarefree(ctx, f), p
             n_skipped += 1
             continue
+        assert gfq.is_squarefree(ctx, f), p
+        degrees = trace_factor_degrees(ctx, h)
         assert len(degrees) == rank_from_charpoly(ctx, f)[1], p
         h_factors = gfq.factor_poly(ctx, poly_from_ints(ctx, h))
         assert degrees == tuple(sorted(gfq.poly_deg(g) for g in h_factors)), p
@@ -684,13 +687,18 @@ def test_rank_density_sp6_follows_s3():
     """Chebotarev for t^3 - t - 1 (Galois group S3): the factor degrees
     are the cycle type of Frobenius, 3, 1+2 or 1+1+1 with densities 1/3,
     1/2 and 1/6 (3-cycles, transpositions, identity), so the rank is 1, 2
-    or 3 with those densities."""
+    or 3 with those densities.  A prime dividing disc(cp) is left out; the
+    GF(p) squarefree test is the oracle of that skip."""
     h = trace_polynomial(SP6_CHARPOLY)
+    disc = discriminant(SP6_CHARPOLY)
     counts = {}
     for p in primes_up_to(20000)[1:]:
-        degrees = trace_factor_degrees(FieldCtx(p), h)
-        if degrees is not None:
-            counts[degrees] = counts.get(degrees, 0) + 1
+        ctx = FieldCtx(p)
+        assert gfq.is_squarefree(ctx, poly_from_ints(ctx, SP6_CHARPOLY)) == (disc % p != 0), p
+        if disc % p == 0:
+            continue
+        degrees = trace_factor_degrees(ctx, h)
+        counts[degrees] = counts.get(degrees, 0) + 1
     used = sum(counts.values())
     assert set(counts) == {(3,), (1, 2), (1, 1, 1)}
     for degrees, density in (((3,), 1 / 3), ((1, 2), 1 / 2), ((1, 1, 1), 1 / 6)):
