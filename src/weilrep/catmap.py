@@ -281,6 +281,12 @@ def torus_orbit_minima(torus) -> np.ndarray:
 #: g^j, the character of rho that the multiplicities rest on
 OPERATOR_CHECK_DIM = 25
 
+#: the most entries of the label grid, max(p, xi_max)^(2N), that a
+#: ``HeckeContext`` builds.  T acts freely on admissible vectors, so its
+#: table of |T| x #orbits entries has at most p^(2N) too, and the dense
+#: operators of ``state_wigner`` are p^N x p^N
+LABEL_GRID_BUDGET = 2**25
+
 
 class HeckeContext:
     """Everything one prime's experiments share: the Hecke torus, its
@@ -328,10 +334,16 @@ class HeckeContext:
     (``heiwei.torus_character_forms``).  Up to dimension
     ``OPERATOR_CHECK_DIM`` the build checks the traces of the powers of
     each generator's Weil operator against the character of rho.  A window
-    [0, xi_max)^2N with xi_max < 2 has no nonzero exponent: ValueError.
+    [0, xi_max)^2N with xi_max < 2 has no nonzero exponent: ValueError.  A
+    label grid past ``LABEL_GRID_BUDGET`` entries is refused before anything
+    is allocated: MemoryError.
     """
 
     def __init__(self, A: LatticeAutomorphism, p: int, xi_max: int | None = None):
+        grid = max(p, xi_max or p) ** (2 * A.N)
+        if grid > LABEL_GRID_BUDGET:
+            raise MemoryError(f"p = {p}, N = {A.N}: a label grid of {grid} entries exceeds "
+                              f"the budget of {LABEL_GRID_BUDGET} (2^25)")
         if xi_max is None:
             xi_max = p
         if xi_max < 2:

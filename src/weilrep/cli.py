@@ -290,12 +290,15 @@ def _run_prime_sweep(args, statistical: bool) -> int:
             f"--xi-max (or xi_window.max_coeff) is {args.xi_max}: the exponent window "
             "[0, xi_max)^2N has a nonzero exponent only when xi_max >= 2"
         )
+    ps = _primes_in(args.min_prime, args.max_prime)
+    if not ps:
+        raise ValueError(f"--min-prime {args.min_prime} to --max-prime (or primes.max) "
+                         f"{args.max_prime} holds no prime")
     mat = _resolve_matrix(args)
     A = LatticeAutomorphism(mat)
     if not A.generic:
         print("FAIL: the automorphism is not generic (invariant isotropic subspace)")
         return 2
-    ps = _primes_in(args.min_prime, args.max_prime)
     tasks = [(A, p, args.xi_max, statistical) for p in ps]
     if args.jobs > 1:
         # spawned, not forked: a forked worker would share this process's
@@ -364,6 +367,8 @@ def cmd_statistical(args) -> int:
 
 
 def cmd_rank_density(args) -> int:
+    if args.max_prime < 3:
+        raise ValueError(f"--max-prime (or primes.max) {args.max_prime} holds no odd prime")
     mat = _resolve_matrix(args)
     A = LatticeAutomorphism(mat)
     sweep = rank_density_sweep(A, args.max_prime)

@@ -109,13 +109,6 @@ def mat_eval_poly(ctx, f, A):
     return acc
 
 
-def trace(ctx, A):
-    acc = ctx.zero
-    for i in range(len(A)):
-        acc = ctx.add(acc, A[i][i])
-    return acc
-
-
 def rref(ctx, M):
     """Reduced row echelon form (a copy) and the pivot column list."""
     R = [row[:] for row in M]
@@ -156,31 +149,6 @@ def inv(ctx, A):
     if pivots[:n] != list(range(n)):
         raise ValueError("matrix is singular")
     return [row[n:] for row in R[:n]]
-
-
-def det(ctx, A):
-    """Determinant by elimination with row pivoting."""
-    n = len(A)
-    M = [row[:] for row in A]
-    d = ctx.one
-    for c in range(n):
-        pivot = None
-        for i in range(c, n):
-            if M[i][c] != ctx.zero:
-                pivot = i
-                break
-        if pivot is None:
-            return ctx.zero
-        if pivot != c:
-            M[c], M[pivot] = M[pivot], M[c]
-            d = ctx.neg(d)
-        d = ctx.mul(d, M[c][c])
-        inv_p = ctx.inv(M[c][c])
-        for i in range(c + 1, n):
-            if M[i][c] != ctx.zero:
-                f = ctx.mul(M[i][c], inv_p)
-                M[i] = [ctx.sub(a, ctx.mul(f, b)) for a, b in zip(M[i], M[c])]
-    return d
 
 
 def solve(ctx, A, b):
@@ -254,6 +222,13 @@ def charpoly(ctx, A):
             new[i] = acc
         poly = new
     return list(reversed(poly))
+
+
+def det(ctx, A):
+    """Determinant, (-1)^n times the constant term of ``charpoly``: no
+    division, so it works over any commutative ring."""
+    c = charpoly(ctx, A)[0]
+    return c if len(A) % 2 == 0 else ctx.neg(c)
 
 
 def matrix_min_poly(ctx, A, unit=None):

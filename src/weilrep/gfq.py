@@ -477,13 +477,6 @@ def poly_pow_mod(ctx, base, e: int, mod):
     return result
 
 
-def poly_eval(ctx, f, a):
-    acc = ctx.zero
-    for c in reversed(f):
-        acc = ctx.add(ctx.mul(acc, a), c)
-    return acc
-
-
 def poly_deriv(ctx, f):
     return poly_trim(
         ctx, [ctx.mul(ctx.el(i), c) for i, c in enumerate(f)][1:]

@@ -6,8 +6,9 @@ A torus here is always stored as a product of cyclic blocks, one per
 irreducible piece of the underlying module: a split block of degree d is a
 copy of GF(q^d)^* acting on a Lagrangian pair, an irreducible block of
 degree d is the norm-one group of GF(q^(2d)) over GF(q^d) acting by
-multiplication operators ("inert" for d = 1).  A torus is its F_p stack:
-the F_p matrix (``restrict_scalars``) of every element, the generator-power
+multiplication operators ("inert" for d = 1).  Every torus checks its own
+group law when built (``Torus``).  A torus is its F_p stack: the F_p
+matrix (``restrict_scalars``) of every element, the generator-power
 products in the order of the integer exponent rows ``Torus.exponents``, so
 character theory and spectral decompositions refer to exponent rows
 directly.  A matrix over GF(q) is found in the torus by comparing its F_p
@@ -224,8 +225,13 @@ class Torus:
     the product of the generator powers g_i^(j_i).  The rows run in
     ``itertools.product`` order, lexicographic in the exponents.  Both
     arrays are read-only: the torus does not change once built.
-    ValueError unless the generators are independent, that is unless the
-    stack members are distinct."""
+
+    A torus checks its own group law when built, on the F_p matrices, so
+    that it is the group Z/n_1 x ... x Z/n_r that the kernels sum over:
+    ValueError, naming the generator, unless it has generators, each with
+    one order n_k >= 1 and one block, preserving the form, commuting, and
+    with g_k^(n_k) = I; ValueError unless the stack members are distinct,
+    which refuses a declared order above the true one."""
 
     space: SympSpace
     generators: list
@@ -233,21 +239,34 @@ class Torus:
     blocks: list[BlockInfo]
 
     def __post_init__(self):
-        ctx = self.space.ctx
-        p = ctx.p
-        s = self.space.dim * ctx.m
-        stack = np.eye(s, dtype=np.int64)[None]
-        for g, order in zip(self.generators, self.orders):
-            # powers 0..k-1 by doubling: the next ones are R^k times these
-            R = restrict_scalars(ctx, [g])[0]
-            powers = np.eye(s, dtype=np.int64)[None]
+        r = len(self.generators)
+        if not 0 < r == len(self.orders) == len(self.blocks):
+            raise ValueError(f"torus of {r} generators, {len(self.orders)} orders, {len(self.blocks)} blocks")
+        ctx, p = self.space.ctx, self.space.ctx.p
+        gens = restrict_scalars(ctx, self.generators)
+        bad = symplectic_failures(self.space, gens)
+        if len(bad):
+            raise ValueError(f"torus generator {bad[0]} does not preserve the symplectic form")
+        products = gens[:, None] @ gens[None] % p
+        bad = np.argwhere((products != products.swapaxes(0, 1)).any(axis=(2, 3)))
+        if len(bad):
+            raise ValueError(f"torus generators {bad[0][0]} and {bad[0][1]} do not commute")
+        ident = np.eye(self.space.dim * ctx.m, dtype=np.int64)
+        stack = ident[None]
+        for k, (G, order) in enumerate(zip(gens, self.orders)):
+            if order < 1:
+                raise ValueError(f"torus generator {k} is declared of order {order}, below 1")
+            # powers 0..order-1 by doubling: with j of them built, R = g^j and
+            # the next ones are R times these
+            R, powers = G, ident[None]
             while len(powers) < order:
                 powers = np.concatenate([powers, powers[: order - len(powers)] @ R % p])
                 R = R @ R % p
-            stack = (stack[:, None] @ powers[None] % p).reshape(-1, s, s)
+            if not np.array_equal(powers[-1] @ G % p, ident):
+                raise ValueError(f"torus generator {k} to the power {order} is not the identity")
+            stack = (stack[:, None] @ powers[None] % p).reshape(-1, *ident.shape)
         if len({row.tobytes() for row in stack.reshape(len(stack), -1)}) != len(stack):
             raise ValueError("torus generators are not independent")
-        r = len(self.orders)
         self.stack = stack
         self.exponents = np.indices(self.orders, dtype=np.int64).reshape(r, -1).T
         self.stack.setflags(write=False)
@@ -295,8 +314,6 @@ def _scatter_block(space: SympSpace, local, pairs):
     for a in range(2 * d):
         for b in range(2 * d):
             glob[coords[a]][coords[b]] = local[a][b]
-    for a in range(2 * d):
-        glob[coords[a]][coords[a]] = local[a][a]
     return glob
 
 
@@ -470,7 +487,6 @@ def build_maximal_torus(space: SympSpace, kind) -> Torus:
     'irreducible<d>' (or 'irr<d>'), or a pair such as ('split', d).
     """
     blocks = _normalize_kind(space, kind)
-    ctx = space.ctx
     generators, orders, infos = [], [], []
     next_pair = 0
     for name, d in blocks:
@@ -480,35 +496,10 @@ def build_maximal_torus(space: SympSpace, kind) -> Torus:
             local, order = _split_block_generator(space, d)
         else:
             local, order = _norm_one_block_generator(space, d)
-        g = _scatter_block(space, local, pairs)
-        assert_symplectic(space, g, f"{name} block generator")
-        _assert_order(ctx, g, order)
-        generators.append(la.freeze(g))
+        generators.append(la.freeze(_scatter_block(space, local, pairs)))
         orders.append(order)
         infos.append(BlockInfo(name, d, order))
     return Torus(space, generators, orders, infos)
-
-
-def _assert_order(ctx, g, order):
-    """AssertionError unless g^order = I and g^(order/r) != I for every
-    prime r | order, by repeated squaring of the F_p matrix of g
-    (``restrict_scalars``)."""
-    R = restrict_scalars(ctx, [g])[0]
-    ident = np.eye(len(R), dtype=np.int64)
-
-    def is_identity(e):
-        acc, base = ident, R
-        while e:
-            if e & 1:
-                acc = acc @ base % ctx.p
-            base = base @ base % ctx.p
-            e >>= 1
-        return np.array_equal(acc, ident)
-
-    if not is_identity(order):
-        raise AssertionError("generator order too large")
-    if any(is_identity(order // r) for r, _ in factorize(order)):
-        raise AssertionError("generator order too small")
 
 
 # -- centralizer tori ---------------------------------------------------------
@@ -601,10 +592,7 @@ def centralizer_torus(space: SympSpace, A) -> Torus:
         # the generator is the identity off its block
         targets = {tuple(g): residues.get(tuple(g), [ctx.one]) for g in factors}
         lift = _crt_lift_general(ctx, cp, targets)
-        g = la.mat_eval_poly(ctx, lift, A)
-        assert_symplectic(space, g, "centralizer generator")
-        _assert_order(ctx, g, info.order)
-        generators.append(la.freeze(g))
+        generators.append(la.freeze(la.mat_eval_poly(ctx, lift, A)))
         infos.append(info)
     torus = Torus(space, generators, [info.order for info in infos], infos)
     try:

@@ -2,6 +2,7 @@
 
 import functools
 import math
+import time
 import weakref
 from fractions import Fraction
 from types import SimpleNamespace
@@ -1061,3 +1062,21 @@ def test_rank_paths_agree_at_experiment_primes():
 def test_hecke_context_refuses_a_window_without_a_nonzero_exponent(xi_max):
     with pytest.raises(ValueError, match="no nonzero exponent"):
         HeckeContext(LatticeAutomorphism(CAT2_DEFAULT), 7, xi_max)
+
+
+@pytest.mark.parametrize("mat,p", [(SP8_SEED, 11), (SP8_SEED, 13), (SP6_SEED, 19)],
+                         ids=["sp8-11", "sp8-13", "sp6-19"])
+def test_a_label_grid_past_the_budget_is_refused_before_any_allocation(mat, p):
+    """p^(2N) past ``LABEL_GRID_BUDGET`` raises MemoryError naming p, N and
+    the budget at once, and the sweep worker turns it into the prime's error
+    row; the Sp(6) seed at p = 17 stays within the budget."""
+    from weilrep.cli import _que_worker
+
+    A = LatticeAutomorphism(mat)
+    assert 17 ** (2 * 3) <= catmap.LABEL_GRID_BUDGET < p ** (2 * A.N)
+    start = time.perf_counter()
+    with pytest.raises(MemoryError, match=f"^p = {p}, N = {A.N}: .* the budget of 33554432 \\(2\\^25\\)$"):
+        HeckeContext(A, p)
+    assert time.perf_counter() - start < 0.5
+    row = _que_worker((A, p, None, False))
+    assert (row["p"], row["error"]) == (p, "MemoryError")

@@ -352,6 +352,27 @@ def test_an_exponent_window_without_a_nonzero_exponent_is_refused(
     assert not list(tmp_path.glob("*.csv"))
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["que", "--A", "cat2", "--max-prime", "3"],
+        ["statistical", "--A", "cat2", "--min-prime", "24", "--max-prime", "28"],
+        ["rank-density", "--A", "cat4", "--max-prime", "2"],
+    ],
+    ids=["que", "statistical", "rank-density"],
+)
+def test_an_empty_prime_range_is_refused_by_name(tmp_path, capsys, argv):
+    """A prime sweep whose range holds no prime (no odd prime for the rank
+    sweep) exits 2, naming the bounds, before any work and any file."""
+    assert main(argv + ["--out", str(tmp_path)]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    first, want = ("--max-prime", "no odd prime") if argv[0] == "rank-density" else ("--min-prime", "no prime")
+    assert err.startswith(f"invalid configuration: {first}") and "--max-prime" in err
+    assert err.rstrip().endswith(f"holds {want}")
+    assert not list(tmp_path.iterdir())
+
+
 def test_missing_A_and_config_is_error(tmp_path):
     assert main(["que", "--out", str(tmp_path)]) == 2
 

@@ -15,7 +15,6 @@ from weilrep.gfq import (
     poly_deg,
     poly_deriv,
     poly_divmod,
-    poly_eval,
     poly_from_ints,
     poly_gcd,
     poly_inverse_mod,
@@ -279,7 +278,7 @@ def test_factor_examples():
     F3 = FieldCtx(3)
     # x^2 - 1 = (x - 1)(x + 1)
     fac = factor_poly(F5, poly_from_ints(F5, [-1, 0, 1]))
-    assert sorted(poly_eval(F5, f, 0) for f in fac) == [1, 4]
+    assert sorted(poly_mod(F5, f, [F5.zero, F5.one]) for f in fac) == [[1], [4]]
     # x^2 + 1 mod 5 = (x + 2)(x + 3) since 2^2 = 4 = -1
     fac = factor_poly(F5, poly_from_ints(F5, [1, 0, 1]))
     assert fac == [poly_from_ints(F5, [2, 1]), poly_from_ints(F5, [3, 1])]
@@ -411,11 +410,15 @@ def test_poly_roots_sorted():
 
 def test_reciprocal_dual():
     F7 = FieldCtx(7)
-    f = poly_from_ints(F7, [3, 1, 1])  # roots r with product 3
+    f = poly_from_ints(F7, [3, 0, 1])  # roots 2 and 5, with product 3
     dual = reciprocal_dual(F7, f)
+    roots = []
     for r in range(1, 7):
-        if poly_eval(F7, f, r) == 0:
-            assert poly_eval(F7, dual, F7.inv(r)) == 0
+        # a remainder mod x - a is the value at a, [] for zero
+        if not poly_mod(F7, f, [F7.neg(r), F7.one]):
+            roots.append(r)
+            assert not poly_mod(F7, dual, [F7.neg(F7.inv(r)), F7.one])
+    assert roots == [2, 5]
     with pytest.raises(ValueError):
         reciprocal_dual(F7, poly_from_ints(F7, [0, 1]))
 

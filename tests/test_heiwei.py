@@ -819,7 +819,8 @@ def _c_chi_table_oracle(space, torus, vectors):
 @pytest.mark.parametrize("p", [3, 7, 101, 1048573])
 def test_stack_row_reduce_matches_field_elimination(p):
     """Pivot columns, determinants and row operators of a stack, singular
-    matrices included, agree with ``fqlin.rref``, ``fqlin.det`` and
+    matrices included, agree with ``fqlin.rref``, ``fqlin.det`` (the
+    division-free Berkowitz polynomial, not an elimination) and
     ``fqlin.inv`` one matrix at a time, up to the largest supported prime:
     E X is the reduced row echelon form with each row at the index of its
     pivot column, and E is the inverse at full rank."""

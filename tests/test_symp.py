@@ -128,6 +128,9 @@ def test_linalg_basics():
 
 
 def test_charpoly_matches_det_of_xI_minus_A():
+    """charpoly(A) at x is det(xI - A) by the elimination of
+    ``fqlin.stack_row_reduce``, an algorithm independent of the Berkowitz
+    polynomial that ``fqlin.det`` reads."""
     rng = random.Random(3)
     F5 = FieldCtx(5)
     for n in (2, 3, 4):
@@ -141,7 +144,7 @@ def test_charpoly_matches_det_of_xI_minus_A():
             val = F5.zero
             for c in reversed(cp):
                 val = F5.add(F5.mul(val, F5.el(x)), c)
-            assert val == la.det(F5, xI_A)
+            assert val == la.stack_row_reduce(np.array([xI_A]), 5)[1][0]
 
 
 def test_min_poly_of_companion_is_charpoly():
@@ -889,12 +892,15 @@ def test_block_tori_pair_each_block_with_the_generator_that_moves_it(p, m, kind)
         o0, o1 = torus.orders
         one_gen = Torus(sp, [both], [math.lcm(o0, o1)], torus.blocks[:1])
         first_only = Torus(sp, [torus.generators[0]], [o0], torus.blocks[:1])
-        # the same group, generated by g1 and g0 g1: the second moves both blocks
-        two_movers = Torus(sp, [torus.generators[1], both], [o1, o0], torus.blocks[::-1])
-        assert set(_element_keys(two_movers)) == set(_element_keys(torus))
-        for bad in (one_gen, first_only, two_movers):
+        for bad in (one_gen, first_only):
             with pytest.raises(ValueError):
                 SympModuleStructure(bad, ms.blocks).block_tori()
+        # g1 and g0 g1, the second declared of order o0: when o1 divides o0
+        # this is the same group, whose second generator moves both blocks;
+        # otherwise (g0 g1)^o0 = g1^o0 != I and the torus itself is refused
+        with pytest.raises(ValueError):
+            two_movers = Torus(sp, [torus.generators[1], both], [o1, o0], torus.blocks[::-1])
+            SympModuleStructure(two_movers, ms.blocks).block_tori()
 
 
 def test_maximality_torus_is_own_centralizer():
@@ -1052,7 +1058,8 @@ def _relative_trace(blk, a):
     """Tr_{K_alpha / F_q}(a): half the trace of mat(a), since V_alpha is free
     of rank 2 over K_alpha."""
     ctx = blk.space.ctx
-    return ctx.mul(ctx.inv(ctx.el(2)), la.trace(ctx, blk.mat(a)))
+    M = blk.mat(a)
+    return ctx.mul(ctx.inv(ctx.el(2)), functools.reduce(ctx.add, (M[i][i] for i in range(len(M)))))
 
 
 @functools.lru_cache(maxsize=None)
@@ -1323,13 +1330,14 @@ def test_validation_sees_a_generator_from_outside_the_torus(p, m, N, kind):
 
 
 def _order_verdict_by_lists(ctx, g, order):
-    """The message the order check raises, or None, from powers over GF(q)
-    lists: the oracle of ``symp._assert_order``."""
+    """The verdict on a generator declared of order n, from powers over
+    GF(q) lists: "power" when g^n != I, "repeats" when some g^(n/r) = I for
+    a prime r | n, so that the n powers are not distinct, else None."""
     ident = la.identity(ctx, len(g))
     if _mat_pow(ctx, g, order) != ident:
-        return "generator order too large"
+        return "power"
     if any(_mat_pow(ctx, g, order // r) == ident for r, _ in factorize(order)):
-        return "generator order too small"
+        return "repeats"
     return None
 
 
@@ -1339,21 +1347,48 @@ def _order_verdict_by_lists(ctx, g, order):
      (3, 1, 2, [("split", 2)]), (3, 2, 1, ["inert"]), (3, 2, 2, ["irreducible2"])],
 )
 def test_order_check_on_the_prime_field_matrix_matches_the_list_powers(p, m, N, kind):
-    """The order check by squaring the F_p matrix gives the verdict of the
-    GF(q) powers for the exact order n (passes), 2n (too small) and n/2
-    (too large)."""
+    """A torus of one generator declared of order n is built for the exact
+    order n, refused with the power message for n/2 (g^(n/2) != I) and with
+    the independence message for 2n (the powers repeat), as the GF(q)
+    powers say."""
     sp = SympSpace(FieldCtx(p, m), N)
     torus = build_maximal_torus(sp, kind)
-    for g, n in zip(torus.generators, torus.orders):
-        for declared, want in ((n, None), (2 * n, "generator order too small"),
-                               (n // 2, "generator order too large")):
+    messages = {"power": "^torus generator 0 to the power {} is not the identity$",
+                "repeats": "^torus generators are not independent$"}
+    for g, n, blk in zip(torus.generators, torus.orders, torus.blocks):
+        for declared, want in ((n, None), (n // 2, "power"), (2 * n, "repeats")):
             assert _order_verdict_by_lists(sp.ctx, g, declared) == want
-            try:
-                symp._assert_order(sp.ctx, la.thaw(g), declared)
-                got = None
-            except AssertionError as exc:
-                got = str(exc)
-            assert got == want
+            if want is None:
+                assert Torus(sp, [g], [declared], [blk]).order == n
+                continue
+            with pytest.raises(ValueError, match=messages[want].format(declared)):
+                Torus(sp, [g], [declared], [blk])
+
+
+def test_a_torus_refuses_each_defect_of_its_group_law():
+    """A hand-built torus is refused, by its message, with no generator,
+    fewer blocks than generators, a generator that does not preserve the
+    form, two generators that do not commute, the F_7 split generator of
+    order 6 declared of order 5, and the identity declared of order 0."""
+    sp = sl2(7)
+    ctx = sp.ctx
+    split = build_maximal_torus(sp, ["split"])
+    g, blk = split.generators[0], split.blocks[0]
+    assert split.order == 6
+    with pytest.raises(ValueError, match="^torus of 0 generators, 0 orders, 0 blocks$"):
+        Torus(sp, [], [], [])
+    with pytest.raises(ValueError, match="^torus of 2 generators, 2 orders, 1 blocks$"):
+        Torus(sp, [g, g], [6, 6], [blk])
+    scale = la.freeze([[ctx.el(2), ctx.zero], [ctx.zero, ctx.el(2)]])
+    with pytest.raises(ValueError, match="^torus generator 1 does not preserve the symplectic form$"):
+        Torus(sp, [g, scale], [6, 3], [blk, blk])
+    u = la.freeze(transvection(sp, [ctx.one, ctx.zero], ctx.one))
+    with pytest.raises(ValueError, match="^torus generators 0 and 1 do not commute$"):
+        Torus(sp, [g, u], [6, 7], [blk, blk])
+    with pytest.raises(ValueError, match="^torus generator 0 to the power 5 is not the identity$"):
+        Torus(sp, [g], [5], [blk])
+    with pytest.raises(ValueError, match="^torus generator 0 is declared of order 0, below 1$"):
+        Torus(sp, [la.freeze(la.identity(ctx, 2))], [0], [blk])
 
 
 def test_extension_fields_are_built_once_per_process(monkeypatch):
